@@ -305,8 +305,9 @@ def fuzz(
                 scenario = generate_scenario(cell_rng, placement, trigger, seed)
                 stream = generate_ops(cell_rng, scenario, ops, faults=faults)
                 # Drawn *after* the stream so established fixed-seed streams
-                # stay stable. Telemetry-free cells are where the columnar
-                # path runs its vector kernels instead of falling back.
+                # stay stable. Half the cells run without a telemetry bus,
+                # so the paths are also compared with no per-access
+                # AccessResult construction at all.
                 if cell_rng.random() < 0.5:
                     scenario = dataclasses.replace(scenario, telemetry=False)
                 if mechanism != "flush":

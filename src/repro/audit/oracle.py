@@ -1,13 +1,12 @@
 """Differential oracle: one op stream, several independent access paths.
 
-The molecular cache keeps four access implementations that must stay
-byte-identical — the scalar reference (``access_block``), the batched
-engine (``access_many``), the allocation-free session
-(``access_session``) and the columnar kernel engine
-(:class:`~repro.molecular.columnar.ColumnarAccessEngine`, run with its
-heuristic fallbacks pinned off so the kernels themselves are on trial) —
-plus a *brute-force* path: the scalar reference with the full invariant
-auditor run after **every** operation. The oracle
+The molecular cache keeps two bodies of the access rule that must stay
+byte-identical — the scalar reference (``access_block``) and the
+allocation-free session (``access_session``) — reached through three
+entry points: ``access_block``, bulk ``access_many`` (a loop over one
+session per call) and a session held across the whole stream. On top of
+those the oracle runs a *brute-force* path: the scalar reference with
+the full invariant auditor run after **every** operation. The oracle
 replays one operation stream through each path on independently built
 caches (same :class:`Scenario`, same seed) and diffs everything
 observable afterwards: the stats dictionary, the occupancy report, the
@@ -47,7 +46,7 @@ from repro.molecular.cache import MolecularCache
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
 
 #: The replay paths the oracle knows, in the order they are run.
-PATHS = ("scalar", "batched", "session", "columnar", "brute")
+PATHS = ("scalar", "batched", "session", "brute")
 
 #: Ring-buffer capacity for the recorded telemetry streams. Large enough
 #: that the fuzzer's streams never wrap (drops would still be identical
@@ -92,9 +91,9 @@ class Scenario:
     min_window_refs: int = 16
     seed: int = 11
     #: Attach the telemetry bus. Kept in the scenario so the fuzzer can
-    #: disable it for some cells: with the bus attached the columnar path
-    #: semantically falls back to the batched engine, so telemetry-free
-    #: cells are the ones that put the vector kernels on trial.
+    #: disable it for some cells: without a bus the fast paths construct
+    #: no per-access ``AccessResult``, which telemetry-free cells put on
+    #: trial.
     telemetry: bool = True
     #: Resize mechanism (``flush`` / ``chash``) — the fuzzer's mechanism
     #: axis replays one op stream through both backends.
@@ -224,15 +223,7 @@ def replay(
         raise ConfigError(f"unknown oracle path {path!r}; expected one of {PATHS}")
     cache, sink = scenario.build()
     session = cache.access_session() if path == "session" else None
-    engine = None
-    if path == "columnar":
-        from repro.molecular.columnar import ColumnarAccessEngine
-
-        # force_kernels pins the heuristic fallbacks off so short or
-        # miss-heavy streams still exercise the vector kernels; the
-        # semantic fallbacks (telemetry, custom latency, ...) remain.
-        engine = ColumnarAccessEngine(cache, force_kernels=True)
-    pending: list[Op] = []  # buffered consecutive accesses (batched paths)
+    pending: list[Op] = []  # buffered consecutive accesses (batched path)
     since_audit = 0
     error: str | None = None
 
@@ -242,10 +233,7 @@ def replay(
         blocks = [op[2] for op in pending]
         asids = [op[1] for op in pending]
         writes = [op[3] for op in pending]
-        if engine is not None:
-            engine.stream(blocks, asids, writes)
-        else:
-            cache.access_many(blocks, asids, writes)
+        cache.access_many(blocks, asids, writes)
         pending.clear()
 
     def audit_now() -> None:
@@ -256,14 +244,14 @@ def replay(
     try:
         for op in ops:
             if op[0] == "access":
-                if path in ("batched", "columnar"):
+                if path == "batched":
                     pending.append(op)
                 elif path == "session":
                     session.access(op[2], op[1], op[3])
                 else:  # scalar, brute
                     cache.access_block(op[2], op[1], op[3])
             else:
-                if path in ("batched", "columnar"):
+                if path == "batched":
                     flush()
                 _apply_structural(cache, op)
             if path == "brute":

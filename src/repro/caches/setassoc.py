@@ -10,15 +10,13 @@ interference study (Table 1) and the deviation metric are computed.
 from __future__ import annotations
 
 from collections import OrderedDict
-from itertools import repeat
-
-import numpy as np
 
 from repro.caches.line import CacheLine
 from repro.caches.replacement import ReplacementPolicy, make_replacement_policy
 from repro.caches.stats import CacheStats
 from repro.common.bitops import ilog2, is_power_of_two
 from repro.common.errors import ConfigError
+from repro.common.refs import iter_refs
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Access, AccessResult
 
@@ -133,63 +131,20 @@ class SetAssociativeCache:
         return AccessResult(hit=False, evicted_block=evicted_block, writeback=writeback)
 
     def access_many(self, blocks, asids=0, writes=False) -> int:
-        """Batched fast path mirroring the molecular engine's contract.
+        """Bulk access: stream a whole reference column through a session.
 
-        Streams a whole reference array with the per-ASID stat counters
-        resolved once per ASID run instead of per access, and without
-        constructing an :class:`AccessResult` per reference. Stats are
-        byte-identical to calling :meth:`access_block` per element
-        (``tests/test_prop_batched.py`` checks the equivalence).
-        Returns the number of accesses simulated.
+        ``blocks`` is a block-number column (list, tuple, 1-D ndarray or
+        iterable); ``asids``/``writes`` are parallel columns or scalars
+        broadcast to every reference (:func:`repro.common.refs.
+        iter_refs` checks the shapes). Stats are byte-identical to
+        calling :meth:`access_block` per element
+        (``tests/test_prop_batched.py`` checks the equivalence). Returns
+        the number of accesses simulated.
         """
-        if isinstance(blocks, np.ndarray):
-            blocks = blocks.tolist()
-        n = len(blocks)
-        asid_iter = (
-            asids.tolist() if isinstance(asids, np.ndarray)
-            else asids if isinstance(asids, (list, tuple))
-            else repeat(asids)
-        )
-        write_iter = (
-            writes.tolist() if isinstance(writes, np.ndarray)
-            else writes if isinstance(writes, (list, tuple))
-            else repeat(writes)
-        )
-        stats = self.stats
-        tot = stats.total
-        wtot = stats.window_total
-        sets = self._sets
-        mask = self._set_mask
-        policy = self._policy
-        touch = policy.touch
-        associativity = self.associativity
-        counters_for = stats.counters_for
-        cur_asid: int | None = None
-        tc = wc = None
-        for block, asid, write in zip(blocks, asid_iter, write_iter):
-            if asid != cur_asid:
-                tc, wc = counters_for(asid)
-                cur_asid = asid
-            cache_set = sets[block & mask]
-            line = cache_set.get(block)
-            tot.accesses += 1
-            wtot.accesses += 1
-            tc.accesses += 1
-            wc.accesses += 1
-            if line is not None:
-                tot.hits += 1
-                wtot.hits += 1
-                tc.hits += 1
-                wc.hits += 1
-                touch(cache_set, block)
-                if write:
-                    line.dirty = True
-                continue
-            if len(cache_set) >= associativity:
-                evicted_block = policy.victim(cache_set)
-                victim_line = cache_set.pop(evicted_block)
-                stats.record_eviction(victim_line.asid, victim_line.dirty)
-            cache_set[block] = CacheLine(block=block, asid=asid, dirty=write)
+        n, refs = iter_refs(blocks, asids, writes)
+        access = self.access_session().access
+        for block, asid, write in refs:
+            access(block, asid, write)
         return n
 
     def access_session(self) -> "_SetAssocSession":
@@ -207,20 +162,11 @@ class SetAssociativeCache:
 
         ``asids``/``writes`` are optional parallel iterables; scalars are
         broadcast. Delegates to :meth:`access_many` (byte-identical to
-        the scalar loop) after materialising any lazy iterables. Returns
-        :attr:`stats` for convenience.
+        the scalar loop). Returns :attr:`stats` for convenience.
         """
-        if asids is None:
-            asids = 0
-        if writes is None:
-            writes = False
-        if not isinstance(blocks, (list, tuple, np.ndarray)):
-            blocks = list(blocks)
-        if not isinstance(asids, (int, list, tuple, np.ndarray)):
-            asids = list(asids)
-        if not isinstance(writes, (bool, list, tuple, np.ndarray)):
-            writes = list(writes)
-        self.access_many(blocks, asids, writes)
+        self.access_many(
+            blocks, 0 if asids is None else asids, False if writes is None else writes
+        )
         return self.stats
 
     # --------------------------------------------------------- introspection

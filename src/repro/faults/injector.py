@@ -130,10 +130,6 @@ def _apply_transient(cache, spec: FaultSpec) -> tuple[bool, str]:
     owner = _owner_region(cache, molecule)
     if owner is not None:
         owner.presence.pop(block, None)
-        # A transient drop changes the presence map without touching
-        # membership, so only the contents revision moves — enough to
-        # invalidate the columnar engine's region mirrors.
-        owner.content_version += 1
         cache.placement.on_evict(owner, block)
     cache.stats.lines_invalidated += 1
     note = " (dirty data lost)" if was_dirty else ""

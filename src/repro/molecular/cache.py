@@ -123,18 +123,12 @@ class MolecularCache:
         #: ``access_many``/``access_session`` call — never per reference
         #: (``tests/test_prof_zero_cost.py`` counts the lookups).
         self.profiler = None
-        #: Context epoch for the batched access engine: bumped by every
+        #: Context epoch for the access engine's sessions: bumped by every
         #: cache-level event that can invalidate a cached per-region
         #: access context (region assignment, shared-region creation,
         #: migration, resize fires). Per-region membership changes are
         #: tracked separately by ``CacheRegion.version``.
         self._ctx_epoch = 0
-        #: Persistent per-(region, shared) flat-array mirrors for the
-        #: columnar engine, keyed by the region objects' identities.
-        #: Validity is tracked inside each mirror (region version +
-        #: content revision), so mutations made anywhere in the object
-        #: model invalidate them without touching this dict.
-        self._columnar_mirrors = {}
 
     # ----------------------------------------------------------- telemetry
 
@@ -364,25 +358,18 @@ class MolecularCache:
         )
 
     def access_many(self, blocks, asids=0, writes=False) -> int:
-        """Batched fast path: stream a whole reference array.
+        """Bulk access: stream a whole reference column through a session.
 
-        ``blocks`` is a sequence of block numbers (numpy array, list or
-        tuple); ``asids``/``writes`` are parallel sequences or scalars
+        ``blocks`` is a block-number column (list, tuple, 1-D ndarray or
+        iterable); ``asids``/``writes`` are parallel columns or scalars
         broadcast to every reference. Returns the number of accesses
         simulated; cumulative results live in :attr:`stats` exactly as
         if each reference had gone through :meth:`access_block` — the
-        engine is byte-identical to the scalar path for stats, resize
+        session is byte-identical to the scalar path for stats, resize
         decisions and telemetry streams (see
         :mod:`repro.molecular.engine`).
         """
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            from repro.prof.engine import ProfiledAccessEngine
-
-            return ProfiledAccessEngine(self).stream(blocks, asids, writes)
-        from repro.molecular.columnar import ColumnarAccessEngine
-
-        return ColumnarAccessEngine(self).stream(blocks, asids, writes)
+        return self.access_session().stream(blocks, asids, writes)
 
     def access_session(self):
         """An allocation-free per-access session for feedback drivers.
@@ -406,9 +393,10 @@ class MolecularCache:
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         """Simulate one reference; returns hit/miss plus probe counts.
 
-        This is the scalar *reference implementation*: the batched
-        engine behind :meth:`access_many` must stay byte-identical to
-        it (``tests/test_prop_batched.py`` enforces the equivalence).
+        This is the scalar *reference implementation*: the session
+        behind :meth:`access_session` and :meth:`access_many` must stay
+        byte-identical to it (``tests/test_prop_batched.py`` enforces
+        the equivalence).
         """
         region = self.regions.get(asid)
         if region is None:

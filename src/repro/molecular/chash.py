@@ -32,14 +32,14 @@ This module is that mechanism for molecular caches, behind the
   preserving the auditor's stats-conservation law, plus
   ``resize_spill_writebacks``), clean spills are simply dropped.
 
-Moves and spills bump the region's ``content_version`` (inside the
-region primitives), so the columnar engine's mirrors resync exactly as
-they do after any flush resize. Remap activity lands in
+Moves and spills go through the region primitives, which keep the
+presence map exact, so every access path sees them the way it sees a
+flush resize. Remap activity lands in
 ``resize_blocks_moved`` / ``resize_remap_work`` and is published as
 :class:`~repro.telemetry.events.MoleculeRemapped` telemetry.
 
 The hash is a splitmix64 finaliser — pure integer arithmetic, no RNG
-state — so every access path (scalar, batched, session, columnar, brute)
+state — so every access path (scalar, batched, session, brute)
 replays a stream to the identical ring decisions.
 """
 

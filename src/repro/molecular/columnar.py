@@ -1,1088 +1,18 @@
-"""Columnar (structure-of-arrays) access engine: vectorized kernels.
+"""The retired columnar datapath's same-ASID run threshold.
 
-The batched :class:`~repro.molecular.engine.AccessEngine` removed the
-per-reference *setup* cost, but its steady state is still one Python
-loop iteration per reference over the molecule/region object graph. This
-module removes the loop itself for the common case: references are
-processed a *chunk* at a time through NumPy kernels, and Python runs
-only for the references that actually change cache state.
+The columnar (structure-of-arrays) engine used to process same-ASID runs
+of at least :data:`MIN_KERNEL_RUN` references through vectorized probe
+kernels. It is gone: on the end-to-end trace-mix benchmark it was about
+2x slower than a plain loop over the access session, and the paper
+experiments' CMP issue order never formed runs long enough to reach it
+(DESIGN.md section 12). Bulk access is now a loop over the session
+(:meth:`repro.molecular.engine.AccessEngine.stream`).
 
-Design
-------
-The object model (molecules, regions, presence dicts) remains the source
-of truth — every structural operation, fault, resize and the scalar
-reference path keep working unchanged. The columnar engine maintains a
-*mirror* of each region's presence map as flat arrays
-(:class:`RegionMirror`): an open-addressing hash table of ``int64``
-block keys mapping to indices into a molecule table with a parallel
-``tile_id`` column. Per (region, shared-region) pair one mirror persists
-on the cache across ``access_many`` calls; validity is keyed on the
-region's ``version``/``content_version`` counters so any mutation made
-outside the engine (scalar accesses, faults, resizes) invalidates it
-cheaply.
-
-A chunk of same-ASID references is then processed in four phases:
-
-1. **Probe kernel** — one vectorized hash lookup classifies every
-   reference against the *start-of-chunk* snapshot (``snap[i]`` = serving
-   molecule index, or -1).
-2. **Worklist** — snapshot misses, in stream order, are replayed through
-   a scalar event handler that replicates the batched engine's per-access
-   body exactly (same RNG draws, same install/evict order, same counter
-   updates). Events keep the snapshot *coherent* instead of chaining:
-   an install scatters the serving slot over all the block's later
-   occurrences (one ``searchsorted`` range per block against a combined
-   ``(block, position)`` sort key), and an eviction scatters -1 over
-   them and queues only the *first* as the one event that re-resolves
-   the block. The invariant ``snap[q] >= 0`` iff the block is resident
-   when position ``q`` is reached lets the worklist loop skip any
-   position a later install already re-resolved — a hot block evicted
-   and refetched costs two events, not one per occurrence.
-3. **Replace/writeback accounting** rides inside the worklist events
-   (they call ``region.install`` like the scalar path). Write-hit dirty
-   marks are *lazy*: pending marks are applied at chunk end as one flat
-   scatter into a (molecule, line) staging buffer, while an event that
-   removes a line first *consumes* the pending marks below it — fused
-   with the snapshot repair in one scan — so writeback accounting sees
-   them in scalar stream order.
-4. **Remote-cost kernel** — the remaining (unprocessed) references are
-   hits on their snapshot molecules; because processed positions keep
-   ``snap == -1``, one ``bincount`` over the final snapshot yields the
-   per-slot hit histogram, which is folded over the serving tiles and
-   dotted with precomputed per-tile cost tables (latency, comparator
-   and probe counts from the context's Ulmo search order).
-
-Chunks are capped so that no resize trigger can fire *inside* a chunk
-(the cap is the distance to the next trigger threshold), making the
-end-of-chunk trigger check equivalent to the scalar engine's per-access
-check.
-
-Scalar fallback rules
----------------------
-The kernels delegate to the batched engine (which itself falls back to
-``access_block`` when needed) whenever per-reference observation or
-mutation hooks are live — these need the exact per-access event order:
-
-* a telemetry bus is attached (per-access ``record_access``);
-* a custom latency model or a reuse-distance advisor is installed;
-* the placement policy has live hit/evict hooks (LRU-Direct recency);
-* the stream (or a same-ASID run) is too short to amortize kernel setup;
-* a chunk's snapshot miss rate exceeds :data:`BAILOUT_MISS_RATE` — the
-  scalar worklist would dominate, so the whole chunk takes the batched
-  loop (cheaper, still byte-identical);
-* block numbers fall outside the packable range (negative or huge).
-
-``force_kernels=True`` (used by the differential oracle's ``columnar``
-arm) disables the two *heuristic* fallbacks (size and miss rate) so the
-kernels are exercised even on tiny adversarial streams; the semantic
-fallbacks above always apply.
-
-The byte-identical contract of :mod:`repro.molecular.engine` carries
-over verbatim: stats dicts, occupancy reports, resize logs, error state
-and telemetry streams match the scalar reference path for any input.
-``tests/test_prop_columnar.py`` and the differential oracle enforce it.
+The constant stays because the end-to-end benchmark's traced run reads
+it for its ``cmp.kernel_eligible_frac`` layer metric (the share of
+issued references in same-ASID runs of at least this length). A later
+change to the benchmark may inline it and delete this module.
 """
 
-from __future__ import annotations
-
-import heapq
-
-import numpy as np
-
-from repro.common.errors import ConfigError, SimulationError
-from repro.molecular.engine import AccessEngine
-
-#: Multiplicative hash constant (golden-ratio, Fibonacci hashing).
-_GOLDEN = 0x9E3779B97F4A7C15
-_MASK64 = (1 << 64) - 1
-_EMPTY = -1
-_TOMBSTONE = -2
-
-#: Bits reserved for the in-chunk position in the combined
-#: ``(block, position)`` sort key used for next-occurrence queries.
-_POS_BITS = 21
-#: Hard cap on chunk length (positions must fit ``_POS_BITS``).
-_CHUNK_CAP = 1 << _POS_BITS
-#: Blocks must fit the remaining key bits (and be non-negative).
-_MAX_BLOCK = 1 << (62 - _POS_BITS)
-
-#: Streams shorter than this take the batched loop: kernel setup
-#: (snapshot arrays, sort) costs more than it saves.
-MIN_KERNEL_REFS = 64
-#: Same-ASID runs shorter than this inside a longer stream are batched
-#: together and delegated to the batched loop in one piece.
+#: Minimum same-ASID run length the columnar kernels engaged on.
 MIN_KERNEL_RUN = 32
-#: Snapshot miss-rate above which a chunk bails out to the batched loop.
-BAILOUT_MISS_RATE = 0.45
-
-
-class RegionMirror:
-    """Flat-array mirror of one (region, shared region) presence view.
-
-    An open-addressing (linear probing) hash table over ``int64`` arrays:
-    ``keys[s]`` holds a block number (or the empty/tombstone sentinels)
-    and ``vals[s]`` an index into :attr:`mols` — the molecules seen so
-    far, with a parallel :attr:`tile_ids` column for the cost kernel.
-    The shared region is folded in at rebuild with the exclusive region
-    overriding it, mirroring the engine's region-then-shared lookup
-    order (a block can only be resident in one of the two at a time).
-
-    Validity is snapshotted from the regions' ``version`` and
-    ``content_version`` counters; the engine resyncs the snapshot after
-    mutations it performed (and mirrored) itself, so only *external*
-    mutations force a rebuild.
-    """
-
-    __slots__ = (
-        "region",
-        "shared",
-        "keys",
-        "vals",
-        "shift",
-        "mask",
-        "used",
-        "mols",
-        "mol_slot",
-        "tile_ids",
-        "_tile_arr",
-        "region_version",
-        "region_content",
-        "shared_version",
-        "shared_content",
-        "bail_credits",
-    )
-
-    def __init__(self, region, shared) -> None:
-        self.region = region
-        self.shared = shared
-        self.mols: list = []
-        self.mol_slot: dict = {}
-        self.tile_ids: list[int] = []
-        self._tile_arr: np.ndarray | None = None
-        #: Bail hysteresis: after a miss-rate bailout, the next chunks
-        #: of a still-churning (stale) region skip the rebuild + probe
-        #: and delegate directly — see :meth:`ColumnarAccessEngine._run_chunk`.
-        self.bail_credits: int = 0
-        self.rebuild()
-
-    # ----------------------------------------------------------- validity
-
-    def rebuild(self) -> None:
-        """Re-derive the table from the authoritative presence maps.
-
-        Rebuilds happen whenever a resize, fault or scalar access
-        mutates a region behind the engine's back, so they sit on the
-        steady-state path of any dynamically managed cache — the table
-        is filled with one vectorized bulk insertion rather than one
-        scalar probe loop per resident block.
-        """
-        region_presence = self.region.presence
-        if self.shared is not None and self.shared.presence:
-            # Fold the shared region in with the exclusive region
-            # overriding it, mirroring the engine's lookup order.
-            combined = dict(self.shared.presence)
-            combined.update(region_presence)
-        else:
-            combined = region_presence
-        live = len(combined)
-        tbits = max(4, (2 * live + 8).bit_length())
-        size = 1 << tbits
-        self.shift = 64 - tbits
-        self.mask = size - 1
-        self.keys = np.full(size, _EMPTY, dtype=np.int64)
-        self.vals = np.zeros(size, dtype=np.int64)
-        self.used = live
-        if live:
-            blocks = np.fromiter(combined.keys(), dtype=np.int64, count=live)
-            slot_of = self._slot_of
-            values = np.fromiter(
-                (slot_of(molecule) for molecule in combined.values()),
-                dtype=np.int64,
-                count=live,
-            )
-            self._bulk_insert(blocks, values)
-        self.sync_versions()
-
-    def _bulk_insert(self, blocks: np.ndarray, values: np.ndarray) -> None:
-        """Linear-probing insertion of unique keys, all lanes in lockstep.
-
-        Each round scatters every lane whose current slot is empty
-        (duplicate targets resolve to one deterministic winner), then
-        advances the lanes that did not land. The table is sized to
-        <= 1/2 load, so the rounds shrink geometrically; any insertion
-        order yields an equivalent probe structure, so lookups are
-        independent of who wins a round.
-        """
-        keys = self.keys
-        vals = self.vals
-        mask = self.mask
-        slots = (
-            blocks.astype(np.uint64) * np.uint64(_GOLDEN)
-            >> np.uint64(self.shift)
-        ).astype(np.int64)
-        pending = np.arange(blocks.shape[0])
-        while pending.size:
-            lane_slots = slots[pending]
-            free = keys[lane_slots] == _EMPTY
-            if free.any():
-                landing = pending[free]
-                target = slots[landing]
-                keys[target] = blocks[landing]
-                vals[target] = values[landing]
-                placed = keys[slots[pending]] == blocks[pending]
-                pending = pending[~placed]
-                lane_slots = slots[pending]
-            slots[pending] = (lane_slots + 1) & mask
-
-    def sync_versions(self) -> None:
-        """Record the regions' revision counters as the mirrored state."""
-        self.region_version = self.region.version
-        self.region_content = self.region.content_version
-        if self.shared is not None:
-            self.shared_version = self.shared.version
-            self.shared_content = self.shared.content_version
-        else:
-            self.shared_version = self.shared_content = -1
-
-    def fresh(self) -> bool:
-        region = self.region
-        if (
-            region.version != self.region_version
-            or region.content_version != self.region_content
-        ):
-            return False
-        shared = self.shared
-        if shared is not None and (
-            shared.version != self.shared_version
-            or shared.content_version != self.shared_content
-        ):
-            return False
-        return True
-
-    # ------------------------------------------------------- molecule table
-
-    def _slot_of(self, molecule) -> int:
-        slot = self.mol_slot.get(molecule)
-        if slot is None:
-            slot = len(self.mols)
-            self.mol_slot[molecule] = slot
-            self.mols.append(molecule)
-            self.tile_ids.append(molecule.tile_id)
-            self._tile_arr = None
-        return slot
-
-    def tile_array(self) -> np.ndarray:
-        if self._tile_arr is None:
-            self._tile_arr = np.array(self.tile_ids, dtype=np.int64)
-        return self._tile_arr
-
-    # ------------------------------------------------------------ hash table
-
-    def _probe(self, block: int) -> tuple[int, bool]:
-        """Return ``(slot, found)`` — the block's slot, or where to insert."""
-        keys = self.keys
-        mask = self.mask
-        slot = ((block * _GOLDEN) & _MASK64) >> self.shift
-        insert_at = -1
-        while True:
-            key = int(keys[slot])
-            if key == block:
-                return slot, True
-            if key == _EMPTY:
-                return (slot if insert_at < 0 else insert_at), False
-            if key == _TOMBSTONE and insert_at < 0:
-                insert_at = slot
-            slot = (slot + 1) & mask
-
-    def set(self, block: int, molecule) -> None:
-        value = self._slot_of(molecule)
-        slot, found = self._probe(block)
-        if not found:
-            if int(self.keys[slot]) == _EMPTY:
-                self.used += 1
-            self.keys[slot] = block
-        self.vals[slot] = value
-        # Keep load (live + tombstones) under 2/3 so vector lookups always
-        # terminate on an empty slot within a short probe run.
-        if not found and 3 * self.used > 2 * (self.mask + 1):
-            self.rebuild()
-
-    def delete(self, block: int) -> None:
-        slot, found = self._probe(block)
-        if found:
-            self.keys[slot] = _TOMBSTONE
-
-    def refresh(self, block: int) -> None:
-        """Resync one block from the authoritative presence maps."""
-        molecule = self.region.presence.get(block)
-        if molecule is None and self.shared is not None:
-            molecule = self.shared.presence.get(block)
-        if molecule is None:
-            self.delete(block)
-        else:
-            self.set(block, molecule)
-
-    def lookup_many(self, blocks: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: molecule-table index per block, -1 if absent.
-
-        Linear probing runs in lockstep across all pending lanes; each
-        iteration resolves every lane whose current slot holds its key
-        (hit) or an empty sentinel (miss), so the loop count is the
-        longest probe run in the table, not the chunk length.
-        """
-        slots = (
-            blocks.astype(np.uint64) * np.uint64(_GOLDEN)
-            >> np.uint64(self.shift)
-        ).astype(np.int64)
-        keys = self.keys
-        vals = self.vals
-        mask = self.mask
-        # First probe unrolled over the full array: with the table kept
-        # under 2/3 load almost every lane resolves here, so the pending
-        # bookkeeping below only ever sees the short collision tail.
-        found_keys = keys[slots]
-        hits = found_keys == blocks
-        result = np.where(hits, vals[slots], np.int64(-1))
-        unresolved = ~(hits | (found_keys == _EMPTY))
-        if not unresolved.any():
-            return result
-        pending = np.flatnonzero(unresolved)
-        slots[pending] = (slots[pending] + 1) & mask
-        while pending.size:
-            lane_slots = slots[pending]
-            found_keys = keys[lane_slots]
-            hits = found_keys == blocks[pending]
-            if hits.any():
-                hit_lanes = pending[hits]
-                result[hit_lanes] = vals[slots[hit_lanes]]
-            resolved = hits | (found_keys == _EMPTY)
-            pending = pending[~resolved]
-            if pending.size:
-                slots[pending] = (slots[pending] + 1) & mask
-        return result
-
-
-class _ChunkState:
-    """Per-chunk coherence and write-mark bookkeeping.
-
-    Owns the snapshot (kept *coherent* with live residency: every event
-    that installs a block scatters its new molecule slot into ``snap``
-    for all later occurrences, so later hits stay on the bulk path
-    instead of chaining one scalar event per occurrence) and the lazy
-    dirty marks (write hits are not marked as the worklist advances;
-    they are applied in one grouped scatter per chunk, with evictions
-    consuming any pending marks for the line they remove so writeback
-    accounting still sees them in scalar order).
-    """
-
-    __slots__ = (
-        "cb",
-        "wr",
-        "snap",
-        "processed",
-        "consumed",
-        "heap",
-        "write_pos",
-        "has_writes",
-        "n",
-        "_keys",
-    )
-
-    def __init__(self, cb, wr, write_pos, snap) -> None:
-        n = cb.shape[0]
-        self.cb = cb
-        self.wr = wr
-        self.snap = snap
-        self.n = n
-        self.processed = np.zeros(n, dtype=bool)
-        self.heap: list[int] = []
-        self.write_pos = write_pos
-        self.has_writes = write_pos is not None and write_pos.shape[0] > 0
-        self.consumed = (
-            np.zeros(n, dtype=bool) if self.has_writes else None
-        )
-        # Combined (block << _POS_BITS | position) sort keys, built
-        # lazily on the first event: chunks without misses never pay.
-        self._keys: np.ndarray | None = None
-
-    def keys(self) -> np.ndarray:
-        sk = self._keys
-        if sk is None:
-            sk = np.sort(
-                (self.cb << _POS_BITS) | np.arange(self.n, dtype=np.int64)
-            )
-            self._keys = sk
-        return sk
-
-    def scatter(self, block: int, slot: int, position: int) -> None:
-        """Record ``block``'s new residency for every later occurrence.
-
-        Positions after ``position`` cannot have been processed yet
-        (events run in ascending order), so rewriting their snapshot
-        entries retargets both the bulk hit accounting and any pending
-        write marks to the molecule that actually serves them.
-        """
-        sk = self.keys()
-        base = block << _POS_BITS
-        i0, i1 = np.searchsorted(
-            sk, (base | position, base | (_CHUNK_CAP - 1)), side="right"
-        )
-        if i1 > i0:
-            self.snap[sk[i0:i1] & (_CHUNK_CAP - 1)] = slot
-
-    def consume_pending(self, block: int, position: int) -> bool:
-        """Claim the block's unapplied write-hit marks before ``position``.
-
-        Called when an event removes the block's line from its molecule:
-        any unprocessed, unconsumed write occurrence below the event is a
-        hit the scalar path would already have marked dirty, so the
-        caller must fold the returned flag into the line's writeback
-        state. Consuming stops those positions from being re-applied at
-        chunk end (their snapshot entry still names the old, now
-        re-occupied line). Occurrences from earlier residency periods
-        were consumed at the eviction that closed them, so everything
-        still pending here belongs to the line being removed now.
-        """
-        if position <= 0:
-            return False
-        sk = self.keys()
-        base = block << _POS_BITS
-        i0, i1 = np.searchsorted(sk, (base, base | position))
-        if i1 <= i0:
-            return False
-        occ = sk[i0:i1] & (_CHUNK_CAP - 1)
-        mask = self.wr[occ] & ~self.processed[occ] & ~self.consumed[occ]
-        pending = occ[mask]
-        if pending.shape[0] == 0:
-            return False
-        self.consumed[pending] = True
-        return True
-
-    def consume_and_retire(self, block: int, position: int, slot: int) -> bool:
-        """Consume pending marks and re-point later occurrences, one scan.
-
-        Fuses :meth:`consume_pending` with the snapshot repair for a
-        block whose line an event just removed — one ``searchsorted``
-        finds both the occurrences below ``position`` (pending write
-        marks to consume, returned as the line's effective dirty state)
-        and the ones after it. ``slot >= 0`` re-homes the later
-        occurrences (a shadowed shared-region copy is re-exposed and
-        serves them as bulk hits); ``slot == -1`` marks the block absent
-        and queues its first later occurrence as the re-resolving event.
-        """
-        sk = self.keys()
-        base = block << _POS_BITS
-        c0, c1, c2 = np.searchsorted(
-            sk,
-            np.array(
-                [base, base | position, base + _CHUNK_CAP], dtype=np.int64
-            ),
-        )
-        was_dirty = False
-        if c1 > c0 and self.consumed is not None:
-            occ = sk[c0:c1] & (_CHUNK_CAP - 1)
-            mask = self.wr[occ] & ~self.processed[occ] & ~self.consumed[occ]
-            pending = occ[mask]
-            if pending.shape[0]:
-                self.consumed[pending] = True
-                was_dirty = True
-        if c2 > c1:
-            occ = sk[c1:c2] & (_CHUNK_CAP - 1)
-            self.snap[occ] = slot
-            if slot < 0:
-                heapq.heappush(self.heap, int(occ[0]))
-        return was_dirty
-
-    def flush_pending(self, mols, block: int, position: int) -> None:
-        """Apply the block's pending write-hit marks below ``position``.
-
-        Used when an install re-homes a block *without* removing the
-        line that served its earlier occurrences — a unit sibling
-        shadowing a still-resident shared-region copy (or already
-        resident in the target). Those marks are final for the old
-        line, so they are applied now, each to its occurrence's
-        snapshot molecule; left pending, the chunk-end pass would
-        misdirect them to the block's new home.
-        """
-        if position <= 0 or not self.has_writes:
-            return
-        sk = self.keys()
-        base = block << _POS_BITS
-        i0, i1 = np.searchsorted(sk, (base, base | position))
-        if i1 <= i0:
-            return
-        occ = sk[i0:i1] & (_CHUNK_CAP - 1)
-        mask = self.wr[occ] & ~self.processed[occ] & ~self.consumed[occ]
-        pending = occ[mask]
-        if pending.shape[0] == 0:
-            return
-        self.consumed[pending] = True
-        snap = self.snap
-        cb = self.cb
-        for q in pending.tolist():
-            mols[int(snap[q])].mark_dirty(int(cb[q]))
-
-    def apply_marks(self, mols, limit: int) -> None:
-        """Apply every still-pending write-hit mark below ``limit``.
-
-        Grouped by serving molecule and applied as one fancy-index
-        scatter per group. Safe without per-line validation: a position
-        that is neither processed (scalar event) nor consumed (its line
-        was evicted) is a hit on a line that stayed resident, and its
-        coherent snapshot entry names the serving molecule.
-        """
-        wp = self.write_pos
-        if wp is None or limit <= 0:
-            return
-        cut = int(np.searchsorted(wp, limit))
-        if cut == 0:
-            return
-        sel = wp[:cut]
-        keep = ~self.processed[sel]
-        if self.consumed is not None:
-            keep &= ~self.consumed[sel]
-        sel = sel[keep]
-        if sel.shape[0] == 0:
-            return
-        slots = self.snap[sel]
-        blocks = self.cb[sel]
-        # One flat scatter into a (slot, line) staging buffer, then an
-        # OR per touched molecule — no argsort, no per-group slicing.
-        # Marks are idempotent, so duplicate (slot, line) pairs in the
-        # scatter are harmless.
-        n_slots = len(mols)
-        masks = np.fromiter(
-            (molecule.index_mask for molecule in mols),
-            dtype=np.int64,
-            count=n_slots,
-        )
-        width = int(masks.max()) + 1
-        staged = np.zeros((n_slots, width), dtype=bool)
-        staged.reshape(-1)[slots * width + (blocks & masks[slots])] = True
-        touched = np.flatnonzero(np.bincount(slots, minlength=n_slots))
-        for s in touched.tolist():
-            molecule = mols[s]
-            np.logical_or(
-                molecule.dirty,
-                staged[s, : molecule.n_lines],
-                out=molecule.dirty,
-            )
-
-
-def _as_column(values, n, name):
-    """Normalise a column to ``(ndarray | None, scalar)``."""
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1:
-            raise ConfigError(f"{name} must be one-dimensional")
-    elif isinstance(values, (list, tuple)):
-        values = np.asarray(values)
-    else:
-        return None, values
-    if values.shape[0] != n:
-        raise ConfigError(f"{name} length {values.shape[0]} != {n} blocks")
-    return values, None
-
-
-class ColumnarAccessEngine(AccessEngine):
-    """Chunked SoA datapath over the batched engine's context machinery.
-
-    Inherits context building/invalidation and the batched ``stream`` as
-    the semantic fallback; adds persistent region mirrors (stored on the
-    cache), the vectorized probe/cost kernels and the scalar event
-    worklist. See the module docstring for the full design.
-    """
-
-    __slots__ = ("force_kernels", "_cost_tables")
-
-    def __init__(self, cache, force_kernels: bool = False) -> None:
-        super().__init__(cache)
-        self.force_kernels = force_kernels
-        self._cost_tables: dict = {}
-        if getattr(cache, "_columnar_mirrors", None) is None:
-            cache._columnar_mirrors = {}
-
-    # --------------------------------------------------------- cost tables
-
-    def _costs(self, ctx):
-        """Per-tile (hit latency, comparators, remote probes, is-remote).
-
-        Indexed by the serving molecule's tile id; valid exactly as long
-        as the context is, so the cache key is the context object itself.
-        """
-        cached = self._cost_tables.get(ctx.asid)
-        if cached is not None and cached[0] is ctx:
-            return cached[1]
-        n_tiles = len(self.cache._tiles)
-        hit_lat = np.full(n_tiles, ctx.hit_cycles, dtype=np.int64)
-        comparisons = np.full(n_tiles, ctx.home_comparisons, dtype=np.int64)
-        probes = np.zeros(n_tiles, dtype=np.int64)
-        remote = np.zeros(n_tiles, dtype=np.int64)
-        for tile_id, (tiles, rprobes, comps, extra) in ctx.remote_stop.items():
-            hit_lat[tile_id] = (
-                ctx.hit_cycles
-                + ctx.dispatch_cycles
-                + tiles * ctx.per_tile_cycles
-                + extra
-            )
-            comparisons[tile_id] = comps + ctx.home_comparisons
-            probes[tile_id] = rprobes
-            remote[tile_id] = 1
-        tables = (hit_lat, comparisons, probes, remote)
-        self._cost_tables[ctx.asid] = (ctx, tables)
-        return tables
-
-    # ------------------------------------------------------------ streaming
-
-    def stream(self, blocks, asids=0, writes=False) -> int:
-        cache = self.cache
-        if (
-            not self.fast_latency
-            or cache.telemetry is not None
-            or self.advisor is not None
-            or self.on_hit_live
-            or self.on_evict_live
-        ):
-            # Semantic fallbacks: per-access observers/hooks are live.
-            return super().stream(blocks, asids, writes)
-        if not isinstance(blocks, np.ndarray):
-            if not isinstance(blocks, (list, tuple)):
-                blocks = list(blocks)
-            arr = np.asarray(blocks)
-            if arr.ndim != 1 or arr.dtype.kind not in "iu":
-                # Non-integer or nested block input: preserve the scalar
-                # path's exact handling of exotic values.
-                return super().stream(blocks, asids, writes)
-            blocks = arr
-        elif blocks.ndim != 1:
-            raise ConfigError("blocks must be one-dimensional")
-        elif blocks.dtype.kind not in "iu":
-            return super().stream(blocks, asids, writes)
-        blocks = blocks.astype(np.int64, copy=False)
-        n = blocks.shape[0]
-        if n == 0:
-            return 0
-        asid_col, asid_scalar = _as_column(asids, n, "asids")
-        write_col, write_scalar = _as_column(writes, n, "writes")
-        # Delegated streams are handed to the batched loop as python
-        # lists: iterating an ndarray yields numpy scalar objects whose
-        # allocation and dict hashing roughly double the per-reference
-        # cost of the scalar body.
-        if n < MIN_KERNEL_REFS and not self.force_kernels:
-            return super().stream(blocks.tolist(), asids, writes)
-        if int(blocks.min()) < 0 or int(blocks.max()) >= _MAX_BLOCK:
-            return super().stream(blocks.tolist(), asids, writes)
-
-        # Same-ASID run boundaries, computed once for the whole stream.
-        if asid_col is None:
-            bounds = [0, n]
-        else:
-            change = np.flatnonzero(asid_col[1:] != asid_col[:-1]) + 1
-            bounds = [0, *change.tolist(), n]
-
-        def delegate(lo: int, hi: int) -> None:
-            AccessEngine.stream(
-                self,
-                blocks[lo:hi].tolist(),
-                asid_col[lo:hi].tolist() if asid_col is not None else asid_scalar,
-                write_col[lo:hi].tolist() if write_col is not None else write_scalar,
-            )
-
-        span_start = -1  # accumulated short runs pending delegation
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi - lo < MIN_KERNEL_RUN and not self.force_kernels:
-                if span_start < 0:
-                    span_start = lo
-                continue
-            if span_start >= 0:
-                delegate(span_start, lo)
-                span_start = -1
-            asid = asid_col[lo].item() if asid_col is not None else asid_scalar
-            self._stream_run(blocks, write_col, write_scalar, asid, lo, hi)
-        if span_start >= 0:
-            delegate(span_start, n)
-        return n
-
-    def _stream_run(self, blocks, write_col, write_scalar, asid, lo, hi):
-        """One same-ASID run, chunked so triggers only fire at chunk ends."""
-        resizer = self.resizer
-        stats = self.stats
-        while lo < hi:
-            ctx = self._context(asid)
-            region = ctx.region
-            if self.per_app:
-                if ctx.managed:
-                    cap = region.next_resize_at - region.total_accesses
-                else:
-                    cap = hi - lo
-            else:
-                cap = resizer.next_global_at - stats.total.accesses
-            cap = max(1, min(cap, hi - lo, _CHUNK_CAP))
-            end = lo + cap
-            self._run_chunk(
-                ctx,
-                blocks[lo:end],
-                write_col[lo:end] if write_col is not None else None,
-                bool(write_scalar) if write_col is None else False,
-            )
-            # The chunk cap guarantees no trigger threshold was crossed
-            # before its last access, so this single check is equivalent
-            # to the scalar engine's per-access check. (A bailed-out
-            # chunk ran the batched loop, which already fired triggers —
-            # the conditions below are then simply false.)
-            tot = stats.total
-            if self.per_app:
-                if ctx.managed and region.total_accesses >= region.next_resize_at:
-                    resizer._resize_one(region, tot.accesses)
-            elif tot.accesses >= resizer.next_global_at:
-                resizer._resize_all(tot.accesses)
-            lo = end
-
-    def _run_chunk(self, ctx, cb, wr_col, wr_scalar):
-        n = cb.shape[0]
-        shared = ctx.shared_region
-        key = (id(ctx.region), 0 if shared is None else id(shared))
-        mirrors = self.cache._columnar_mirrors
-        mirror = mirrors.get(key)
-        if mirror is None:
-            mirror = RegionMirror(ctx.region, shared)
-            mirrors[key] = mirror
-        stale = not mirror.fresh()
-        if stale and mirror.bail_credits > 0 and not self.force_kernels:
-            # Bail hysteresis: this region's last probed chunk was
-            # miss-heavy enough to bail, so the batched loop's installs
-            # left the mirror stale — probing again would mean a full
-            # rebuild just to bail again. Delegate directly for a
-            # geometrically growing number of chunks, re-probing when
-            # the credits run out so a phase shift back to locality is
-            # picked up. Purely a performance heuristic: both paths are
-            # byte-identical.
-            mirror.bail_credits -= 1
-            AccessEngine.stream(
-                self,
-                cb.tolist(),
-                ctx.asid,
-                wr_col.tolist() if wr_col is not None else wr_scalar,
-            )
-            return
-        if stale:
-            mirror.rebuild()
-        snap = mirror.lookup_many(cb)
-        worklist = np.flatnonzero(snap < 0)
-        if (
-            worklist.shape[0] > BAILOUT_MISS_RATE * n
-            and not self.force_kernels
-        ):
-            # Miss-heavy chunk: the scalar worklist would dominate, and
-            # the batched loop handles misses with less bookkeeping.
-            mirror.bail_credits = min(2 * mirror.bail_credits + 1, 15)
-            AccessEngine.stream(
-                self,
-                cb.tolist(),
-                ctx.asid,
-                wr_col.tolist() if wr_col is not None else wr_scalar,
-            )
-            return
-        mirror.bail_credits = 0
-
-        if wr_col is not None:
-            wr = wr_col.astype(bool, copy=False)
-            write_pos = np.flatnonzero(wr)
-        elif wr_scalar:
-            wr = np.ones(n, dtype=bool)
-            write_pos = np.arange(n)
-        else:
-            wr = None
-            write_pos = None
-
-        chunk = _ChunkState(cb, wr, write_pos, snap)
-        processed = chunk.processed
-        heap = chunk.heap
-        wl = worklist.tolist()
-        work_i = 0
-        n_work = len(wl)
-        event = self._event
-        position = -1
-        try:
-            while True:
-                p_list = wl[work_i] if work_i < n_work else -1
-                p_heap = heap[0] if heap else -1
-                if p_list < 0 and p_heap < 0:
-                    break
-                if p_heap < 0 or (0 <= p_list <= p_heap):
-                    position = p_list
-                    work_i += 1
-                else:
-                    position = heapq.heappop(heap)
-                if processed[position]:
-                    continue
-                snap_slot = int(snap[position])
-                if snap_slot >= 0:
-                    # A later install already re-resolved this position
-                    # (coherent scatter): it is a plain hit, served and
-                    # accounted on the bulk path. Only still-absent
-                    # blocks need the scalar event.
-                    continue
-                processed[position] = True
-                write = bool(wr[position]) if wr is not None else False
-                event(
-                    ctx, mirror, int(cb[position]), write,
-                    snap_slot, position, chunk,
-                )
-        except SimulationError:
-            # Leave state exactly as the scalar path would at the failing
-            # access: apply the pending write-hit marks below it (their
-            # lines are still resident — evictions before this point
-            # consumed theirs), then bulk-account the completed hits.
-            chunk.apply_marks(mirror.mols, position)
-            self._account_bulk(ctx, mirror, snap, processed, position)
-            raise
-        chunk.apply_marks(mirror.mols, n)
-        self._account_bulk(ctx, mirror, snap, processed, n)
-
-    # -------------------------------------------------------- scalar events
-
-    def _event(self, ctx, mirror, block, write, snap_slot, position, chunk):
-        """Replay one reference through the scalar per-access body.
-
-        Identical, update for update, to the batched engine's loop body
-        (minus the telemetry/advisor/live-hook branches, which force a
-        full fallback before kernels engage). On top of that it keeps the
-        mirror in sync and keeps the chunk snapshot *coherent*: installed
-        blocks have their new slot scattered over all their later
-        occurrences (bulk hits, no chained events), and evicted blocks
-        get their next occurrence pushed as the one scalar event needed
-        to re-resolve them.
-        """
-        stats = self.stats
-        region = ctx.region
-        ctx.home_tile.port_accesses += 1
-        tot = stats.total
-        wtot = stats.window_total
-        tc = ctx.total_counters
-        wc = ctx.window_counters
-
-        molecule = ctx.region_lookup(block)
-        if molecule is None and ctx.shared_lookup is not None:
-            molecule = ctx.shared_lookup(block)
-
-        if molecule is not None:
-            if molecule.tile_id != ctx.home_tile_id:
-                ulmo_stats = ctx.ulmo_stats
-                ulmo_stats.tile_misses += 1
-                ulmo_stats.remote_hits += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
-                    ctx.remote_stop[molecule.tile_id]
-                )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons + ctx.home_comparisons
-                stats.latency_cycles += (
-                    ctx.hit_cycles
-                    + ctx.dispatch_cycles
-                    + remote_tiles * ctx.per_tile_cycles
-                    + remote_extra
-                )
-            else:
-                stats.asid_comparisons += ctx.home_comparisons
-                stats.latency_cycles += ctx.hit_cycles
-            stats.molecules_probed_local += ctx.local_probes
-            if write:
-                molecule.mark_dirty(block)
-            tot.accesses += 1
-            tot.hits += 1
-            wtot.accesses += 1
-            wtot.hits += 1
-            tc.accesses += 1
-            tc.hits += 1
-            wc.accesses += 1
-            wc.hits += 1
-            region.window_accesses += 1
-            region.total_accesses += 1
-            region.molecule_integral += ctx.molecule_count
-            # Coherence backstop: a pushed event can race a re-install
-            # (evicted block pushed, then fetched back by a sibling's
-            # unit fill before its turn) — the scatter already fixed the
-            # snapshot, so this never fires in practice, but a stale
-            # entry would silently misaccount later hits.
-            if snap_slot >= 0 and mirror.mols[snap_slot] is not molecule:
-                slot = mirror.mol_slot.get(molecule)
-                if slot is None:
-                    mirror.set(block, molecule)
-                    slot = mirror.mol_slot[molecule]
-                chunk.scatter(block, slot, position)
-        else:
-            ulmo_stats = ctx.ulmo_stats
-            remote_tiles = 0
-            if ctx.has_remote:
-                ulmo_stats.tile_misses += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
-                    ctx.remote_full
-                )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons + ctx.home_comparisons
-            else:
-                stats.asid_comparisons += ctx.home_comparisons
-            ulmo_stats.global_misses += 1
-            # Charged before the placement decision, like the scalar
-            # reference — identical partial state if placement raises.
-            stats.molecules_probed_local += ctx.local_probes
-
-            target, row_index = self.placement.choose(
-                region, block, self.lines_per_molecule, self.rng
-            )
-            k = ctx.line_multiplier
-            has_writes = chunk.has_writes
-            superseded = None
-            if k > 1 and has_writes:
-                # Unit siblings resident in *another* molecule are about
-                # to be superseded; capture them before install mutates
-                # the presence map so their pending write marks can be
-                # folded into the writeback accounting below.
-                base = block - (block % k)
-                presence = region.presence
-                superseded = [
-                    ub
-                    for ub in range(base, base + k)
-                    if presence.get(ub) not in (None, target)
-                ]
-            evicted = region.install(block, target, row_index, write)
-            dirty = 0
-            consume = chunk.consume_pending if has_writes else None
-            retire = chunk.consume_and_retire
-            shared = mirror.shared
-            presence = region.presence
-            if k == 1:
-                base = block
-                unit = (block,)
-            else:
-                base = block - (block % k)
-                unit = range(base, base + k)
-            for eb, was_dirty in evicted:
-                # Dirty marks are applied lazily per chunk, so the line
-                # this event just removed may carry write hits the
-                # molecule's dirty bit doesn't show yet — consume them
-                # now, exactly the marks the scalar path would already
-                # have applied in stream order. Non-unit evictions also
-                # retire the block's later occurrences in the same scan:
-                # re-homed to a re-exposed shared copy, or marked absent
-                # with their first occurrence queued for re-resolution.
-                if k > 1 and base <= eb < base + k:
-                    # Superseded unit copy: the unit scatter below
-                    # re-covers its occurrences.
-                    if consume is not None and consume(eb, position):
-                        was_dirty = True
-                else:
-                    home = None if shared is None else shared.presence.get(eb)
-                    if home is not None and presence.get(eb) is None:
-                        mirror.set(eb, home)
-                        if retire(eb, position, mirror.mol_slot[home]):
-                            was_dirty = True
-                    else:
-                        mirror.delete(eb)
-                        if retire(eb, position, -1):
-                            was_dirty = True
-                if was_dirty:
-                    dirty += 1
-                stats.record_eviction(ctx.asid, was_dirty)
-            if superseded:
-                reported = {eb for eb, _wd in evicted}
-                for ub in superseded:
-                    # A clean superseded sibling is invisible in the
-                    # install's eviction list; pending marks make it a
-                    # dirty eviction the scalar path would have reported.
-                    if ub not in reported and consume(ub, position):
-                        dirty += 1
-                        stats.record_eviction(ctx.asid, True)
-            stats.writebacks_to_memory += dirty
-            stats.lines_fetched += ctx.line_multiplier
-            cycles = ctx.miss_cycles
-            if remote_tiles:
-                cycles += (
-                    ctx.dispatch_cycles
-                    + remote_tiles * ctx.per_tile_cycles
-                    + remote_extra
-                )
-            stats.latency_cycles += cycles
-            tot.accesses += 1
-            wtot.accesses += 1
-            tc.accesses += 1
-            wc.accesses += 1
-            region.window_accesses += 1
-            region.window_misses += 1
-            region.total_accesses += 1
-            region.total_misses += 1
-            region.molecule_integral += ctx.molecule_count
-
-            # Resync the mirror and restore snapshot coherence for the
-            # fetched unit (evicted blocks were retired in the loop
-            # above): scattering the target's slot over the unit blocks'
-            # later occurrences turns them back into bulk hits.
-            if k > 1 and has_writes:
-                # Siblings whose old line survives this install (a
-                # shadowed shared-region copy, or already resident
-                # in the target) keep that line's marks: settle
-                # them before the scatter retargets the snapshot.
-                for ub in unit:
-                    if ub != block:
-                        chunk.flush_pending(mirror.mols, ub, position)
-            for ub in unit:
-                mirror.set(ub, target)
-            tslot = mirror.mol_slot[target]
-            for ub in unit:
-                chunk.scatter(ub, tslot, position)
-            mirror.sync_versions()
-
-    # ------------------------------------------------------ bulk accounting
-
-    def _account_bulk(self, ctx, mirror, snap, processed, limit):
-        """Apply stats for every unprocessed reference before ``limit``.
-
-        Every such reference is a hit served by its snapshot molecule
-        (anything else would have been chained onto the worklist), so the
-        whole set reduces to a tile histogram dotted with the context's
-        per-tile cost tables. The coherent snapshot makes the selection a
-        single bincount: processed positions keep ``snap == -1`` (events
-        fire only for still-absent blocks, and scatters cover strictly
-        later positions), while every unprocessed position below
-        ``limit`` holds the slot that served it.
-        """
-        if limit <= 0:
-            return
-        tile_array = mirror.tile_array()
-        n_slots = tile_array.shape[0]
-        slot_counts = np.bincount(snap[:limit] + 1, minlength=n_slots + 1)[1:]
-        count = int(slot_counts.sum())
-        if count == 0:
-            return
-        tile_counts = np.zeros(len(self.cache._tiles), dtype=np.int64)
-        np.add.at(tile_counts, tile_array, slot_counts)
-        hit_lat, comparisons, probes, remote = self._costs(ctx)
-        stats = self.stats
-        stats.record_hit_probes_bulk(
-            count,
-            ctx.local_probes,
-            int(tile_counts @ probes),
-            int(tile_counts @ comparisons),
-            int(tile_counts @ hit_lat),
-        )
-        remote_hits = int(tile_counts @ remote)
-        if remote_hits:
-            ulmo_stats = ctx.ulmo_stats
-            ulmo_stats.tile_misses += remote_hits
-            ulmo_stats.remote_hits += remote_hits
-        ctx.home_tile.port_accesses += count
-        tot = stats.total
-        wtot = stats.window_total
-        tot.accesses += count
-        tot.hits += count
-        wtot.accesses += count
-        wtot.hits += count
-        tc = ctx.total_counters
-        wc = ctx.window_counters
-        tc.accesses += count
-        tc.hits += count
-        wc.accesses += count
-        wc.hits += count
-        region = ctx.region
-        region.window_accesses += count
-        region.total_accesses += count
-        region.molecule_integral += count * ctx.molecule_count

@@ -1,24 +1,30 @@
-"""Batched access engine: the molecular cache's streaming hot path.
+"""The access engine: the molecular cache's one fast access rule.
 
-Every paper artifact is millions of ``access_block`` calls, and the
-scalar path redoes invariant work on each one: the region/tile/shared
+Every paper artifact is millions of accesses, and the scalar
+``access_block`` redoes invariant work on each one: the region/tile/shared
 dictionary lookups, the probe-count recomputation, an
 :class:`~repro.common.types.AccessResult` allocation (plus its ``extra``
 dict), a latency-model call and a resizer hook call. All of that is
 per-*region* state that only changes at resize, migration or
 shared-region events — so this module hoists it into an immutable
-:class:`AccessContext` and streams whole trace arrays through a loop
-whose steady state is local-variable arithmetic plus the presence-map
-lookup.
+:class:`AccessContext`, and :meth:`AccessEngine.access` serves one
+reference with local-variable arithmetic plus the presence-map lookup.
+
+There are exactly two bodies of the access rule: the scalar
+``MolecularCache.access_block`` (the readable oracle reference) and
+:meth:`AccessEngine.access` (the per-access session). Bulk access
+(:meth:`AccessEngine.stream`, behind ``MolecularCache.access_many``) is a
+loop over the session; ``repro.prof.engine`` keeps a stage-timed copy of
+the session body for sampled profiling.
 
 Equivalence contract
 --------------------
 The engine is an *optimisation*, never a semantic fork: for any access
 sequence the resulting stats dicts, telemetry event streams, resize
 decisions and occupancy reports are byte-identical to replaying the same
-sequence through the scalar ``MolecularCache.access_block`` (the
-retained reference implementation). ``tests/test_prop_batched.py``
-asserts this property over randomized traces. Concretely:
+sequence through the scalar ``MolecularCache.access_block``.
+``tests/test_prop_batched.py`` asserts this property over randomized
+traces. Concretely:
 
 * every counter the scalar path touches is updated per access (through
   cached references, not method calls), so mid-stream observers — the
@@ -44,47 +50,21 @@ A context is valid while both hold:
   windows of regions whose membership did not change, and an external
   ``force_resize`` must invalidate live sessions the same way).
 
-Within one :meth:`AccessEngine.stream` call only the engine itself can
-trigger invalidation (resize fires), which it detects directly; the
-version checks guard the persistent per-access :meth:`AccessEngine.access`
-session path used by :class:`~repro.sim.cmp.CMPRunner`.
+Every access checks both, so a session stays correct across structural
+events made between (or, through resize fires, during) its calls.
 
 A custom :class:`~repro.molecular.latency.LatencyModel` subclass (one
 that overrides ``cycles``) disables the precomputed cycle constants and
-drops the whole stream to the scalar reference path — correctness first.
+sends every access to the scalar reference path — correctness first.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-
-import numpy as np
-
-from repro.common.errors import ConfigError, UnknownASIDError
+from repro.common.errors import UnknownASIDError
+from repro.common.refs import iter_refs
 from repro.common.types import AccessResult
 from repro.molecular.latency import LatencyModel
 from repro.molecular.placement import PlacementPolicy
-
-
-def _as_scalar_sequence(values, n, name):
-    """Normalise a column to (list | None, scalar) for the stream loop.
-
-    Returns ``(per_ref_list, broadcast_scalar)`` — exactly one of the two
-    is meaningful. Numpy arrays are converted once with ``tolist()``
-    (plain ints iterate and hash faster than numpy scalars in a pure
-    Python loop); lists/tuples pass through unchanged.
-    """
-    if isinstance(values, np.ndarray):
-        if values.ndim != 1:
-            raise ConfigError(f"{name} must be one-dimensional")
-        values = values.tolist()
-    if isinstance(values, (list, tuple)):
-        if len(values) != n:
-            raise ConfigError(
-                f"{name} length {len(values)} != {n} blocks"
-            )
-        return values, None
-    return None, values
 
 
 class AccessContext:
@@ -124,7 +104,7 @@ class AccessContext:
 
 
 class AccessEngine:
-    """Streams references through a molecular cache via cached contexts.
+    """Serves references through a molecular cache via cached contexts.
 
     One engine is built per :meth:`~repro.molecular.cache.MolecularCache.
     access_many` call (contexts must not outlive external stats resets),
@@ -244,210 +224,16 @@ class AccessEngine:
     def stream(self, blocks, asids=0, writes=False) -> int:
         """Simulate a whole reference stream; returns the access count.
 
-        ``blocks`` is a sequence of block numbers (numpy array, list or
-        tuple); ``asids``/``writes`` are parallel sequences or scalars
-        broadcast to every reference.
+        ``blocks`` is a block-number column (list, tuple, 1-D ndarray or
+        iterable); ``asids``/``writes`` are parallel columns or scalars
+        broadcast to every reference. Bulk access is just a loop over
+        :meth:`access`, with array columns converted to plain ints a
+        bounded slice at a time (:func:`repro.common.refs.iter_refs`).
         """
-        if isinstance(blocks, np.ndarray):
-            if blocks.ndim != 1:
-                raise ConfigError("blocks must be one-dimensional")
-            blocks = blocks.tolist()
-        elif not isinstance(blocks, (list, tuple)):
-            blocks = list(blocks)
-        n = len(blocks)
-        asid_list, asid_scalar = _as_scalar_sequence(asids, n, "asids")
-        write_list, write_scalar = _as_scalar_sequence(writes, n, "writes")
-        if n == 0:
-            return 0
-        if not self.fast_latency:
-            # Custom latency model: take the scalar reference path.
-            access_block = self.cache.access_block
-            asid_iter = asid_list if asid_list is not None else repeat(asid_scalar)
-            write_iter = (
-                write_list if write_list is not None else repeat(write_scalar)
-            )
-            for block, asid, write in zip(blocks, asid_iter, write_iter):
-                access_block(block, int(asid), bool(write))
-            return n
-
-        cache = self.cache
-        stats = self.stats
-        placement = self.placement
-        rng = self.rng
-        resizer = self.resizer
-        advisor = self.advisor
-        per_app = self.per_app
-        on_hit_live = self.on_hit_live
-        on_evict_live = self.on_evict_live
-        lines_per_molecule = self.lines_per_molecule
-        bus = cache.telemetry
-
-        tot = stats.total
-        wtot = stats.window_total
-        next_global_at = resizer.next_global_at
-
-        # Unpacked context of the asid being streamed; refreshed on asid
-        # change and after any resize fires (cur_asid sentinel). Within
-        # this loop nothing else can invalidate a context.
-        cur_asid: int | None = None
-        ctx = region = home_tile = None
-        region_lookup = shared_lookup = None
-        tc = wc = None
-        local_probes = home_comparisons = hit_cycles = 0
-        molecule_count = managed = None
-
-        asid_iter = asid_list if asid_list is not None else repeat(asid_scalar)
-        write_iter = write_list if write_list is not None else repeat(write_scalar)
-        for block, asid, write in zip(blocks, asid_iter, write_iter):
-            if asid != cur_asid:
-                ctx = self._context(asid)
-                cur_asid = asid
-                region = ctx.region
-                home_tile = ctx.home_tile
-                region_lookup = ctx.region_lookup
-                shared_lookup = ctx.shared_lookup
-                tc = ctx.total_counters
-                wc = ctx.window_counters
-                local_probes = ctx.local_probes
-                home_comparisons = ctx.home_comparisons
-                hit_cycles = ctx.hit_cycles
-                molecule_count = ctx.molecule_count
-                managed = ctx.managed
-
-            home_tile.port_accesses += 1
-            result = None
-            remote_tiles = 0
-
-            molecule = region_lookup(block)
-            if molecule is None and shared_lookup is not None:
-                molecule = shared_lookup(block)
-
-            if molecule is not None:
-                if molecule.tile_id != ctx.home_tile_id:
-                    ulmo_stats = ctx.ulmo_stats
-                    ulmo_stats.tile_misses += 1
-                    ulmo_stats.remote_hits += 1
-                    remote_tiles, remote_probes, comparisons, remote_extra = (
-                        ctx.remote_stop[molecule.tile_id]
-                    )
-                    stats.molecules_probed_remote += remote_probes
-                    stats.asid_comparisons += comparisons + home_comparisons
-                    stats.latency_cycles += (
-                        hit_cycles
-                        + ctx.dispatch_cycles
-                        + remote_tiles * ctx.per_tile_cycles
-                        + remote_extra
-                    )
-                else:
-                    remote_probes = 0
-                    stats.asid_comparisons += home_comparisons
-                    stats.latency_cycles += hit_cycles
-                stats.molecules_probed_local += local_probes
-                if write:
-                    molecule.mark_dirty(block)
-                if on_hit_live:
-                    # Recency belongs to the serving region (the hit may
-                    # have come from the tile's shared region).
-                    if shared_lookup is not None and region_lookup(block) is None:
-                        placement.on_hit(ctx.shared_region, block)
-                    else:
-                        placement.on_hit(region, block)
-                tot.accesses += 1
-                tot.hits += 1
-                wtot.accesses += 1
-                wtot.hits += 1
-                tc.accesses += 1
-                tc.hits += 1
-                wc.accesses += 1
-                wc.hits += 1
-                region.window_accesses += 1
-                region.total_accesses += 1
-                region.molecule_integral += molecule_count
-                if bus is not None:
-                    result = AccessResult(
-                        hit=True,
-                        molecules_probed_local=local_probes,
-                        molecules_probed_remote=remote_probes,
-                    )
-            else:
-                ulmo_stats = ctx.ulmo_stats
-                if ctx.has_remote:
-                    ulmo_stats.tile_misses += 1
-                    remote_tiles, remote_probes, comparisons, remote_extra = (
-                        ctx.remote_full
-                    )
-                    stats.molecules_probed_remote += remote_probes
-                    stats.asid_comparisons += comparisons + home_comparisons
-                else:
-                    remote_probes = 0
-                    stats.asid_comparisons += home_comparisons
-                ulmo_stats.global_misses += 1
-                # Charged before the placement decision, like the scalar
-                # reference — identical partial state if placement raises.
-                stats.molecules_probed_local += local_probes
-
-                target, row_index = placement.choose(
-                    region, block, lines_per_molecule, rng
-                )
-                evicted = region.install(block, target, row_index, write)
-                dirty = 0
-                for _b, was_dirty in evicted:
-                    if was_dirty:
-                        dirty += 1
-                    stats.record_eviction(asid, was_dirty)
-                if on_evict_live:
-                    for b, _was_dirty in evicted:
-                        placement.on_evict(region, b)
-                stats.writebacks_to_memory += dirty
-                stats.lines_fetched += ctx.line_multiplier
-                cycles = ctx.miss_cycles
-                if remote_tiles:
-                    cycles += (
-                        ctx.dispatch_cycles
-                        + remote_tiles * ctx.per_tile_cycles
-                        + remote_extra
-                    )
-                stats.latency_cycles += cycles
-                tot.accesses += 1
-                wtot.accesses += 1
-                tc.accesses += 1
-                wc.accesses += 1
-                region.window_accesses += 1
-                region.window_misses += 1
-                region.total_accesses += 1
-                region.total_misses += 1
-                region.molecule_integral += molecule_count
-                if bus is not None:
-                    result = AccessResult(
-                        hit=False,
-                        evicted_block=evicted[0][0] if evicted else None,
-                        writeback=dirty > 0,
-                        molecules_probed_local=local_probes,
-                        molecules_probed_remote=remote_probes,
-                        lines_filled=ctx.line_multiplier,
-                    )
-
-            # Inlined Resizer.on_access: identical trigger conditions,
-            # identical fire points; a fire invalidates every context.
-            if advisor is not None:
-                advisor.observe(region, block)
-            if per_app:
-                if managed and region.total_accesses >= region.next_resize_at:
-                    resizer._resize_one(region, tot.accesses)
-                    cur_asid = None
-                    tot = stats.total
-                    wtot = stats.window_total
-            elif tot.accesses >= next_global_at:
-                resizer._resize_all(tot.accesses)
-                cur_asid = None
-                tot = stats.total
-                wtot = stats.window_total
-                next_global_at = resizer.next_global_at
-
-            if bus is not None:
-                if remote_tiles:
-                    result.extra["remote_tiles_searched"] = remote_tiles
-                bus.record_access(asid, block, write, result, remote_tiles)
+        n, refs = iter_refs(blocks, asids, writes)
+        access = self.access
+        for block, asid, write in refs:
+            access(block, asid, write)
         return n
 
     # ------------------------------------------------------------- sessions
@@ -455,10 +241,11 @@ class AccessEngine:
     def access(self, block: int, asid: int = 0, write: bool = False) -> bool:
         """One allocation-free access; returns the hit flag.
 
-        The per-access twin of :meth:`stream` for drivers that cannot
-        batch (feedback schedulers interleaving applications reference
-        by reference). Contexts persist across calls and revalidate
-        against the region version and cache epoch on every call.
+        The engine's single access body: :meth:`stream` loops over it,
+        and feedback drivers (schedulers interleaving applications
+        reference by reference) call it directly. Contexts persist
+        across calls and revalidate against the region version and cache
+        epoch on every call.
         """
         if not self.fast_latency:
             return self.cache.access_block(block, asid, write).hit

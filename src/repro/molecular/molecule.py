@@ -12,8 +12,6 @@ plain direct-mapped tag/data array.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.common.errors import ConfigError, SimulationError
 
 #: ASID value marking an unconfigured (free) molecule.
@@ -58,11 +56,9 @@ class Molecule:
         #: the scalar access path.
         self.index_mask = n_lines - 1
         self.lines: list[int | None] = [None] * n_lines
-        #: Dirty bits as a flat bool array so the columnar engine can
-        #: apply a whole chunk's write-hit marks in one fancy-index
-        #: scatter. Reads that escape this class go through ``bool()``
-        #: so no numpy scalar ever leaks into stats or reports.
-        self.dirty: np.ndarray = np.zeros(n_lines, dtype=bool)
+        #: One dirty byte per line (0/1). Reads that escape this class go
+        #: through ``bool()`` so stats and reports only ever see bools.
+        self.dirty = bytearray(n_lines)
         self.asid: int = FREE
         self.shared: bool = False
         #: Misses that caused a replacement in this molecule — the
@@ -116,7 +112,8 @@ class Molecule:
         if previous is not None and previous != block:
             evicted = (previous, bool(self.dirty[index]))
         self.lines[index] = block
-        self.dirty[index] = dirty
+        # Any truthy flag (numpy scalars included) stores as one byte.
+        self.dirty[index] = 1 if dirty else 0
         self.fills += 1
         return evicted
 
@@ -147,7 +144,7 @@ class Molecule:
             if block is not None
         ]
         self.lines = [None] * self.n_lines
-        self.dirty = np.zeros(self.n_lines, dtype=bool)
+        self.dirty = bytearray(self.n_lines)
         return flushed
 
     def resident_blocks(self) -> list[int]:

@@ -58,7 +58,6 @@ class CacheRegion:
         "_molecule_count",
         "_tile_order",
         "version",
-        "content_version",
         "window_accesses",
         "window_misses",
         "total_accesses",
@@ -102,13 +101,6 @@ class CacheRegion:
         #: per-region contexts compare it to decide whether their
         #: precomputed probe counts and search orders are still valid.
         self.version = 0
-        #: Monotonic *contents* revision: bumped whenever the presence map
-        #: changes (a unit installed, a molecule detached, a line dropped
-        #: by a transient fault). The columnar engine's per-region mirror
-        #: arrays key their validity on this; unlike :attr:`version` it
-        #: moves on every miss, so consumers resync it themselves after
-        #: mutations they performed (and mirrored) on their own.
-        self.content_version = 0
 
         self.window_accesses = 0
         self.window_misses = 0
@@ -272,7 +264,6 @@ class CacheRegion:
         flushed = molecule.flush()
         for block, _dirty in flushed:
             self.presence.pop(block, None)
-        self.content_version += 1
         return flushed
 
     def move_block(self, block: int, target: Molecule) -> bool:
@@ -294,7 +285,6 @@ class CacheRegion:
         was_dirty = source.invalidate(block)
         target.fill(block, dirty=was_dirty)
         self.presence[block] = target
-        self.content_version += 1
         return True
 
     def adopt_block(self, block: int, target: Molecule, dirty: bool) -> bool:
@@ -313,7 +303,6 @@ class CacheRegion:
             return False
         target.fill(block, dirty=dirty)
         self.presence[block] = target
-        self.content_version += 1
         return True
 
     def drop_clean_line(self, target: Molecule, index: int) -> int | None:
@@ -330,7 +319,6 @@ class CacheRegion:
             return None
         target.invalidate(occupant)
         del self.presence[occupant]
-        self.content_version += 1
         return occupant
 
     def invalidate_search_order(self) -> None:
@@ -396,5 +384,4 @@ class CacheRegion:
         molecule.replacement_misses += 1
         if 0 <= row_index < len(self.row_misses):
             self.row_misses[row_index] += 1
-        self.content_version += 1
         return evicted

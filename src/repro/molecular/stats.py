@@ -81,26 +81,6 @@ class MolecularStats(CacheStats):
     def molecules_probed(self) -> int:
         return self.molecules_probed_local + self.molecules_probed_remote
 
-    def record_hit_probes_bulk(
-        self,
-        count: int,
-        local_probes: int,
-        remote_probes: int,
-        comparisons: int,
-        cycles: int,
-    ) -> None:
-        """Account ``count`` hits resolved by the columnar probe kernel.
-
-        The caller computes the remote-probe/comparator/latency totals in
-        array form (dot products over per-tile cost tables); this applies
-        them in one shot — the bulk twin of the per-access updates in
-        :meth:`~repro.molecular.cache.MolecularCache.access_block`.
-        """
-        self.molecules_probed_local += count * local_probes
-        self.molecules_probed_remote += remote_probes
-        self.asid_comparisons += comparisons
-        self.latency_cycles += cycles
-
     def mean_molecules_probed(self) -> float:
         """Average molecules probed per access — the power model's input."""
         if self.total.accesses == 0:

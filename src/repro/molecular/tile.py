@@ -118,7 +118,7 @@ class Tile:
         """ASID comparators that fire for a request probing this tile.
 
         Failed molecules power their comparators off, so this is the
-        per-tile comparison cost both the scalar and columnar access
+        per-tile comparison cost both the scalar and session access
         paths charge per probe of the tile.
         """
         return len(self.molecules) - self.failed_count

@@ -1,7 +1,7 @@
 """Performance observability: hot-path profiler, spans, benchmark ledger.
 
-The paper's claims are throughput claims, and every scaling PR (columnar
-datapath, multi-host sweeps) is judged by numbers — this package is the
+The paper's claims are throughput claims, and every scaling change
+(datapath, multi-host sweeps) is judged by numbers — this package is the
 instrument panel. Three independent pieces, layered *beside* the
 simulator and the telemetry bus, never inside their hot loops:
 

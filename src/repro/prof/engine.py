@@ -1,20 +1,22 @@
-"""The stage-instrumented twin of the batched access engine.
+"""The stage-instrumented twin of the access session.
 
-:class:`ProfiledAccessEngine` is what ``MolecularCache.access_many`` /
-``access_session`` build when a :class:`~repro.prof.profiler.
+:class:`ProfiledAccessEngine` is what ``MolecularCache.access_session``
+(and so ``access_many``) builds when a :class:`~repro.prof.profiler.
 HotPathProfiler` is attached and enabled. It subclasses the ordinary
 :class:`~repro.molecular.engine.AccessEngine` and changes *when things
 are measured*, never *what happens*:
 
-* :meth:`stream` measures the wall clock of the whole stream and routes
-  one reference per ``sample_every`` through :meth:`access_profiled`;
-  the rest go through the parent's unmodified fast loop in segments.
-* :meth:`access` (the per-reference session path) samples with a
-  countdown instead of segments.
+* :meth:`access` counts every reference and, with the profiler's
+  countdown, routes one per ``sample_every`` through
+  :meth:`access_profiled`; the rest go through the parent's unmodified
+  session body.
+* :meth:`stream` is the parent's session loop with the same countdown
+  inlined, inside a wall-clock measurement — so a profiled
+  ``access_many`` runs exactly the path an unprofiled one does, plus
+  one sampled access per ``sample_every``.
 * :meth:`access_profiled` is a copy of the parent's ``access`` body with
-  ``perf_counter`` captures at the stage boundaries — the same
-  deliberate duplication the engine already uses between its ``stream``
-  and ``access`` bodies, kept honest by
+  ``perf_counter`` captures at the stage boundaries — the one deliberate
+  duplicate of the access rule, kept honest by
   ``tests/test_prof_profiler.py``'s byte-identical-stats checks.
 
 Stage boundaries (see DESIGN.md section 10): **probe** is the presence-
@@ -26,8 +28,8 @@ The resize-trigger interval is deliberately left out of every sampled
 stage: fires are timed exactly by the resizer, and folding a
 milliseconds-long fire into one sampled access would wreck the shares.
 
-The equivalence argument is the engine's own: scalar, batched, session
-and profiled paths all produce byte-identical stats, resize logs and
+The equivalence argument is the engine's own: scalar, session and
+profiled paths all produce byte-identical stats, resize logs and
 telemetry streams, so *which* path any single reference takes is
 unobservable outside timing.
 """
@@ -36,19 +38,17 @@ from __future__ import annotations
 
 from time import perf_counter
 
-import numpy as np
-
 from repro.common.clock import tick
-from repro.common.errors import ConfigError
+from repro.common.refs import iter_refs
 from repro.common.types import AccessResult
-from repro.molecular.engine import AccessEngine, _as_scalar_sequence
+from repro.molecular.engine import AccessEngine
 from repro.prof.profiler import HotPathProfiler
 
 
 class ProfiledAccessEngine(AccessEngine):
     """An :class:`AccessEngine` that feeds an attached profiler."""
 
-    __slots__ = ("profiler", "_countdown")
+    __slots__ = ("profiler",)
 
     def __init__(self, cache) -> None:
         super().__init__(cache)
@@ -56,54 +56,35 @@ class ProfiledAccessEngine(AccessEngine):
         if profiler is None:
             profiler = HotPathProfiler()
         self.profiler = profiler
-        self._countdown = profiler.sample_every
 
     # ------------------------------------------------------------ streaming
 
     def stream(self, blocks, asids=0, writes=False) -> int:
+        """The session loop, timed, with the sampling countdown inlined.
+
+        Unsampled references call the parent's session body directly —
+        one frame per reference, exactly as unprofiled — rather than
+        through :meth:`access`, whose extra frame alone would exceed the
+        profiler's overhead budget.
+        """
         prof = self.profiler
         t_start = tick()
-        if not self.fast_latency:
-            # Custom latency model: the parent already falls back to the
-            # scalar reference path; only the wall clock is profiled.
-            n = super().stream(blocks, asids, writes)
-            prof.add_stream(n, tick() - t_start)
-            return n
-        if isinstance(blocks, np.ndarray):
-            if blocks.ndim != 1:
-                raise ConfigError("blocks must be one-dimensional")
-            # tolist(), not list(): plain ints, never numpy scalars, so
-            # presence keys stay identical to every other path.
-            blocks = blocks.tolist()
-        elif not isinstance(blocks, (list, tuple)):
-            blocks = list(blocks)
-        n = len(blocks)
-        asid_list, asid_scalar = _as_scalar_sequence(asids, n, "asids")
-        write_list, write_scalar = _as_scalar_sequence(writes, n, "writes")
-        step = prof.sample_every
-        pos = 0
-        run = super().stream
-        while pos < n:
-            stop = min(pos + step, n)
-            # Fast segment up to (not including) the sampled reference.
-            if stop - 1 > pos:
-                run(
-                    blocks[pos : stop - 1],
-                    asid_list[pos : stop - 1]
-                    if asid_list is not None
-                    else asid_scalar,
-                    write_list[pos : stop - 1]
-                    if write_list is not None
-                    else write_scalar,
-                )
-            last = stop - 1
-            self.access_profiled(
-                blocks[last],
-                asid_list[last] if asid_list is not None else asid_scalar,
-                bool(write_list[last]) if write_list is not None else bool(write_scalar),
-            )
-            pos = stop
-        prof.add_stream(n, tick() - t_start)
+        n, refs = iter_refs(blocks, asids, writes)
+        plain = super().access
+        sample_every = prof.sample_every
+        countdown = prof.countdown
+        try:
+            for block, asid, write in refs:
+                countdown -= 1
+                if countdown:
+                    plain(block, asid, write)
+                else:
+                    countdown = sample_every
+                    self.access_profiled(block, asid, write)
+        finally:
+            prof.countdown = countdown
+        prof.refs += n
+        prof.add_stream(tick() - t_start)
         return n
 
     # ------------------------------------------------------------- sessions
@@ -111,10 +92,10 @@ class ProfiledAccessEngine(AccessEngine):
     def access(self, block: int, asid: int = 0, write: bool = False) -> bool:
         prof = self.profiler
         prof.refs += 1
-        self._countdown -= 1
-        if self._countdown > 0:
-            return super().access(block, asid, write)
-        self._countdown = prof.sample_every
+        prof.countdown -= 1
+        if prof.countdown > 0:
+            return AccessEngine.access(self, block, asid, write)
+        prof.countdown = prof.sample_every
         return self.access_profiled(block, asid, write)
 
     # ------------------------------------------------- instrumented access
@@ -123,7 +104,7 @@ class ProfiledAccessEngine(AccessEngine):
         """One access with stage timing; side effects identical to
         :meth:`AccessEngine.access`."""
         if not self.fast_latency:
-            return super().access(block, asid, write)
+            return AccessEngine.access(self, block, asid, write)
         pc = perf_counter
         t0 = pc()
         ctx = self.contexts.get(asid)
@@ -223,6 +204,9 @@ class ProfiledAccessEngine(AccessEngine):
                 remote_probes = 0
                 stats.asid_comparisons += ctx.home_comparisons
             ulmo_stats.global_misses += 1
+            # Charged before the placement decision, like the scalar
+            # reference — identical partial state if placement raises.
+            stats.molecules_probed_local += local_probes
             t3 = pc()
             remote_s = t3 - t2
             target, row_index = self.placement.choose(
@@ -243,7 +227,6 @@ class ProfiledAccessEngine(AccessEngine):
             stats.lines_fetched += ctx.line_multiplier
             t5 = pc()
             writeback_s = t5 - t4
-            stats.molecules_probed_local += local_probes
             cycles = ctx.miss_cycles
             if remote_tiles:
                 cycles += (

@@ -6,8 +6,10 @@ Instead the profiler combines three measurements, each cheap where it
 runs often and exact where it runs rarely:
 
 * **wall clock** — every profiled stream (or the caller, for per-access
-  sessions) contributes its measured wall time and reference count;
-* **sampled stage splits** — every ``sample_every``-th reference runs
+  sessions) contributes its measured wall time; every profiled access
+  counts itself;
+* **sampled stage splits** — every ``sample_every``-th reference the
+  profiler sees (counted across all streams and sessions) runs
   through a stage-instrumented twin of the engine access body
   (:meth:`repro.prof.engine.ProfiledAccessEngine.access_profiled`),
   accumulating per-stage and per-region sampled time;
@@ -64,6 +66,7 @@ class HotPathProfiler:
         "resize_s",
         "resize_fires",
         "streams",
+        "countdown",
     )
 
     def __init__(self, sample_every: int = 512) -> None:
@@ -84,6 +87,10 @@ class HotPathProfiler:
         self.resize_s = 0.0
         self.resize_fires = 0
         self.streams = 0
+        #: References left until the next sampled one. Kept here, not on
+        #: the engine, so sampling runs on across the many short streams
+        #: a chunked driver issues (one engine per ``access_many`` call).
+        self.countdown = self.sample_every
 
     # ------------------------------------------------------------- feeding
 
@@ -108,9 +115,9 @@ class HotPathProfiler:
         self.asid_samples[asid] = self.asid_samples.get(asid, 0) + 1
         self.samples += 1
 
-    def add_stream(self, refs: int, wall_s: float) -> None:
-        """One profiled stream's reference count and measured wall time."""
-        self.refs += refs
+    def add_stream(self, wall_s: float) -> None:
+        """One profiled stream's measured wall time (its references were
+        counted access by access)."""
         self.wall_s += wall_s
         self.streams += 1
 

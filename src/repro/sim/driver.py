@@ -68,9 +68,9 @@ def run_trace(
     attach_telemetry(cache, telemetry)
     access_many = getattr(cache, "access_many", None)
     if access_many is not None:
-        # Columns stay ndarrays on the batched path: the columnar kernels
-        # consume them without per-element conversion, and slicing below
-        # only takes views.
+        # Columns stay ndarrays on the batched path: slicing below only
+        # takes views, and access_many converts them to plain ints a
+        # bounded slice at a time.
         blocks = trace.block_column(line_bytes)
         asids = trace.asids
         writes = trace.writes

@@ -17,8 +17,7 @@ in-memory cache service (the ROADMAP's "millions of users" scenario):
 
 The tenant workload family itself lives in
 :mod:`repro.workloads.tenants`; the ``tenancy`` sweep in
-:mod:`repro.sim.experiments.tenancy`; the tenant→molecular-region
-binding in :mod:`repro.molecular.tenancy`.
+:mod:`repro.sim.experiments.tenancy`.
 """
 
 from repro.tenants.accounting import TenantAccounting

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigError
+from repro.common.refs import iter_refs
 from repro.tenants.accounting import TenantAccounting
 from repro.tenants.policies import AllocationPolicy, TenantView, jain_index
 from repro.telemetry.events import TenantEpochSnapshot, TenantRunSummary
@@ -312,20 +313,16 @@ class CacheService:
     def run(self, trace, line_bytes: int = 64) -> TenancyRunResult:
         """Drive a full :class:`~repro.trace.container.Trace` through.
 
-        The plain-int lists are per-run temporaries converted from the
-        trace's ndarray columns (the trace no longer retains duplicate
-        list copies); the per-access loop itself stays scalar because
-        exact per-tenant LRU with mid-stream epoch rollovers is ordered
-        state — the architectural tenant path
-        (:class:`repro.molecular.tenancy.TenantRegionBinding`) is the one
-        routed through the columnar kernels.
+        The trace's ndarray columns are converted to plain ints a bounded
+        slice at a time (:func:`repro.common.refs.iter_refs`); the
+        per-access loop stays scalar because exact per-tenant LRU with
+        mid-stream epoch rollovers is ordered state.
         """
         access = self.access
-        for block, tenant, write in zip(
-            trace.block_column(line_bytes).tolist(),
-            trace.asids.tolist(),
-            trace.writes.tolist(),
-        ):
+        _n, refs = iter_refs(
+            trace.block_column(line_bytes), trace.asids, trace.writes
+        )
+        for block, tenant, write in refs:
             access(tenant, block, write)
         if self._refs_in_epoch > 0:
             self.rollover()

@@ -88,9 +88,9 @@ class TestProfiledEquivalence:
 
         assert_equivalent(plain, profiled, plain_sink, profiled_sink)
         assert profiler.refs == len(stream)
-        # The stream path samples the last reference of each
-        # sample_every-sized segment (including the final partial one).
-        assert profiler.samples == -(-len(stream) // sample_every)
+        # One reference in every sample_every is sampled, on the same
+        # countdown the per-access session uses.
+        assert profiler.samples == len(stream) // sample_every
         assert profiler.streams == 1
         assert profiler.wall_s > 0
 
@@ -211,10 +211,13 @@ class TestReport:
     def test_reset(self):
         profiler = HotPathProfiler()
         profiler.add_sample(0, 1, 1, 1, 1, 1)
-        profiler.add_stream(10, 0.5)
+        profiler.refs = 10
+        profiler.countdown = 1
+        profiler.add_stream(0.5)
         profiler.add_resize(0.1)
         profiler.reset()
         assert profiler.samples == 0
+        assert profiler.countdown == profiler.sample_every
         assert profiler.refs == 0
         assert profiler.wall_s == 0.0
         assert profiler.resize_fires == 0

@@ -1,15 +1,13 @@
-"""Property tests: the columnar engine is byte-identical to the scalar path.
+"""Property tests: bulk access over reference columns matches the scalar path.
 
-The columnar kernels (`repro.molecular.columnar`) promise exactly the
-contract the batched engine pinned in ``test_prop_batched.py``: for any
-reference stream the stats dicts, occupancy reports and resize logs are
-identical to replaying the same stream through the scalar
-``access_block`` reference. These tests force the kernels on
-(``force_kernels=True`` disables the size/miss-rate heuristics that
-would otherwise route short adversarial streams to the batched loop) and
-sweep the dimensions the kernels special-case: placements, resize
-triggers, line multipliers, shared regions, migration, faults,
-mid-stream scalar interleaving and mid-worklist errors.
+``MolecularCache.access_many`` takes its references as columns (lists or
+1-D ndarrays of blocks, ASIDs and write flags) and streams them through
+one access session in bounded slices. For any reference stream the stats
+dicts, occupancy reports and resize logs must be identical to replaying
+the same stream through the scalar ``access_block`` reference. These
+tests feed ndarray columns and sweep placements, resize triggers, line
+multipliers and shared regions; structural interleaving, faults and
+error positions live in ``test_prop_batched.py``.
 """
 
 import numpy as np
@@ -17,14 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import SimulationError, UnknownASIDError
 from repro.common.rng import XorShift64
-from repro.faults import FaultSpec, apply_fault
 from repro.molecular.cache import MolecularCache
-from repro.molecular.columnar import ColumnarAccessEngine, RegionMirror
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
-from repro.telemetry.bus import EventBus
-from repro.telemetry.sinks import RingBufferSink
+from repro.molecular.engine import AccessEngine
 
 TRIGGERS = ["constant", "global_adaptive", "per_app_adaptive"]
 PLACEMENTS = ["random", "randy", "lru_direct"]
@@ -73,12 +67,18 @@ def replay_scalar(cache, stream):
         cache.access_block(block, asid, write)
 
 
-def replay_columnar(cache, stream):
-    blocks = [b for b, _a, _w in stream]
-    asids = [a for _b, a, _w in stream]
-    writes = [w for _b, _a, w in stream]
-    engine = ColumnarAccessEngine(cache, force_kernels=True)
-    assert engine.stream(blocks, asids, writes) == len(stream)
+def columns(stream):
+    blocks = np.array([b for b, _a, _w in stream], dtype=np.int64)
+    asids = np.array([a for _b, a, _w in stream], dtype=np.int32)
+    writes = np.array([w for _b, _a, w in stream], dtype=np.bool_)
+    return blocks, asids, writes
+
+
+def replay_columns(cache, stream):
+    assert cache.access_many(*columns(stream)) == len(stream)
+    # ndarray columns must not leak numpy scalars into presence maps.
+    for region in cache.regions.values():
+        assert all(type(block) is int for block in region.presence)
 
 
 stream_strategy = st.lists(
@@ -101,7 +101,7 @@ class TestKernelEquivalence:
         reference = build_cache(placement, trigger)
         replay_scalar(reference, stream)
         candidate = build_cache(placement, trigger)
-        replay_columnar(candidate, stream)
+        replay_columns(candidate, stream)
         assert_equivalent(reference, candidate)
 
     @pytest.mark.parametrize("multiplier", [2, 4])
@@ -111,7 +111,7 @@ class TestKernelEquivalence:
         reference = build_cache(multiplier=multiplier)
         replay_scalar(reference, stream)
         candidate = build_cache(multiplier=multiplier)
-        replay_columnar(candidate, stream)
+        replay_columns(candidate, stream)
         assert_equivalent(reference, candidate)
 
     @settings(max_examples=10, deadline=None)
@@ -130,134 +130,14 @@ class TestKernelEquivalence:
         reference = build_cache(shared=True)
         replay_scalar(reference, stream)
         candidate = build_cache(shared=True)
-        replay_columnar(candidate, stream)
-        assert_equivalent(reference, candidate)
-
-    def test_long_hot_stream_crosses_many_resizes(self):
-        # ~30 global-trigger fires land inside one stream() call; the
-        # chunk caps must place every fire at exactly the scalar access
-        # count.
-        rng = XorShift64(3)
-        stream = [
-            (rng.randrange(120), rng.randrange(2), rng.randrange(8) == 0)
-            for _ in range(6000)
-        ]
-        reference = build_cache()
-        replay_scalar(reference, stream)
-        candidate = build_cache()
-        replay_columnar(candidate, stream)
-        assert_equivalent(reference, candidate)
-        assert len(candidate.resizer.log) > 0
-
-    def test_scalar_writes_broadcast(self):
-        rng = XorShift64(5)
-        blocks = [rng.randrange(200) for _ in range(500)]
-        reference = build_cache()
-        for block in blocks:
-            reference.access_block(block, 0, True)
-        candidate = build_cache()
-        ColumnarAccessEngine(candidate, force_kernels=True).stream(
-            blocks, 0, True
-        )
-        assert_equivalent(reference, candidate)
-
-
-class TestStructuralInterleaving:
-    """Structural ops between stream segments must invalidate mirrors."""
-
-    def segments(self, seed=9, count=4, n=300):
-        rng = XorShift64(seed)
-        return [
-            [
-                (rng.randrange(300), rng.randrange(2), rng.randrange(4) == 0)
-                for _ in range(n)
-            ]
-            for _ in range(count)
-        ]
-
-    def run_both(self, ops, shared=False, placement="randy"):
-        reference = build_cache(placement=placement, shared=shared)
-        candidate = build_cache(placement=placement, shared=shared)
-        for op in ops:
-            if isinstance(op, list):
-                replay_scalar(reference, op)
-                replay_columnar(candidate, op)
-            else:
-                op(reference)
-                op(candidate)
-        assert_equivalent(reference, candidate)
-
-    def test_migration_between_segments(self):
-        segments = self.segments()
-        self.run_both(
-            [
-                segments[0],
-                lambda cache: cache.migrate_application(0, 1),
-                segments[1],
-                lambda cache: cache.migrate_application(0, 0),
-                segments[2],
-            ]
-        )
-
-    def test_force_resize_between_segments(self):
-        segments = self.segments(seed=17)
-        self.run_both(
-            [
-                segments[0],
-                lambda cache: cache.resizer.force_resize(),
-                segments[1],
-            ]
-        )
-
-    @pytest.mark.parametrize("kind", ["hard", "transient", "degraded"])
-    def test_faults_between_segments(self, kind):
-        # Fault the molecule serving region 0's presence map (hard kills
-        # membership, transient drops one line and must still invalidate
-        # the mirror via content_version, degraded changes latency only).
-        segments = self.segments(seed=23)
-
-        def fault(cache):
-            region = cache.regions[0]
-            if kind == "degraded":
-                # Degraded faults target a tile, not a molecule.
-                spec = FaultSpec(kind=kind, at=0, target=0, extra_cycles=4)
-            elif kind == "transient":
-                target = None
-                for molecule in region.molecules():
-                    if molecule.resident_blocks():
-                        target = molecule.molecule_id
-                        break
-                if target is None:
-                    return
-                spec = FaultSpec(kind=kind, at=0, target=target)
-            else:
-                target = next(iter(region.molecules())).molecule_id
-                spec = FaultSpec(kind=kind, at=0, target=target)
-            apply_fault(cache, spec)
-
-        self.run_both([segments[0], fault, segments[1], fault, segments[2]])
-
-    def test_scalar_interleave_invalidates_mirror(self):
-        # access_block between kernel calls mutates presence without any
-        # engine involvement; content_version must catch it.
-        segments = self.segments(seed=31, count=2)
-        reference = build_cache()
-        candidate = build_cache()
-        replay_scalar(reference, segments[0])
-        replay_columnar(candidate, segments[0])
-        extra = [(900 + i, 0, False) for i in range(40)]
-        replay_scalar(reference, extra)
-        replay_scalar(candidate, extra)
-        replay_scalar(reference, segments[1])
-        replay_columnar(candidate, segments[1])
+        replay_columns(candidate, stream)
         assert_equivalent(reference, candidate)
 
 
 class TestFallbacksAndRouting:
     def test_routed_access_many_equivalence(self):
-        # The production entry point (no force_kernels): hot stream long
-        # enough to engage kernels, plus a miss-heavy prefix that takes
-        # the bailout — both must match scalar.
+        # A miss-heavy prefix followed by a hot, write-mixed stream, given
+        # as plain lists: both phases must match scalar.
         rng = XorShift64(41)
         stream = [(rng.randrange(5000), rng.randrange(2), False) for _ in range(1500)]
         stream += [(rng.randrange(90), rng.randrange(2), rng.randrange(3) == 0) for _ in range(3000)]
@@ -271,186 +151,27 @@ class TestFallbacksAndRouting:
         )
         assert_equivalent(reference, candidate)
 
-    def test_telemetry_bus_forces_fallback_and_matches(self):
-        rng = XorShift64(43)
-        stream = [
-            (rng.randrange(200), rng.randrange(2), rng.randrange(4) == 0)
-            for _ in range(800)
-        ]
-
-        def attach(cache):
-            sink = RingBufferSink(capacity=1_000_000)
-            cache.attach_telemetry(
-                EventBus(
-                    [sink], epoch_refs=100, sample_interval=7,
-                    remote_search_sample=2,
-                )
-            )
-            return sink
-
-        reference = build_cache()
-        ref_sink = attach(reference)
-        replay_scalar(reference, stream)
-        candidate = build_cache()
-        cand_sink = attach(candidate)
-        replay_columnar(candidate, stream)
-        assert_equivalent(reference, candidate)
-        assert ref_sink.events() == cand_sink.events()
-
-    def test_unknown_asid_matches_scalar_position(self):
-        stream = [(i % 60, 0, False) for i in range(200)]
-        bad = stream + [(3, 9, False)] + [(4, 0, False)] * 50
-
-        reference = build_cache()
-        with pytest.raises(UnknownASIDError):
-            replay_scalar(reference, bad)
-        candidate = build_cache()
-        with pytest.raises(UnknownASIDError):
-            replay_columnar(candidate, bad)
-        assert_equivalent(reference, candidate)
-
-    @pytest.mark.parametrize("fuse", [0, 3, 25])
-    def test_mid_worklist_error_leaves_identical_state(self, fuse):
-        # A placement that blows up on its (fuse+1)-th miss raises
-        # SimulationError mid-stream; the error must surface at the same
-        # reference with identical partial stats on both paths — the
-        # columnar engine bulk-accounts the snapshot hits that precede
-        # the failing access before re-raising.
-        rng = XorShift64(47)
-        stream = [
-            (rng.randrange(150), rng.randrange(2), rng.randrange(3) == 0)
-            for _ in range(400)
-        ]
-
-        def arm(cache):
-            real = cache.placement.choose
-            state = {"misses": 0}
-
-            def choose(region, block, lines_per_molecule, rng):
-                state["misses"] += 1
-                if state["misses"] > fuse:
-                    raise SimulationError("placement bomb")
-                return real(region, block, lines_per_molecule, rng)
-
-            cache.placement.choose = choose
-
-        reference = build_cache(trigger="constant")
-        arm(reference)
-        with pytest.raises(SimulationError):
-            replay_scalar(reference, stream)
-        candidate = build_cache(trigger="constant")
-        arm(candidate)
-        with pytest.raises(SimulationError):
-            replay_columnar(candidate, stream)
-        assert_equivalent(reference, candidate)
-
-
-class TestMirror:
-    def test_mirror_matches_presence_after_churn(self):
-        cache = build_cache()
-        rng = XorShift64(53)
-        stream = [(rng.randrange(500), 0, False) for _ in range(4000)]
-        replay_columnar(cache, stream)
-        (key,) = [
-            k
-            for k, m in cache._columnar_mirrors.items()
-            if m.region is cache.regions[0]
-        ]
-        mirror = cache._columnar_mirrors[key]
-        assert mirror.fresh()
-        region = cache.regions[0]
-        for block, molecule in region.presence.items():
-            slot, found = mirror._probe(block)
-            assert found
-            assert mirror.mols[int(mirror.vals[slot])] is molecule
-
-    def test_rebuild_grows_table(self):
-        cache = build_cache()
-        region = cache.regions[0]
-        mirror = RegionMirror(region, None)
-        size_before = mirror.mask + 1
-        for block in range(3000):
-            cache.access_block(block, 0, False)
-        assert not mirror.fresh()
-        mirror.rebuild()
-        assert mirror.fresh()
-        assert mirror.mask + 1 >= size_before
-        for block in region.presence:
-            _slot, found = mirror._probe(block)
-            assert found
-
 
 class TestProfilerContract:
-    """``simulate --profile`` on the columnar path.
-
-    With a profiler attached and enabled, ``access_many`` routes every
-    reference through the stage-instrumented scalar twin
-    (``ProfiledAccessEngine``) instead of the columnar kernels — the
-    columnar engine never sees sampled accesses — and the profiler
-    report keeps its stages-sum-to-wall invariant. Stats stay
-    byte-identical to an unprofiled columnar run of the same ndarray
-    columns.
-    """
-
-    def _columns(self, n: int = 2000):
-        rng = XorShift64(19)
-        blocks = np.array([rng.randrange(400) for _ in range(n)], dtype=np.int64)
-        # Long same-ASID runs so the routed (non-forced) columnar path
-        # picks its kernels rather than delegating short runs.
-        asids = np.array([(i // 250) % 2 for i in range(n)], dtype=np.int32)
-        writes = np.array(
-            [rng.randrange(4) == 0 for _ in range(n)], dtype=np.bool_
-        )
-        return blocks, asids, writes
-
-    def test_profiled_run_matches_columnar_and_skips_kernels(self):
-        from repro.prof import HotPathProfiler
-
-        blocks, asids, writes = self._columns()
-        reference = build_cache()
-        assert reference.access_many(blocks, asids, writes) == len(blocks)
-        assert reference._columnar_mirrors  # the kernels actually ran
-
-        profiled = build_cache()
-        profiler = HotPathProfiler(sample_every=5)
-        profiled.attach_profiler(profiler)
-        assert profiled.access_many(blocks, asids, writes) == len(blocks)
-
-        assert_equivalent(reference, profiled)
-        assert profiler.refs == len(blocks)
-        assert profiler.samples > 0
-        # Sampled accesses went through the scalar twin, never the
-        # columnar kernels: no mirror was ever built.
-        assert profiled._columnar_mirrors == {}
-        # ndarray columns must not leak numpy scalars into presence maps.
-        for region in profiled.regions.values():
-            assert all(type(block) is int for block in region.presence)
-
-    def test_stages_sum_to_wall_on_ndarray_columns(self):
-        from repro.prof import PROFILE_STAGES, HotPathProfiler
-
-        blocks, asids, writes = self._columns()
-        cache = build_cache()
-        profiler = HotPathProfiler(sample_every=4)
-        cache.attach_profiler(profiler)
-        cache.access_many(blocks, asids, writes)
-
-        report = profiler.report()
-        assert report["refs"] == len(blocks)
-        assert report["samples"] > 0
-        assert set(report["stages"]) == set(PROFILE_STAGES)
-        stage_total = sum(info["time_s"] for info in report["stages"].values())
-        attributed = stage_total + report["resize"]["time_s"]
-        assert attributed == pytest.approx(report["wall_s"], rel=1e-9)
-
     def test_disabled_profiler_restores_columnar_routing(self):
+        # A disabled profiler leaves access_many on the plain session:
+        # nothing is sampled and stats match an unprofiled run.
         from repro.prof import HotPathProfiler
 
-        blocks, asids, writes = self._columns(500)
+        rng = XorShift64(19)
+        stream = [
+            (rng.randrange(400), (i // 250) % 2, rng.randrange(4) == 0)
+            for i in range(500)
+        ]
+        reference = build_cache()
+        replay_columns(reference, stream)
+
         cache = build_cache()
         profiler = HotPathProfiler(sample_every=5)
         profiler.enabled = False
         cache.attach_profiler(profiler)
-        cache.access_many(blocks, asids, writes)
-        assert cache._columnar_mirrors  # columnar kernels ran
+        assert type(cache.access_session()) is AccessEngine
+        replay_columns(cache, stream)
         assert profiler.refs == 0
+        assert profiler.samples == 0
+        assert_equivalent(reference, cache)

@@ -366,15 +366,6 @@ class TestDropCleanLine:
         molecule = next(iter(region.molecules()))
         assert region.drop_clean_line(molecule, 0) is None
 
-    def test_bumps_content_version(self):
-        cache = _chash_cache(mechanism="flush")
-        region = cache.regions[0]
-        cache.access_block(5, 0, write=False)
-        molecule = region.presence[5]
-        before = region.content_version
-        region.drop_clean_line(molecule, molecule.index_of(5))
-        assert region.content_version == before + 1
-
 
 class TestChashWithdraw:
     def _fill(self, cache, blocks, write=True):
