@@ -3,9 +3,9 @@
 Every paper artifact is a sweep of *independent* simulations (Table 1's
 eleven benchmark combinations, Figure 5's six designs x four sizes);
 this package turns such a sweep into deterministic
-:class:`~repro.campaign.spec.JobSpec` jobs, executes them on a
-:class:`~repro.campaign.runner.CampaignRunner` worker pool, and caches
-every completed job in a content-hashed
+:class:`~repro.campaign.spec.JobSpec` jobs, drains them with lease
+workers (:mod:`repro.campaign.worker` over :mod:`repro.campaign.lease`),
+and caches every completed job in a content-hashed
 :class:`~repro.campaign.store.ResultStore` — so an interrupted campaign
 resumes by skipping finished jobs, a re-run with identical specs is a
 pure cache hit, and parallel results reassemble byte-identical to the
@@ -13,23 +13,20 @@ serial path (jobs regenerate their traces from the seed).
 
 Quick start::
 
-    from repro.campaign import (
-        CampaignConfig, CampaignRunner, ResultStore, get_experiment,
-    )
+    from repro.campaign import ResultStore, get_experiment, run_campaign
 
     target = get_experiment("figure5")
     specs = target.jobs(graph="A")
-    runner = CampaignRunner(ResultStore("campaigns/figure5"),
-                            CampaignConfig(jobs=4))
-    outcome = runner.run(specs, campaign="figure5")
+    outcome = run_campaign(ResultStore("campaigns/figure5"), specs,
+                           campaign="figure5", jobs=4)
     result = target.assemble_results(specs, outcome.results_in_order(),
                                      graph="A")
     print(result.format())        # byte-identical to run_figure5().format()
 
 The CLI front end is ``python -m repro sweep`` (``--jobs``, ``--resume``,
-``--timeout``, ``--retries``, ``--out``); campaign lifecycle events
-(job submitted/started/retried/completed) flow through the standard
-:mod:`repro.telemetry` event bus.
+``--timeout``, ``--max-reclaims``, ``--out``); campaign lifecycle events
+(job submitted/started/retried/completed, lease acquired/expired, job
+quarantined) flow through the standard :mod:`repro.telemetry` event bus.
 """
 
 from __future__ import annotations
@@ -42,34 +39,24 @@ from repro.campaign.registry import (
     experiment_names,
     get_experiment,
 )
-from repro.campaign.runner import (
-    CampaignConfig,
-    CampaignResult,
-    CampaignRunner,
-    execute_spec,
-)
 from repro.campaign.lease import Lease, LeaseConfig, LeaseManager
 from repro.campaign.spec import JobSpec, expand_grid
 from repro.campaign.store import ResultStore
 from repro.campaign.worker import (
-    DistributedOutcome,
+    CampaignOutcome,
     WorkerReport,
-    merge_worker_events,
-    run_distributed,
+    execute_spec,
+    run_campaign,
     run_worker,
 )
 
 __all__ = [
-    "CampaignConfig",
-    "CampaignResult",
-    "CampaignRunner",
-    "DistributedOutcome",
+    "CampaignOutcome",
     "Lease",
     "LeaseConfig",
     "LeaseManager",
     "WorkerReport",
-    "merge_worker_events",
-    "run_distributed",
+    "run_campaign",
     "run_worker",
     "EXPERIMENTS",
     "ExperimentTarget",

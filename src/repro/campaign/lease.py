@@ -1,12 +1,15 @@
-"""Filesystem-coordinated job leases: the distributed-campaign protocol.
+"""Filesystem-coordinated job leases: the campaign executor's protocol.
 
 N worker processes — on one machine or on many machines sharing the
 store directory over a network filesystem — drain one campaign with no
-central dispatcher. The only coordination primitives are atomic
-filesystem operations every POSIX (and NFS) implementation provides:
+central dispatcher (a lone in-process worker is just N = 1). The only
+coordination primitives are atomic filesystem operations every POSIX
+(and NFS) implementation provides:
 
-* ``O_CREAT | O_EXCL`` — at most one worker creates ``leases/<hash>.json``
-  for a never-leased job; everyone else sees ``FileExistsError``;
+* ``link`` — at most one worker links a fully written record to
+  ``leases/<hash>.json`` for a never-leased job, or to the claim file of
+  an expired record it takes over; everyone else sees
+  ``FileExistsError``;
 * ``os.replace`` — lease renewals, reclaims and result commits are
   all-or-nothing; a reader never observes a truncated JSON file.
 
@@ -14,6 +17,7 @@ Layout added to a :class:`~repro.campaign.store.ResultStore` directory::
 
     <root>/
         leases/<hash>.json      # one live or reacquirable lease per job
+        leases/<hash>.<token>.<owner>.claim  # a takeover of that record
         quarantine/<hash>.json  # poison jobs parked with attempt history
 
 A lease record carries the owning worker's id, a **fencing token** (the
@@ -38,9 +42,11 @@ campaigns actually need:
   ``os.replace`` wins, later committers observe ``results/<hash>.json``
   and stand down);
 * **progress despite lost races** — jobs are deterministic and results
-  content-hashed, so in the worst interleaving (two workers both believe
-  they reclaimed the same expired lease) both compute byte-identical
-  payloads and the double execution wastes time, never correctness.
+  content-hashed, so in the worst interleaving (a live owner whose
+  heartbeat fell more than ``ttl`` behind races the peer that took its
+  lease over) both compute byte-identical payloads and the double
+  execution wastes time, never correctness. Peers never race each
+  other: each takeover is claimed by one exclusive ``link``.
 
 That pair is why clock skew is survivable: a fast-clock worker reclaims
 early and merely races the original owner; a slow-clock worker reclaims
@@ -65,9 +71,11 @@ The drain then completes *degraded*, reporting the quarantined jobs.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import socket
+import tempfile
 import threading
 import time
 import uuid
@@ -244,17 +252,59 @@ class LeaseManager:
     def _quarantine_path(self, job_hash: str) -> Path:
         return self.quarantine_dir / f"{job_hash}.json"
 
-    def read(self, job_hash: str) -> dict[str, Any] | None:
-        """The current lease record, or None (never leased / released /
-        corrupt — a torn record is treated as absent, the same way a
-        crashed write would be)."""
+    def _claim_path(self, job_hash: str, record: dict[str, Any]) -> Path:
+        """Where the one takeover of ``record`` is claimed: named after
+        the record's (token, owner), which no other record repeats."""
+        owner = hashlib.sha1(str(record.get("owner")).encode()).hexdigest()
+        return self.leases_dir / (
+            f"{job_hash}.{record.get('token', 0)}.{owner[:16]}.claim"
+        )
+
+    @staticmethod
+    def _load(path: Path) -> dict[str, Any] | None:
+        """A JSON record, or None when absent or torn (a torn record is
+        treated as absent, the same way a crashed write would be)."""
         try:
-            with self._lease_path(job_hash).open(
-                "r", encoding="utf-8"
-            ) as fh:
+            with path.open("r", encoding="utf-8") as fh:
                 return json.load(fh)
         except (FileNotFoundError, json.JSONDecodeError):
             return None
+
+    def read(self, job_hash: str) -> dict[str, Any] | None:
+        """The current lease record, or None (never leased / released /
+        corrupt)."""
+        return self._load(self._lease_path(job_hash))
+
+    def _link(self, path: Path, record: dict[str, Any]) -> bool:
+        """Publish ``record`` at ``path`` unless something is already
+        there — the exclusive step of every acquisition and takeover."""
+        fd, staged = tempfile.mkstemp(
+            dir=self.leases_dir, prefix=path.name + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(record, fh, separators=(",", ":"), sort_keys=True)
+            # link() publishes the whole record or fails: unlike an
+            # O_EXCL create followed by a write, an interrupt can never
+            # leave an empty file that no peer could read or replace.
+            os.link(staged, path)
+            return True
+        except FileExistsError:
+            return False
+        except OSError as error:
+            raise ConfigError(f"cannot create lease {path}: {error}") from None
+        finally:
+            os.unlink(staged)
+
+    def _settled(self, job_hash: str) -> bool:
+        """Whether a peer parked or committed the job. Both publish
+        before they drop the lease, so a check made after our exclusive
+        ``link`` always sees it: the caller stands down rather than run
+        the job again."""
+        return (
+            self._quarantine_path(job_hash).exists()
+            or self.store.has(job_hash)
+        )
 
     def _owns(self, record: dict[str, Any] | None, lease: Lease) -> bool:
         return (
@@ -275,16 +325,13 @@ class LeaseManager:
     # ------------------------------------------------------- acquisition
 
     def try_acquire(self, job_hash: str) -> Lease | None:
-        """Claim a never-leased job via ``O_EXCL``; None when contended.
+        """Claim a never-leased job via an exclusive ``link``; None when
+        contended.
 
         For a job with an existing lease record use :meth:`try_reclaim`
         — acquisition must go through the old record so the fencing
         token stays monotonic.
         """
-        if self._quarantine_path(job_hash).exists():
-            # A peer parked the job (possibly mid-way through our drain
-            # pass); its lease file is gone, but it must stay dead.
-            return None
         now = self.clock()
         record = {
             "state": "active",
@@ -295,21 +342,12 @@ class LeaseManager:
             "history": [],
         }
         path = self._lease_path(job_hash)
-        try:
-            fd = os.open(
-                path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644
-            )
-        except FileExistsError:
+        if path.exists() or not self._link(path, record):
+            return None  # leased before: a takeover goes through try_reclaim
+        if self._settled(job_hash):
+            os.unlink(path)
             return None
-        except OSError as error:
-            raise ConfigError(
-                f"cannot create lease {path}: {error}"
-            ) from None
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, separators=(",", ":"), sort_keys=True)
-        lease = Lease(
-            job_hash=job_hash, owner=self.owner, token=1, acquired=now
-        )
+        lease = Lease(job_hash, self.owner, 1, acquired=now)
         self._emit(
             LeaseAcquired(
                 campaign=self.campaign, job=job_hash, owner=self.owner,
@@ -321,16 +359,28 @@ class LeaseManager:
     def try_reclaim(self, job_hash: str) -> Lease | None:
         """Take over an expired (or failure-released) lease.
 
+        Exclusive: a takeover is claimed by ``link``ing the successor
+        record to a claim file named after the record it replaces, so of
+        N workers racing for one expired lease exactly one wins, and the
+        winner then publishes its successor as the lease. A claimant
+        killed between the two leaves its successor in the claim, where
+        readers find it and, once it expires in turn, take over from it.
+
         Returns the new lease, or None when the record is live, gone,
-        lost to a racing reclaimer, or pushed over the quarantine
-        threshold (in which case the job was parked, not re-leased).
+        claimed by a peer, or pushed over the quarantine threshold (in
+        which case the job was parked, not re-leased).
         """
         record = self.read(job_hash)
+        while record is not None and (
+            successor := self._load(self._claim_path(job_hash, record))
+        ) is not None:
+            record = successor
         if record is None or not self.expired(record):
             return None
         now = self.clock()
         history = list(record.get("history", ()))
-        if record.get("state") == "active":
+        died = record.get("state") == "active"
+        if died:
             # A dead (or hung past job_timeout) owner: record the death.
             # ``open`` records already carry their last chapter — fail()
             # appended it, and abandon() deliberately added nothing.
@@ -343,18 +393,6 @@ class LeaseManager:
                 "error": None,
                 "ended": now,
             })
-            self._emit(
-                LeaseExpired(
-                    campaign=self.campaign, job=job_hash,
-                    owner=str(record.get("owner")),
-                    token=int(record.get("token", 0)),
-                    age=now - float(record.get("heartbeat", now)),
-                    by=self.owner, at=now,
-                )
-            )
-            if len(history) >= self.config.max_reclaims:
-                self._quarantine(job_hash, history)
-                return None
         token = int(record.get("token", 0)) + 1
         new_record = {
             "state": "active",
@@ -364,14 +402,28 @@ class LeaseManager:
             "heartbeat": now,
             "history": history,
         }
+        claim = self._claim_path(job_hash, record)
+        if not self._link(claim, new_record):
+            return None  # a peer claimed this takeover first
+        if self._settled(job_hash):
+            claim.unlink(missing_ok=True)
+            return None
+        if died:
+            self._emit(LeaseExpired(
+                campaign=self.campaign, job=job_hash,
+                owner=str(record.get("owner")), token=token - 1,
+                age=now - float(record.get("heartbeat", now)),
+                by=self.owner, at=now,
+            ))
+            if len(history) >= self.config.max_reclaims:
+                self._quarantine(job_hash, history)
+                return None
         atomic_write_json(self._lease_path(job_hash), new_record)
-        # CAS-less takeover: a racing reclaimer may have replaced the
-        # record between our read and write. Re-read to learn who the
-        # filesystem says won; the loser backs off (and if it was
-        # already running, the commit fence stops it).
-        lease = Lease(
-            job_hash=job_hash, owner=self.owner, token=token, acquired=now
-        )
+        # The claim shuts out other reclaimers, not a previous owner
+        # still alive: one renewing late may overwrite us. Re-read to
+        # learn who the filesystem says won; the loser backs off (and
+        # if it was already running, the commit fence stops it).
+        lease = Lease(job_hash, self.owner, token, acquired=now)
         if not self._owns(self.read(job_hash), lease):
             return None
         self._emit(
@@ -401,14 +453,17 @@ class LeaseManager:
             self, lease, self.config.heartbeat, self.config.job_timeout
         )
 
-    def fail(self, lease: Lease, error: BaseException) -> bool:
+    def fail(
+        self, lease: Lease, error: BaseException, retry: bool = True
+    ) -> bool:
         """Record an in-process job failure and release the lease.
 
         The record flips to ``state: open`` (immediately reclaimable by
         anyone, ourselves included) with the failure appended to the
         history — in-process crashes and worker deaths draw down the
-        same ``max_reclaims`` budget. Returns False when the job was
-        quarantined instead of released.
+        same ``max_reclaims`` budget. ``retry=False`` parks the job at
+        once: a deterministic failure would repeat on every attempt.
+        Returns False when the job was quarantined instead of released.
         """
         record = self.read(lease.job_hash)
         if not self._owns(record, lease):
@@ -423,7 +478,7 @@ class LeaseManager:
             "error": str(error) or type(error).__name__,
             "ended": now,
         }]
-        if len(history) >= self.config.max_reclaims:
+        if not retry or len(history) >= self.config.max_reclaims:
             self._quarantine(lease.job_hash, history)
             return False
         atomic_write_json(
@@ -476,16 +531,41 @@ class LeaseManager:
         return True
 
     def _release(self, lease: Lease) -> None:
-        """Drop the lease file once its job is durable in ``results/``.
+        """Drop the lease once its job is durable in ``results/``.
 
         Only when the record still names us: a reclaimer's record must
         survive so *its* commit path sees a fenced view, not a void.
         """
         if self._owns(self.read(lease.job_hash), lease):
-            try:
-                os.unlink(self._lease_path(lease.job_hash))
-            except FileNotFoundError:
-                pass
+            self._drop(lease.job_hash)
+
+    def _drop(self, job_hash: str) -> None:
+        """Remove a settled job's lease and takeover claims."""
+        for path in self.leases_dir.glob(f"{job_hash}.*.claim"):
+            path.unlink(missing_ok=True)
+        self._lease_path(job_hash).unlink(missing_ok=True)
+
+    def abandon_owned(self, prefix: str) -> None:
+        """:meth:`abandon` every active lease whose owner id starts with
+        ``prefix`` (one launcher's workers).
+
+        For a launcher whose interrupted workers have all exited: a
+        worker that took a lease just as the signal arrived never got to
+        abandon it, and a resume should not wait out its ttl.
+        """
+        for path in self.leases_dir.glob("*.json"):
+            record = self.read(path.stem)
+            if record and str(record.get("owner")).startswith(prefix):
+                owner, token = record["owner"], record.get("token", 0)
+                self.abandon(Lease(path.stem, owner, token, acquired=0.0))
+
+    def reset(self, job_hash: str) -> None:
+        """Forget a job's result, lease and quarantine record, so the
+        next drain runs it from scratch (a campaign without resume, or a
+        chaos restart)."""
+        self.store.discard(job_hash)
+        self._quarantine_path(job_hash).unlink(missing_ok=True)
+        self._drop(job_hash)
 
     # -------------------------------------------------------- quarantine
 
@@ -501,10 +581,7 @@ class LeaseManager:
                 "by": self.owner,
             },
         )
-        try:
-            os.unlink(self._lease_path(job_hash))
-        except FileNotFoundError:
-            pass
+        self._drop(job_hash)
         self._emit(
             JobQuarantined(
                 campaign=self.campaign, job=job_hash,
@@ -528,10 +605,4 @@ class LeaseManager:
             return set()
 
     def quarantine_record(self, job_hash: str) -> dict[str, Any] | None:
-        try:
-            with self._quarantine_path(job_hash).open(
-                "r", encoding="utf-8"
-            ) as fh:
-                return json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
+        return self._load(self._quarantine_path(job_hash))

@@ -5,9 +5,14 @@ Layout of a store directory::
     <root>/
         manifest.json           # what the campaign is (specs in order)
         results/<hash>.json     # one completed job, keyed by content hash
-        leases/<hash>.json      # distributed drain only (campaign/lease.py)
+        leases/<hash>.json      # one lease per job in flight (campaign/lease.py)
+        leases/<hash>.*.claim   # takeovers of expired leases (campaign/lease.py)
         quarantine/<hash>.json  # poison jobs parked by the lease protocol
-        events/worker-N.jsonl   # per-worker telemetry (sweep --distributed)
+        events/worker-N.jsonl   # forked worker N's telemetry (--record)
+        spans/worker-N.json     # forked worker N's spans (--spans)
+
+The ``events/`` and ``spans/`` files are hand-offs from forked workers
+to the launcher, which merges and deletes them when the drain ends.
 
 Every write is atomic (tmp file in the same directory + ``os.replace``)
 so a campaign killed mid-write never leaves a truncated JSON file — on
@@ -67,6 +72,10 @@ class ResultStore:
             },
         )
         return job_hash
+
+    def discard(self, job_hash: str) -> None:
+        """Forget one job's result, so the next drain runs it again."""
+        self._result_path(job_hash).unlink(missing_ok=True)
 
     def load(self, job_hash: str) -> dict[str, Any]:
         """The full saved record (``spec`` / ``result`` / ``elapsed``)."""

@@ -1,57 +1,133 @@
-"""The dispatcherless campaign worker: drain a shared store via leases.
+"""The campaign executor: lease workers draining one result store.
 
-``run_worker`` is the whole distributed protocol from one process's
-point of view: read the campaign manifest, then loop — claim an
-unleased job (:meth:`~repro.campaign.lease.LeaseManager.try_acquire`),
-or reclaim an expired one, execute it with a heartbeat, and publish the
-result through the fencing-checked commit. When every job is either in
-``results/`` or ``quarantine/``, the worker exits. N such processes
-pointed at one store directory *are* the campaign runner; none of them
-is special, and any of them can die at any instant without stopping the
-drain (a peer reclaims its lease after ``ttl``).
+``run_worker`` is the whole protocol from one process's point of view:
+read the campaign manifest, then loop — claim an unleased job
+(:meth:`~repro.campaign.lease.LeaseManager.try_acquire`), or reclaim an
+expired one, execute it with a heartbeat, and publish the result through
+the fencing-checked commit. When every job is either in ``results/`` or
+``quarantine/``, the worker exits. N such processes pointed at one store
+directory *are* the campaign executor; none of them is special, and any
+of them can die at any instant without stopping the drain (a peer
+reclaims its lease after ``ttl``).
+
+Failure rules (DESIGN.md §14), one per way a job can go wrong:
+
+* an exception is charged to the job's attempt history and the lease
+  reopened for a retry; ``max_reclaims`` charged attempts — failures and
+  worker deaths alike — quarantine the job;
+* a *deterministic* failure (:class:`~repro.common.errors.ConfigError`,
+  or the :class:`~repro.common.errors.CampaignError` an invariant audit
+  raises) quarantines the job on its first occurrence: a retry would
+  fail the same way;
+* an outcome without ``result``/``elapsed`` is a failure, never a commit;
+* a forked worker still holding a lease ``ttl`` past ``job_timeout`` is
+  killed and replaced by the launcher, and the death charged to the job;
+* SIGINT/SIGTERM reopen the lease without charging it, so a resumed
+  campaign takes the job straight back.
 
 Contention is handled with exponential backoff plus jitter: a pass over
 the remaining jobs that acquires nothing (everything is leased by live
-peers) sleeps before the next pass, doubling up to ``backoff_cap`` —
-so a fleet stampeding one store settles into polite polling while the
+peers) sleeps before the next pass, doubling up to ``backoff_cap`` — so
+a fleet stampeding one store settles into polite polling while the
 leaseholders work.
 
-``run_distributed`` is the single-host convenience wrapper behind
-``repro sweep --distributed N``: it writes the manifest, spawns N local
-worker processes, waits for the drain, and either assembles the results
-(byte-identical to the serial path) or reports the campaign *degraded*
-with its quarantined jobs. Worker chaos directives
-(:class:`~repro.faults.chaos.WorkerChaos`) can sabotage individual
-workers — SIGKILL mid-job, hang, clock skew — which is how the chaos
-suite proves convergence.
+``run_campaign`` is the launcher behind ``repro sweep``, ``repro
+tenants --jobs`` and ``repro chaos``: it writes the manifest, serves the
+jobs a resumed store already holds, and drains the rest — in process
+when one worker suffices, otherwise with min(N, usable CPUs, pending
+jobs) forked workers — then reports one :class:`CampaignOutcome`. Worker
+chaos directives (:class:`~repro.faults.chaos.WorkerChaos`) sabotage
+individual forked workers, which is how the chaos suite proves
+convergence.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import random
+import signal
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Any, Callable
 
 from repro.campaign.lease import LeaseConfig, LeaseManager, make_owner_id
-from repro.campaign.runner import execute_spec
 from repro.campaign.spec import JobSpec
 from repro.campaign.store import ResultStore
+from repro.common.clock import tick
 from repro.common.errors import CampaignError, ConfigError
 from repro.faults.chaos import WorkerChaos
-from repro.telemetry.events import JobCompleted, JobStarted
+from repro.prof.spans import LAUNCHER_TID, SpanRecorder
+from repro.telemetry.events import (
+    CampaignInterrupted,
+    JobCompleted,
+    JobRetried,
+    JobStarted,
+    JobSubmitted,
+    event_from_dict,
+)
 
 __all__ = [
+    "CampaignOutcome",
     "WorkerReport",
+    "execute_spec",
+    "run_campaign",
     "run_worker",
-    "DistributedOutcome",
-    "run_distributed",
-    "merge_worker_events",
+    "usable_cpus",
 ]
+
+#: Seconds between the launcher's checks on its forked workers.
+_POLL_S = 0.1
+
+
+# ------------------------------------------------------------------ one job
+
+
+@contextmanager
+def _scale_env(scale: float):
+    """Pin ``REPRO_SCALE`` to the spec's captured factor for one job."""
+    previous = os.environ.get("REPRO_SCALE")
+    os.environ["REPRO_SCALE"] = repr(scale)
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop("REPRO_SCALE", None)
+        else:
+            os.environ["REPRO_SCALE"] = previous
+
+
+def execute_spec(payload: dict[str, Any]) -> dict[str, Any]:
+    """Run one job from its JSON payload: ``{"result", "elapsed"}``.
+
+    The job runs at the scale its spec captured when the campaign was
+    decomposed, whatever ``REPRO_SCALE`` says now — jobs regenerate their
+    traces from the seed, so the result is the same in any process.
+    """
+    from repro.campaign.registry import execute_job
+
+    spec = JobSpec.from_payload(payload)
+    started = tick()
+    with _scale_env(spec.scale):
+        result = execute_job(spec)
+    return {"result": result, "elapsed": tick() - started}
+
+
+def _check_outcome(outcome: Any) -> None:
+    """Raise unless ``outcome`` has the shape a commit needs."""
+    if not isinstance(outcome, dict) or not {"result", "elapsed"} <= set(outcome):
+        raise RuntimeError(
+            f"malformed job outcome ({type(outcome).__name__} without "
+            "result/elapsed)"
+        )
+
+
+# ------------------------------------------------------------------- worker
 
 
 @dataclass(slots=True)
@@ -104,13 +180,15 @@ def run_worker(
     telemetry=None,
     chaos: WorkerChaos | None = None,
     clock: Callable[[], float] = time.time,
+    spans: SpanRecorder | None = None,
 ) -> WorkerReport:
     """Drain one campaign store until every job is done or quarantined.
 
     Safe to run N-fold concurrently against the same directory; exits
     when there is nothing left this worker could ever do. ``chaos``
     sabotages *this* worker only (the chaos harness's lever), ``clock``
-    skews its view of lease time.
+    skews its view of lease time, and ``spans`` receives this worker's
+    ``queue``/``job``/``store`` spans on a track named after its pid.
     """
     if not isinstance(store, ResultStore):
         store = ResultStore(store)
@@ -121,10 +199,15 @@ def run_worker(
         clock=clock, campaign=campaign,
     )
     report = WorkerReport(owner=manager.owner, campaign=campaign)
+    emit = telemetry.emit if telemetry is not None else (lambda _event: None)
     index_of = {job_hash: i for i, (job_hash, _p) in enumerate(jobs)}
     rng = random.Random(manager.owner)
+    tid = os.getpid()
+    if spans is not None:
+        spans.name_track(tid, f"worker {tid}")
     acquisitions = 0
     idle_passes = 0
+    idle_since = tick()
 
     while True:
         done = store.completed(h for h, _p in jobs)
@@ -152,52 +235,90 @@ def run_worker(
                     continue
             if lease is None:
                 continue
-            progressed = True
-            acquisitions += 1
-            if chaos is not None:
-                # kill@N fires *after* the lease is durable on disk and
-                # before any result is — the orphaned-lease scenario.
-                chaos.on_acquire(acquisitions)
-            if telemetry is not None:
-                telemetry.emit(
-                    JobStarted(
-                        campaign=campaign, job=job_hash,
-                        index=index_of[job_hash], attempt=lease.token,
+            try:
+                progressed = True
+                acquisitions += 1
+                spec = JobSpec.from_payload(payload)
+                if spans is not None:
+                    spans.span("queue", "queue", idle_since, tick(), tid=tid)
+                if chaos is not None:
+                    # kill@N fires *after* the lease is durable on disk
+                    # and before any result is — the orphaned-lease
+                    # scenario.
+                    chaos.on_acquire(acquisitions)
+                emit(JobStarted(
+                    campaign=campaign, job=job_hash,
+                    index=index_of[job_hash], attempt=lease.token,
+                ))
+                started = tick()
+                error = None
+                with manager.heartbeat(lease):
+                    try:
+                        if chaos is not None:
+                            chaos.before_execute(acquisitions, job_hash)
+                        outcome = execute_spec(payload)
+                        if chaos is not None:
+                            outcome = chaos.after_execute(
+                                acquisitions, outcome
+                            )
+                        _check_outcome(outcome)
+                    except Exception as caught:
+                        error = caught
+                if spans is not None:
+                    spans.span(
+                        spec.label(), "job", started, tick(), tid=tid,
+                        args={
+                            "attempt": lease.token,
+                            "experiment": spec.experiment,
+                        },
                     )
-                )
-            outcome = error = None
-            with manager.heartbeat(lease):
-                try:
-                    if chaos is not None:
-                        chaos.before_execute(acquisitions, job_hash)
-                    outcome = execute_spec(payload)
-                except (KeyboardInterrupt, SystemExit):
-                    # Not the job's fault: reopen the lease without
-                    # drawing down its quarantine budget.
-                    manager.abandon(lease)
-                    raise
-                except BaseException as caught:
-                    error = caught
-            if error is not None:
-                report.failed += 1
-                if not manager.fail(lease, error):
-                    report.quarantined.append(job_hash)
-                continue
-            spec = JobSpec.from_payload(payload)
-            if manager.commit(
-                lease, spec, outcome["result"], outcome["elapsed"]
-            ):
-                report.committed += 1
-                if telemetry is not None:
-                    telemetry.emit(
-                        JobCompleted(
+                if error is None:
+                    saving = tick()
+                    if manager.commit(
+                        lease, spec, outcome["result"], outcome["elapsed"]
+                    ):
+                        report.committed += 1
+                        emit(JobCompleted(
                             campaign=campaign, job=job_hash,
                             index=index_of[job_hash], attempts=lease.token,
                             elapsed=outcome["elapsed"], cached=False,
+                        ))
+                    else:
+                        report.fenced += 1
+                    if spans is not None:
+                        spans.span(
+                            f"store {spec.label()}", "store", saving, tick(),
+                            tid=tid, args={"job": job_hash},
                         )
-                    )
-            else:
-                report.fenced += 1
+                else:
+                    report.failed += 1
+                    # Deterministic failures go straight to quarantine:
+                    # every retry would fail the same way.
+                    retry = not isinstance(error, (ConfigError, CampaignError))
+                    if manager.fail(lease, error, retry=retry):
+                        reason = str(error) or type(error).__name__
+                        emit(JobRetried(
+                            campaign=campaign, job=job_hash,
+                            index=index_of[job_hash],
+                            attempt=lease.token + 1, error=reason,
+                        ))
+                        if spans is not None:
+                            spans.instant(
+                                "retry", "retry", tick(), tid=tid,
+                                args={
+                                    "job": spec.label(),
+                                    "attempt": lease.token + 1,
+                                    "error": reason,
+                                },
+                            )
+                    else:
+                        report.quarantined.append(job_hash)
+            except (KeyboardInterrupt, SystemExit):
+                # Not the job's fault: reopen the lease without drawing
+                # down its quarantine budget.
+                manager.abandon(lease)
+                raise
+            idle_since = tick()
         if progressed:
             idle_passes = 0
         else:
@@ -214,46 +335,56 @@ def run_worker(
     return report
 
 
-# ------------------------------------------------------------- distributed
+# ----------------------------------------------------------------- launcher
 
 
 @dataclass(slots=True)
-class DistributedOutcome:
-    """What a ``--distributed N`` drain left in the store."""
+class CampaignOutcome:
+    """What one campaign invocation found, ran and left in the store."""
 
     campaign: str
     specs: list[JobSpec]
-    workers: int
-    exitcodes: list[int | None]
-    completed: int = 0
+    #: Lease workers that drained the pending jobs: 0 when nothing was
+    #: pending, 1 for the in-process drain, N for forked workers.
+    workers: int = 0
+    payloads: dict[str, Any] = field(default_factory=dict)
+    #: Jobs already complete in the store when the invocation started.
+    cached: set[str] = field(default_factory=set)
+    #: Jobs committed by this invocation.
+    executed: int = 0
+    #: Σ(attempts − 1) over the jobs this invocation committed.
+    retried: int = 0
     quarantined: list[dict[str, Any]] = field(default_factory=list)
+    #: One exit code per forked worker; None for a worker the launcher
+    #: dismissed because every job was settled without it.
+    exitcodes: list[int | None] = field(default_factory=list)
     elapsed: float = 0.0
 
     @property
     def degraded(self) -> bool:
         return bool(self.quarantined)
 
-    def results_in_order(self, store: ResultStore) -> list[Any]:
-        return [
-            store.load_result(spec.content_hash()) for spec in self.specs
-        ]
+    def results_in_order(self) -> list[Any]:
+        """One result payload per spec, in the original spec order."""
+        if self.degraded:
+            raise CampaignError(self.degraded_report())
+        return [self.payloads[spec.content_hash()] for spec in self.specs]
 
     def summary(self) -> str:
-        deaths = sum(1 for code in self.exitcodes if code not in (0, 1))
-        text = (
-            f"campaign {self.campaign}: {len(self.specs)} jobs over "
-            f"{self.workers} worker(s) ({self.completed} completed, "
-            f"{len(self.quarantined)} quarantined, {deaths} worker "
-            f"death(s)) in {self.elapsed:.1f}s [distributed]"
+        deaths = sum(1 for code in self.exitcodes if code not in (0, 1, None))
+        return (
+            f"campaign {self.campaign}: {len(self.specs)} jobs "
+            f"({self.executed} run, {len(self.cached)} cached, "
+            f"{self.retried} retried) on {self.workers} worker(s), "
+            f"{deaths} worker death(s), {len(self.quarantined)} quarantined "
+            f"in {self.elapsed:.1f}s"
         )
-        return text
 
     def degraded_report(self) -> str:
         """The explicit quarantined-jobs report of a degraded campaign."""
         lines = [
             f"campaign {self.campaign}: DEGRADED — "
-            f"{len(self.quarantined)} job(s) quarantined after repeated "
-            "lease reclaims"
+            f"{len(self.quarantined)} job(s) quarantined"
         ]
         for record in self.quarantined:
             history = record.get("history", [])
@@ -272,179 +403,373 @@ class DistributedOutcome:
                 + (f"; last error: {errors[-1]}" if errors else "")
             )
         lines.append(
-            "  re-run with a fresh quarantine/ to retry these jobs"
+            "  delete their quarantine/ records and re-run with --resume "
+            "to retry just these jobs"
         )
         return "\n".join(lines)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, not the host's)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+def _raise_sigterm(_signum, _frame):
+    # SIGTERM normally kills the process outright; as SystemExit it runs
+    # the interrupt path instead (abandon leases, report, re-raise).
+    raise SystemExit(143)
+
+
 def _worker_entry(
     store_root: str,
-    config_kwargs: dict[str, Any],
+    config: LeaseConfig,
     owner: str,
-    record: str | None,
+    events_path: Path | None,
+    spans_path: Path | None,
     chaos_spec: str | None,
     skew: float,
 ) -> None:
-    """Child-process body of one ``--distributed`` worker (picklable)."""
+    """Body of one forked lease worker."""
+    signal.signal(signal.SIGTERM, _raise_sigterm)
     bus = None
-    if record is not None:
+    if events_path is not None:
         from repro.telemetry import EventBus, JsonlSink
 
-        bus = EventBus([JsonlSink(record)], epoch_refs=0)
+        bus = EventBus([JsonlSink(events_path)], epoch_refs=0)
+    spans = SpanRecorder() if spans_path is not None else None
     clock: Callable[[], float] = (
         (lambda: time.time() + skew) if skew else time.time
     )
     try:
-        report = run_worker(
-            store_root,
-            config=LeaseConfig(**config_kwargs),
-            owner=owner,
-            telemetry=bus,
-            chaos=WorkerChaos.parse(chaos_spec) if chaos_spec else None,
-            clock=clock,
+        run_worker(
+            store_root, config=config, owner=owner, telemetry=bus,
+            chaos=WorkerChaos.parse(chaos_spec), clock=clock, spans=spans,
         )
-        # Stderr, never stdout: the parent's stdout must stay
-        # byte-comparable with the serial sweep.
-        print(report.summary(), file=sys.stderr, flush=True)
+    except KeyboardInterrupt:
+        raise SystemExit(130) from None  # quiet: the launcher reports it
     finally:
         if bus is not None:
             bus.close()
+        if spans is not None:
+            spans.dump(spans_path)
 
 
 def _mp_context():
-    """fork when the platform has it (fast), spawn otherwise."""
+    """fork when the platform has it, spawn otherwise.
+
+    Forked workers start warm (the simulator is already imported). Fork
+    is safe here because the launcher runs no threads of its own: lease
+    heartbeat threads only exist inside ``run_worker``, which a launcher
+    that forks never calls.
+    """
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX
         return multiprocessing.get_context("spawn")
 
 
-def run_distributed(
-    store: ResultStore,
-    specs: list[JobSpec],
-    campaign: str,
-    workers: int,
-    options: dict[str, Any] | None = None,
-    config: LeaseConfig | None = None,
-    record_events: bool = False,
-    worker_chaos: list[str | None] | None = None,
-    worker_skews: list[float] | None = None,
-) -> DistributedOutcome:
-    """Write the manifest, spawn N local workers, wait out the drain.
+def _stop(processes: list, grace: float) -> set[int]:
+    """SIGTERM every live worker, wait ``grace``, then SIGKILL; returns
+    the ranks that had to be stopped."""
+    stopped = {
+        rank for rank, process in enumerate(processes) if process.is_alive()
+    }
+    for rank in stopped:
+        processes[rank].terminate()
+    deadline = tick() + grace
+    for rank in stopped:
+        processes[rank].join(max(0.0, deadline - tick()))
+        if processes[rank].is_alive():
+            processes[rank].kill()
+            processes[rank].join()
+    return stopped
 
-    The processes coordinate purely through the store directory — this
-    function could exit after writing the manifest and workers on other
-    machines would drain it just the same; spawning locally is only a
-    convenience. ``worker_chaos[i]``/``worker_skews[i]`` sabotage worker
-    i (the chaos harness's entry point).
+
+def _replay_events(paths: list[Path], telemetry) -> None:
+    """Feed the forked workers' JSONL streams into the launcher's bus.
+
+    Lease events carry a wall-clock ``at``; events without one (job
+    lifecycle) inherit the last ``at`` seen in their own stream, which
+    keeps each worker's events in order while interleaving workers by
+    time. A torn tail (a killed worker's last line) is skipped.
     """
-    if workers < 2:
-        raise ConfigError(
-            "run_distributed needs >= 2 workers; use the serial runner "
-            "for one"
-        )
-    if not specs:
-        raise ConfigError("a campaign needs at least one job spec")
-    config = config or LeaseConfig()
-    store.write_manifest(campaign, specs, dict(options or {}))
-    events_dir = store.root / "events"
-    if record_events:
-        events_dir.mkdir(parents=True, exist_ok=True)
+    decorated: list[tuple[float, int, int, dict]] = []
+    for stream, path in enumerate(paths):
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except FileNotFoundError:
+            continue
+        last_at = 0.0
+        for position, line in enumerate(lines):
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(payload.get("at"), (int, float)):
+                last_at = float(payload["at"])
+            decorated.append((last_at, stream, position, payload))
+    decorated.sort(key=lambda item: item[:3])
+    for *_order, payload in decorated:
+        event = event_from_dict(payload)
+        if event is not None:
+            telemetry.emit(event)
 
-    started = time.perf_counter()
+
+def _hung(manager: LeaseManager, launcher: str, limit: float) -> list[int]:
+    """Indices of ``launcher``'s workers whose lease is older than
+    ``limit`` seconds and still names them."""
+    prefix, now = f"{launcher}:w", manager.clock()
+    return [
+        int(record["owner"][len(prefix):])
+        for path in manager.leases_dir.glob("*.json")
+        if (record := manager.read(path.stem)) is not None
+        and record.get("state") == "active"
+        and str(record.get("owner")).startswith(prefix)
+        and now - float(record.get("acquired", now)) > limit
+    ]
+
+
+def _drain_forked(
+    store: ResultStore,
+    manager: LeaseManager,
+    pending: list[str],
+    launcher: str,
+    workers: int,
+    config: LeaseConfig,
+    telemetry,
+    spans: SpanRecorder | None,
+    worker_chaos: list[str | None] | None,
+    worker_skews: list[float] | None,
+) -> list[int | None]:
+    """Fork ``workers`` lease workers and wait out their drain.
+
+    With a ``job_timeout``, a worker still holding a lease ``ttl`` after
+    its heartbeat gave up on the job is hung: it is killed (a worker
+    death, charged to the job when its lease is reclaimed) and replaced
+    by a clean worker, so a job that hangs every time reaches quarantine
+    within ``max_reclaims``. Telemetry and spans come back through
+    per-worker files under the store (``events/``, ``spans/``), merged
+    here even when the drain is interrupted. Once every pending job is
+    committed or quarantined, a worker still running after ``grace`` is
+    stuck in a fenced-off job and is dismissed rather than waited on.
+    """
+    events_dir, spans_dir = store.root / "events", store.root / "spans"
+    if telemetry is not None:
+        events_dir.mkdir(exist_ok=True)
+    if spans is not None:
+        spans_dir.mkdir(exist_ok=True)
+    # Sabotage targets the first ``workers`` processes; replacements
+    # start clean.
+    chaos = list(worker_chaos or ())[:workers]
+    skews = list(worker_skews or ())[:workers]
+    # Unflushed stdio would be flushed again by every child at exit.
+    sys.stdout.flush()
+    sys.stderr.flush()
     context = _mp_context()
-    processes = []
-    for rank in range(workers):
-        owner = f"{make_owner_id()}:w{rank}"
-        chaos_spec = (worker_chaos or [None] * workers)[rank]
-        skew = (worker_skews or [0.0] * workers)[rank]
-        record = (
-            str(events_dir / f"worker-{rank}.jsonl")
-            if record_events
-            else None
-        )
-        config_kwargs = {
-            "ttl": config.ttl,
-            "heartbeat": config.heartbeat,
-            "job_timeout": config.job_timeout,
-            "max_reclaims": config.max_reclaims,
-            "backoff": config.backoff,
-            "backoff_cap": config.backoff_cap,
-        }
+    processes: list = []
+    handoff: list[tuple[Path, Path]] = []
+
+    def spawn() -> None:
+        index = len(processes)
+        paths = (events_dir / f"worker-{index}.jsonl",
+                 spans_dir / f"worker-{index}.json")
+        for path in paths:
+            path.unlink(missing_ok=True)
         process = context.Process(
             target=_worker_entry,
             args=(
-                str(store.root), config_kwargs, owner, record,
-                chaos_spec, skew,
+                str(store.root), config, f"{launcher}:w{index}",
+                paths[0] if telemetry is not None else None,
+                paths[1] if spans is not None else None,
+                chaos[index] if index < len(chaos) else None,
+                skews[index] if index < len(skews) else 0.0,
             ),
-            name=f"repro-worker-{rank}",
-            daemon=False,
+            name=f"repro-worker-{index}",
         )
         process.start()
         processes.append(process)
-    for process in processes:
-        process.join()
+        handoff.append(paths)
 
-    hashes = [spec.content_hash() for spec in specs]
-    done = store.completed(hashes)
-    manager = LeaseManager(store, config=config, campaign=campaign)
-    parked = manager.quarantined()
-    outcome = DistributedOutcome(
-        campaign=campaign,
-        specs=list(specs),
-        workers=workers,
-        exitcodes=[process.exitcode for process in processes],
-        completed=len(done),
-        quarantined=[
-            record
-            for job_hash in sorted(parked)
-            if (record := manager.quarantine_record(job_hash)) is not None
-        ],
-        elapsed=time.perf_counter() - started,
-    )
-    pending = [h for h in hashes if h not in done and h not in parked]
-    if pending:
-        raise CampaignError(
-            f"distributed drain stalled: {len(pending)} job(s) neither "
-            f"completed nor quarantined and every worker has exited "
-            f"(exit codes {outcome.exitcodes}); re-run `repro worker "
-            f"{store.root}` to finish"
-        )
-    return outcome
-
-
-def merge_worker_events(store_root: str | Path, out_path: str | Path) -> int:
-    """Merge per-worker JSONL streams into one ``repro inspect`` file.
-
-    Lease events carry a wall-clock ``at``; events without one (job
-    lifecycle) inherit the last ``at`` seen in their own file, which
-    keeps each worker's stream in order while interleaving workers by
-    time. Returns the number of merged events.
-    """
-    events_dir = Path(store_root) / "events"
-    decorated: list[tuple[float, int, int, str]] = []
+    # A worker idle in backoff notices the drain is over within one
+    # backoff_cap sleep (jittered up to 1.5x).
+    grace = 2.0 * config.backoff_cap + 1.0
+    dismissed: set[int] = set()
     try:
-        files = sorted(events_dir.glob("*.jsonl"))
-    except OSError:
-        files = []
-    for file_index, path in enumerate(files):
-        last_at = 0.0
-        with path.open("r", encoding="utf-8") as fh:
-            for line_index, line in enumerate(fh):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    at = json.loads(line).get("at")
-                except json.JSONDecodeError:
-                    continue  # torn tail of a killed worker's stream
-                if isinstance(at, (int, float)):
-                    last_at = float(at)
-                decorated.append((last_at, file_index, line_index, line))
-    decorated.sort(key=lambda item: (item[0], item[1], item[2]))
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", encoding="utf-8") as fh:
-        for _at, _file, _line, text in decorated:
-            fh.write(text + "\n")
-    return len(decorated)
+        for _ in range(workers):
+            spawn()
+        settled_at = None
+        while alive := [p for p in processes if p.is_alive()]:
+            wait([p.sentinel for p in alive], timeout=_POLL_S)
+            if settled_at is None:
+                done = store.completed(pending) | manager.quarantined()
+                if done.issuperset(pending):
+                    settled_at = tick()
+                elif config.job_timeout is not None:
+                    limit = config.job_timeout + config.ttl
+                    for index in _hung(manager, launcher, limit):
+                        if processes[index].is_alive():
+                            processes[index].kill()
+                            processes[index].join()
+                            spawn()
+            elif tick() - settled_at > grace:
+                dismissed = _stop(processes, grace)
+    finally:
+        _stop(processes, grace)
+        if telemetry is not None:
+            _replay_events([events for events, _s in handoff], telemetry)
+        if spans is not None:
+            for _e, path in handoff:
+                spans.absorb(path)
+        for path in (path for paths in handoff for path in paths):
+            path.unlink(missing_ok=True)
+        for directory in (events_dir, spans_dir):
+            try:
+                directory.rmdir()
+            except OSError:  # absent, or holding someone else's files
+                pass
+    return [
+        None if index in dismissed else process.exitcode
+        for index, process in enumerate(processes)
+    ]
+
+
+def run_campaign(
+    store: ResultStore,
+    specs: list[JobSpec],
+    campaign: str = "campaign",
+    jobs: int = 1,
+    resume: bool = True,
+    options: dict[str, Any] | None = None,
+    config: LeaseConfig | None = None,
+    telemetry=None,
+    spans: SpanRecorder | None = None,
+    worker_chaos: list[str | None] | None = None,
+    worker_skews: list[float] | None = None,
+) -> CampaignOutcome:
+    """Run ``specs`` as one campaign over ``store``; every job is durable.
+
+    ``jobs`` caps the lease workers (0 = one per usable CPU); the drain
+    uses min(jobs, usable CPUs, pending jobs) of them — in process when
+    that is one, forked otherwise. With ``resume`` the jobs already in
+    the store are served from it; without, every job runs afresh.
+    ``worker_chaos[i]``/``worker_skews[i]`` sabotage forked worker i;
+    the in-process drain is never sabotaged (a ``kill`` would take the
+    launcher down with it), nor timed out (nothing could stop it).
+
+    SIGINT/SIGTERM reopen every in-flight lease, emit
+    ``CampaignInterrupted`` and propagate; the store stays resumable.
+    A drain that ends with a quarantined job returns a *degraded*
+    outcome; one that ends with neither raises
+    :class:`~repro.common.errors.CampaignError`.
+    """
+    if not specs:
+        raise ConfigError("a campaign needs at least one job spec")
+    if jobs < 0:
+        raise ConfigError("jobs must be >= 0 (0 = one worker per CPU)")
+    started = tick()
+    config = config or LeaseConfig()
+    outcome = CampaignOutcome(campaign=campaign, specs=list(specs))
+    store.write_manifest(campaign, outcome.specs, dict(options or {}))
+    manager = LeaseManager(store, config=config, campaign=campaign)
+    hashes = [spec.content_hash() for spec in outcome.specs]
+    unique = list(dict.fromkeys(hashes))
+
+    records: dict[str, dict] = {}
+    if resume:
+        for job_hash in store.completed(unique):
+            try:
+                records[job_hash] = store.load(job_hash)
+            except ConfigError as error:
+                # load() moved the corrupt result aside, so the job is
+                # simply pending again.
+                print(f"campaign: {error}", file=sys.stderr)
+    else:
+        for job_hash in unique:
+            manager.reset(job_hash)
+    outcome.payloads = {h: record["result"] for h, record in records.items()}
+    outcome.cached = set(records)
+    if telemetry is not None:
+        for index, (spec, job_hash) in enumerate(zip(outcome.specs, hashes)):
+            telemetry.emit(JobSubmitted(
+                campaign=campaign, job=job_hash,
+                experiment=spec.experiment, index=index,
+            ))
+            if job_hash in records:
+                telemetry.emit(JobCompleted(
+                    campaign=campaign, job=job_hash, index=index,
+                    attempts=records[job_hash].get("attempts", 1),
+                    elapsed=records[job_hash].get("elapsed", 0.0),
+                    cached=True,
+                ))
+
+    parked = manager.quarantined()
+    pending = [h for h in unique if h not in records and h not in parked]
+    cpus = usable_cpus()
+    outcome.workers = min(jobs or cpus, cpus, len(pending))
+    launcher = make_owner_id()
+    try:
+        previous_handler = signal.signal(signal.SIGTERM, _raise_sigterm)
+    except ValueError:  # not the main thread
+        previous_handler = None
+    try:
+        if outcome.workers == 1:
+            run_worker(
+                store, config=config, owner=f"{launcher}:w0",
+                telemetry=telemetry, spans=spans,
+            )
+        elif outcome.workers > 1:
+            outcome.exitcodes = _drain_forked(
+                store, manager, pending, launcher, outcome.workers, config,
+                telemetry, spans, worker_chaos, worker_skews,
+            )
+    except (KeyboardInterrupt, SystemExit) as error:
+        # Every committed job survives in the store and every in-flight
+        # lease is reopened: a resumed run completes just the rest.
+        manager.abandon_owned(f"{launcher}:")
+        done = store.completed(unique)
+        if telemetry is not None:
+            interrupted = isinstance(error, KeyboardInterrupt)
+            telemetry.emit(CampaignInterrupted(
+                campaign=campaign,
+                signal="SIGINT" if interrupted else "SIGTERM",
+                completed=sum(1 for h in hashes if h in done),
+                pending=sum(1 for h in hashes if h not in done),
+            ))
+        raise
+    finally:
+        if previous_handler is not None:
+            signal.signal(signal.SIGTERM, previous_handler)
+        if spans is not None:
+            spans.name_track(LAUNCHER_TID, "launcher")
+            spans.span(
+                f"campaign {campaign}", "campaign", started, tick(),
+                args={"jobs": len(outcome.specs), "workers": outcome.workers},
+            )
+
+    done = store.completed(pending)
+    for job_hash in pending:
+        if job_hash in done:
+            record = store.load(job_hash)
+            outcome.payloads[job_hash] = record["result"]
+            outcome.executed += 1
+            outcome.retried += record.get("attempts", 1) - 1
+    parked = manager.quarantined()
+    outcome.quarantined = [
+        record
+        for job_hash in unique
+        if job_hash in parked
+        and (record := manager.quarantine_record(job_hash)) is not None
+    ]
+    stalled = [h for h in pending if h not in done and h not in parked]
+    if stalled:
+        raise CampaignError(
+            f"campaign {campaign} stalled: {len(stalled)} job(s) neither "
+            f"completed nor quarantined and every worker has exited "
+            f"(exit codes {outcome.exitcodes}); re-run with --resume "
+            "to finish"
+        )
+    outcome.elapsed = tick() - started
+    return outcome

@@ -20,13 +20,12 @@ Commands
     ``resize-mechanism``, the flush-vs-consistent-hashing resize
     comparison) and print its table/series.
 ``sweep {table1,table2,table4,table5,figure5,figure6,...}``
-    Run an experiment as a campaign: independent jobs on a worker pool
-    (``--jobs``), cached in a content-hashed result store (``--out``),
-    resumable after interruption (``--resume``). Output is
-    byte-identical to ``experiment``. ``--distributed N`` drains the
-    sweep with N lease-coordinated worker processes sharing the store
-    (crash-tolerant: dead workers' jobs are reclaimed; poison jobs are
-    quarantined after ``--max-reclaims`` attempts).
+    Run an experiment as a campaign: independent jobs drained by
+    ``--jobs`` lease workers sharing a content-hashed result store
+    (``--out``), resumable after interruption (``--resume``). Output is
+    byte-identical to ``experiment``. Crash-tolerant: a dead worker's
+    jobs are reclaimed; poison jobs are quarantined after
+    ``--max-reclaims`` attempts.
 ``worker STORE``
     Join a campaign as one lease-protocol worker: claim jobs from the
     store's manifest via atomic lease files, heartbeat while running,
@@ -59,8 +58,8 @@ Commands
     fault schedules into every stream; ``--mechanism {all,flush,chash}``
     adds the resize-mechanism axis to the fuzz grid.
 ``chaos``
-    Chaos-test the campaign runner: run an experiment once cleanly and
-    once under a seeded sabotage policy (worker crashes, hangs,
+    Chaos-test the campaign executor: run an experiment once cleanly and
+    once with sabotaged lease workers (``--worker-chaos``: kills, hangs,
     corrupted results) with resume-until-converged, then verify the two
     outputs are byte-identical.
 
@@ -326,130 +325,101 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     import os
     from pathlib import Path
 
-    from repro.campaign import CampaignConfig, CampaignRunner, ResultStore
+    from repro.campaign import LeaseConfig
     from repro.campaign.registry import get_experiment
 
     if validate_audit_cadence(args.audit) is not None:
-        # Worker processes inherit the environment, so this single
-        # variable carries the audit cadence into every pool job.
+        # Forked workers inherit the environment, so this single
+        # variable carries the audit cadence into every job.
         os.environ["REPRO_AUDIT"] = str(args.audit)
 
     target = get_experiment(args.name)
     options = _experiment_options(target, args)
     specs = target.jobs(refs=args.refs, seed=args.seed, **options)
-
     out = Path(args.out) if args.out else Path("campaigns") / args.name
-    store = ResultStore(out)
-    if args.distributed is not None and args.distributed >= 2:
-        return _sweep_distributed(args, target, specs, options, store)
-    config = CampaignConfig(
-        # --distributed 1 degrades gracefully to the plain serial path:
-        # one process, no leases, no coordination overhead.
-        jobs=1 if args.distributed is not None else args.jobs,
-        timeout=args.timeout,
-        retries=args.retries,
-        resume=args.resume,
+    config = LeaseConfig(
+        ttl=args.ttl,
+        job_timeout=args.timeout,
+        max_reclaims=args.max_reclaims,
+    )
+    return _drain_and_print(
+        target, specs, options, out, args.name, args.jobs, args.resume,
+        config=config, record=args.record, spans_path=args.spans,
+        worker_chaos=args.worker_chaos,
     )
 
+
+def _worker_chaos(text: str | None) -> list[str | None] | None:
+    """``--worker-chaos 'kill@2;;hang@1:5'`` -> one directive per worker."""
+    if not text:
+        return None
+    from repro.faults.chaos import WorkerChaos
+
+    parts = [part.strip() or None for part in text.split(";")]
+    for part in parts:
+        WorkerChaos.parse(part)  # fail fast on grammar errors
+    return parts
+
+
+def _drain_and_print(
+    target, specs, options, out, campaign, jobs, resume, config=None,
+    record=None, spans_path=None, worker_chaos=None,
+) -> int:
+    """Drain ``specs`` through the lease workers and print the result.
+
+    Stdout carries exactly what ``repro experiment`` prints, so the two
+    paths stay byte-comparable; campaign bookkeeping goes to stderr. A
+    degraded campaign prints its quarantined jobs instead and exits 1.
+    """
+    from repro.campaign import ResultStore, run_campaign
+
+    store = ResultStore(out)
+    chaos = _worker_chaos(worker_chaos)
     bus = sink = None
-    if args.record:
+    if record:
         from repro.telemetry import EventBus, JsonlSink
 
-        sink = JsonlSink(args.record)
+        sink = JsonlSink(record)
         bus = EventBus([sink], epoch_refs=0)
-
     spans = None
-    if args.spans:
+    if spans_path:
         from repro.prof import SpanRecorder
 
         spans = SpanRecorder()
-
-    runner = CampaignRunner(store, config, telemetry=bus, spans=spans)
     try:
-        outcome = runner.run(specs, campaign=args.name, options=options)
+        outcome = run_campaign(
+            store, specs, campaign, jobs=jobs, resume=resume,
+            options=options, config=config, telemetry=bus, spans=spans,
+            worker_chaos=chaos,
+        )
     finally:
         if bus is not None:
             bus.close()
         if spans is not None:
             # Export whatever was recorded even on an interrupt — a
             # partial timeline is exactly what post-mortems need.
-            path = spans.export(args.spans)
+            path = spans.export(spans_path)
             print(
                 f"campaign spans: {len(spans)} events -> {path} "
                 "(load in Perfetto / chrome://tracing, or summarise with "
                 f"`python -m repro trace-export {path}`)",
                 file=sys.stderr,
             )
-
-    result = target.assemble_results(
-        specs, outcome.results_in_order(), **options
-    )
-    # Stdout carries exactly what `repro experiment <name>` prints, so the
-    # two paths stay byte-comparable; campaign bookkeeping goes to stderr.
-    print(result.format())
+    if outcome.degraded:
+        print(outcome.degraded_report())
+    else:
+        result = target.assemble_results(
+            specs, outcome.results_in_order(), **options
+        )
+        print(result.format())
     print(f"{outcome.summary()} -> {store.root}", file=sys.stderr)
     if sink is not None:
         print(
-            f"campaign telemetry: {sink.count} events -> {sink.path}",
-            file=sys.stderr,
-        )
-    return 0
-
-
-def _sweep_distributed(args, target, specs, options, store) -> int:
-    """``repro sweep --distributed N``: N lease-protocol workers, one store."""
-    from repro.campaign import (
-        LeaseConfig,
-        merge_worker_events,
-        run_distributed,
-    )
-    from repro.faults.chaos import WorkerChaos
-
-    config = LeaseConfig(
-        ttl=args.ttl,
-        job_timeout=args.timeout,
-        max_reclaims=args.max_reclaims,
-    )
-    worker_chaos = None
-    if args.worker_chaos:
-        parts = [part.strip() for part in args.worker_chaos.split(";")]
-        for part in parts:
-            WorkerChaos.parse(part)  # fail fast on grammar errors
-        worker_chaos = [
-            parts[rank] if rank < len(parts) and parts[rank] else None
-            for rank in range(args.distributed)
-        ]
-
-    outcome = run_distributed(
-        store,
-        specs,
-        campaign=args.name,
-        workers=args.distributed,
-        options=options,
-        config=config,
-        record_events=bool(args.record),
-        worker_chaos=worker_chaos,
-    )
-    if args.record:
-        count = merge_worker_events(store.root, args.record)
-        print(
-            f"campaign telemetry: {count} events -> {args.record} "
+            f"campaign telemetry: {sink.count} events -> {sink.path} "
             "(replay with `python -m repro inspect`)",
             file=sys.stderr,
         )
-    if outcome.degraded:
-        # The campaign *completed*, minus its poison jobs: say exactly
-        # which they are and who died on them, and exit nonzero so
-        # automation notices the degradation.
-        print(outcome.degraded_report())
-        print(f"{outcome.summary()} -> {store.root}", file=sys.stderr)
-        return 1
-    result = target.assemble_results(
-        specs, outcome.results_in_order(store), **options
-    )
-    print(result.format())
-    print(f"{outcome.summary()} -> {store.root}", file=sys.stderr)
-    return 0
+    return 1 if outcome.degraded else 0
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -557,43 +527,53 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     return 1
 
 
+#: Lease ttl of ``repro chaos`` runs: short jobs on one host, so a
+#: killed worker's lease should block the drain for seconds, not the
+#: sweep default's quarter minute.
+CHAOS_TTL = 2.0
+
+
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Clean serial run vs chaos-with-resume run, compared byte-for-byte."""
     from pathlib import Path
 
-    from repro.campaign import CampaignConfig, CampaignRunner, ResultStore
+    from repro.campaign import (
+        LeaseConfig,
+        LeaseManager,
+        ResultStore,
+        run_campaign,
+    )
     from repro.campaign.registry import get_experiment
-    from repro.faults.chaos import ChaosPolicy
 
     target = get_experiment(args.name)
     specs = target.jobs(refs=args.refs, seed=args.seed)
     out = Path(args.out) if args.out else Path("campaigns") / f"chaos-{args.name}"
+    chaos = _worker_chaos(args.worker_chaos)
 
-    clean = CampaignRunner(
-        ResultStore(out / "clean"), CampaignConfig(jobs=1, resume=False)
-    ).run(specs, campaign=args.name)
+    clean = run_campaign(
+        ResultStore(out / "clean"), specs, args.name, jobs=1, resume=False
+    )
     clean_text = target.assemble_results(specs, clean.results_in_order()).format()
 
-    policy = ChaosPolicy(
-        seed=args.chaos_seed,
-        crash_rate=args.crash,
-        hang_rate=args.hang,
-        corrupt_rate=args.corrupt,
-        hang_seconds=args.hang_seconds,
-    )
     store = ResultStore(out / "chaos")
-    config = CampaignConfig(
-        jobs=args.jobs,
-        timeout=args.timeout,
-        retries=args.retries,
-        resume=True,
+    config = LeaseConfig(
+        ttl=CHAOS_TTL,
+        job_timeout=args.timeout,
+        max_reclaims=args.max_reclaims,
     )
     runs = 0
     while True:
         runs += 1
-        runner = CampaignRunner(store, config, chaos=policy)
         try:
-            outcome = runner.run(specs, campaign=args.name)
+            # The first run is sabotaged from a fresh store; restarts
+            # resume it with clean workers until the drain converges.
+            outcome = run_campaign(
+                store, specs, args.name, jobs=args.jobs, resume=runs > 1,
+                config=config, worker_chaos=chaos if runs == 1 else None,
+            )
+            chaos_text = target.assemble_results(
+                specs, outcome.results_in_order()
+            ).format()
             break
         except ReproError as error:
             if runs > args.max_restarts:
@@ -608,16 +588,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                 f"store",
                 file=sys.stderr,
             )
-    chaos_text = target.assemble_results(specs, outcome.results_in_order()).format()
+            # Restarts run clean: a job the sabotage drove into
+            # quarantine gets a fresh budget.
+            manager = LeaseManager(store)
+            for job_hash in manager.quarantined():
+                manager.reset(job_hash)
 
     print(chaos_text)
     identical = chaos_text == clean_text
     verdict = "IDENTICAL to" if identical else "DIVERGES from"
     print(
-        f"chaos: policy seed={policy.seed} crash={policy.crash_rate} "
-        f"hang={policy.hang_rate} corrupt={policy.corrupt_rate}; "
-        f"converged in {runs} run(s) ({outcome.summary()}); "
-        f"output {verdict} the clean serial run",
+        f"chaos: worker chaos {args.worker_chaos!r}; converged in {runs} "
+        f"run(s) ({outcome.summary()}); output {verdict} the clean "
+        "serial run",
         file=sys.stderr,
     )
     return 0 if identical else 1
@@ -733,20 +716,11 @@ def cmd_tenants(args: argparse.Namespace) -> int:
         print(result.format())
         return 0
 
-    from repro.campaign import CampaignConfig, CampaignRunner, ResultStore
-
     specs = target.jobs(refs=args.refs, seed=args.seed, **options)
     out = Path(args.out) if args.out else Path("campaigns") / "tenancy"
-    store = ResultStore(out)
-    config = CampaignConfig(jobs=args.jobs, resume=args.resume)
-    runner = CampaignRunner(store, config)
-    outcome = runner.run(specs, campaign="tenancy", options=options)
-    result = target.assemble_results(
-        specs, outcome.results_in_order(), **options
+    return _drain_and_print(
+        target, specs, options, out, "tenancy", args.jobs, args.resume
     )
-    print(result.format())
-    print(f"{outcome.summary()} -> {store.root}", file=sys.stderr)
-    return 0
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
@@ -813,14 +787,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("name", choices=experiment_names())
     sweep.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (0 = one per CPU, 1 = serial "
-                            "in-process)")
+                       help="lease workers, capped at the usable CPUs and "
+                            "pending jobs (0 = one per CPU; one worker "
+                            "drains in process)")
     sweep.add_argument("--resume", action="store_true",
                        help="skip jobs already completed in the result store")
     sweep.add_argument("--timeout", type=float, default=None,
-                       help="per-job timeout in seconds")
-    sweep.add_argument("--retries", type=int, default=2,
-                       help="retry budget per job for transient failures")
+                       help="per-job timeout in seconds: a job running "
+                            "longer loses its lease to a peer, and a "
+                            "forked worker stuck in it is replaced")
     sweep.add_argument("--out", default=None,
                        help="result store directory "
                             "(default: campaigns/<name>)")
@@ -838,27 +813,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "accesses inside every job (default 100000; "
                             "propagated to workers via $REPRO_AUDIT)")
     sweep.add_argument("--spans", metavar="PATH", default=None,
-                       help="record job/chunk/queue/store spans to a "
-                            "Chrome-tracing JSON file (view in Perfetto or "
-                            "chrome://tracing)")
+                       help="record job/queue/store spans, one track per "
+                            "worker, to a Chrome-tracing JSON file (view in "
+                            "Perfetto or chrome://tracing)")
     sweep.add_argument("--resize-mechanism",
                        choices=["flush", "chash"], default=None,
                        help="restrict the resize-mechanism experiment to "
                             "one backend (default: compare both)")
-    sweep.add_argument("--distributed", metavar="N", type=int, default=None,
-                       help="drain the sweep with N lease-coordinated worker "
-                            "processes over the shared store (1 = plain "
-                            "serial, no coordination overhead)")
     sweep.add_argument("--ttl", type=float, default=15.0,
                        help="lease time-to-live in seconds before a dead "
-                            "worker's job is reclaimed (--distributed only)")
+                            "worker's job is reclaimed")
     sweep.add_argument("--max-reclaims", type=int, default=3,
-                       help="reclaims/failures before a job is quarantined "
-                            "as poison (--distributed only)")
+                       help="attempts (failures or worker deaths) before a "
+                            "job is quarantined as poison")
     sweep.add_argument("--worker-chaos", metavar="SPECS", default=None,
                        help="semicolon-separated per-worker sabotage "
                             "directives for fault-tolerance testing, e.g. "
-                            "'kill@2;;hang@1:5' (--distributed only)")
+                            "'kill@2;;hang@1:5' (forked workers only)")
 
     worker = sub.add_parser(
         "worker",
@@ -885,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(replay with `repro inspect`)")
     worker.add_argument("--chaos", metavar="SPEC", default=None,
                         help="self-sabotage directive for fault-tolerance "
-                             "testing: kill@N, hang@N:SECONDS, "
+                             "testing: kill@N, hang@N:SECONDS, corrupt@N, "
                              "poison@PREFIX[:raise]")
     worker.add_argument("--skew", type=float, default=0.0,
                         help="artificial clock skew in seconds (testing)")
@@ -971,28 +942,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="chaos-test the campaign runner against a clean serial run",
+        help="chaos-test the campaign executor against a clean serial run",
     )
     chaos.add_argument("name", choices=experiment_names())
     chaos.add_argument("--refs", type=int, default=None,
                        help="references per application")
     chaos.add_argument("--seed", type=int, default=1)
     chaos.add_argument("--jobs", type=int, default=2,
-                       help="worker processes for the chaos run")
-    chaos.add_argument("--chaos-seed", type=int, default=0,
-                       help="seed of the sabotage policy")
-    chaos.add_argument("--crash", type=float, default=0.2,
-                       help="per-job worker crash probability")
-    chaos.add_argument("--hang", type=float, default=0.0,
-                       help="per-job hang probability (needs --timeout)")
-    chaos.add_argument("--corrupt", type=float, default=0.2,
-                       help="per-job corrupted-result probability")
-    chaos.add_argument("--hang-seconds", type=float, default=30.0,
-                       help="how long a sabotaged job hangs")
+                       help="lease workers for the chaos run")
+    chaos.add_argument("--worker-chaos", metavar="SPECS",
+                       default="kill@2;corrupt@1",
+                       help="semicolon-separated sabotage directives, one "
+                            "per forked worker: kill@N, hang@N:S, "
+                            "corrupt@N, poison@PREFIX[:raise]")
     chaos.add_argument("--timeout", type=float, default=None,
-                       help="per-job timeout in seconds")
-    chaos.add_argument("--retries", type=int, default=2,
-                       help="retry budget per job")
+                       help="per-job timeout in seconds: a hung job loses "
+                            "its lease and its worker is replaced")
+    chaos.add_argument("--max-reclaims", type=int, default=3,
+                       help="attempts before a job is quarantined")
     chaos.add_argument("--max-restarts", type=int, default=3,
                        help="resume attempts before giving up")
     chaos.add_argument("--out", default=None,
@@ -1013,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "`repro sweep --spans`")
     trace_export.add_argument("--category", default=None,
                               help="keep only one span category "
-                                   "(job, chunk, queue, store, campaign)")
+                                   "(job, queue, store, campaign, retry)")
     trace_export.add_argument("--out", default=None,
                               help="write the (filtered) trace to a new "
                                    "Chrome-tracing JSON file")
@@ -1041,8 +1008,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="references per cell")
     tenants.add_argument("--seed", type=int, default=1)
     tenants.add_argument("--jobs", type=int, default=None,
-                         help="run as a campaign with this many workers "
-                              "(0 = one per CPU; omit for serial in-process)")
+                         help="run as a campaign with this many lease "
+                              "workers (0 = one per CPU; omit for a plain "
+                              "serial run)")
     tenants.add_argument("--resume", action="store_true",
                          help="skip jobs already completed in the result "
                               "store (campaign mode)")

@@ -1,19 +1,18 @@
 """The one clock every elapsed/deadline computation uses.
 
-The campaign runner used to mix ``time.perf_counter`` (job elapsed
-times) with ``time.monotonic`` (chunk submission deadlines). On Linux
-those are *different* kernel clocks (``CLOCK_MONOTONIC`` vs, depending
-on the CPython build, ``CLOCK_MONOTONIC_RAW``) that drift relative to
-each other, so span timestamps derived from one and timeout arithmetic
-derived from the other could disagree. Everything now routes through
-:func:`tick`.
+Mixing ``time.perf_counter`` with ``time.monotonic`` is a trap: on
+Linux those are *different* kernel clocks (``CLOCK_MONOTONIC`` vs,
+depending on the CPython build, ``CLOCK_MONOTONIC_RAW``) that drift
+relative to each other, so span timestamps derived from one and elapsed
+arithmetic derived from the other could disagree. Everything routes
+through :func:`tick`.
 
 ``tick`` is ``time.monotonic`` deliberately:
 
 * it is system-wide on the platforms we run on, so a timestamp taken in
-  a campaign worker process is directly comparable with one taken in
-  the dispatcher — which is what turns (submit, start, end) triples
-  into queue-wait/execute spans;
+  one campaign worker process is directly comparable with one taken in
+  another or in the launcher — which is what lets every worker's spans
+  merge into one timeline;
 * it never goes backwards, so deadlines computed from it are safe.
 
 Timestamps from :func:`tick` are *durations from an arbitrary origin*

@@ -39,8 +39,9 @@ class UnknownASIDError(ReproError, KeyError):
 
 
 class CampaignError(ReproError, RuntimeError):
-    """A campaign could not complete: a job exhausted its retries, was
-    structurally misconfigured, or the worker pool failed permanently.
+    """A campaign could not complete: jobs were quarantined (they
+    exhausted their attempts or failed deterministically, e.g. an
+    invariant audit), or every worker exited with jobs still pending.
 
     Jobs persisted before the failure remain in the result store, so a
     corrected re-run with ``resume`` skips them.

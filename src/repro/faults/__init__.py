@@ -10,18 +10,17 @@ Two layers of sabotage, both seeded and reproducible:
   a tile's port latency. The drivers (:func:`repro.sim.driver.run_trace`,
   :class:`~repro.sim.cmp.CMPRunner`) fire due faults between references,
   so the scalar and batched access paths see identical fault timing.
-* **Harness-level chaos** (:mod:`repro.faults.chaos`) — a
-  :class:`ChaosPolicy` makes campaign workers crash, hang or return
-  corrupted payloads, exercising the runner's retry/timeout/resume
-  machinery end to end.
+* **Worker chaos** (:mod:`repro.faults.chaos`) — a
+  :class:`WorkerChaos` makes one campaign worker die, hang or return a
+  corrupted outcome, exercising the lease drain's reclaim/fencing/
+  validation machinery end to end.
 """
 
-from repro.faults.chaos import ChaosPolicy, WorkerChaos
+from repro.faults.chaos import WorkerChaos
 from repro.faults.injector import FaultInjector, apply_fault
 from repro.faults.spec import FaultPlan, FaultSpec
 
 __all__ = [
-    "ChaosPolicy",
     "WorkerChaos",
     "FaultInjector",
     "FaultPlan",

@@ -1,89 +1,35 @@
-"""Chaos policy for campaign workers: seeded, per-job sabotage.
+"""Worker chaos: deterministic sabotage of one campaign worker.
 
-A :class:`ChaosPolicy` decides — deterministically, from its seed and a
-job's content hash — whether a worker executing that job should crash,
-hang, or return a corrupted payload. The campaign runner consults it
-once per job (the *first* pool execution attempt) and ships the
-directive into the worker, so a chaos run exercises the real recovery
-machinery: crashes break the pool (``BrokenProcessPool`` → requeue),
-hangs trip the sliding-window timeout, and corrupted payloads must be
-rejected by result validation and retried. Because the decision is a
-pure function of ``(seed, job_hash)``, a chaos campaign is exactly
-reproducible.
+The campaign executor is a fleet of lease workers draining one result
+store (:mod:`repro.campaign.worker`). A :class:`WorkerChaos` rides inside
+one forked worker and attacks the drain with the three ways a worker can
+fail — it dies, it hangs, or it hands back garbage — so a chaos run
+exercises the real recovery machinery: lease expiry and reclaim,
+``job_timeout`` fencing, and outcome validation before commit. Every
+directive is counted per *acquisition* in its worker, so a chaos run is
+exactly reproducible, and each fires at most once per worker, so the
+drain always converges to the results a clean run produces.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import signal
 import time
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
 
-
-@dataclass(frozen=True, slots=True)
-class ChaosPolicy:
-    """Sabotage rates for campaign workers.
-
-    Each rate is the probability (over the per-job deterministic roll)
-    of that failure mode; the rates are disjoint and must sum to at most
-    1. ``hang_seconds`` should comfortably exceed the campaign's
-    per-job timeout budget so a hang reliably trips it.
-    """
-
-    seed: int = 0
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    corrupt_rate: float = 0.0
-    hang_seconds: float = 30.0
-
-    def __post_init__(self) -> None:
-        for name in ("crash_rate", "hang_rate", "corrupt_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {rate}")
-        total = self.crash_rate + self.hang_rate + self.corrupt_rate
-        if total > 1.0:
-            raise ConfigError(
-                f"chaos rates sum to {total}; they are disjoint and must "
-                "sum to at most 1"
-            )
-        if self.hang_seconds <= 0:
-            raise ConfigError(
-                f"hang_seconds must be positive, got {self.hang_seconds}"
-            )
-
-    @property
-    def active(self) -> bool:
-        return (self.crash_rate + self.hang_rate + self.corrupt_rate) > 0.0
-
-    def directive(self, job_hash: str) -> dict | None:
-        """The sabotage for one job, or None to leave it alone.
-
-        Deterministic in ``(seed, job_hash)``; the returned dict is
-        JSON-able so it can cross the process boundary with the job
-        payload.
-        """
-        roll = random.Random(f"{self.seed}/{job_hash}").random()
-        if roll < self.crash_rate:
-            return {"action": "crash"}
-        if roll < self.crash_rate + self.hang_rate:
-            return {"action": "hang", "seconds": self.hang_seconds}
-        if roll < self.crash_rate + self.hang_rate + self.corrupt_rate:
-            return {"action": "corrupt"}
-        return None
+#: The outcome ``corrupt@N`` hands back: no ``elapsed``, so the worker's
+#: outcome-shape check must reject it before anything is committed.
+CORRUPT_OUTCOME = {"result": "\x00corrupt"}
 
 
 @dataclass(frozen=True, slots=True)
 class WorkerChaos:
-    """Deterministic sabotage of one *lease-protocol* worker.
+    """Deterministic sabotage of one lease-protocol worker.
 
-    Where :class:`ChaosPolicy` sabotages pool jobs from the dispatcher's
-    side, ``WorkerChaos`` rides inside a ``repro worker`` process and
-    attacks the distributed drain itself. Directives (comma-separated in
-    the CLI grammar):
+    Directives (comma-separated in the CLI grammar):
 
     * ``kill@N`` — SIGKILL the worker right after it acquires its Nth
       lease, before any result is written: the orphaned-lease scenario a
@@ -91,19 +37,20 @@ class WorkerChaos:
     * ``hang@N:S`` — sleep S seconds inside the Nth job before
       executing it: with a ``job_timeout`` below S the worker turns into
       a stale zombie whose eventual commit must be fenced off.
+    * ``corrupt@N`` — replace the Nth job's outcome with a malformed one
+      (:data:`CORRUPT_OUTCOME`): it must be rejected, charged as a
+      failed attempt and retried, never committed.
     * ``poison@PREFIX[:raise]`` — whenever the worker executes a job
       whose content hash starts with ``PREFIX``, SIGKILL itself (or,
       with ``:raise``, fail in-process). Handing every worker the same
       poison directive forces the job through ``max_reclaims`` attempts
       and into quarantine.
-
-    Everything is counted per *acquisition* in this worker, so a chaos
-    run is exactly reproducible.
     """
 
     kill_after: int | None = None
     hang_at: int | None = None
     hang_seconds: float = 5.0
+    corrupt_at: int | None = None
     poison: str | None = None
     poison_raise: bool = False
 
@@ -112,7 +59,7 @@ class WorkerChaos:
         """Parse the CLI grammar; None/empty/"none" disables chaos."""
         if not text or text.strip().lower() == "none":
             return None
-        kill_after = hang_at = poison = None
+        kill_after = hang_at = corrupt_at = poison = None
         hang_seconds = 5.0
         poison_raise = False
         for part in text.split(","):
@@ -128,6 +75,8 @@ class WorkerChaos:
                     hang_at = int(count)
                     if seconds:
                         hang_seconds = float(seconds)
+                elif name == "corrupt":
+                    corrupt_at = int(rest)
                 elif name == "poison":
                     prefix, _, mode = rest.partition(":")
                     if not prefix:
@@ -141,16 +90,20 @@ class WorkerChaos:
             except ValueError as error:
                 raise ConfigError(
                     f"bad worker-chaos directive {part!r}: {error}; "
-                    "grammar is kill@N, hang@N:S, poison@PREFIX[:raise]"
+                    "grammar is kill@N, hang@N:S, corrupt@N, "
+                    "poison@PREFIX[:raise]"
                 ) from None
         if kill_after is not None and kill_after < 1:
             raise ConfigError("kill@N needs N >= 1")
         if hang_at is not None and (hang_at < 1 or hang_seconds <= 0):
             raise ConfigError("hang@N:S needs N >= 1 and S > 0")
+        if corrupt_at is not None and corrupt_at < 1:
+            raise ConfigError("corrupt@N needs N >= 1")
         return cls(
             kill_after=kill_after,
             hang_at=hang_at,
             hang_seconds=hang_seconds,
+            corrupt_at=corrupt_at,
             poison=poison,
             poison_raise=poison_raise,
         )
@@ -170,3 +123,9 @@ class WorkerChaos:
                     f"poisoned job {job_hash[:12]} (worker chaos)"
                 )
             os.kill(os.getpid(), signal.SIGKILL)
+
+    def after_execute(self, acquisition: int, outcome: dict) -> dict:
+        """The Nth job's outcome as the worker will see it."""
+        if self.corrupt_at is not None and acquisition == self.corrupt_at:
+            return dict(CORRUPT_OUTCOME)
+        return outcome

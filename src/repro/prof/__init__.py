@@ -18,10 +18,10 @@ simulator and the telemetry bus, never inside their hot loops:
     ``cache.profiler`` (``tests/test_prof_zero_cost.py`` counts it).
 
 :class:`SpanRecorder` (:mod:`repro.prof.spans`)
-    Job/chunk/worker spans for campaign runs — queue-wait, execute,
-    store-write, retry and timeout markers — timestamped on the one
-    shared clock (:func:`repro.common.clock.tick`, comparable across
-    worker processes) and exported as Chrome-tracing JSON that loads
+    Per-worker spans for campaign runs — idle wait, job attempts,
+    store commits and retry markers — timestamped on the one shared
+    clock (:func:`repro.common.clock.tick`, comparable across worker
+    processes) and exported as Chrome-tracing JSON that loads
     directly in Perfetto / ``chrome://tracing``. ``repro sweep --spans``
     records one; ``repro trace-export`` summarises or filters it.
 

@@ -1,13 +1,15 @@
-"""Campaign span tracing: queue-wait / execute / store-write timelines.
+"""Campaign span tracing: idle / execute / store-write timelines.
 
 A multi-hour sweep that converges slowly usually isn't *computing*
-slowly — it's starving (workers idle behind a long chunk), churning
-(timeouts tearing the pool down), or serialising on the store. None of
-that is visible in end-of-run counters. The campaign runner therefore
-records **spans**: intervals on the shared monotonic clock
-(:func:`repro.common.clock.tick`, comparable across worker processes),
-one track per worker pid plus a dispatcher track, with instant markers
-for retries, timeouts and pool breaks.
+slowly — it's starving (workers idle behind a long job or a dead peer's
+lease), churning (failed attempts re-running), or serialising on the
+store. None of that is visible in end-of-run counters. The campaign
+executor therefore records **spans**: intervals on the shared monotonic
+clock (:func:`repro.common.clock.tick`, comparable across worker
+processes), one track per lease worker (named after its pid) plus a
+launcher track, with instant markers for retries. Forked workers hand
+their spans back through a file under the store; the launcher merges
+them into one trace.
 
 The on-disk format is Chrome's trace-event JSON (the ``traceEvents``
 array of ``ph: "X"`` complete events), which loads directly in Perfetto
@@ -18,14 +20,11 @@ durations, queue-wait share, marker counts) or writes a filtered copy.
 Span vocabulary (category → meaning):
 
 == ============ ======================================================
-X  ``job``       one job executing inside a worker (or serially)
-X  ``chunk``     one pool submission (several jobs) on its worker
-X  ``queue``     submit-to-first-execution wait of a chunk
-X  ``store``     persisting one result into the ``ResultStore``
-X  ``campaign``  the whole run, on the dispatcher track
-i  ``retry``     a failed attempt being requeued
-i  ``timeout``   a chunk expiring (pool teardown follows)
-i  ``pool``      a pool break / rebuild
+X  ``job``       one job attempt executing inside a lease worker
+X  ``queue``     a worker's idle time before acquiring its next job
+X  ``store``     committing one result into the ``ResultStore``
+X  ``campaign``  the whole run, on the launcher track
+i  ``retry``     a failed attempt released for another try
 == ============ ======================================================
 """
 
@@ -37,8 +36,8 @@ from pathlib import Path
 from repro.common.errors import ConfigError
 from repro.common.io import atomic_write_json
 
-#: Dispatcher-track sentinel tid (workers use their real pid).
-DISPATCHER_TID = 0
+#: Launcher-track sentinel tid (workers use their real pid).
+LAUNCHER_TID = 0
 
 
 class SpanRecorder:
@@ -60,7 +59,7 @@ class SpanRecorder:
     # ------------------------------------------------------------ recording
 
     def name_track(self, tid: int, name: str) -> None:
-        """Label a track (worker pid / dispatcher) in the viewer."""
+        """Label a track (worker pid / launcher) in the viewer."""
         self._track_names[tid] = name
 
     def span(
@@ -69,7 +68,7 @@ class SpanRecorder:
         category: str,
         start: float,
         end: float,
-        tid: int = DISPATCHER_TID,
+        tid: int = LAUNCHER_TID,
         args: dict | None = None,
     ) -> None:
         """A complete span from ``start`` to ``end`` (tick seconds)."""
@@ -90,7 +89,7 @@ class SpanRecorder:
         name: str,
         category: str,
         ts: float,
-        tid: int = DISPATCHER_TID,
+        tid: int = LAUNCHER_TID,
         args: dict | None = None,
     ) -> None:
         """A zero-duration marker at ``ts`` (tick seconds)."""
@@ -105,6 +104,29 @@ class SpanRecorder:
                 "args": args or {},
             }
         )
+
+    # ------------------------------------------------------ process hand-off
+
+    def dump(self, path: str | Path) -> None:
+        """Write the raw tick-clock events for :meth:`absorb` elsewhere."""
+        atomic_write_json(
+            path,
+            {"tracks": self._track_names, "events": self._events},
+            sort_keys=False,
+        )
+
+    def absorb(self, path: str | Path) -> None:
+        """Merge a :meth:`dump` from another process on the same clock;
+        a missing file (a worker killed before it could dump) adds
+        nothing."""
+        try:
+            with Path(path).open("r", encoding="utf-8") as fh:
+                payload = json.load(fh)
+        except FileNotFoundError:
+            return
+        for tid, name in payload["tracks"].items():
+            self._track_names[int(tid)] = name
+        self._events.extend(payload["events"])
 
     # ------------------------------------------------------------- exporting
 

@@ -35,11 +35,10 @@ The event vocabulary mirrors the paper's observable dynamics:
   multi-tenant cache service (:mod:`repro.tenants`): one epoch boundary
   (fairness, reallocation churn, busiest tenants) and the end-of-run
   rollup (per-tenant hit rates, SLA violations, hit-rate curves).
-* :class:`ChaosInjected` / :class:`CampaignInterrupted` — harness-level
-  chaos (worker crash/hang/corruption) and a campaign stopped by
-  SIGINT/SIGTERM with its completed results persisted.
+* :class:`CampaignInterrupted` — a campaign stopped by SIGINT/SIGTERM
+  with its completed results persisted and its leases reopened.
 * :class:`LeaseAcquired` / :class:`LeaseExpired` / :class:`JobQuarantined`
-  — the distributed lease protocol (:mod:`repro.campaign.lease`): a
+  — the lease protocol (:mod:`repro.campaign.lease`): a
   worker claimed (or reclaimed) a job, a dead worker's lease aged out
   and was taken over, and a poison job was parked after exhausting its
   reclaim budget. These carry a wall-clock ``at`` stamp — unlike every
@@ -250,7 +249,7 @@ class JobSubmitted(TelemetryEvent):
 
 @dataclass(frozen=True, slots=True)
 class JobStarted(TelemetryEvent):
-    """A campaign job was handed to a worker (or the serial loop)."""
+    """A lease worker acquired a campaign job and is about to run it."""
 
     kind: ClassVar[str] = "job_started"
 
@@ -400,17 +399,6 @@ class TenantRunSummary(TelemetryEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class ChaosInjected(TelemetryEvent):
-    """The campaign chaos policy sabotaged one job's execution."""
-
-    kind: ClassVar[str] = "chaos_injected"
-
-    campaign: str
-    job: str  # the spec's content hash
-    action: str  # crash / hang / corrupt
-
-
-@dataclass(frozen=True, slots=True)
 class CampaignInterrupted(TelemetryEvent):
     """A campaign stopped on SIGINT/SIGTERM; completed work is durable."""
 
@@ -505,7 +493,6 @@ EVENT_TYPES: dict[str, type[TelemetryEvent]] = {
         RegionRepaired,
         TenantEpochSnapshot,
         TenantRunSummary,
-        ChaosInjected,
         CampaignInterrupted,
         LeaseAcquired,
         LeaseExpired,

@@ -61,3 +61,16 @@ def make_cache(
         placement=placement,
         rng=XorShift64(seed=7),
     )
+
+
+@pytest.fixture
+def patch_execute(monkeypatch):
+    """Replace the campaign workers' ``execute_spec`` for one test; forked
+    workers inherit the replacement."""
+    from repro.campaign import worker as worker_mod
+
+    def patch(replacement):
+        monkeypatch.setattr(worker_mod, "execute_spec", replacement)
+        return replacement
+
+    return patch

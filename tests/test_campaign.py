@@ -1,9 +1,11 @@
-"""Tests for the campaign subsystem: specs, store, runner, registry.
+"""Tests for the campaign subsystem: specs, store, executor, registry.
 
 The heavyweight guarantees — resume after a mid-campaign crash and
 serial-vs-parallel byte equality — run at tiny scale (``REPRO_SCALE``
 pinned small) so the suite stays fast; the full-scale equivalents live
-in ``benchmarks/test_perf_campaign.py``.
+in ``benchmarks/test_perf_campaign.py``. Every executor contract runs
+twice: with one lease worker draining in process (``TestRunner``) and
+with two forked workers (``TestRunnerForked``).
 """
 
 from __future__ import annotations
@@ -13,14 +15,14 @@ import json
 import pytest
 
 from repro.campaign import (
-    CampaignConfig,
-    CampaignRunner,
     JobSpec,
+    LeaseConfig,
     ResultStore,
     execute_spec,
     expand_grid,
     experiment_names,
     get_experiment,
+    run_campaign,
 )
 from repro.common.errors import CampaignError, ConfigError
 from repro.telemetry import EventBus, RingBufferSink
@@ -30,6 +32,13 @@ from repro.telemetry.events import (
     JobStarted,
     JobSubmitted,
     event_from_dict,
+)
+from repro.campaign import worker as worker_mod
+from tests.campaign_support import (
+    calls,
+    first_time,
+    pin_cpus,
+    record_call,
 )
 
 #: Small but above the scaled() floor, so the numbers are real.
@@ -259,173 +268,197 @@ class TestRegistry:
         assert specs[0].params_dict == {"refs_per_app": TINY_REFS}
 
 
-# ------------------------------------------------------------------ runner
+# ---------------------------------------------------------------- executor
 
 
 def _run_table1_campaign(tmp_path, jobs: int, refs: int = 1000, **kwargs):
     """Run a tiny table1 campaign; returns (outcome, formatted text)."""
     target = get_experiment("table1")
     specs = target.jobs(refs=refs)
-    runner = CampaignRunner(
-        ResultStore(tmp_path),
-        CampaignConfig(jobs=jobs, **kwargs.pop("config", {})),
-        **kwargs,
+    outcome = run_campaign(
+        ResultStore(tmp_path), specs, campaign="table1", jobs=jobs, **kwargs
     )
-    outcome = runner.run(specs, campaign="table1")
     result = target.assemble_results(specs, outcome.results_in_order())
     return outcome, result.format()
 
 
-class TestRunner:
+def _job_key(payload) -> str:
+    return "+".join(payload["params"]["combo"])
+
+
+class _ExecutorContract:
+    """Behaviour every worker count must show; subclasses set JOBS."""
+
+    JOBS = 1
+
+    @pytest.fixture(autouse=True)
+    def _pinned_cpus(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+
     def test_serial_matches_direct_run(self, tmp_path):
         from repro.sim.experiments.table1 import run_table1
 
-        _, campaign_text = _run_table1_campaign(tmp_path, jobs=1)
+        outcome, campaign_text = _run_table1_campaign(tmp_path, self.JOBS)
+        assert outcome.workers == self.JOBS
         assert campaign_text == run_table1(refs_per_app=1000).format()
 
-    def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
-        _, serial_text = _run_table1_campaign(tmp_path / "serial", jobs=1)
-        parallel, parallel_text = _run_table1_campaign(
-            tmp_path / "parallel", jobs=2
-        )
-        assert parallel.mode in ("pool", "serial-fallback")
-        assert parallel_text == serial_text
-
     def test_identical_rerun_is_pure_cache_hit(self, tmp_path):
-        first, text1 = _run_table1_campaign(tmp_path, jobs=1)
-        second, text2 = _run_table1_campaign(tmp_path, jobs=1)
+        first, text1 = _run_table1_campaign(tmp_path, self.JOBS)
+        second, text2 = _run_table1_campaign(tmp_path, self.JOBS)
         assert first.executed == 11 and not first.cached
         assert second.executed == 0 and len(second.cached) == 11
+        assert second.workers == 0  # nothing pending: no worker started
         assert text1 == text2
 
     def test_corrupt_cached_result_reruns_on_resume(self, tmp_path):
         """A rotted cache entry demotes the job to pending, not a crash."""
-        first, text1 = _run_table1_campaign(tmp_path, jobs=1)
+        first, text1 = _run_table1_campaign(tmp_path, self.JOBS)
         store = ResultStore(tmp_path)
         victim = sorted(store.results_dir.glob("*.json"))[0]
         victim.write_text("{torn write")
-        rerun, text2 = _run_table1_campaign(tmp_path, jobs=1)
+        rerun, text2 = _run_table1_campaign(tmp_path, self.JOBS)
         assert rerun.executed == 1 and len(rerun.cached) == 10
         assert text2 == text1
 
     def test_resume_false_reruns_everything(self, tmp_path):
-        _run_table1_campaign(tmp_path, jobs=1)
-        rerun, _ = _run_table1_campaign(
-            tmp_path, jobs=1, config={"resume": False}
-        )
+        _run_table1_campaign(tmp_path, self.JOBS)
+        rerun, _ = _run_table1_campaign(tmp_path, self.JOBS, resume=False)
         assert rerun.executed == 11 and not rerun.cached
 
     def test_resume_after_injected_crash_runs_only_the_rest(
-        self, tmp_path, monkeypatch
+        self, tmp_path, patch_execute
     ):
-        """The acceptance scenario: kill after N jobs, restart, finish."""
-
-        class Crash(RuntimeError):
-            pass
-
-        def kill_after_three(persisted: int) -> None:
-            if persisted >= 3:
-                raise Crash(f"injected crash after {persisted} jobs")
-
+        """The acceptance scenario: the drain dies after 3 commits,
+        leaving orphaned leases; a resume reclaims them and finishes."""
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
-        store = ResultStore(tmp_path)
-        runner = CampaignRunner(
-            store, CampaignConfig(jobs=1), fault_hook=kill_after_three
-        )
-        with pytest.raises(Crash):
-            runner.run(specs, campaign="table1")
+        store = ResultStore(tmp_path / "store")
+        # Worker 0 is SIGKILLed right after its 4th acquisition (three
+        # commits in), worker 1 on its first: every worker is dead.
+        with pytest.raises(CampaignError, match="stalled"):
+            run_campaign(
+                store, specs, campaign="table1", jobs=2,
+                worker_chaos=["kill@4", "kill@1"],
+            )
         done = store.completed([s.content_hash() for s in specs])
         assert len(done) == 3  # durable progress survived the crash
 
-        executed: list[str] = []
-        import repro.campaign.runner as runner_mod
-
-        original = runner_mod.execute_spec
+        log = tmp_path / "executed"
+        original = worker_mod.execute_spec
 
         def counting(payload):
-            executed.append(payload["params"].get("combo") and
-                            "+".join(payload["params"]["combo"]))
+            record_call(log, _job_key(payload))
             return original(payload)
 
-        monkeypatch.setattr(runner_mod, "execute_spec", counting)
-        resumed = CampaignRunner(store, CampaignConfig(jobs=1)).run(
-            specs, campaign="table1"
+        patch_execute(counting)
+        resumed = run_campaign(
+            store, specs, campaign="table1", jobs=self.JOBS,
+            config=LeaseConfig(ttl=1.0, backoff_cap=0.2),
         )
-        assert len(executed) == len(specs) - 3  # only the unfinished jobs
+        # Only the unfinished jobs run, each exactly once: of two
+        # workers racing for one expired lease, one claims it.
+        unfinished = [
+            "+".join(s.params_dict["combo"])
+            for s in specs if s.content_hash() not in done
+        ]
+        assert sorted(calls(log)) == sorted(unfinished)
         assert resumed.executed == len(specs) - 3
         assert len(resumed.cached) == 3
+        assert resumed.retried == 2  # the two orphaned leases, reclaimed
 
         # ...and the final result equals an uninterrupted run.
         resumed_text = target.assemble_results(
             specs, resumed.results_in_order()
         ).format()
-        _, clean_text = _run_table1_campaign(tmp_path / "clean", jobs=1)
+        _, clean_text = _run_table1_campaign(tmp_path / "clean", 1)
         assert resumed_text == clean_text
 
     def test_transient_failures_are_retried_with_bounded_budget(
-        self, tmp_path, monkeypatch
+        self, tmp_path, patch_execute
     ):
-        import repro.campaign.runner as runner_mod
-
-        attempts: dict[str, int] = {}
-        original = runner_mod.execute_spec
+        original = worker_mod.execute_spec
+        markers = tmp_path / "markers"
+        markers.mkdir()
 
         def flaky(payload):
-            key = json.dumps(payload["params"], sort_keys=True)
-            attempts[key] = attempts.get(key, 0) + 1
-            if attempts[key] == 1:
+            if first_time(markers, _job_key(payload)):
                 raise OSError("simulated transient worker failure")
             return original(payload)
 
-        monkeypatch.setattr(runner_mod, "execute_spec", flaky)
+        patch_execute(flaky)
         outcome, _ = _run_table1_campaign(
-            tmp_path, jobs=1, config={"retries": 2, "backoff": 0.0}
+            tmp_path / "store", self.JOBS,
+            config=LeaseConfig(max_reclaims=3),
         )
         assert outcome.retried == 11  # each job failed once, then passed
         assert outcome.executed == 11
+        assert not outcome.degraded
 
     def test_retries_exhausted_raise_campaign_error(
-        self, tmp_path, monkeypatch
+        self, tmp_path, patch_execute
     ):
-        import repro.campaign.runner as runner_mod
-
         def always_broken(payload):
             raise OSError("permanently broken")
 
-        monkeypatch.setattr(runner_mod, "execute_spec", always_broken)
-        with pytest.raises(CampaignError, match="failed after"):
-            _run_table1_campaign(
-                tmp_path, jobs=1, config={"retries": 1, "backoff": 0.0}
-            )
+        patch_execute(always_broken)
+        specs = get_experiment("table1").jobs(refs=1000)
+        outcome = run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1", jobs=self.JOBS,
+            config=LeaseConfig(max_reclaims=2),
+        )
+        assert outcome.degraded and outcome.executed == 0
+        assert len(outcome.quarantined) == 11
+        assert all(r["attempts"] == 2 for r in outcome.quarantined)
+        with pytest.raises(CampaignError, match="permanently broken"):
+            outcome.results_in_order()
 
-    def test_config_errors_are_not_retried(self, tmp_path, monkeypatch):
-        import repro.campaign.runner as runner_mod
-
-        calls = {"n": 0}
+    def test_config_errors_are_not_retried(self, tmp_path, patch_execute):
+        """A deterministic failure runs exactly once, then is parked."""
+        log = tmp_path / "executed"
 
         def misconfigured(payload):
-            calls["n"] += 1
+            record_call(log, _job_key(payload))
             raise ConfigError("deterministically bad")
 
-        monkeypatch.setattr(runner_mod, "execute_spec", misconfigured)
-        with pytest.raises(CampaignError, match="misconfigured"):
-            _run_table1_campaign(tmp_path, jobs=1, config={"retries": 5})
-        assert calls["n"] == 1
+        patch_execute(misconfigured)
+        specs = get_experiment("table1").jobs(refs=1000)
+        outcome = run_campaign(
+            ResultStore(tmp_path / "store"), specs, campaign="table1",
+            jobs=self.JOBS, config=LeaseConfig(max_reclaims=5),
+        )
+        executed = calls(log)
+        assert sorted(executed) == sorted(set(executed))  # once per job
+        assert len(executed) == 11
+        assert outcome.degraded
+        assert all(r["attempts"] == 1 for r in outcome.quarantined)
+        assert "deterministically bad" in outcome.degraded_report()
+
+
+class TestRunner(_ExecutorContract):
+    """One lease worker, draining in process."""
+
+    def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
+        _, serial_text = _run_table1_campaign(tmp_path / "serial", 1)
+        parallel, parallel_text = _run_table1_campaign(
+            tmp_path / "parallel", 2
+        )
+        assert parallel.workers == 2
+        assert parallel_text == serial_text
 
     def test_empty_spec_list_rejected(self, tmp_path):
-        runner = CampaignRunner(ResultStore(tmp_path))
         with pytest.raises(ConfigError):
-            runner.run([], campaign="empty")
+            run_campaign(ResultStore(tmp_path), [], campaign="empty")
 
-    def test_config_validation(self):
+    def test_config_validation(self, tmp_path):
+        specs = get_experiment("table1").jobs(refs=1000)[:1]
         with pytest.raises(ConfigError):
-            CampaignConfig(jobs=-1)
+            run_campaign(ResultStore(tmp_path), specs, jobs=-1)
         with pytest.raises(ConfigError):
-            CampaignConfig(timeout=0)
+            LeaseConfig(job_timeout=0)  # the per-job timeout
         with pytest.raises(ConfigError):
-            CampaignConfig(retries=-1)
-        assert CampaignConfig(jobs=0).jobs >= 1  # 0 = auto
+            LeaseConfig(max_reclaims=0)  # the attempt budget
+        outcome = run_campaign(ResultStore(tmp_path), specs, jobs=0)
+        assert outcome.workers == 1  # 0 = auto, capped by pending jobs
 
     def test_execute_spec_pins_the_captured_scale(self, monkeypatch):
         """A whole-experiment job must run at its spec's scale even if the
@@ -451,18 +484,31 @@ class TestRunner:
         assert scale_factor() == 777  # environment restored afterwards
 
 
+class TestRunnerForked(_ExecutorContract):
+    """Two forked lease workers sharing the store."""
+
+    JOBS = 2
+
+
 # --------------------------------------------------------------- telemetry
 
 
-class TestCampaignTelemetry:
+class _TelemetryContract:
+    JOBS = 1
+
+    @pytest.fixture(autouse=True)
+    def _pinned_cpus(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+
     def test_lifecycle_events_flow_through_the_bus(self, tmp_path):
         sink = RingBufferSink()
         bus = EventBus([sink], epoch_refs=0)
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
-        CampaignRunner(
-            ResultStore(tmp_path), CampaignConfig(jobs=1), telemetry=bus
-        ).run(specs, campaign="table1")
+        run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1",
+            jobs=self.JOBS, telemetry=bus,
+        )
         events = sink.events()
         submitted = [e for e in events if isinstance(e, JobSubmitted)]
         started = [e for e in events if isinstance(e, JobStarted)]
@@ -477,37 +523,35 @@ class TestCampaignTelemetry:
 
         # resumed campaign: completions arrive flagged as cached
         sink.clear()
-        CampaignRunner(
-            ResultStore(tmp_path), CampaignConfig(jobs=1), telemetry=bus
-        ).run(specs, campaign="table1")
+        run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1",
+            jobs=self.JOBS, telemetry=bus,
+        )
         completed = [e for e in sink.events() if isinstance(e, JobCompleted)]
         assert len(completed) == len(specs)
         assert all(e.cached for e in completed)
 
-    def test_retry_event_emitted(self, tmp_path, monkeypatch):
-        import repro.campaign.runner as runner_mod
-
-        original = runner_mod.execute_spec
-        state = {"failed": False}
+    def test_retry_event_emitted(self, tmp_path, patch_execute):
+        original = worker_mod.execute_spec
 
         def fail_once(payload):
-            if not state["failed"]:
-                state["failed"] = True
+            if first_time(tmp_path, "failed"):
                 raise OSError("flaky")
             return original(payload)
 
-        monkeypatch.setattr(runner_mod, "execute_spec", fail_once)
+        patch_execute(fail_once)
         sink = RingBufferSink()
         bus = EventBus([sink], epoch_refs=0)
         _run_table1_campaign(
-            tmp_path, jobs=1, telemetry=bus,
-            config={"retries": 1, "backoff": 0.0},
+            tmp_path / "store", self.JOBS, telemetry=bus,
         )
         retried = [e for e in sink.events() if isinstance(e, JobRetried)]
         assert len(retried) == 1
         assert retried[0].attempt == 2
         assert "flaky" in retried[0].error
 
+
+class TestCampaignTelemetry(_TelemetryContract):
     def test_job_events_round_trip_as_json(self):
         event = JobCompleted(
             campaign="table1", job="abc123", index=4,
@@ -515,3 +559,7 @@ class TestCampaignTelemetry:
         )
         clone = event_from_dict(json.loads(json.dumps(event.as_dict())))
         assert clone == event
+
+
+class TestCampaignTelemetryForked(_TelemetryContract):
+    JOBS = 2

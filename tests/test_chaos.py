@@ -1,33 +1,41 @@
 """Tests for campaign chaos testing and graceful interruption.
 
-Covers the :class:`~repro.faults.chaos.ChaosPolicy` (seeded, per-job
-sabotage decisions), the runner's chaos plumbing (directives consulted
-once per job, zero-cost when disabled), the worker-side directive
-handling in ``execute_chunk``, the end-to-end convergence guarantee (a
-chaos campaign's reassembled output is byte-identical to a clean serial
-run), and SIGINT/SIGTERM interruption with durable progress plus a
-``CampaignInterrupted`` telemetry event.
+Covers the worker chaos directives (:class:`~repro.faults.chaos.
+WorkerChaos`: each fires at most once per worker, and a worker without
+chaos runs exactly as before), the worker-side handling of ``hang`` and
+``corrupt`` (a corrupted outcome is rejected before commit and retried),
+the end-to-end convergence guarantee (a chaos campaign's reassembled
+output is byte-identical to a clean serial run), and SIGINT/SIGTERM
+interruption with durable progress plus a ``CampaignInterrupted``
+telemetry event — with one in-process worker and with forked workers.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 
 import pytest
 
 from repro.campaign import (
-    CampaignConfig,
-    CampaignRunner,
-    JobSpec,
+    LeaseConfig,
     ResultStore,
     get_experiment,
+    run_campaign,
+    run_worker,
 )
-from repro.campaign.runner import execute_chunk
-from repro.common.errors import ConfigError
-from repro.faults import ChaosPolicy
+from repro.campaign import worker as worker_mod
+from repro.faults import WorkerChaos
+from repro.faults.chaos import CORRUPT_OUTCOME
 from repro.telemetry import EventBus, RingBufferSink
-from repro.telemetry.events import CampaignInterrupted, ChaosInjected
+from repro.telemetry.events import CampaignInterrupted
+from tests.campaign_support import (
+    calls,
+    first_time,
+    pin_cpus,
+    record_call,
+)
 
 #: Same tiny-scale pin as tests/test_campaign.py: real numbers, fast jobs.
 TINY_SCALE = "0.02"
@@ -36,6 +44,7 @@ TINY_SCALE = "0.02"
 @pytest.fixture(autouse=True)
 def _tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", TINY_SCALE)
+    pin_cpus(monkeypatch, 2)
 
 
 def _bus():
@@ -43,198 +52,108 @@ def _bus():
     return sink, EventBus([sink], epoch_refs=0)
 
 
-# ------------------------------------------------------------------ policy
+def _drained_store(tmp_path, count: int = 3) -> ResultStore:
+    store = ResultStore(tmp_path)
+    specs = get_experiment("table1").jobs(refs=1000)[:count]
+    store.write_manifest("table1", specs, {})
+    return store
 
 
-class TestChaosPolicy:
-    def test_rates_must_be_probabilities(self):
-        with pytest.raises(ConfigError):
-            ChaosPolicy(crash_rate=-0.1)
-        with pytest.raises(ConfigError):
-            ChaosPolicy(hang_rate=1.5)
-        with pytest.raises(ConfigError):
-            ChaosPolicy(crash_rate=0.5, hang_rate=0.4, corrupt_rate=0.2)
-
-    def test_hang_seconds_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            ChaosPolicy(hang_rate=0.1, hang_seconds=0.0)
-
-    def test_active_only_with_nonzero_rates(self):
-        assert not ChaosPolicy().active
-        assert not ChaosPolicy(seed=7).active
-        assert ChaosPolicy(crash_rate=0.01).active
-        assert ChaosPolicy(corrupt_rate=1.0).active
-
-    def test_directive_is_deterministic_in_seed_and_hash(self):
-        hashes = [f"hash-{i}" for i in range(64)]
-        a = ChaosPolicy(seed=3, crash_rate=0.3, hang_rate=0.3,
-                        corrupt_rate=0.3)
-        b = ChaosPolicy(seed=3, crash_rate=0.3, hang_rate=0.3,
-                        corrupt_rate=0.3)
-        assert [a.directive(h) for h in hashes] == [
-            b.directive(h) for h in hashes
-        ]
-
-    def test_saturated_rate_always_fires_that_action(self):
-        hashes = [f"hash-{i}" for i in range(16)]
-        assert all(
-            ChaosPolicy(crash_rate=1.0).directive(h) == {"action": "crash"}
-            for h in hashes
-        )
-        assert all(
-            ChaosPolicy(corrupt_rate=1.0).directive(h)
-            == {"action": "corrupt"}
-            for h in hashes
-        )
-        hang = ChaosPolicy(hang_rate=1.0, hang_seconds=2.5).directive("x")
-        assert hang == {"action": "hang", "seconds": 2.5}
-
-    def test_rates_partition_the_roll(self):
-        """Every action (and leniency) shows up across enough hashes."""
-        policy = ChaosPolicy(
-            seed=1, crash_rate=0.3, hang_rate=0.3, corrupt_rate=0.3
-        )
-        actions = {
-            (policy.directive(f"hash-{i}") or {}).get("action")
-            for i in range(200)
-        }
-        assert actions == {"crash", "hang", "corrupt", None}
+def _stored_hashes(store: ResultStore) -> list[str]:
+    return [entry["hash"] for entry in store.read_manifest()["jobs"]]
 
 
-# ------------------------------------------------- runner chaos directives
+def _stored(store: ResultStore) -> dict[str, object]:
+    return {h: store.load_result(h) for h in _stored_hashes(store)}
 
 
-def _specs(count: int = 4) -> list[JobSpec]:
-    return [
-        JobSpec.make("table1", "combo", {"x": i}, seed=1) for i in range(count)
-    ]
-
-
-def _chunk(specs: list[JobSpec]):
-    return [(index, spec, 1) for index, spec in enumerate(specs)]
+# ------------------------------------------------------- chaos directives
 
 
 class TestChaosDirectives:
-    def test_disabled_chaos_returns_none(self, tmp_path):
-        """The zero-cost contract: no policy (or an inactive one) means
-        the runner submits exactly the same pool call as before the
-        feature existed — ``_chaos_directives`` must say so with None."""
-        chunk = _chunk(_specs())
-        runner = CampaignRunner(ResultStore(tmp_path))
-        assert runner._chaos_directives("c", chunk) is None
-        inactive = CampaignRunner(
-            ResultStore(tmp_path), chaos=ChaosPolicy(seed=9)
-        )
-        assert inactive._chaos_directives("c", chunk) is None
+    def test_disabled_chaos_returns_none(self):
+        """No directive (or an explicit "none") means no WorkerChaos at
+        all, so the drain takes no chaos branch whatsoever."""
+        for text in (None, "", "none", " NONE "):
+            assert WorkerChaos.parse(text) is None
 
     def test_each_job_is_sabotaged_at_most_once(self, tmp_path):
-        specs = _specs()
-        sink, bus = _bus()
-        runner = CampaignRunner(
-            ResultStore(tmp_path),
-            telemetry=bus,
-            chaos=ChaosPolicy(seed=0, crash_rate=1.0),
+        """Directives count acquisitions, so the corrupted job's retry
+        runs clean and the drain converges."""
+        chaos = WorkerChaos.parse("corrupt@1")
+        outcome = {"result": 1, "elapsed": 0.0}
+        assert chaos.after_execute(1, outcome) == CORRUPT_OUTCOME
+        assert chaos.after_execute(2, outcome) is outcome
+
+        store = _drained_store(tmp_path)
+        report = run_worker(store, chaos=chaos)
+        assert report.failed == 1  # the one sabotaged attempt
+        assert report.committed == 3
+        attempts = [store.load(h)["attempts"] for h in _stored(store)]
+        assert sorted(attempts) == [1, 1, 2]
+
+
+class TestWorkerChaosDirectives:
+    def test_no_directives_matches_benign_directives(self, tmp_path):
+        plain = _drained_store(tmp_path / "plain")
+        run_worker(plain)
+        benign = _drained_store(tmp_path / "benign")
+        run_worker(benign, chaos=WorkerChaos.parse("kill@99,corrupt@99"))
+        assert _stored(plain) == _stored(benign)
+
+    def test_corrupt_directive_returns_malformed_outcome(self, tmp_path):
+        store = _drained_store(tmp_path, count=1)
+        report = run_worker(
+            store, chaos=WorkerChaos.parse("corrupt@1"),
+            config=LeaseConfig(max_reclaims=1),
         )
-        first = runner._chaos_directives("c", _chunk(specs))
-        assert first == [{"action": "crash"}] * len(specs)
-        # the retry submission of the same jobs is left alone
-        second = runner._chaos_directives("c", _chunk(specs))
-        assert second == [None] * len(specs)
-        injected = [e for e in sink.events() if isinstance(e, ChaosInjected)]
-        assert len(injected) == len(specs)
-        assert {e.job for e in injected} == {
-            s.content_hash() for s in specs
-        }
-        assert all(e.action == "crash" for e in injected)
+        # The shape the outcome check must reject: no elapsed. With a
+        # one-attempt budget the job is parked, never committed.
+        assert "elapsed" not in CORRUPT_OUTCOME
+        assert report.committed == 0 and report.quarantined
+        assert store.completed(_stored_hashes(store)) == set()
 
-
-# --------------------------------------------------------- worker behaviour
-
-
-class TestExecuteChunkDirectives:
-    def _payload(self):
-        target = get_experiment("table1")
-        return target.jobs(refs=1000)[0].as_payload()
-
-    def test_no_directives_matches_benign_directives(self):
-        payload = self._payload()
-        plain = execute_chunk([payload])
-        benign = execute_chunk([payload], [None])
-        assert plain[0]["result"] == benign[0]["result"]
-        assert "elapsed" in plain[0] and "elapsed" in benign[0]
-
-    def test_corrupt_directive_returns_malformed_outcome(self):
-        (outcome,) = execute_chunk(
-            [self._payload()], [{"action": "corrupt"}]
-        )
-        # The shape the dispatcher's validation must reject: no elapsed.
-        assert outcome == {"result": "\x00corrupt"}
-        assert "elapsed" not in outcome
-
-    def test_hang_directive_sleeps_then_executes(self):
-        (outcome,) = execute_chunk(
-            [self._payload()], [{"action": "hang", "seconds": 0.01}]
-        )
-        assert "result" in outcome and "elapsed" in outcome
+    def test_hang_directive_sleeps_then_executes(self, tmp_path):
+        store = _drained_store(tmp_path, count=1)
+        report = run_worker(store, chaos=WorkerChaos.parse("hang@1:0.01"))
+        assert report.committed == 1 and report.failed == 0
 
 
 # ------------------------------------------------------ chaos campaign run
 
 
-def _pick_chaos_seed(hashes: list[str]) -> ChaosPolicy:
-    """A seed whose directives hit these jobs with exactly one crash and
-    at least one corruption — enough sabotage to exercise the pool's
-    recovery paths without tripping the serial-fallback circuit breaker.
-    Scanning is deterministic, so the test never flakes."""
-    for seed in range(1000):
-        policy = ChaosPolicy(seed=seed, crash_rate=0.3, corrupt_rate=0.3)
-        actions = [
-            (policy.directive(h) or {}).get("action") for h in hashes
-        ]
-        if actions.count("crash") == 1 and actions.count("corrupt") >= 1:
-            return policy
-    raise AssertionError("no suitable chaos seed in range")
-
-
 class TestChaosCampaign:
     def test_chaos_run_is_byte_identical_to_clean_serial(self, tmp_path):
-        """The headline guarantee: crashes and corrupted payloads change
-        nothing about the reassembled output, only the road there."""
+        """The headline guarantee: a killed worker, a hung one and a
+        corrupted outcome change nothing about the reassembled output,
+        only the road there."""
         target = get_experiment("degradation")
         specs = target.jobs(refs=12_000)
-        clean = CampaignRunner(
-            ResultStore(tmp_path / "clean"), CampaignConfig(jobs=1)
-        ).run(specs, campaign="degradation")
+        clean = run_campaign(
+            ResultStore(tmp_path / "clean"), specs, campaign="degradation"
+        )
         clean_text = target.assemble_results(
             specs, clean.results_in_order()
         ).format()
 
-        policy = _pick_chaos_seed([s.content_hash() for s in specs])
-        sink, bus = _bus()
         chaos_store = ResultStore(tmp_path / "chaos")
-        outcome = CampaignRunner(
-            chaos_store,
-            CampaignConfig(jobs=2, retries=3, backoff=0.0),
-            telemetry=bus,
-            chaos=policy,
-        ).run(specs, campaign="degradation")
+        outcome = run_campaign(
+            chaos_store, specs, campaign="degradation", jobs=2,
+            config=LeaseConfig(ttl=0.5, job_timeout=0.3, backoff_cap=0.2),
+            worker_chaos=["kill@2", "corrupt@1,hang@2:1"],
+        )
         chaos_text = target.assemble_results(
             specs, outcome.results_in_order()
         ).format()
         assert chaos_text == clean_text
-
-        if outcome.mode == "pool":  # sandboxes may force serial-fallback
-            injected = [
-                e for e in sink.events() if isinstance(e, ChaosInjected)
-            ]
-            assert {e.action for e in injected} >= {"crash", "corrupt"}
-            # every sabotaged job had to burn at least one retry
-            assert outcome.retried >= len(injected)
+        assert outcome.workers == 2
+        assert any(code not in (0, 1, None) for code in outcome.exitcodes)
+        # the corrupted attempt and the killed worker's lease both cost
+        # their job one extra attempt
+        assert outcome.retried >= 2
 
         # resume-after-chaos: everything is durable, nothing re-executes
-        resumed = CampaignRunner(
-            chaos_store, CampaignConfig(jobs=1)
-        ).run(specs, campaign="degradation")
+        resumed = run_campaign(chaos_store, specs, campaign="degradation")
         assert resumed.executed == 0
         assert len(resumed.cached) == len(specs)
         resumed_text = target.assemble_results(
@@ -243,16 +162,16 @@ class TestChaosCampaign:
         assert resumed_text == clean_text
 
     def test_serial_campaigns_ignore_chaos(self, tmp_path):
-        """Chaos only sabotages the pool path; a jobs=1 campaign with an
-        aggressive policy still completes cleanly in one pass."""
+        """Chaos only sabotages forked workers; a jobs=1 campaign drains
+        in process, where a kill directive would take the launcher down,
+        and completes cleanly in one pass."""
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
-        outcome = CampaignRunner(
-            ResultStore(tmp_path),
-            CampaignConfig(jobs=1),
-            chaos=ChaosPolicy(seed=0, crash_rate=1.0),
-        ).run(specs, campaign="table1")
-        assert outcome.mode == "serial"
+        outcome = run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1", jobs=1,
+            worker_chaos=["kill@1"],
+        )
+        assert outcome.workers == 1
         assert outcome.executed == len(specs)
         assert outcome.retried == 0
 
@@ -260,114 +179,129 @@ class TestChaosCampaign:
 # ------------------------------------------------------------ interruption
 
 
-class TestInterruption:
-    def _interrupt_after(self, tmp_path, n, raiser):
-        """Run table1, aborting via ``raiser`` after ``n`` persists."""
+class _InterruptionContract:
+    """Interrupt a table1 campaign with a real signal to the launcher,
+    sent just before the fourth job starts (from the in-process worker,
+    or from a forked one)."""
 
-        def hook(persisted: int) -> None:
-            if persisted >= n:
-                raiser()
+    JOBS = 1
+    AFTER = 3
 
+    def _interrupted(self, tmp_path, patch_execute, signum):
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
+        store = ResultStore(tmp_path / "store")
         sink, bus = _bus()
-        store = ResultStore(tmp_path)
-        runner = CampaignRunner(
-            store, CampaignConfig(jobs=1), telemetry=bus, fault_hook=hook
-        )
-        return target, specs, store, sink, runner
+        launcher = os.getpid()
+        original = worker_mod.execute_spec
+        log = tmp_path / "calls"
+
+        def signalling(payload):
+            if record_call(log) > self.AFTER and first_time(
+                tmp_path, "signalled"
+            ):
+                os.kill(launcher, signum)
+            return original(payload)
+
+        patch_execute(signalling)
+        expected = KeyboardInterrupt if signum == signal.SIGINT else SystemExit
+        with pytest.raises(expected):
+            run_campaign(
+                store, specs, campaign="table1", jobs=self.JOBS,
+                telemetry=bus,
+            )
+        patch_execute(original)
+        events = [
+            e for e in sink.events() if isinstance(e, CampaignInterrupted)
+        ]
+        done = store.completed([s.content_hash() for s in specs])
+        assert len(events) == 1
+        assert events[0].completed == len(done)
+        assert events[0].pending == len(specs) - len(done)
+        if self.JOBS == 1:
+            assert len(done) == self.AFTER
+        else:  # the other worker may or may not finish its job first
+            assert 1 <= len(done) <= self.AFTER
+        # every in-flight lease was reopened, none left to expire
+        leases = (store.root / "leases").glob("*.json")
+        assert all(json.loads(p.read_text())["state"] == "open" for p in leases)
+        return target, specs, store, events[0]
 
     def test_sigint_emits_interrupted_event_and_preserves_progress(
-        self, tmp_path
+        self, tmp_path, patch_execute
     ):
-        def raise_sigint():
-            raise KeyboardInterrupt
-
-        target, specs, store, sink, runner = self._interrupt_after(
-            tmp_path, 3, raise_sigint
+        _t, _s, _store, event = self._interrupted(
+            tmp_path, patch_execute, signal.SIGINT
         )
-        with pytest.raises(KeyboardInterrupt):
-            runner.run(specs, campaign="table1")
-        events = [
-            e for e in sink.events() if isinstance(e, CampaignInterrupted)
-        ]
-        assert len(events) == 1
-        assert events[0].signal == "SIGINT"
-        assert events[0].completed == 3
-        assert events[0].pending == len(specs) - 3
-        done = store.completed([s.content_hash() for s in specs])
-        assert len(done) == 3
+        assert event.signal == "SIGINT"
 
-    def test_real_sigterm_is_trapped_and_reported(self, tmp_path):
+    def test_real_sigterm_is_trapped_and_reported(
+        self, tmp_path, patch_execute
+    ):
         """An actual SIGTERM delivered mid-campaign goes through the
-        runner's translated handler: the event says SIGTERM, progress
+        launcher's translated handler: the event says SIGTERM, progress
         survives, and SystemExit propagates to the caller."""
-
-        def deliver_sigterm():
-            os.kill(os.getpid(), signal.SIGTERM)
-
-        target, specs, store, sink, runner = self._interrupt_after(
-            tmp_path, 2, deliver_sigterm
+        _t, _s, _store, event = self._interrupted(
+            tmp_path, patch_execute, signal.SIGTERM
         )
-        with pytest.raises(SystemExit):
-            runner.run(specs, campaign="table1")
-        events = [
-            e for e in sink.events() if isinstance(e, CampaignInterrupted)
-        ]
-        assert len(events) == 1
-        assert events[0].signal == "SIGTERM"
-        assert events[0].completed == 2
-        assert len(store.completed([s.content_hash() for s in specs])) == 2
+        assert event.signal == "SIGTERM"
 
     def test_sigterm_handler_is_restored_after_the_run(self, tmp_path):
-        target = get_experiment("table2")
-        specs = target.jobs(refs=1000)
+        target = get_experiment("table1")
+        specs = target.jobs(refs=1000)[:2]
         before = signal.getsignal(signal.SIGTERM)
-        CampaignRunner(ResultStore(tmp_path), CampaignConfig(jobs=1)).run(
-            specs, campaign="table2"
+        run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1", jobs=self.JOBS
         )
         assert signal.getsignal(signal.SIGTERM) is before
 
     def test_resumed_run_after_interrupt_completes_the_rest(
-        self, tmp_path, monkeypatch
+        self, tmp_path, patch_execute
     ):
         """The acceptance scenario: interrupt, resume, finish — and the
         final output matches an uninterrupted serial run byte for byte."""
-
-        def raise_sigint():
-            raise KeyboardInterrupt
-
-        target, specs, store, _sink, runner = self._interrupt_after(
-            tmp_path / "interrupted", 3, raise_sigint
+        target, specs, store, event = self._interrupted(
+            tmp_path, patch_execute, signal.SIGINT
         )
-        with pytest.raises(KeyboardInterrupt):
-            runner.run(specs, campaign="table1")
-
-        executed: list[str] = []
-        import repro.campaign.runner as runner_mod
-
-        original = runner_mod.execute_spec
+        done = store.completed([s.content_hash() for s in specs])
+        log = tmp_path / "resumed"
+        original = worker_mod.execute_spec
 
         def counting(payload):
-            executed.append(payload["job"])
+            record_call(log, "+".join(payload["params"]["combo"]))
             return original(payload)
 
-        monkeypatch.setattr(runner_mod, "execute_spec", counting)
-        resumed = CampaignRunner(store, CampaignConfig(jobs=1)).run(
-            specs, campaign="table1"
+        patch_execute(counting)
+        resumed = run_campaign(
+            store, specs, campaign="table1", jobs=self.JOBS
         )
-        assert len(executed) == len(specs) - 3
-        assert resumed.executed == len(specs) - 3
-        assert len(resumed.cached) == 3
+        # Only the unfinished jobs run, each exactly once: of two
+        # workers racing for one reopened lease, one claims it.
+        assert sorted(calls(log)) == sorted(
+            "+".join(s.params_dict["combo"])
+            for s in specs if s.content_hash() not in done
+        )
+        assert resumed.executed == event.pending
+        assert len(resumed.cached) == event.completed
         resumed_text = target.assemble_results(
             specs, resumed.results_in_order()
         ).format()
 
-        monkeypatch.setattr(runner_mod, "execute_spec", original)
-        clean = CampaignRunner(
-            ResultStore(tmp_path / "clean"), CampaignConfig(jobs=1)
-        ).run(specs, campaign="table1")
+        patch_execute(original)
+        clean = run_campaign(
+            ResultStore(tmp_path / "clean"), specs, campaign="table1"
+        )
         clean_text = target.assemble_results(
             specs, clean.results_in_order()
         ).format()
         assert resumed_text == clean_text
+
+
+class TestInterruption(_InterruptionContract):
+    """The launcher's own in-process worker is interrupted."""
+
+
+class TestInterruptionForked(_InterruptionContract):
+    """A forked worker signals the launcher mid-drain."""
+
+    JOBS = 2

@@ -270,42 +270,142 @@ class TestObservabilityCommands:
 
 
 class TestDistributedCli:
-    """`repro sweep --distributed` and the standalone `repro worker`."""
+    """`repro sweep --jobs N`, `repro chaos` and the standalone `repro
+    worker`: the lease fleet behind the CLI."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        from tests.campaign_support import pin_cpus
+
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        pin_cpus(monkeypatch, 3)
+
+    @staticmethod
+    def _forbid_fork(monkeypatch):
+        from repro.campaign import worker as worker_mod
+
+        def no_fork():
+            raise AssertionError("no worker process may start")
+
+        monkeypatch.setattr(worker_mod, "_mp_context", no_fork)
 
     def test_distributed_sweep_matches_serial_stdout(
-        self, capsys, monkeypatch, tmp_path
+        self, capsys, tmp_path
     ):
-        monkeypatch.setenv("REPRO_SCALE", "0.02")
         assert main(
             ["sweep", "table1", "--refs", "1000", "--jobs", "1",
              "--out", str(tmp_path / "serial")]
         ) == 0
         serial = capsys.readouterr().out
         assert main(
-            ["sweep", "table1", "--refs", "1000", "--distributed", "3",
+            ["sweep", "table1", "--refs", "1000", "--jobs", "3",
              "--ttl", "5", "--out", str(tmp_path / "dist")]
         ) == 0
         captured = capsys.readouterr()
         assert captured.out == serial  # stdout is byte-comparable
-        assert "[distributed]" in captured.err
+        assert "(11 run, 0 cached, 0 retried) on 3 worker(s)" in captured.err
 
     def test_distributed_one_degrades_to_serial_path(
         self, capsys, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        self._forbid_fork(monkeypatch)
         assert main(
-            ["sweep", "table1", "--refs", "1000", "--distributed", "1",
+            ["sweep", "table1", "--refs", "1000", "--jobs", "1",
              "--out", str(tmp_path / "one")]
         ) == 0
-        captured = capsys.readouterr()
-        # Serial campaign bookkeeping, no lease protocol engaged.
-        assert "[distributed]" not in captured.err
-        assert not (tmp_path / "one" / "leases").exists()
+        # One worker drains in process: nothing forked.
+        assert "on 1 worker(s)" in capsys.readouterr().err
 
-    def test_worker_drains_a_prepared_store(
+    def test_resume_of_a_complete_store_starts_no_process(
         self, capsys, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        args = ["sweep", "table1", "--refs", "1000", "--jobs", "2",
+                "--out", str(tmp_path / "store")]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        self._forbid_fork(monkeypatch)
+        assert main(args + ["--resume"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == first
+        assert "(0 run, 11 cached, 0 retried) on 0 worker(s)" in captured.err
+
+    def test_sweep_spans_land_on_two_worker_tracks(self, capsys, tmp_path):
+        import json
+
+        trace = tmp_path / "spans.json"
+        assert main(
+            ["sweep", "table1", "--refs", "20000", "--jobs", "2",
+             "--out", str(tmp_path / "store"), "--spans", str(trace)]
+        ) == 0
+        capsys.readouterr()
+        events = json.loads(trace.read_text())["traceEvents"]
+        tracks = {e["tid"] for e in events if e.get("cat") == "job"}
+        assert len(tracks) == 2
+        names = {
+            e["args"]["name"] for e in events if e.get("ph") == "M"
+            and e["tid"] in tracks
+        }
+        assert all(name.startswith("worker ") for name in names)
+        assert {"queue", "store", "campaign"} <= {
+            e.get("cat") for e in events
+        }
+
+    def test_config_error_job_runs_once_and_degrades(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from repro.campaign import JobSpec, get_experiment
+        from repro.campaign import worker as worker_mod
+        from repro.common.errors import ConfigError
+
+        bad = get_experiment("table1").jobs(refs=1000)[4].content_hash()
+        executed = []
+        original = worker_mod.execute_spec
+
+        def misconfigured(payload):
+            job_hash = JobSpec.from_payload(payload).content_hash()
+            executed.append(job_hash)
+            if job_hash == bad:
+                raise ConfigError("unsupported associativity 3")
+            return original(payload)
+
+        monkeypatch.setattr(worker_mod, "execute_spec", misconfigured)
+        code = main(
+            ["sweep", "table1", "--refs", "1000", "--jobs", "1",
+             "--out", str(tmp_path / "store")]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert executed.count(bad) == 1
+        assert "DEGRADED" in captured.out
+        assert "unsupported associativity 3" in captured.out
+        assert "1 quarantined" in captured.err
+
+    def test_chaos_kill_hang_corrupt_is_identical(self, capsys, tmp_path):
+        assert main(
+            ["chaos", "degradation", "--refs", "12000", "--jobs", "2",
+             "--worker-chaos", "kill@2;corrupt@1,hang@2:1", "--timeout",
+             "0.3", "--out", str(tmp_path / "chaos")]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "output IDENTICAL to the clean serial run" in captured.err
+        assert "1 worker death(s)" in captured.err
+
+    def test_chaos_restart_revives_a_job_quarantined_by_sabotage(
+        self, capsys, tmp_path
+    ):
+        """With a one-attempt budget the corrupted job is parked and the
+        sabotaged run ends degraded; the clean restart runs it again."""
+        assert main(
+            ["chaos", "degradation", "--refs", "12000", "--jobs", "2",
+             "--worker-chaos", "corrupt@1", "--max-reclaims", "1",
+             "--out", str(tmp_path / "chaos")]
+        ) == 0
+        err = capsys.readouterr().err
+        assert "run 1 died" in err and "DEGRADED" in err
+        assert "converged in 2 run(s)" in err
+        assert "output IDENTICAL to the clean serial run" in err
+
+    def test_worker_drains_a_prepared_store(self, capsys, tmp_path):
         from repro.campaign import ResultStore, get_experiment
 
         target = get_experiment("table1")
@@ -321,14 +421,21 @@ class TestDistributedCli:
         assert main(["worker", str(tmp_path / "empty")]) == 2
         assert "manifest" in capsys.readouterr().err
 
-    def test_bad_worker_chaos_grammar_rejected(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_SCALE", "0.02")
+    def test_bad_worker_chaos_grammar_rejected(self, capsys, tmp_path):
         code = main(
-            ["sweep", "table1", "--refs", "1000", "--distributed", "2",
+            ["sweep", "table1", "--refs", "1000", "--jobs", "2",
              "--out", str(tmp_path / "x"),
              "--worker-chaos", "explode@3"]
         )
         assert code == 2
         assert "worker-chaos" in capsys.readouterr().err
+
+    def test_removed_options_are_gone(self):
+        for argv in (
+            ["sweep", "table1", "--distributed", "2"],
+            ["sweep", "table1", "--retries", "2"],
+            ["chaos", "table1", "--crash", "0.5"],
+            ["chaos", "table1", "--chaos-seed", "1"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)

@@ -1,11 +1,12 @@
 """Multi-worker campaign drains: real processes, real SIGKILLs.
 
-The acceptance bar for ``sweep --distributed`` is byte-identity: however
-many workers drain the store, and whatever chaos (kills, hangs, clock
-skew) hits them mid-drain, the assembled output must equal the serial
-run's exactly. These tests spawn genuine OS processes through
-:func:`repro.campaign.worker.run_distributed` and sabotage them with
-deterministic :class:`~repro.faults.chaos.WorkerChaos` directives.
+The acceptance bar for ``sweep --jobs N`` is byte-identity: however
+many lease workers drain the store, and whatever chaos (kills, hangs,
+corrupted outcomes, clock skew) hits them mid-drain, the assembled
+output must equal the serial run's exactly. These tests fork genuine OS
+processes through :func:`repro.campaign.worker.run_campaign` and
+sabotage them with deterministic
+:class:`~repro.faults.chaos.WorkerChaos` directives.
 """
 
 from __future__ import annotations
@@ -14,16 +15,21 @@ import pytest
 
 from repro.campaign import (
     LeaseConfig,
+    LeaseManager,
     ResultStore,
     get_experiment,
-    merge_worker_events,
-    run_distributed,
+    run_campaign,
     run_worker,
 )
 from repro.common.errors import ConfigError
 from repro.faults.chaos import WorkerChaos
-from repro.telemetry.sinks import read_events
+from repro.telemetry import EventBus, RingBufferSink
 from repro.telemetry.events import JobQuarantined, LeaseAcquired, LeaseExpired
+from tests.campaign_support import (
+    calls,
+    pin_cpus,
+    record_call,
+)
 
 TINY_SCALE = "0.02"
 
@@ -31,6 +37,8 @@ TINY_SCALE = "0.02"
 @pytest.fixture(autouse=True)
 def _tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", TINY_SCALE)
+    # Forked worker counts below are exact on every host.
+    pin_cpus(monkeypatch, 3)
 
 
 def _serial_text(target, specs, **options) -> str:
@@ -42,6 +50,11 @@ def _serial_text(target, specs, **options) -> str:
     return target.assemble_results(specs, results, **options).format()
 
 
+def _bus():
+    sink = RingBufferSink()
+    return sink, EventBus([sink], epoch_refs=0)
+
+
 # ------------------------------------------------------------ worker chaos
 
 
@@ -51,6 +64,11 @@ class TestWorkerChaos:
         assert chaos.kill_after == 2
         assert chaos.hang_at == 1 and chaos.hang_seconds == 0.5
         assert chaos.poison == "abcd" and not chaos.poison_raise
+
+    def test_parse_corrupt(self):
+        assert WorkerChaos.parse("corrupt@3").corrupt_at == 3
+        with pytest.raises(ConfigError, match="corrupt@N"):
+            WorkerChaos.parse("corrupt@0")
 
     def test_parse_poison_raise(self):
         chaos = WorkerChaos.parse("poison@ab12:raise")
@@ -102,29 +120,70 @@ class TestSingleWorkerDrain:
         with pytest.raises(ConfigError, match="manifest"):
             run_worker(ResultStore(tmp_path))
 
+    def test_malformed_outcome_is_a_failure_not_a_commit(
+        self, tmp_path, patch_execute
+    ):
+        """An outcome without ``elapsed`` is charged as a failed attempt
+        with the lease released, never committed."""
+        patch_execute(lambda payload: {"result": "half an outcome"})
+        specs = get_experiment("table1").jobs(refs=1000)[:1]
+        store = ResultStore(tmp_path)
+        store.write_manifest("table1", specs, {})
+        report = run_worker(store, config=LeaseConfig(max_reclaims=2))
+        job_hash = specs[0].content_hash()
+        assert report.failed == 2 and report.committed == 0
+        assert report.quarantined == [job_hash]
+        assert not store.has(job_hash)
+        record = LeaseManager(store).quarantine_record(job_hash)
+        assert "malformed job outcome" in record["history"][-1]["error"]
 
-# --------------------------------------------------------- run_distributed
+
+# ------------------------------------------------------------ run_campaign
 
 
 class TestDistributedDrain:
-    def test_requires_two_workers(self, tmp_path):
-        specs = get_experiment("table1").jobs(refs=1000)[:1]
-        with pytest.raises(ConfigError, match=">= 2"):
-            run_distributed(ResultStore(tmp_path), specs,
-                            campaign="table1", workers=1)
+    def test_one_worker_drains_in_process(self, tmp_path, monkeypatch):
+        from repro.campaign import worker as worker_mod
+
+        def no_fork():
+            raise AssertionError("one worker must not fork")
+
+        monkeypatch.setattr(worker_mod, "_mp_context", no_fork)
+        target = get_experiment("table1")
+        specs = target.jobs(refs=1000)[:3]
+        outcome = run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1", jobs=1
+        )
+        assert outcome.workers == 1 and outcome.exitcodes == []
+        assert outcome.executed == 3
+
+    def test_workers_capped_by_cpus_and_pending_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        pin_cpus(monkeypatch, 2)
+        specs = get_experiment("table1").jobs(refs=1000)
+        outcome = run_campaign(
+            ResultStore(tmp_path / "cpus"), specs, campaign="table1", jobs=8
+        )
+        assert outcome.workers == 2 and len(outcome.exitcodes) == 2
+        outcome = run_campaign(
+            ResultStore(tmp_path / "pending"), specs[:1], campaign="table1",
+            jobs=8,
+        )
+        assert outcome.workers == 1
 
     def test_clean_drain_matches_serial_byte_for_byte(self, tmp_path):
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
         store = ResultStore(tmp_path)
-        outcome = run_distributed(
-            store, specs, campaign="table1", workers=3,
+        outcome = run_campaign(
+            store, specs, campaign="table1", jobs=3,
             config=LeaseConfig(ttl=5.0),
         )
-        assert outcome.completed == len(specs)
+        assert outcome.executed == len(specs) and outcome.workers == 3
         assert not outcome.degraded
         text = target.assemble_results(
-            specs, outcome.results_in_order(store)
+            specs, outcome.results_in_order()
         ).format()
         assert text == _serial_text(target, specs)
 
@@ -137,25 +196,26 @@ class TestDistributedDrain:
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
         store = ResultStore(tmp_path)
-        outcome = run_distributed(
-            store, specs, campaign="table1", workers=3,
+        sink, bus = _bus()
+        outcome = run_campaign(
+            store, specs, campaign="table1", jobs=3,
             config=LeaseConfig(ttl=0.5),
-            record_events=True,
+            telemetry=bus,
             worker_chaos=["kill@2", None, None],
         )
         # SIGKILL shows up as a negative exitcode on the saboteur.
-        assert any(code not in (0, 1) for code in outcome.exitcodes)
-        assert outcome.completed == len(specs)
+        assert any(code not in (0, 1, None) for code in outcome.exitcodes)
+        assert "1 worker death(s)" in outcome.summary()
+        assert outcome.executed == len(specs)
         assert not outcome.degraded
         text = target.assemble_results(
-            specs, outcome.results_in_order(store)
+            specs, outcome.results_in_order()
         ).format()
         assert text == _serial_text(target, specs)
         # The death is visible in the telemetry: a LeaseExpired for the
         # killed owner, and a reclaimed LeaseAcquired with a bumped token.
-        merged = tmp_path / "events.jsonl"
-        assert merge_worker_events(store.root, merged) > 0
-        events = list(read_events(merged))
+        events = sink.events()
+        assert not list(store.root.glob("events*"))  # handed off, merged
         expiries = [e for e in events if isinstance(e, LeaseExpired)]
         assert expiries, "the killed worker's lease never expired"
         reclaims = [
@@ -170,17 +230,63 @@ class TestDistributedDrain:
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)[:6]
         store = ResultStore(tmp_path)
-        outcome = run_distributed(
-            store, specs, campaign="table1", workers=2,
+        outcome = run_campaign(
+            store, specs, campaign="table1", jobs=2,
             config=LeaseConfig(ttl=0.4, job_timeout=0.2),
             worker_chaos=["hang@1:1.5", None],
         )
-        assert outcome.completed == len(specs)
+        assert outcome.executed == len(specs)
         assert not outcome.degraded
         text = target.assemble_results(
-            specs, outcome.results_in_order(store)
+            specs, outcome.results_in_order()
         ).format()
         assert text == _serial_text(target, specs)
+
+    def test_launcher_dismisses_a_worker_stuck_in_a_fenced_job(
+        self, tmp_path
+    ):
+        """Once every job is settled, a worker still asleep in a job its
+        peer already committed is stopped, not waited on."""
+        target = get_experiment("table1")
+        specs = target.jobs(refs=1000)[:4]
+        outcome = run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1", jobs=2,
+            config=LeaseConfig(ttl=0.4, backoff_cap=0.2),
+            worker_chaos=["hang@1:60", None],
+            # the peer's fast clock takes the sleeper's live lease over
+            worker_skews=[0.0, 30.0],
+        )
+        assert outcome.elapsed < 30
+        assert outcome.exitcodes[0] is None  # dismissed, not a death
+        assert "0 worker death(s)" in outcome.summary()
+        text = target.assemble_results(
+            specs, outcome.results_in_order()
+        ).format()
+        assert text == _serial_text(target, specs)
+
+    def test_timeout_kills_and_replaces_hung_workers(self, tmp_path):
+        """Every worker hangs in its first job. The launcher kills each
+        one a ttl after its heartbeat gave up and forks a clean
+        replacement; with a one-attempt budget the hung jobs end in
+        quarantine and the drain ends degraded instead of stuck."""
+        target = get_experiment("table1")
+        specs = target.jobs(refs=1000)[:4]
+        outcome = run_campaign(
+            ResultStore(tmp_path), specs, campaign="table1", jobs=2,
+            config=LeaseConfig(
+                ttl=0.5, job_timeout=0.3, max_reclaims=1, backoff_cap=0.2
+            ),
+            worker_chaos=["hang@1:600", "hang@1:600"],
+        )
+        assert outcome.elapsed < 60
+        assert outcome.degraded and len(outcome.quarantined) == 2
+        assert all(
+            record["history"][0]["reason"] == "expired"
+            for record in outcome.quarantined
+        )
+        assert outcome.executed == len(specs) - 2
+        assert sorted(outcome.exitcodes) == [-9, -9, 0, 0]
+        assert "2 worker death(s)" in outcome.summary()
 
     def test_clock_skewed_worker_cannot_corrupt_the_drain(self, tmp_path):
         """A fast clock reclaims early and races the live owner; fencing
@@ -188,14 +294,14 @@ class TestDistributedDrain:
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
         store = ResultStore(tmp_path)
-        outcome = run_distributed(
-            store, specs, campaign="table1", workers=3,
+        outcome = run_campaign(
+            store, specs, campaign="table1", jobs=3,
             config=LeaseConfig(ttl=2.0),
             worker_skews=[30.0, 0.0, -30.0],
         )
-        assert outcome.completed == len(specs)
+        assert outcome.executed == len(specs)
         text = target.assemble_results(
-            specs, outcome.results_in_order(store)
+            specs, outcome.results_in_order()
         ).format()
         assert text == _serial_text(target, specs)
 
@@ -206,14 +312,14 @@ class TestDistributedDrain:
         options = {"tenants": [10], "churn": [0.0], "skew": [0.5]}
         specs = target.jobs(**options)
         store = ResultStore(tmp_path)
-        outcome = run_distributed(
-            store, specs, campaign="tenancy", workers=2,
+        outcome = run_campaign(
+            store, specs, campaign="tenancy", jobs=2,
             options=options, config=LeaseConfig(ttl=1.0),
             worker_chaos=["kill@1", None],
         )
-        assert outcome.completed == len(specs)
+        assert outcome.executed == len(specs)
         text = target.assemble_results(
-            specs, outcome.results_in_order(store), **options
+            specs, outcome.results_in_order(), **options
         ).format()
         assert text == _serial_text(target, specs, **options)
 
@@ -228,14 +334,15 @@ class TestPoisonQuarantine:
         store = ResultStore(tmp_path)
         poison = specs[0].content_hash()[:8]
         chaos = f"poison@{poison}:raise"
-        outcome = run_distributed(
-            store, specs, campaign="table1", workers=2,
+        sink, bus = _bus()
+        outcome = run_campaign(
+            store, specs, campaign="table1", jobs=2,
             config=LeaseConfig(ttl=0.5, max_reclaims=2),
-            record_events=True,
+            telemetry=bus,
             worker_chaos=[chaos, chaos],
         )
         assert outcome.degraded
-        assert outcome.completed == len(specs) - 1
+        assert outcome.executed == len(specs) - 1
         assert len(outcome.quarantined) == 1
         record = outcome.quarantined[0]
         assert record["job"] == specs[0].content_hash()
@@ -245,10 +352,8 @@ class TestPoisonQuarantine:
         assert "DEGRADED" in report and poison[:8] in report
         assert "poisoned" in report  # the last error is named
         # The quarantine event made it into telemetry.
-        merged = tmp_path / "events.jsonl"
-        merge_worker_events(store.root, merged)
         parked = [
-            e for e in read_events(merged) if isinstance(e, JobQuarantined)
+            e for e in sink.events() if isinstance(e, JobQuarantined)
         ]
         assert len(parked) == 1 and parked[0].attempts == 2
 
@@ -262,13 +367,48 @@ class TestPoisonQuarantine:
         chaos = f"poison@{poison}"  # SIGKILL flavour, not raise
         # Two deaths exhaust the budget; the *third* worker quarantines
         # at the reclaim decision and never touches the job itself.
-        outcome = run_distributed(
-            store, specs, campaign="table1", workers=3,
+        outcome = run_campaign(
+            store, specs, campaign="table1", jobs=3,
             config=LeaseConfig(ttl=0.4, max_reclaims=2),
             worker_chaos=[chaos, chaos, chaos],
         )
         assert outcome.degraded
-        assert outcome.completed == len(specs) - 1
+        assert outcome.executed == len(specs) - 1
         record = outcome.quarantined[0]
         assert record["attempts"] == 2
         assert all(e["reason"] == "expired" for e in record["history"])
+
+    def test_deterministic_failure_is_quarantined_after_one_execution(
+        self, tmp_path, patch_execute
+    ):
+        """A ConfigError cannot be cured by a retry: the job runs once,
+        is parked with the error on record, and the rest completes."""
+        from repro.campaign import worker as worker_mod
+
+        target = get_experiment("table1")
+        specs = target.jobs(refs=1000)[:3]
+        bad = specs[1].content_hash()
+        log = tmp_path / "executed"
+        original = worker_mod.execute_spec
+
+        def misconfigured(payload):
+            from repro.campaign import JobSpec
+
+            job_hash = JobSpec.from_payload(payload).content_hash()
+            record_call(log, job_hash)
+            if job_hash == bad:
+                raise ConfigError("no such cache geometry")
+            return original(payload)
+
+        patch_execute(misconfigured)
+        store = ResultStore(tmp_path / "store")
+        outcome = run_campaign(
+            store, specs, campaign="table1",
+            config=LeaseConfig(max_reclaims=3),
+        )
+        assert calls(log).count(bad) == 1
+        assert outcome.degraded and outcome.executed == 2
+        (record,) = outcome.quarantined
+        assert record["job"] == bad and record["attempts"] == 1
+        assert record["history"][0]["error"] == "no such cache geometry"
+        assert "no such cache geometry" in outcome.degraded_report()

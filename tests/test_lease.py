@@ -1,7 +1,7 @@
 """Unit tests for the lease protocol (:mod:`repro.campaign.lease`).
 
 Everything here runs single-process with an injectable clock — the
-protocol's atomicity building blocks (``O_EXCL`` create, ``os.replace``)
+protocol's atomicity building blocks (``link``, ``os.replace``)
 behave identically whether the competing managers live in one process or
 many, so fencing, reclamation, quarantine and abandonment are all
 testable without spawning a single worker. Multi-process drains (real
@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.campaign import JobSpec, Lease, LeaseConfig, LeaseManager, ResultStore
+from repro.campaign import lease as lease_mod
 from repro.common.errors import ConfigError
 from repro.telemetry import EventBus, RingBufferSink
 from repro.telemetry.events import JobQuarantined, LeaseAcquired, LeaseExpired
@@ -108,6 +109,56 @@ class TestAcquisition:
         record = b.read(JOB)
         assert record["history"][0]["owner"] == "a"
         assert record["history"][0]["reason"] == "expired"
+
+    def test_racing_reclaimers_cannot_both_win(self, tmp_path):
+        """Two peers judged the same record expired; the claim ``link``
+        lets only the first take it over."""
+        clock = FakeClock()
+        a = _manager(tmp_path, owner="a", clock=clock, ttl=10.0)
+        b = _manager(tmp_path, owner="b", clock=clock, ttl=10.0)
+        c = _manager(tmp_path, owner="c", clock=clock, ttl=10.0)
+        a.try_acquire(JOB)
+        clock.advance(11.0)
+        link = c._link
+
+        def b_slips_in(path, record):
+            # c has read the expired record; b takes it over first
+            assert b.try_reclaim(JOB) is not None
+            return link(path, record)
+
+        c._link = b_slips_in
+        assert c.try_reclaim(JOB) is None
+        assert c.read(JOB)["owner"] == "b"
+
+    def test_claimant_killed_before_publishing_is_taken_over(
+        self, tmp_path, monkeypatch
+    ):
+        """A claim whose owner died before publishing its record is not a
+        dead end: the claim holds the record, which expires in turn."""
+        clock = FakeClock()
+        a = _manager(tmp_path, owner="a", clock=clock, ttl=10.0)
+        b = _manager(tmp_path, owner="b", clock=clock, ttl=10.0)
+        c = _manager(tmp_path, owner="c", clock=clock, ttl=10.0)
+        spec = JobSpec.make("table1", "combo", {"i": 1})
+        job = spec.content_hash()
+        a.try_acquire(job)
+        clock.advance(11.0)
+
+        def killed(*_args, **_kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lease_mod, "atomic_write_json", killed)
+        with pytest.raises(KeyboardInterrupt):
+            b.try_reclaim(job)
+        monkeypatch.undo()
+        assert c.read(job)["owner"] == "a"  # b never published
+        assert c.try_reclaim(job) is None  # b's claimed record is fresh
+        clock.advance(11.0)
+        lease = c.try_reclaim(job)
+        assert lease is not None and lease.token == 3
+        assert [e["owner"] for e in c.read(job)["history"]] == ["a", "b"]
+        assert c.commit(lease, spec, {"ok": True}, 0.1)
+        assert list(c.leases_dir.iterdir()) == []  # claims dropped too
 
     def test_renew_keeps_a_lease_alive(self, tmp_path):
         clock = FakeClock()
@@ -240,6 +291,21 @@ class TestQuarantine:
         assert lease is not None and lease.token == 2
         assert m.quarantined() == set()
 
+    def test_abandon_owned_reopens_only_those_owners_leases(self, tmp_path):
+        """A launcher reopens the leases its exited workers still hold,
+        and nobody else's."""
+        ours = _manager(tmp_path, owner="launcher:w0")
+        theirs = _manager(tmp_path, owner="elsewhere")
+        other = "b" * 64
+        ours.try_acquire(JOB)
+        theirs.try_acquire(other)
+        ours.abandon_owned("launcher:")
+        assert ours.read(JOB)["state"] == "open"
+        assert ours.read(other)["state"] == "active"
+        # acquisition leaves nothing behind but the leases themselves
+        names = sorted(p.name for p in ours.leases_dir.iterdir())
+        assert names == [f"{JOB}.json", f"{other}.json"]
+
 
 # --------------------------------------------------------------- telemetry
 
@@ -321,3 +387,20 @@ class TestEdgeCases:
         lease = m.try_reclaim(JOB)
         assert len(m.read(JOB)["history"]) == 1
         assert lease.token == 2
+
+    def test_acquire_stands_down_for_a_parked_or_committed_job(self, tmp_path):
+        """A peer that parks or commits a job drops its lease file, which
+        reopens ``O_EXCL`` for a worker still mid-pass; the check after
+        the create must catch it, or the job runs again."""
+        a = _manager(tmp_path, owner="a")
+        b = _manager(tmp_path, owner="b")
+        lease = a.try_acquire(JOB)
+        assert not a.fail(lease, ConfigError("bad"), retry=False)  # parked
+        assert b.try_acquire(JOB) is None
+        assert b.read(JOB) is None  # the probe left no lease behind
+
+        spec = JobSpec.make("table1", "combo", {"i": 1})
+        done = spec.content_hash()
+        a.commit(a.try_acquire(done), spec, {"ok": True}, 0.1)
+        assert b.try_acquire(done) is None
+        assert b.read(done) is None

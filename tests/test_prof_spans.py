@@ -1,11 +1,11 @@
-"""Campaign span tracing: recorder, runner wiring, export and analysis.
+"""Campaign span tracing: recorder, executor wiring, export and analysis.
 
 The recorder's output must be Chrome trace-event JSON (``traceEvents``
 with ``ph: "X"`` complete spans in microseconds) so a recorded campaign
-loads directly in Perfetto / ``chrome://tracing``. The runner must
-record job/store spans on both execution paths, queue/chunk spans on the
-pool path, retry markers on failures — and tolerate monkeypatched
-workers whose outcomes carry no timestamps.
+loads directly in Perfetto / ``chrome://tracing``. Every lease worker
+must record queue/job/store spans on its own track — forked workers hand
+theirs back through the store — the launcher the campaign span, and a
+failed attempt a retry marker.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignConfig, CampaignRunner, ResultStore
-from repro.campaign import runner as runner_mod
+from repro.campaign import ResultStore, run_campaign
 from repro.campaign.registry import get_experiment
 from repro.common.errors import ConfigError
 from repro.prof import SpanRecorder, load_trace, summarize_trace
-from repro.prof.spans import DISPATCHER_TID, filter_trace
+from repro.prof.spans import LAUNCHER_TID, filter_trace
+from tests.campaign_support import (
+    first_time,
+    pin_cpus,
+)
 
 TINY_REFS = 20_000
 
@@ -27,32 +30,30 @@ TINY_REFS = 20_000
 @pytest.fixture(autouse=True)
 def _tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "0.02")
+    pin_cpus(monkeypatch, 2)
 
 
-def run_campaign(tmp_path, jobs: int) -> SpanRecorder:
+def run_spanned(tmp_path, jobs: int) -> SpanRecorder:
     spans = SpanRecorder()
-    target = get_experiment("table1")
-    specs = target.jobs(refs=TINY_REFS)
-    runner = CampaignRunner(
-        ResultStore(tmp_path / "store"),
-        CampaignConfig(jobs=jobs, resume=False),
-        spans=spans,
+    specs = get_experiment("table1").jobs(refs=TINY_REFS)
+    run_campaign(
+        ResultStore(tmp_path / "store"), specs, campaign="table1",
+        jobs=jobs, resume=False, spans=spans,
     )
-    runner.run(specs, campaign="table1")
     return spans
 
 
 class TestSpanRecorder:
     def test_span_and_instant_shape(self):
         recorder = SpanRecorder()
-        recorder.name_track(DISPATCHER_TID, "dispatcher")
+        recorder.name_track(LAUNCHER_TID, "launcher")
         recorder.span("work", "job", 10.0, 10.5, tid=7, args={"k": 1})
         recorder.instant("retry", "retry", 10.25)
         events = recorder.trace_events()
         meta = [e for e in events if e["ph"] == "M"]
         spans = [e for e in events if e["ph"] == "X"]
         instants = [e for e in events if e["ph"] == "i"]
-        assert meta[0]["args"]["name"] == "dispatcher"
+        assert meta[0]["args"]["name"] == "launcher"
         assert len(spans) == 1 and len(instants) == 1
         # Times are normalised to µs from the earliest event.
         assert spans[0]["ts"] == 0.0
@@ -103,10 +104,10 @@ class TestSpanRecorder:
 
 class TestRunnerSpans:
     def test_serial_campaign_records_spans(self, tmp_path):
-        spans = run_campaign(tmp_path, jobs=1)
+        spans = run_spanned(tmp_path, jobs=1)
         events = spans.trace_events()
         cats = {e.get("cat") for e in events if e.get("ph") == "X"}
-        assert {"campaign", "job", "store"} <= cats
+        assert {"campaign", "job", "queue", "store"} <= cats
         jobs = [e for e in events if e.get("cat") == "job"]
         assert len(jobs) == 11  # table1's job count
         # Every span lands inside the campaign span.
@@ -118,18 +119,23 @@ class TestRunnerSpans:
                 assert e["ts"] + e["dur"] <= end + 1e-3
 
     def test_pool_campaign_records_queue_spans(self, tmp_path):
-        spans = run_campaign(tmp_path, jobs=2)
+        """A forked fleet: each worker's spans come back on its own
+        track, merged with the launcher's into one trace."""
+        spans = run_spanned(tmp_path, jobs=2)
         events = spans.trace_events()
         cats = {e.get("cat") for e in events if e.get("ph") == "X"}
-        assert {"campaign", "job", "chunk", "queue", "store"} <= cats
+        assert {"campaign", "job", "queue", "store"} <= cats
         # Worker tracks are named after their pids.
         names = {
             e["args"]["name"] for e in events if e.get("ph") == "M"
         }
-        assert "dispatcher" in names
-        assert any(name.startswith("worker ") for name in names)
+        assert "launcher" in names
+        assert sum(name.startswith("worker ") for name in names) == 2
+        job_tracks = {e["tid"] for e in events if e.get("cat") == "job"}
+        assert len(job_tracks) == 2
+        assert not list((tmp_path / "store").glob("spans*"))  # handed off
 
-    def test_retry_marker_on_failure(self, tmp_path, monkeypatch):
+    def test_retry_marker_on_failure(self, tmp_path, patch_execute):
         calls = {"n": 0}
 
         def flaky(payload):
@@ -138,34 +144,49 @@ class TestRunnerSpans:
                 raise RuntimeError("transient")
             return {"result": calls["n"], "elapsed": 0.0}
 
-        monkeypatch.setattr(runner_mod, "execute_spec", flaky)
+        patch_execute(flaky)
         spans = SpanRecorder()
         specs = get_experiment("table1").jobs(refs=TINY_REFS)[:2]
-        runner = CampaignRunner(
-            ResultStore(tmp_path / "store"),
-            CampaignConfig(jobs=1, resume=False, backoff=0.0),
-            spans=spans,
+        run_campaign(
+            ResultStore(tmp_path / "store"), specs, campaign="table1",
+            resume=False, spans=spans,
         )
-        runner.run(specs, campaign="table1")
         events = spans.trace_events()
         retries = [
             e for e in events
             if e.get("ph") == "i" and e.get("cat") == "retry"
         ]
         assert len(retries) == 1
-        # The fake outcome has no started/ended: job spans are skipped,
-        # store spans still recorded.
-        assert not any(e.get("cat") == "job" for e in events)
+        assert retries[0]["args"]["attempt"] == 2
+        # The worker times every attempt itself, the failed one included;
+        # only the two successes reach the store.
+        assert sum(1 for e in events if e.get("cat") == "job") == 3
         assert sum(1 for e in events if e.get("cat") == "store") == 2
 
-    def test_no_recorder_means_no_overhead_paths(self, tmp_path):
-        # spans=None must leave outcomes untouched (the default path).
-        specs = get_experiment("table1").jobs(refs=TINY_REFS)[:1]
-        runner = CampaignRunner(
-            ResultStore(tmp_path / "store"),
-            CampaignConfig(jobs=1, resume=False),
+    def test_retry_marker_from_a_forked_worker(self, tmp_path, patch_execute):
+        def flaky(payload):
+            if first_time(tmp_path, "failed"):
+                raise RuntimeError("transient")
+            return {"result": 1, "elapsed": 0.0}
+
+        patch_execute(flaky)
+        spans = SpanRecorder()
+        specs = get_experiment("table1").jobs(refs=TINY_REFS)[:4]
+        run_campaign(
+            ResultStore(tmp_path / "store"), specs, campaign="table1",
+            jobs=2, resume=False, spans=spans,
         )
-        result = runner.run(specs, campaign="table1")
+        events = spans.trace_events()
+        retries = [e for e in events if e.get("cat") == "retry"]
+        assert len(retries) == 1 and retries[0]["tid"] != LAUNCHER_TID
+
+    def test_no_recorder_means_no_overhead_paths(self, tmp_path):
+        # spans=None must leave the drain untouched (the default path).
+        specs = get_experiment("table1").jobs(refs=TINY_REFS)[:1]
+        result = run_campaign(
+            ResultStore(tmp_path / "store"), specs, campaign="table1",
+            resume=False,
+        )
         assert result.executed == 1
 
 
@@ -183,7 +204,7 @@ class TestSummarize:
         assert "retry:retry: 1" in text
 
     def test_campaign_trace_summarises(self, tmp_path):
-        spans = run_campaign(tmp_path, jobs=2)
+        spans = run_spanned(tmp_path, jobs=2)
         path = spans.export(tmp_path / "trace.json")
         text = summarize_trace(load_trace(path))
         assert "span trace:" in text

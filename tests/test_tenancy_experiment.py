@@ -9,7 +9,7 @@ The sweep's acceptance properties from the multi-tenant subsystem PR:
 * need-driven allocation beats the static split on the skewed-churn
   grid point (the ledgered benchmark's claim, pinned here at test
   scale);
-* chaos (worker crashes + corrupted payloads) followed by a resume
+* chaos (a killed worker + a corrupted outcome) followed by a resume
   leaves the assembled sweep byte-identical to a clean serial run.
 """
 
@@ -18,19 +18,19 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import (
-    CampaignConfig,
-    CampaignRunner,
+    LeaseConfig,
     ResultStore,
     experiment_names,
     get_experiment,
+    run_campaign,
 )
 from repro.common.errors import ConfigError
-from repro.faults import ChaosPolicy
 from repro.sim.experiments.tenancy import (
     resolve_grid,
     run_tenancy,
     run_tenancy_cell,
 )
+from tests.campaign_support import pin_cpus
 
 #: Same tiny-scale pin as tests/test_campaign.py: real numbers, fast jobs.
 TINY_SCALE = "0.02"
@@ -42,19 +42,16 @@ SMALL_GRID = {"tenants": (10,), "churn": (0.3,), "skew": (1.0,)}
 @pytest.fixture(autouse=True)
 def _tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", TINY_SCALE)
+    pin_cpus(monkeypatch, 2)
 
 
-def run_campaign(tmp_path, jobs: int, options: dict, **runner_kwargs):
+def sweep(tmp_path, jobs: int, options: dict, **kwargs):
     """Run a tenancy campaign; returns (outcome, formatted text)."""
     target = get_experiment("tenancy")
     specs = target.jobs(**options)
-    config_kwargs = runner_kwargs.pop("config", {})
-    runner = CampaignRunner(
-        ResultStore(tmp_path),
-        CampaignConfig(jobs=jobs, **config_kwargs),
-        **runner_kwargs,
+    outcome = run_campaign(
+        ResultStore(tmp_path), specs, campaign="tenancy", jobs=jobs, **kwargs
     )
-    outcome = runner.run(specs, campaign="tenancy")
     result = target.assemble_results(
         specs, outcome.results_in_order(), **options
     )
@@ -113,7 +110,7 @@ class TestRegistration:
 
 class TestCampaignEquivalence:
     def test_serial_campaign_matches_direct_run(self, tmp_path):
-        _, campaign_text = run_campaign(tmp_path, jobs=1, options=SMALL_GRID)
+        _, campaign_text = sweep(tmp_path, jobs=1, options=SMALL_GRID)
         direct = run_tenancy(
             tenants=SMALL_GRID["tenants"],
             churn=SMALL_GRID["churn"],
@@ -122,13 +119,13 @@ class TestCampaignEquivalence:
         assert campaign_text == direct.format()
 
     def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
-        _, serial_text = run_campaign(
+        _, serial_text = sweep(
             tmp_path / "serial", jobs=1, options=SMALL_GRID
         )
-        parallel, parallel_text = run_campaign(
+        parallel, parallel_text = sweep(
             tmp_path / "parallel", jobs=2, options=SMALL_GRID
         )
-        assert parallel.mode in ("pool", "serial-fallback")
+        assert parallel.workers == 2
         assert parallel_text == serial_text
 
     def test_thousand_tenant_smoke_parallel_equals_serial(self, tmp_path):
@@ -140,18 +137,18 @@ class TestCampaignEquivalence:
             "skew": (1.0,),
             "policies": ("static", "need"),
         }
-        _, serial_text = run_campaign(
+        _, serial_text = sweep(
             tmp_path / "serial", jobs=1, options=options
         )
-        _, parallel_text = run_campaign(
+        _, parallel_text = sweep(
             tmp_path / "parallel", jobs=2, options=options
         )
         assert parallel_text == serial_text
         assert "1000" in serial_text
 
     def test_rerun_is_pure_cache_hit(self, tmp_path):
-        first, text1 = run_campaign(tmp_path, jobs=1, options=SMALL_GRID)
-        second, text2 = run_campaign(tmp_path, jobs=1, options=SMALL_GRID)
+        first, text1 = sweep(tmp_path, jobs=1, options=SMALL_GRID)
+        second, text2 = sweep(tmp_path, jobs=2, options=SMALL_GRID)
         assert first.executed == 3 and not first.cached
         assert second.executed == 0 and len(second.cached) == 3
         assert text1 == text2
@@ -166,24 +163,11 @@ class TestPolicyOrdering:
         assert need["aggregate_hit_rate"] > static["aggregate_hit_rate"]
 
     def test_verdict_line_names_the_winner(self, tmp_path):
-        _, text = run_campaign(tmp_path, jobs=1, options=SMALL_GRID)
+        _, text = sweep(tmp_path, jobs=1, options=SMALL_GRID)
         assert "verdict: need-driven" in text
 
 
 # ------------------------------------------------------------------ chaos
-
-
-def _pick_chaos_seed(hashes: list[str]) -> ChaosPolicy:
-    """Deterministically find a seed that crashes exactly one job and
-    corrupts at least one (same scan as tests/test_chaos.py)."""
-    for seed in range(1000):
-        policy = ChaosPolicy(seed=seed, crash_rate=0.3, corrupt_rate=0.3)
-        actions = [
-            (policy.directive(h) or {}).get("action") for h in hashes
-        ]
-        if actions.count("crash") == 1 and actions.count("corrupt") >= 1:
-            return policy
-    raise AssertionError("no suitable chaos seed in range")
 
 
 class TestChaosResume:
@@ -192,27 +176,27 @@ class TestChaosResume:
         clean serial output, and the resumed store re-executes nothing."""
         target = get_experiment("tenancy")
         specs = target.jobs(**SMALL_GRID)
-        clean = CampaignRunner(
-            ResultStore(tmp_path / "clean"), CampaignConfig(jobs=1)
-        ).run(specs, campaign="tenancy")
+        clean = run_campaign(
+            ResultStore(tmp_path / "clean"), specs, campaign="tenancy"
+        )
         clean_text = target.assemble_results(
             specs, clean.results_in_order(), **SMALL_GRID
         ).format()
 
         chaos_store = ResultStore(tmp_path / "chaos")
-        outcome = CampaignRunner(
-            chaos_store,
-            CampaignConfig(jobs=2, retries=3, backoff=0.0),
-            chaos=_pick_chaos_seed([s.content_hash() for s in specs]),
-        ).run(specs, campaign="tenancy")
+        outcome = run_campaign(
+            chaos_store, specs, campaign="tenancy", jobs=2,
+            config=LeaseConfig(ttl=0.5, backoff_cap=0.2),
+            worker_chaos=["kill@1", "corrupt@1"],
+        )
         chaos_text = target.assemble_results(
             specs, outcome.results_in_order(), **SMALL_GRID
         ).format()
         assert chaos_text == clean_text
+        # the orphaned lease and the corrupted job each cost one attempt
+        assert outcome.retried == 2
 
-        resumed = CampaignRunner(
-            chaos_store, CampaignConfig(jobs=1)
-        ).run(specs, campaign="tenancy")
+        resumed = run_campaign(chaos_store, specs, campaign="tenancy")
         assert resumed.executed == 0
         assert len(resumed.cached) == len(specs)
         resumed_text = target.assemble_results(
