@@ -20,44 +20,37 @@ Quick start::
     cache = MolecularCache(MolecularCacheConfig())
     cache.assign_application(asid=0, goal=0.10)
     cache.access_block(block=1234, asid=0)
+
+The names in ``__all__`` are imported on first use
+(:mod:`repro.common.lazy`), so ``import repro.cli`` or ``import
+repro.campaign`` loads neither numpy nor the simulator.
 """
 
-from repro.caches import CacheHierarchy, SetAssociativeCache
-from repro.common import Access, AccessResult, AccessType
-from repro.molecular import (
-    MolecularCache,
-    MolecularCacheConfig,
-    ResizePolicy,
-)
-from repro.power import CacheOrganization, CactiModel, MolecularEnergyModel
-from repro.sim import CMPRunConfig, CMPRunner
-from repro.telemetry import EventBus, JsonlSink, MetricsTimeline, RingBufferSink
-from repro.trace import Trace
-from repro.workloads import BenchmarkModel, RingComponent, get_model
+from repro.common.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Access",
-    "AccessResult",
-    "AccessType",
-    "BenchmarkModel",
-    "CMPRunConfig",
-    "CMPRunner",
-    "CacheHierarchy",
-    "CacheOrganization",
-    "CactiModel",
-    "EventBus",
-    "JsonlSink",
-    "MetricsTimeline",
-    "MolecularCache",
-    "MolecularCacheConfig",
-    "MolecularEnergyModel",
-    "ResizePolicy",
-    "RingBufferSink",
-    "RingComponent",
-    "SetAssociativeCache",
-    "Trace",
-    "get_model",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.caches": ("CacheHierarchy", "SetAssociativeCache"),
+    "repro.common": ("Access", "AccessResult", "AccessType"),
+    "repro.molecular": (
+        "MolecularCache",
+        "MolecularCacheConfig",
+        "ResizePolicy",
+    ),
+    "repro.power": (
+        "CacheOrganization",
+        "CactiModel",
+        "MolecularEnergyModel",
+    ),
+    "repro.sim": ("CMPRunConfig", "CMPRunner"),
+    "repro.telemetry": (
+        "EventBus",
+        "JsonlSink",
+        "MetricsTimeline",
+        "RingBufferSink",
+    ),
+    "repro.trace": ("Trace",),
+    "repro.workloads": ("BenchmarkModel", "RingComponent", "get_model"),
+})
+__all__.append("__version__")

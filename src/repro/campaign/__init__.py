@@ -27,45 +27,31 @@ The CLI front end is ``python -m repro sweep`` (``--jobs``, ``--resume``,
 ``--timeout``, ``--max-reclaims``, ``--out``); campaign lifecycle events
 (job submitted/started/retried/completed, lease acquired/expired, job
 quarantined) flow through the standard :mod:`repro.telemetry` event bus.
+
+The names in ``__all__`` are imported on first use
+(:mod:`repro.common.lazy`): reading a store needs neither the lease
+protocol nor the worker.
 """
 
-from __future__ import annotations
+from repro.common.lazy import lazy_exports
 
-from repro.campaign.registry import (
-    EXPERIMENTS,
-    ExperimentTarget,
-    FormattedResult,
-    execute_job,
-    experiment_names,
-    get_experiment,
-)
-from repro.campaign.lease import Lease, LeaseConfig, LeaseManager
-from repro.campaign.spec import JobSpec, expand_grid
-from repro.campaign.store import ResultStore
-from repro.campaign.worker import (
-    CampaignOutcome,
-    WorkerReport,
-    execute_spec,
-    run_campaign,
-    run_worker,
-)
-
-__all__ = [
-    "CampaignOutcome",
-    "Lease",
-    "LeaseConfig",
-    "LeaseManager",
-    "WorkerReport",
-    "run_campaign",
-    "run_worker",
-    "EXPERIMENTS",
-    "ExperimentTarget",
-    "FormattedResult",
-    "JobSpec",
-    "ResultStore",
-    "execute_job",
-    "execute_spec",
-    "expand_grid",
-    "experiment_names",
-    "get_experiment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.campaign.lease": ("Lease", "LeaseConfig", "LeaseManager"),
+    "repro.campaign.registry": (
+        "EXPERIMENTS",
+        "ExperimentTarget",
+        "FormattedResult",
+        "execute_job",
+        "experiment_names",
+        "get_experiment",
+    ),
+    "repro.campaign.spec": ("JobSpec", "expand_grid"),
+    "repro.campaign.store": ("ResultStore",),
+    "repro.campaign.worker": (
+        "CampaignOutcome",
+        "WorkerReport",
+        "execute_spec",
+        "run_campaign",
+        "run_worker",
+    ),
+})

@@ -18,15 +18,21 @@ cacheable and resumable through the result store.
 The CLI's ``experiment`` command looks its dispatch and default
 reference counts up here instead of a hardcoded if/elif ladder, so the
 serial and campaign defaults cannot drift apart.
+
+Decomposing and assembling import only the numpy-free grids and result
+types of :mod:`repro.sim.experiments.defs`; an experiment module, and
+with it the simulator, is imported only by the hooks that simulate. A
+resumed sweep of a complete store therefore never loads numpy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.campaign.spec import JobSpec
 from repro.common.errors import ConfigError
+from repro.common.lazy import import_module
 from repro.sim.scale import scaled
 
 
@@ -47,7 +53,11 @@ class ExperimentTarget:
     name: str
     default_refs: int
     description: str
-    serial: Callable[..., Any]
+    #: The experiment module, whose ``runner`` function is the serial
+    #: path. It is imported only to simulate: decompose and assemble
+    #: import the numpy-free :mod:`repro.sim.experiments.defs`.
+    module: str
+    runner: str
     options: tuple[str, ...] = ()
     decompose: Callable[..., list[JobSpec]] | None = None
     execute: Callable[[JobSpec], Any] | None = None
@@ -67,6 +77,10 @@ class ExperimentTarget:
         if refs is not None and refs <= 0:
             raise ConfigError(f"refs_per_app must be positive, got {refs}")
         return refs if refs else self.default_refs
+
+    def serial(self, **kwargs) -> Any:
+        """Call the experiment module's serial ``runner``."""
+        return getattr(import_module(self.module), self.runner)(**kwargs)
 
     def run_serial(self, refs: int | None = None, seed: int = 1, **options):
         """The plain in-process path (``repro experiment``)."""
@@ -129,7 +143,7 @@ def _assemble_whole(
 def _decompose_table1(
     name: str, refs: int, seed: int, options: dict[str, Any]
 ) -> list[JobSpec]:
-    from repro.sim.experiments.table1 import table1_combos
+    from repro.sim.experiments.defs.table1 import table1_combos
 
     resolved = scaled(refs)
     return [
@@ -165,7 +179,7 @@ def _execute_table1(spec: JobSpec) -> Any:
 def _assemble_table1(
     specs: list[JobSpec], results: list[Any], options: dict[str, Any]
 ):
-    from repro.sim.experiments.table1 import Table1Result
+    from repro.sim.experiments.defs.table1 import Table1Result
 
     first = specs[0].params_dict
     result = Table1Result(
@@ -184,7 +198,7 @@ def _assemble_table1(
 def _decompose_figure5(
     name: str, refs: int, seed: int, options: dict[str, Any]
 ) -> list[JobSpec]:
-    from repro.sim.experiments.figure5 import SIZES_MB, figure5_series
+    from repro.sim.experiments.defs.figure5 import SIZES_MB, figure5_series
 
     resolved = scaled(refs)
     graph = str(options.get("graph", "A")).upper()
@@ -230,7 +244,7 @@ def _execute_figure5(spec: JobSpec) -> Any:
 def _assemble_figure5(
     specs: list[JobSpec], results: list[Any], options: dict[str, Any]
 ):
-    from repro.sim.experiments.figure5 import SIZES_MB, Figure5Result
+    from repro.sim.experiments.defs.figure5 import SIZES_MB, Figure5Result
 
     graph = str(options.get("graph", "A")).upper()
     result = Figure5Result(graph=graph, sizes_mb=tuple(SIZES_MB))
@@ -247,7 +261,7 @@ def _assemble_figure5(
 def _decompose_degradation(
     name: str, refs: int, seed: int, options: dict[str, Any]
 ) -> list[JobSpec]:
-    from repro.sim.experiments.degradation import resolve_fractions
+    from repro.sim.experiments.defs.degradation import resolve_fractions
 
     resolved = scaled(refs)
     # resolve_fractions forces the 0.0 baseline in, so the first spec is
@@ -270,7 +284,7 @@ def _execute_degradation(spec: JobSpec) -> Any:
 def _assemble_degradation(
     specs: list[JobSpec], results: list[Any], options: dict[str, Any]
 ):
-    from repro.sim.experiments.degradation import assemble_rows
+    from repro.sim.experiments.defs.degradation import assemble_rows
 
     return assemble_rows(results)
 
@@ -280,7 +294,7 @@ def _assemble_degradation(
 def _decompose_tenancy(
     name: str, refs: int, seed: int, options: dict[str, Any]
 ) -> list[JobSpec]:
-    from repro.sim.experiments.tenancy import resolve_grid
+    from repro.sim.experiments.defs.tenancy import resolve_grid
 
     resolved = scaled(refs)
     return [
@@ -317,7 +331,7 @@ def _execute_tenancy(spec: JobSpec) -> Any:
 def _assemble_tenancy(
     specs: list[JobSpec], results: list[Any], options: dict[str, Any]
 ):
-    from repro.sim.experiments.tenancy import assemble_cells
+    from repro.sim.experiments.defs.tenancy import assemble_cells
 
     return assemble_cells(results)
 
@@ -327,7 +341,7 @@ def _assemble_tenancy(
 def _decompose_resize_mechanism(
     name: str, refs: int, seed: int, options: dict[str, Any]
 ) -> list[JobSpec]:
-    from repro.sim.experiments.resize_mechanism import resolve_grid
+    from repro.sim.experiments.defs.resize_mechanism import resolve_grid
 
     resolved = scaled(refs)
     return [
@@ -358,23 +372,12 @@ def _execute_resize_mechanism(spec: JobSpec) -> Any:
 def _assemble_resize_mechanism(
     specs: list[JobSpec], results: list[Any], options: dict[str, Any]
 ):
-    from repro.sim.experiments.resize_mechanism import assemble_cells
+    from repro.sim.experiments.defs.resize_mechanism import assemble_cells
 
     return assemble_cells(results)
 
 
 # ---------------------------------------------------------------- registry
-
-def _serial(module: str, func: str) -> Callable[..., Any]:
-    """Late-bound serial runner so importing the registry stays cheap."""
-
-    def run(**kwargs):
-        import importlib
-
-        return getattr(importlib.import_module(module), func)(**kwargs)
-
-    return run
-
 
 EXPERIMENTS: dict[str, ExperimentTarget] = {}
 
@@ -387,7 +390,8 @@ _register(ExperimentTarget(
     name="table1",
     default_refs=500_000,
     description="inter-application interference on a shared 1MB 4-way L2",
-    serial=_serial("repro.sim.experiments.table1", "run_table1"),
+    module="repro.sim.experiments.table1",
+    runner="run_table1",
     decompose=_decompose_table1,
     execute=_execute_table1,
     assemble=_assemble_table1,
@@ -396,25 +400,29 @@ _register(ExperimentTarget(
     name="table2",
     default_refs=300_000,
     description="mixed 12-benchmark workload, deviation from a 25% goal",
-    serial=_serial("repro.sim.experiments.table2", "run_table2"),
+    module="repro.sim.experiments.table2",
+    runner="run_table2",
 ))
 _register(ExperimentTarget(
     name="table4",
     default_refs=150_000,
     description="CACTI power at 0.07um, traditional vs molecular",
-    serial=_serial("repro.sim.experiments.table4", "run_table4"),
+    module="repro.sim.experiments.table4",
+    runner="run_table4",
 ))
 _register(ExperimentTarget(
     name="table5",
     default_refs=300_000,
     description="power-deviation product",
-    serial=_serial("repro.sim.experiments.table5", "run_table5"),
+    module="repro.sim.experiments.table5",
+    runner="run_table5",
 ))
 _register(ExperimentTarget(
     name="figure5",
     default_refs=400_000,
     description="average deviation from the 10% goal vs cache size",
-    serial=_serial("repro.sim.experiments.figure5", "run_figure5"),
+    module="repro.sim.experiments.figure5",
+    runner="run_figure5",
     options=("graph",),
     decompose=_decompose_figure5,
     execute=_execute_figure5,
@@ -424,7 +432,8 @@ _register(ExperimentTarget(
     name="degradation",
     default_refs=200_000,
     description="miss rate and relative IPC vs fraction of failed molecules",
-    serial=_serial("repro.sim.experiments.degradation", "run_degradation"),
+    module="repro.sim.experiments.degradation",
+    runner="run_degradation",
     options=("fractions",),
     decompose=_decompose_degradation,
     execute=_execute_degradation,
@@ -434,14 +443,16 @@ _register(ExperimentTarget(
     name="figure6",
     default_refs=300_000,
     description="hits-per-molecule, Random vs Randy placement",
-    serial=_serial("repro.sim.experiments.figure6", "run_figure6"),
+    module="repro.sim.experiments.figure6",
+    runner="run_figure6",
 ))
 _register(ExperimentTarget(
     name="tenancy",
     default_refs=60_000,
     description="multi-tenant cache service: allocation policy vs "
                 "tenant count, churn and skew",
-    serial=_serial("repro.sim.experiments.tenancy", "run_tenancy"),
+    module="repro.sim.experiments.tenancy",
+    runner="run_tenancy",
     options=("tenants", "churn", "skew", "policies"),
     decompose=_decompose_tenancy,
     execute=_execute_tenancy,
@@ -452,9 +463,8 @@ _register(ExperimentTarget(
     default_refs=60_000,
     description="resize backends under churn: flush vs consistent "
                 "hashing, data moved and miss-rate recovery per trigger",
-    serial=_serial(
-        "repro.sim.experiments.resize_mechanism", "run_resize_mechanism"
-    ),
+    module="repro.sim.experiments.resize_mechanism",
+    runner="run_resize_mechanism",
     options=("resize_mechanism",),
     decompose=_decompose_resize_mechanism,
     execute=_execute_resize_mechanism,
@@ -474,6 +484,19 @@ def get_experiment(name: str) -> ExperimentTarget:
         raise ConfigError(
             f"unknown experiment {name!r}; available: {experiment_names()}"
         ) from None
+
+
+def import_experiments(names: Iterable[str]) -> None:
+    """Import the experiment modules behind ``names``.
+
+    The launcher calls this before forking workers, so every worker
+    inherits the simulator instead of importing it after the fork.
+    Unregistered names are skipped: their jobs fail inside a worker.
+    """
+    for name in dict.fromkeys(names):
+        target = EXPERIMENTS.get(name)
+        if target is not None:
+            import_module(target.module)
 
 
 def execute_job(spec: JobSpec) -> Any:

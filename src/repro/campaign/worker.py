@@ -721,6 +721,16 @@ def run_campaign(
                 telemetry=telemetry, spans=spans,
             )
         elif outcome.workers > 1:
+            # Import the simulator once, here, so each forked worker
+            # inherits it rather than importing it after the fork.
+            from repro.campaign.registry import import_experiments
+
+            waiting = set(pending)
+            import_experiments(
+                spec.experiment
+                for spec, job_hash in zip(outcome.specs, hashes)
+                if job_hash in waiting
+            )
             outcome.exitcodes = _drain_forked(
                 store, manager, pending, launcher, outcome.workers, config,
                 telemetry, spans, worker_chaos, worker_skews,

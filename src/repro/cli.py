@@ -176,7 +176,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     name = args.name
     target = get_experiment(name)
-    result = target.run_serial(refs=args.refs, **_experiment_options(target, args))
+    result = target.run_serial(
+        refs=args.refs, seed=args.seed, **_experiment_options(target, args)
+    )
     print(result.format())
     if name == "figure5" and args.chart:
         from repro.sim.plot import ascii_chart
@@ -772,6 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=experiment_names())
     experiment.add_argument("--refs", type=int, default=None,
                             help="references per application")
+    experiment.add_argument("--seed", type=int, default=1)
     experiment.add_argument("--graph", choices=["A", "B"], default="A",
                             help="figure5 graph")
     experiment.add_argument("--chart", action="store_true",

@@ -1,15 +1,14 @@
-"""Simulation drivers and the experiment harnesses for every table/figure."""
+"""Simulation drivers and the experiment harnesses for every table/figure.
 
-from repro.sim.cmp import CMPRunConfig, CMPRunner, CMPRunResult
-from repro.sim.driver import run_trace
-from repro.sim.platform import CMPPlatform, PlatformConfig, PlatformResult
+The names in ``__all__`` are imported on first use
+(:mod:`repro.common.lazy`): ``repro.sim.scale`` and ``repro.sim.report``
+import without the simulator.
+"""
 
-__all__ = [
-    "CMPPlatform",
-    "CMPRunConfig",
-    "CMPRunner",
-    "CMPRunResult",
-    "PlatformConfig",
-    "PlatformResult",
-    "run_trace",
-]
+from repro.common.lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.cmp": ("CMPRunConfig", "CMPRunner", "CMPRunResult"),
+    "repro.sim.driver": ("run_trace",),
+    "repro.sim.platform": ("CMPPlatform", "PlatformConfig", "PlatformResult"),
+})

@@ -4,48 +4,26 @@ Each ``run_*`` function is self-contained: it builds the workloads, runs
 the simulations, and returns a structured result object with a
 ``format()`` method printing the same rows/series the paper reports.
 Reference counts scale with the ``REPRO_SCALE`` environment variable.
+
+The names in ``__all__`` are imported on first use
+(:mod:`repro.common.lazy`). Grids and result types live in
+:mod:`repro.sim.experiments.defs`, which imports no simulator.
 """
 
-from repro.sim.experiments.common import (
-    build_traces,
-    run_molecular_workload,
-    run_traditional_workload,
-)
-from repro.sim.experiments.table1 import (
-    Table1Result,
-    run_table1,
-    run_table1_combo,
-    table1_combos,
-)
-from repro.sim.experiments.figure5 import (
-    Figure5Result,
-    figure5_series,
-    run_figure5,
-    run_figure5_cell,
-)
-from repro.sim.experiments.table2 import Table2Result, run_table2
-from repro.sim.experiments.figure6 import Figure6Result, run_figure6
-from repro.sim.experiments.table4 import Table4Result, run_table4
-from repro.sim.experiments.table5 import Table5Result, run_table5
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "Figure5Result",
-    "Figure6Result",
-    "Table1Result",
-    "Table2Result",
-    "Table4Result",
-    "Table5Result",
-    "build_traces",
-    "figure5_series",
-    "run_figure5",
-    "run_figure5_cell",
-    "run_figure6",
-    "run_molecular_workload",
-    "run_table1",
-    "run_table1_combo",
-    "run_table2",
-    "run_table4",
-    "run_table5",
-    "run_traditional_workload",
-    "table1_combos",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.sim.experiments.common": (
+        "build_traces",
+        "run_molecular_workload",
+        "run_traditional_workload",
+    ),
+    "repro.sim.experiments.defs.figure5": ("Figure5Result", "figure5_series"),
+    "repro.sim.experiments.defs.table1": ("Table1Result", "table1_combos"),
+    "repro.sim.experiments.figure5": ("run_figure5", "run_figure5_cell"),
+    "repro.sim.experiments.figure6": ("Figure6Result", "run_figure6"),
+    "repro.sim.experiments.table1": ("run_table1", "run_table1_combo"),
+    "repro.sim.experiments.table2": ("Table2Result", "run_table2"),
+    "repro.sim.experiments.table4": ("Table4Result", "run_table4"),
+    "repro.sim.experiments.table5": ("Table5Result", "run_table5"),
+})

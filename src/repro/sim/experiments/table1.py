@@ -7,74 +7,14 @@ depends strongly on the co-runners, demonstrating cache pollution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
-
 from repro.sim.experiments.common import build_traces, run_traditional_workload
-from repro.sim.report import format_table
+from repro.sim.experiments.defs.table1 import (  # noqa: F401  (re-exported)
+    PAPER_TABLE1,
+    QUARTET,
+    Table1Result,
+    table1_combos,
+)
 from repro.sim.scale import scaled
-
-#: The paper's benchmark order for this table.
-QUARTET = ("art", "mcf", "ammp", "parser")
-
-#: The paper's Table 1 values, for side-by-side comparison in reports:
-#: combo (tuple of names) -> {name: miss rate}.
-PAPER_TABLE1 = {
-    ("art",): {"art": 0.064},
-    ("mcf",): {"mcf": 0.668},
-    ("ammp",): {"ammp": 0.008},
-    ("parser",): {"parser": 0.086},
-    ("art", "mcf"): {"art": 0.069, "mcf": 0.691},
-    ("art", "ammp"): {"art": 0.065, "ammp": 0.009},
-    ("art", "parser"): {"art": 0.065, "parser": 0.134},
-    ("mcf", "ammp"): {"mcf": 0.702, "ammp": 0.012},
-    ("mcf", "parser"): {"mcf": 0.684, "parser": 0.247},
-    ("ammp", "parser"): {"ammp": 0.009, "parser": 0.091},
-    ("art", "mcf", "ammp", "parser"): {
-        "art": 0.734,
-        "mcf": 0.688,
-        "ammp": 0.013,
-        "parser": 0.253,
-    },
-}
-
-
-@dataclass(slots=True)
-class Table1Result:
-    """Measured miss rates per benchmark combination."""
-
-    cache_label: str
-    combos: dict[tuple[str, ...], dict[str, float]] = field(default_factory=dict)
-
-    def miss_rate(self, combo: tuple[str, ...], name: str) -> float:
-        return self.combos[combo][name]
-
-    def format(self) -> str:
-        rows = []
-        for combo, rates in self.combos.items():
-            paper = PAPER_TABLE1.get(combo, {})
-            for name in combo:
-                rows.append(
-                    [
-                        "+".join(combo),
-                        name,
-                        rates[name],
-                        paper.get(name, float("nan")),
-                    ]
-                )
-        return format_table(
-            ["workload", "benchmark", "miss rate (ours)", "miss rate (paper)"],
-            rows,
-            title=f"Table 1 — interference on a shared {self.cache_label}",
-        )
-
-
-def table1_combos() -> list[tuple[str, ...]]:
-    """The paper's combination order: alone, all pairs, all four."""
-    combos: list[tuple[str, ...]] = [(name,) for name in QUARTET]
-    combos += list(combinations(QUARTET, 2))
-    combos.append(QUARTET)
-    return combos
 
 
 def run_table1_combo(

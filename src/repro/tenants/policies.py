@@ -27,7 +27,6 @@ import heapq
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.molecular.resize import algorithm1_step
 from repro.tenants.accounting import HitRateSampler
 
 
@@ -266,6 +265,11 @@ class Algorithm1Tenancy(AllocationPolicy):
     def rebalance(
         self, epoch: int, capacity: int, tenants: dict[int, TenantView]
     ) -> dict[int, int]:
+        # Imported here, not at module level: the tenancy sweep reads
+        # this module's policy names to decompose its grid, which must
+        # not load the molecular cache (and numpy) behind the resizer.
+        from repro.molecular.resize import algorithm1_step
+
         alloc = {t: view.allocation for t, view in sorted(tenants.items())}
         free = capacity - sum(alloc.values())
         quantum = self.quantum

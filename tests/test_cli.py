@@ -305,6 +305,18 @@ class TestDistributedCli:
         assert captured.out == serial  # stdout is byte-comparable
         assert "(11 run, 0 cached, 0 retried) on 3 worker(s)" in captured.err
 
+    def test_experiment_seed_matches_sweep_seed(self, capsys, tmp_path):
+        assert main(["experiment", "table1", "--seed", "2"]) == 0
+        serial = capsys.readouterr().out
+        assert main(
+            ["sweep", "table1", "--seed", "2", "--jobs", "2",
+             "--out", str(tmp_path / "store")]
+        ) == 0
+        assert capsys.readouterr().out == serial
+        # The seed reaches the simulation: seed 1 prints other rates.
+        assert main(["experiment", "table1"]) == 0
+        assert capsys.readouterr().out != serial
+
     def test_distributed_one_degrades_to_serial_path(
         self, capsys, monkeypatch, tmp_path
     ):
