@@ -289,53 +289,6 @@ def _assemble_degradation(
     return assemble_rows(results)
 
 
-# ----------------------------------------------------------------- tenancy
-
-def _decompose_tenancy(
-    name: str, refs: int, seed: int, options: dict[str, Any]
-) -> list[JobSpec]:
-    from repro.sim.experiments.defs.tenancy import resolve_grid
-
-    resolved = scaled(refs)
-    return [
-        JobSpec.make(
-            name,
-            "cell",
-            {
-                "tenants": tenants,
-                "churn": churn,
-                "skew": skew,
-                "policy": policy,
-                "refs": resolved,
-            },
-            seed=seed,
-        )
-        for tenants, churn, skew, policy in resolve_grid(options)
-    ]
-
-
-def _execute_tenancy(spec: JobSpec) -> Any:
-    from repro.sim.experiments.tenancy import run_tenancy_cell
-
-    params = spec.params_dict
-    return run_tenancy_cell(
-        params["tenants"],
-        params["churn"],
-        params["skew"],
-        params["policy"],
-        params["refs"],
-        seed=spec.seed,
-    )
-
-
-def _assemble_tenancy(
-    specs: list[JobSpec], results: list[Any], options: dict[str, Any]
-):
-    from repro.sim.experiments.defs.tenancy import assemble_cells
-
-    return assemble_cells(results)
-
-
 # -------------------------------------------------------- resize-mechanism
 
 def _decompose_resize_mechanism(
@@ -447,18 +400,6 @@ _register(ExperimentTarget(
     runner="run_figure6",
 ))
 _register(ExperimentTarget(
-    name="tenancy",
-    default_refs=60_000,
-    description="multi-tenant cache service: allocation policy vs "
-                "tenant count, churn and skew",
-    module="repro.sim.experiments.tenancy",
-    runner="run_tenancy",
-    options=("tenants", "churn", "skew", "policies"),
-    decompose=_decompose_tenancy,
-    execute=_execute_tenancy,
-    assemble=_assemble_tenancy,
-))
-_register(ExperimentTarget(
     name="resize-mechanism",
     default_refs=60_000,
     description="resize backends under churn: flush vs consistent "
@@ -491,7 +432,8 @@ def import_experiments(names: Iterable[str]) -> None:
 
     The launcher calls this before forking workers, so every worker
     inherits the simulator instead of importing it after the fork.
-    Unregistered names are skipped: their jobs fail inside a worker.
+    Unregistered names are skipped: a worker reading the manifest
+    rejects them before it leases any job.
     """
     for name in dict.fromkeys(names):
         target = EXPERIMENTS.get(name)

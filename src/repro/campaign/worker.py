@@ -31,14 +31,13 @@ peers) sleeps before the next pass, doubling up to ``backoff_cap`` — so
 a fleet stampeding one store settles into polite polling while the
 leaseholders work.
 
-``run_campaign`` is the launcher behind ``repro sweep``, ``repro
-tenants --jobs`` and ``repro chaos``: it writes the manifest, serves the
-jobs a resumed store already holds, and drains the rest — in process
-when one worker suffices, otherwise with min(N, usable CPUs, pending
-jobs) forked workers — then reports one :class:`CampaignOutcome`. Worker
-chaos directives (:class:`~repro.faults.chaos.WorkerChaos`) sabotage
-individual forked workers, which is how the chaos suite proves
-convergence.
+``run_campaign`` is the launcher behind ``repro sweep`` and ``repro
+chaos``: it writes the manifest, serves the jobs a resumed store already
+holds, and drains the rest — in process when one worker suffices,
+otherwise with min(N, usable CPUs, pending jobs) forked workers — then
+reports one :class:`CampaignOutcome`. Worker chaos directives
+(:class:`~repro.faults.chaos.WorkerChaos`) sabotage individual forked
+workers, which is how the chaos suite proves convergence.
 """
 
 from __future__ import annotations
@@ -154,7 +153,14 @@ class WorkerReport:
 
 
 def _manifest_jobs(store: ResultStore) -> tuple[str, list[tuple[str, dict]]]:
-    """Campaign name + ordered unique (hash, spec payload) pairs."""
+    """Campaign name + ordered unique (hash, spec payload) pairs.
+
+    Every job's experiment must be registered: a store written for an
+    experiment this version no longer has is rejected before any lease
+    is taken, instead of quarantining each of its jobs.
+    """
+    from repro.campaign.registry import get_experiment
+
     manifest = store.read_manifest()
     if manifest is None:
         raise ConfigError(
@@ -170,6 +176,8 @@ def _manifest_jobs(store: ResultStore) -> tuple[str, list[tuple[str, dict]]]:
             jobs.append((job_hash, entry["spec"]))
     if not jobs:
         raise ConfigError(f"{store.root}: manifest lists no jobs")
+    for experiment in dict.fromkeys(spec["experiment"] for _, spec in jobs):
+        get_experiment(experiment)
     return str(manifest.get("campaign", "campaign")), jobs
 
 

@@ -5,14 +5,8 @@ Commands
 ``models``
     List the bundled workload models with their footprints.
 ``workloads``
-    List the registered workload families (SPEC stand-ins, mixed suite,
-    multi-tenant mixes) and their members.
-``tenants``
-    Multi-tenant cache-service sweep: allocation policies (static /
-    need-driven / Algorithm 1) vs tenant count, churn and skew, with
-    per-tenant hit-rate accounting, Jain fairness and SLA tracking.
-    ``--jobs`` runs it as a campaign; ``--record`` captures one cell's
-    telemetry for ``repro inspect``.
+    List the registered workload families (SPEC stand-ins and the mixed
+    suite) and their members.
 ``profile MODEL``
     Characterise a model's trace (footprint, locality, LRU miss curve).
 ``experiment {table1,table2,table4,table5,figure5,figure6,...}``
@@ -324,10 +318,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Drain the experiment's jobs through lease workers; print the result.
+
+    Stdout carries exactly what ``repro experiment`` prints, so the two
+    paths stay byte-comparable; campaign bookkeeping goes to stderr. A
+    degraded campaign prints its quarantined jobs instead and exits 1.
+    """
     import os
     from pathlib import Path
 
-    from repro.campaign import LeaseConfig
+    from repro.campaign import LeaseConfig, ResultStore, run_campaign
     from repro.campaign.registry import get_experiment
 
     if validate_audit_cadence(args.audit) is not None:
@@ -338,59 +338,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     target = get_experiment(args.name)
     options = _experiment_options(target, args)
     specs = target.jobs(refs=args.refs, seed=args.seed, **options)
-    out = Path(args.out) if args.out else Path("campaigns") / args.name
+    store = ResultStore(
+        Path(args.out) if args.out else Path("campaigns") / args.name
+    )
     config = LeaseConfig(
         ttl=args.ttl,
         job_timeout=args.timeout,
         max_reclaims=args.max_reclaims,
     )
-    return _drain_and_print(
-        target, specs, options, out, args.name, args.jobs, args.resume,
-        config=config, record=args.record, spans_path=args.spans,
-        worker_chaos=args.worker_chaos,
-    )
-
-
-def _worker_chaos(text: str | None) -> list[str | None] | None:
-    """``--worker-chaos 'kill@2;;hang@1:5'`` -> one directive per worker."""
-    if not text:
-        return None
-    from repro.faults.chaos import WorkerChaos
-
-    parts = [part.strip() or None for part in text.split(";")]
-    for part in parts:
-        WorkerChaos.parse(part)  # fail fast on grammar errors
-    return parts
-
-
-def _drain_and_print(
-    target, specs, options, out, campaign, jobs, resume, config=None,
-    record=None, spans_path=None, worker_chaos=None,
-) -> int:
-    """Drain ``specs`` through the lease workers and print the result.
-
-    Stdout carries exactly what ``repro experiment`` prints, so the two
-    paths stay byte-comparable; campaign bookkeeping goes to stderr. A
-    degraded campaign prints its quarantined jobs instead and exits 1.
-    """
-    from repro.campaign import ResultStore, run_campaign
-
-    store = ResultStore(out)
-    chaos = _worker_chaos(worker_chaos)
+    chaos = _worker_chaos(args.worker_chaos)
     bus = sink = None
-    if record:
+    if args.record:
         from repro.telemetry import EventBus, JsonlSink
 
-        sink = JsonlSink(record)
+        sink = JsonlSink(args.record)
         bus = EventBus([sink], epoch_refs=0)
     spans = None
-    if spans_path:
+    if args.spans:
         from repro.prof import SpanRecorder
 
         spans = SpanRecorder()
     try:
         outcome = run_campaign(
-            store, specs, campaign, jobs=jobs, resume=resume,
+            store, specs, args.name, jobs=args.jobs, resume=args.resume,
             options=options, config=config, telemetry=bus, spans=spans,
             worker_chaos=chaos,
         )
@@ -400,7 +370,7 @@ def _drain_and_print(
         if spans is not None:
             # Export whatever was recorded even on an interrupt — a
             # partial timeline is exactly what post-mortems need.
-            path = spans.export(spans_path)
+            path = spans.export(args.spans)
             print(
                 f"campaign spans: {len(spans)} events -> {path} "
                 "(load in Perfetto / chrome://tracing, or summarise with "
@@ -422,6 +392,18 @@ def _drain_and_print(
             file=sys.stderr,
         )
     return 1 if outcome.degraded else 0
+
+
+def _worker_chaos(text: str | None) -> list[str | None] | None:
+    """``--worker-chaos 'kill@2;;hang@1:5'`` -> one directive per worker."""
+    if not text:
+        return None
+    from repro.faults.chaos import WorkerChaos
+
+    parts = [part.strip() or None for part in text.split(";")]
+    for part in parts:
+        WorkerChaos.parse(part)  # fail fast on grammar errors
+    return parts
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -645,84 +627,15 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_axis(text: str | None, cast):
-    """``"10,100,1000"`` -> ``[10, 100, 1000]`` (None passes through)."""
-    if text is None:
-        return None
-    values = [cast(part.strip()) for part in text.split(",") if part.strip()]
-    if not values:
-        raise ConfigError(f"empty axis value {text!r}")
-    return values
-
-
 def cmd_workloads(args: argparse.Namespace) -> int:
     """List the registered workload families and their members."""
     from repro.workloads.registry import available_families
 
     for family in available_families():
-        print(f"{family.name} ({family.kind}): {family.description}")
+        print(f"{family.name}: {family.description}")
         for member in family.members:
             print(f"  {member}")
     return 0
-
-
-def cmd_tenants(args: argparse.Namespace) -> int:
-    """Run the tenancy sweep (serial, campaign, or one recorded cell)."""
-    from pathlib import Path
-
-    from repro.campaign.registry import get_experiment
-
-    target = get_experiment("tenancy")
-    options = {
-        name: value
-        for name, value in (
-            ("tenants", _parse_axis(args.tenants, int)),
-            ("churn", _parse_axis(args.churn, float)),
-            ("skew", _parse_axis(args.skew, float)),
-            ("policies", _parse_axis(args.policies, str)),
-        )
-        if value is not None
-    }
-
-    if args.record:
-        # One showcase cell with full telemetry instead of the sweep:
-        # the most hostile grid point, under one explicit policy.
-        from repro.sim.experiments.tenancy import record_tenancy_cell, resolve_grid
-        from repro.sim.scale import scaled
-
-        grid = resolve_grid(options)
-        tenants, churn, skew, _ = max(
-            grid, key=lambda cell: (cell[0], cell[1], cell[2])
-        )
-        policy = (options.get("policies") or ["need"])[0]
-        refs = scaled(target.resolve_refs(args.refs))
-        payload, events = record_tenancy_cell(
-            tenants, churn, skew, policy, refs, seed=args.seed,
-            path=args.record,
-        )
-        print(
-            f"recorded tenancy cell: {tenants} tenants, churn {churn:g}, "
-            f"skew {skew:g}, policy {policy} -> aggregate hit rate "
-            f"{payload['aggregate_hit_rate']:.4f}, jain {payload['jain']:.3f}, "
-            f"{payload['sla_violation_epochs']} SLA epoch(s)"
-        )
-        print(
-            f"telemetry: {events} events -> {args.record} "
-            "(replay with `python -m repro inspect`)",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.jobs is None:
-        result = target.run_serial(refs=args.refs, seed=args.seed, **options)
-        print(result.format())
-        return 0
-
-    specs = target.jobs(refs=args.refs, seed=args.seed, **options)
-    out = Path(args.out) if args.out else Path("campaigns") / "tenancy"
-    return _drain_and_print(
-        target, specs, options, out, "tenancy", args.jobs, args.resume
-    )
 
 
 def cmd_bench_report(args: argparse.Namespace) -> int:
@@ -993,38 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="list registered workload families and their members",
     )
 
-    tenants = sub.add_parser(
-        "tenants",
-        help="multi-tenant cache-service sweep (policies vs churn/skew)",
-    )
-    tenants.add_argument("--tenants", default=None,
-                         help="comma list of tenant counts (default 10,100)")
-    tenants.add_argument("--churn", default=None,
-                         help="comma list of churn rates (default 0,0.3)")
-    tenants.add_argument("--skew", default=None,
-                         help="comma list of tenant-popularity skews "
-                              "(default 0.5,1)")
-    tenants.add_argument("--policies", default=None,
-                         help="comma list of allocation policies "
-                              "(default static,need,alg1)")
-    tenants.add_argument("--refs", type=int, default=None,
-                         help="references per cell")
-    tenants.add_argument("--seed", type=int, default=1)
-    tenants.add_argument("--jobs", type=int, default=None,
-                         help="run as a campaign with this many lease "
-                              "workers (0 = one per CPU; omit for a plain "
-                              "serial run)")
-    tenants.add_argument("--resume", action="store_true",
-                         help="skip jobs already completed in the result "
-                              "store (campaign mode)")
-    tenants.add_argument("--out", default=None,
-                         help="campaign result store directory "
-                              "(default: campaigns/tenancy)")
-    tenants.add_argument("--record", metavar="PATH", default=None,
-                         help="instead of the sweep, run the most hostile "
-                              "grid cell with telemetry recorded to PATH "
-                              "(replay with `repro inspect`)")
-
     bench_report = sub.add_parser(
         "bench-report",
         help="diff the benchmark ledger and flag perf regressions",
@@ -1060,7 +941,6 @@ _COMMANDS = {
     "trace-export": cmd_trace_export,
     "bench-report": cmd_bench_report,
     "workloads": cmd_workloads,
-    "tenants": cmd_tenants,
 }
 
 
@@ -1073,7 +953,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     except KeyError as error:
-        print(f"error: {error}", file=sys.stderr)
+        # str(KeyError) is the repr of its message; print the message.
+        print(f"error: {error.args[0] if error.args else error}",
+              file=sys.stderr)
         return 2
     except BrokenPipeError:
         # stdout was closed early (e.g. `repro inspect ... | head`).

@@ -218,6 +218,11 @@ class MolecularCacheConfig:
         Used by the Figure 5 sweep: e.g. 1 MB with one 4-tile cluster
         gives 256 KB tiles of 32 molecules.
         """
+        if clusters < 1 or tiles_per_cluster < 1:
+            raise ConfigError(
+                f"tile/cluster geometry must be positive, got {clusters} "
+                f"cluster(s) of {tiles_per_cluster} tile(s)"
+            )
         tile_bytes = total_bytes // (clusters * tiles_per_cluster)
         if tile_bytes * clusters * tiles_per_cluster != total_bytes:
             raise ConfigError(

@@ -74,10 +74,7 @@ def algorithm1_step(
     Returns ``(action, amount, new_max_allocation)`` where ``action`` is
     ``"grow"``, ``"withdraw"`` or ``"hold"`` and ``new_max_allocation``
     carries the panic branch's clamp back to the caller's state. Units
-    are whatever the caller partitions in — molecules for the
-    :class:`Resizer`, block quanta for the tenant-granularity policy in
-    :mod:`repro.tenants.policies` — which is exactly why the arithmetic
-    lives outside the engine.
+    are molecules.
     """
     if miss_rate > panic_miss_rate:
         if 0 < last_allocation < max_allocation:

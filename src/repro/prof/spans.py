@@ -176,7 +176,9 @@ def load_trace(path: str | Path) -> list[dict]:
     """The ``traceEvents`` of a recorded span file.
 
     Accepts the object form (``{"traceEvents": [...]}``) and the bare
-    array form — both load in Perfetto, so both are accepted here.
+    array form — both load in Perfetto, so both are accepted here. Every
+    event must be a JSON object whose ``ts`` and ``dur``, when present,
+    are numbers.
     """
     path = Path(path)
     if not path.exists():
@@ -192,6 +194,16 @@ def load_trace(path: str | Path) -> list[dict]:
         events = payload
     if not isinstance(events, list):
         raise ConfigError(f"{path}: no traceEvents array")
+    for index, event in enumerate(events):
+        if not isinstance(event, dict):
+            raise ConfigError(f"{path}: trace event {index} is not an object")
+        for key in ("ts", "dur"):
+            value = event.get(key, 0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(
+                    f"{path}: trace event {index} has a non-numeric "
+                    f"{key!r} ({value!r})"
+                )
     return events
 
 

@@ -31,10 +31,6 @@ The event vocabulary mirrors the paper's observable dynamics:
   :class:`RegionRepaired` — the fault-injection subsystem
   (:mod:`repro.faults`): a scheduled fault fired, a molecule was retired
   by a hard fault, and the resize engine replaced retired capacity.
-* :class:`TenantEpochSnapshot` / :class:`TenantRunSummary` — the
-  multi-tenant cache service (:mod:`repro.tenants`): one epoch boundary
-  (fairness, reallocation churn, busiest tenants) and the end-of-run
-  rollup (per-tenant hit rates, SLA violations, hit-rate curves).
 * :class:`CampaignInterrupted` — a campaign stopped by SIGINT/SIGTERM
   with its completed results persisted and its leases reopened.
 * :class:`LeaseAcquired` / :class:`LeaseExpired` / :class:`JobQuarantined`
@@ -340,65 +336,6 @@ class RegionRepaired(TelemetryEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class TenantEpochSnapshot(TelemetryEvent):
-    """One cache-service epoch boundary (:mod:`repro.tenants.service`).
-
-    ``tenants`` maps the epoch's busiest tenant ids (capped) to
-    ``{"alloc", "occ", "acc", "hr"}`` — post-rebalance allocation,
-    occupancy, epoch accesses and epoch hit rate.
-    """
-
-    kind: ClassVar[str] = "tenant_epoch"
-
-    epoch: int
-    policy: str
-    capacity: int
-    free: int
-    moved: int
-    aggregate_hit_rate: float
-    jain: float
-    violations: int
-    tenants: dict[int, dict[str, Any]]
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TenantEpochSnapshot":
-        payload = dict(payload)
-        payload["tenants"] = _int_keys(payload.get("tenants", {}))
-        return cls(**payload)
-
-
-@dataclass(frozen=True, slots=True)
-class TenantRunSummary(TelemetryEvent):
-    """End-of-run rollup for a cache-service tenancy run.
-
-    ``worst`` maps the lowest-hit-rate tenants to ``{"hr", "acc",
-    "alloc"}``; ``hrc`` maps the busiest tenants to their sampled
-    hit-rate curves as ``[capacity_blocks, est_hit_rate]`` pairs.
-    """
-
-    kind: ClassVar[str] = "tenant_summary"
-
-    policy: str
-    epochs: int
-    tenants: int
-    aggregate_hit_rate: float
-    mean_jain: float
-    moved_blocks: int
-    sla_tracked: bool
-    sla_violations: int
-    sla_violation_epochs: int
-    worst: dict[int, dict[str, Any]]
-    hrc: dict[int, list]
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TenantRunSummary":
-        payload = dict(payload)
-        payload["worst"] = _int_keys(payload.get("worst", {}))
-        payload["hrc"] = _int_keys(payload.get("hrc", {}))
-        return cls(**payload)
-
-
-@dataclass(frozen=True, slots=True)
 class CampaignInterrupted(TelemetryEvent):
     """A campaign stopped on SIGINT/SIGTERM; completed work is durable."""
 
@@ -491,8 +428,6 @@ EVENT_TYPES: dict[str, type[TelemetryEvent]] = {
         FaultInjected,
         MoleculeRetired,
         RegionRepaired,
-        TenantEpochSnapshot,
-        TenantRunSummary,
         CampaignInterrupted,
         LeaseAcquired,
         LeaseExpired,

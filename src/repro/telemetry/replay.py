@@ -30,8 +30,6 @@ from repro.telemetry.events import (
     ResizeDecision,
     RunMeta,
     TelemetryEvent,
-    TenantEpochSnapshot,
-    TenantRunSummary,
 )
 from repro.telemetry.sinks import read_events
 from repro.telemetry.timeline import MetricsTimeline
@@ -51,8 +49,6 @@ class InspectReport:
     access_samples: int = 0
     remote_searches: int = 0
     total_events: int = 0
-    tenant_epochs: list[TenantEpochSnapshot] = field(default_factory=list)
-    tenant_summary: TenantRunSummary | None = None
     lease_events: list[LeaseAcquired | LeaseExpired] = field(
         default_factory=list
     )
@@ -77,10 +73,6 @@ class InspectReport:
             self.access_samples += 1
         elif isinstance(event, RemoteSearch):
             self.remote_searches += 1
-        elif isinstance(event, TenantEpochSnapshot):
-            self.tenant_epochs.append(event)
-        elif isinstance(event, TenantRunSummary):
-            self.tenant_summary = event
         elif isinstance(event, (LeaseAcquired, LeaseExpired)):
             self.lease_events.append(event)
         elif isinstance(event, JobQuarantined):
@@ -327,85 +319,6 @@ class InspectReport:
             "the cause, delete the file(s) and re-run."
         )
 
-    def tenancy_epoch_table(self, max_rows: int | None = None) -> str:
-        from repro.sim.report import format_table
-
-        epochs = (
-            self.tenant_epochs
-            if max_rows is None
-            else self.tenant_epochs[:max_rows]
-        )
-        rows = [
-            [
-                snap.epoch,
-                snap.policy,
-                snap.aggregate_hit_rate,
-                snap.jain,
-                snap.moved,
-                snap.free,
-                snap.violations,
-            ]
-            for snap in epochs
-        ]
-        table = format_table(
-            ["epoch", "policy", "hit rate", "jain", "moved", "free",
-             "violations"],
-            rows,
-            title="Tenancy epochs (cache service)",
-        )
-        if max_rows is not None and len(self.tenant_epochs) > max_rows:
-            table += f"\n... {len(self.tenant_epochs) - max_rows} more epochs"
-        return table
-
-    def tenancy_summary_section(self) -> str:
-        from repro.sim.report import format_table
-
-        summary = self.tenant_summary
-        lines = [
-            "Tenancy run summary",
-            f"  policy {summary.policy}: {summary.tenants} tenants over "
-            f"{summary.epochs} epochs, aggregate hit rate "
-            f"{summary.aggregate_hit_rate:.4f}, mean Jain fairness "
-            f"{summary.mean_jain:.4f}, {summary.moved_blocks} blocks "
-            f"reallocated",
-        ]
-        if summary.sla_tracked:
-            lines.append(
-                f"  SLA: {summary.sla_violations} tenant-epoch violations "
-                f"across {summary.sla_violation_epochs} epoch(s)"
-            )
-        else:
-            lines.append("  SLA: not tracked (accounting disabled or no goal)")
-        if summary.worst:
-            rows = [
-                [tenant, entry.get("hr"), entry.get("acc"), entry.get("alloc")]
-                for tenant, entry in sorted(summary.worst.items())
-            ]
-            lines.append("")
-            lines.append(
-                format_table(
-                    ["tenant", "hit rate", "accesses", "final alloc"],
-                    rows,
-                    title="Worst-served tenants",
-                )
-            )
-        if summary.hrc:
-            rows = []
-            for tenant, points in sorted(summary.hrc.items()):
-                curve = ", ".join(
-                    f"{int(blocks)}:{rate:.2f}" for blocks, rate in points
-                )
-                rows.append([tenant, curve])
-            lines.append("")
-            lines.append(
-                format_table(
-                    ["tenant", "est. hit rate by capacity (blocks:rate)"],
-                    rows,
-                    title="Sampled hit-rate curves (busiest tenants)",
-                )
-            )
-        return "\n".join(lines)
-
     def format(self, max_rows: int | None = None) -> str:
         """The full ``repro inspect`` report."""
         sections = [self.header()]
@@ -425,12 +338,7 @@ class InspectReport:
                         metric, title=title, max_rows=max_rows
                     )
                 )
-        elif (
-            not self.tenant_epochs
-            and self.tenant_summary is None
-            and not self.lease_events
-            and not self.quarantines
-        ):
+        elif not self.lease_events and not self.quarantines:
             sections.append(
                 "no epoch rollovers recorded — was the bus created with "
                 "epoch_refs=0, or never closed?"
@@ -439,10 +347,6 @@ class InspectReport:
             sections.append(self.lease_table(max_rows=max_rows))
         if self.quarantines:
             sections.append(self.quarantine_section())
-        if self.tenant_epochs:
-            sections.append(self.tenancy_epoch_table(max_rows=max_rows))
-        if self.tenant_summary is not None:
-            sections.append(self.tenancy_summary_section())
         if self.asids():
             sections.append(self.summary_table())
         return "\n\n".join(sections)

@@ -85,7 +85,8 @@ def read_events(path: str | Path) -> Iterator[TelemetryEvent]:
     Unknown event kinds (from a newer writer) and blank lines are skipped;
     a syntactically broken line raises :class:`ConfigError` with its line
     number, since a truncated recording usually means the producing run
-    never closed its bus.
+    never closed its bus. So does a line that parses but is not an event
+    (not an object, or a known kind with missing or unknown fields).
     """
     path = Path(path)
     if not path.exists():
@@ -102,6 +103,16 @@ def read_events(path: str | Path) -> Iterator[TelemetryEvent]:
                     f"{path}:{line_number}: broken telemetry line ({error}); "
                     "was the recording bus closed?"
                 ) from None
-            event = event_from_dict(payload)
+            if not isinstance(payload, dict):
+                raise ConfigError(
+                    f"{path}:{line_number}: not a telemetry event "
+                    f"(a JSON {type(payload).__name__}, not an object)"
+                )
+            try:
+                event = event_from_dict(payload)
+            except (TypeError, ValueError, AttributeError) as error:
+                raise ConfigError(
+                    f"{path}:{line_number}: not a telemetry event ({error})"
+                ) from None
             if event is not None:
                 yield event

@@ -17,26 +17,20 @@ from repro.workloads.registry import (
     available_models,
     get_family,
     get_model,
-    get_tenant_spec,
 )
-from repro.workloads.tenants import TENANT_SUITE, TenantWorkloadSpec, tenant_spec
 
 __all__ = [
     "BenchmarkModel",
     "MIXED_SUITE",
     "RingComponent",
     "SPEC_QUARTET",
-    "TENANT_SUITE",
-    "TenantWorkloadSpec",
     "WorkloadFamily",
     "available_families",
     "available_models",
     "get_family",
     "get_model",
-    "get_tenant_spec",
     "mixed_model",
     "model_from_miss_curve",
     "model_from_trace",
     "spec_model",
-    "tenant_spec",
 ]

@@ -5,10 +5,8 @@ Two kinds of entries live here:
 * **models** — ring-mixture :class:`~repro.workloads.model.BenchmarkModel`
   stand-ins (the SPEC quartet and the mixed suite), looked up with
   :func:`get_model`;
-* **families** — named groups of workloads with a shared generator, the
-  unit ``repro workloads`` lists. The ``tenants`` family's members are
-  :class:`~repro.workloads.tenants.TenantWorkloadSpec` presets, looked up
-  with :func:`get_tenant_spec`.
+* **families** — named groups of models, the unit ``repro workloads``
+  lists.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 from repro.workloads.mixed import MIXED_SUITE, mixed_model
 from repro.workloads.model import BenchmarkModel
 from repro.workloads.spec import SPEC_QUARTET, spec_model
-from repro.workloads.tenants import TENANT_SUITE, TenantWorkloadSpec, tenant_spec
 
 
 def available_models() -> list[str]:
@@ -40,19 +37,13 @@ def get_model(name: str) -> BenchmarkModel:
     raise KeyError(f"unknown model {name!r}; available: {available_models()}")
 
 
-def get_tenant_spec(name: str) -> TenantWorkloadSpec:
-    """Look a tenant workload preset up by name."""
-    return tenant_spec(name)
-
-
 # ----------------------------------------------------------------- families
 
 @dataclass(frozen=True, slots=True)
 class WorkloadFamily:
-    """One listed workload family: a generator plus its bundled members."""
+    """One listed workload family: a suite of bundled models."""
 
     name: str
-    kind: str  # "model" (ring mixture) or "tenant" (cache-service mix)
     description: str
     members: tuple[str, ...]
 
@@ -60,22 +51,13 @@ class WorkloadFamily:
 FAMILIES: dict[str, WorkloadFamily] = {
     "spec": WorkloadFamily(
         name="spec",
-        kind="model",
         description="SPEC CPU2000 stand-ins (Table 1 / Figure 5 quartet)",
         members=tuple(SPEC_QUARTET),
     ),
     "mixed": WorkloadFamily(
         name="mixed",
-        kind="model",
         description="mixed 12-benchmark suite (Table 2: SPEC/NetBench/MediaBench)",
         members=tuple(MIXED_SUITE),
-    ),
-    "tenants": WorkloadFamily(
-        name="tenants",
-        kind="tenant",
-        description="multi-tenant cache-service mixes (Zipf keys, churn, "
-                    "bursts, diurnal phases)",
-        members=tuple(TENANT_SUITE),
     ),
 }
 

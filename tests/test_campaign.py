@@ -216,7 +216,7 @@ class TestRegistry:
     def test_every_cli_experiment_is_registered(self):
         assert experiment_names() == [
             "table1", "table2", "table4", "table5", "figure5",
-            "degradation", "figure6", "tenancy", "resize-mechanism",
+            "degradation", "figure6", "resize-mechanism",
         ]
 
     def test_defaults_match_the_old_cli_ladder(self):
@@ -228,7 +228,6 @@ class TestRegistry:
             "figure5": 400_000,
             "degradation": 200_000,
             "figure6": 300_000,
-            "tenancy": 60_000,
             "resize-mechanism": 60_000,
         }
         for name, refs in expected.items():

@@ -138,6 +138,34 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv", [
+        ["tenants"],
+        ["experiment", "tenancy"],
+        ["sweep", "tenancy"],
+        ["chaos", "tenancy"],
+    ])
+    def test_retired_tenancy_commands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Bad CLI input ends in one ``error:`` line and exit 2, never a
+    traceback or a message wrapped in stray quotes."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--tiles", "0", "--refs", "1000"],
+        ["profile", "nosuch", "--refs", "1000"],
+        ["simulate", "--workloads", "art,nosuch", "--refs", "1000"],
+    ])
+    def test_exits_2_with_a_clean_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert '"' not in err and "Traceback" not in err
+
 
 class TestAuditCommands:
     def test_fuzz_clean_cell(self, capsys):
@@ -432,6 +460,21 @@ class TestDistributedCli:
     def test_worker_without_manifest_errors(self, capsys, tmp_path):
         assert main(["worker", str(tmp_path / "empty")]) == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_worker_rejects_an_unregistered_experiment(
+        self, capsys, tmp_path
+    ):
+        from repro.campaign import JobSpec, ResultStore
+
+        store = ResultStore(tmp_path / "store")
+        store.write_manifest(
+            "retired", [JobSpec.make("retired", "cell", {"i": 1})], {}
+        )
+        assert main(["worker", str(tmp_path / "store")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown experiment 'retired'"
+        )
+        assert not list((tmp_path / "store").glob("quarantine/*"))
 
     def test_bad_worker_chaos_grammar_rejected(self, capsys, tmp_path):
         code = main(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import (
+    JobSpec,
     LeaseConfig,
     LeaseManager,
     ResultStore,
@@ -119,6 +120,21 @@ class TestSingleWorkerDrain:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="manifest"):
             run_worker(ResultStore(tmp_path))
+
+    def test_unregistered_experiment_rejected_before_any_lease(
+        self, tmp_path
+    ):
+        """A store written for an experiment that is no longer registered
+        is refused up front, not run and quarantined job by job."""
+        specs = [
+            JobSpec.make("retired", "cell", {"i": i}) for i in range(3)
+        ]
+        store = ResultStore(tmp_path)
+        store.write_manifest("retired", specs, {})
+        with pytest.raises(ConfigError, match="unknown experiment 'retired'"):
+            run_worker(store)
+        assert not list(tmp_path.glob("leases/*"))
+        assert not list(tmp_path.glob("quarantine/*"))
 
     def test_malformed_outcome_is_a_failure_not_a_commit(
         self, tmp_path, patch_execute
@@ -305,15 +321,17 @@ class TestDistributedDrain:
         ).format()
         assert text == _serial_text(target, specs)
 
-    def test_tenancy_experiment_converges_too(self, tmp_path):
-        """Acceptance asks for >= 2 registry experiments; tenancy is the
-        second (its jobs exercise a different execute path)."""
-        target = get_experiment("tenancy")
-        options = {"tenants": [10], "churn": [0.0], "skew": [0.5]}
+    def test_resize_mechanism_experiment_converges_too(self, tmp_path):
+        """Acceptance asks for >= 2 registry experiments; resize-mechanism
+        is the second (its jobs exercise a different execute path, and its
+        options travel through the manifest into assembly)."""
+        target = get_experiment("resize-mechanism")
+        options = {"resize_mechanism": "flush"}
         specs = target.jobs(**options)
+        assert len(specs) == 3
         store = ResultStore(tmp_path)
         outcome = run_campaign(
-            store, specs, campaign="tenancy", jobs=2,
+            store, specs, campaign="resize-mechanism", jobs=2,
             options=options, config=LeaseConfig(ttl=1.0),
             worker_chaos=["kill@1", None],
         )

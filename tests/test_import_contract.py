@@ -108,7 +108,7 @@ def test_decomposing_every_experiment_loads_no_numpy():
     from repro.campaign import experiment_names
 
     definitions = {"defs.degradation", "defs.figure5", "defs.resize_mechanism",
-                   "defs.table1", "defs.tenancy"}
+                   "defs.table1"}
     assert loaded == dict.fromkeys([*experiment_names(), *definitions], False)
 
 

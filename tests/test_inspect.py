@@ -1,5 +1,8 @@
-"""Tests for the internals inspectors."""
+"""Tests for the internals inspectors and the ``repro inspect`` reader."""
 
+import pytest
+
+from repro.cli import main
 from repro.molecular.inspect import render_replacement_view, render_tile_map
 from tests.conftest import make_cache
 
@@ -52,3 +55,23 @@ class TestTileMap:
         cache.assign_application(0, initial_molecules=3)
         text = render_tile_map(cache)
         assert "free 5/8" in text
+
+
+class TestMalformedRecording:
+    """A line that parses as JSON but is not an event is a clean error
+    naming ``path:line``, like a line that does not parse at all
+    (``tests/test_telemetry.py``)."""
+
+    @pytest.mark.parametrize("line", [
+        '{"kind": "resize_decision"}',
+        '[1, 2]',
+        '{"kind": "epoch_rollover", "regions": [1]}',
+        '{"kind": "run_meta", "regions": {"x": 1}}',
+    ])
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, line):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"kind": "future_kind"}\n' + line + "\n")
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: ")
+        assert "Traceback" not in err

@@ -48,6 +48,13 @@ class TestConfig:
                 (1 << 20) + 512, clusters=1, tiles_per_cluster=4
             )
 
+    @pytest.mark.parametrize("clusters, tiles", [(1, 0), (0, 4)])
+    def test_for_total_size_rejects_empty_geometry(self, clusters, tiles):
+        with pytest.raises(ConfigError, match="geometry must be positive"):
+            MolecularCacheConfig.for_total_size(
+                1 << 20, clusters=clusters, tiles_per_cluster=tiles
+            )
+
 
 class TestAssignment:
     def test_regions_get_distinct_tiles_round_robin(self, tiny_config):

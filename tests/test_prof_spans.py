@@ -92,6 +92,27 @@ class TestSpanRecorder:
         with pytest.raises(ConfigError):
             load_trace(wrong_shape)
 
+    @pytest.mark.parametrize("events, problem", [
+        ("[5]", "trace event 0 is not an object"),
+        ('[{"ph": "X", "ts": 0, "dur": 1}, {"ph": "X", "dur": "abc"}]',
+         "trace event 1 has a non-numeric 'dur'"),
+        ('[{"ph": "i", "ts": null}]', "trace event 0 has a non-numeric 'ts'"),
+        ('[{"ph": "X", "ts": true, "dur": 1}]',
+         "trace event 0 has a non-numeric 'ts'"),
+    ])
+    def test_load_rejects_malformed_events(self, tmp_path, capsys, events,
+                                           problem):
+        from repro.cli import main
+
+        path = tmp_path / "trace.json"
+        path.write_text('{"traceEvents": %s}' % events)
+        with pytest.raises(ConfigError, match=problem):
+            load_trace(path)
+        assert main(["trace-export", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: {problem}")
+        assert "Traceback" not in err
+
     def test_filter_keeps_metadata(self):
         recorder = SpanRecorder()
         recorder.name_track(3, "worker 3")

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.workloads.mixed import MIXED_GOAL, MIXED_SUITE, mixed_groups, mixed_model
-from repro.workloads.registry import available_models, get_model
+from repro.cli import main
+from repro.workloads.registry import (
+    available_families,
+    available_models,
+    get_family,
+    get_model,
+)
 from repro.workloads.spec import SPEC_QUARTET, spec_model
 
 
@@ -100,3 +106,24 @@ class TestRegistry:
     def test_unknown_rejected(self):
         with pytest.raises(KeyError):
             get_model("doom")
+
+
+class TestRegistryFamilies:
+    def test_families_listed(self):
+        names = [family.name for family in available_families()]
+        assert names == ["spec", "mixed"]
+
+    def test_unknown_family(self):
+        with pytest.raises(KeyError):
+            get_family("nope")
+
+
+class TestWorkloadsCommand:
+    def test_lists_all_families_and_members(self, capsys):
+        assert main(["workloads"]) == 0
+        out = capsys.readouterr().out
+        for family in ("spec: ", "mixed: "):
+            assert family in out
+        # Models appear as indented members.
+        assert "  art" in out
+        assert "  CJPEG" in out
