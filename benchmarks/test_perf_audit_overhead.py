@@ -56,7 +56,7 @@ def test_disabled_audit_issues_identical_calls(monkeypatch):
     audits = []
     monkeypatch.setattr(
         "repro.sim.driver.audit_and_emit",
-        lambda cache, counters=None: audits.append(1),
+        lambda cache: audits.append(1),
     )
     cache = build_cache()
     batches = []

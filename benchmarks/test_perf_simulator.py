@@ -21,7 +21,7 @@ from repro.workloads import spec_model
 
 N_REFS = 50_000
 
-#: Relative floor for the batched engine over the scalar reference path,
+#: Relative floor for the access session over the scalar reference path,
 #: and an absolute throughput floor (refs/s) as a CI smoke guard. Both
 #: overridable by environment for unusual hardware.
 MIN_BATCHED_SPEEDUP = float(os.environ.get("REPRO_MIN_BATCHED_SPEEDUP", "2.0"))
@@ -99,8 +99,8 @@ def test_perf_molecular_access_scalar(benchmark, blocks):
     assert benchmark(run) == N_REFS
 
 
-def test_molecular_batched_speedup(blocks):
-    """Guard: the batched engine must beat the scalar path by >= 2x.
+def test_molecular_session_speedup(blocks):
+    """Guard: the access session must beat the scalar path by >= 2x.
 
     Plain min-of-three wall timing (no benchmark fixture) so the guard
     also runs under ``--benchmark-disable`` in the CI perf smoke.
@@ -122,34 +122,34 @@ def test_molecular_batched_speedup(blocks):
             access(block, 0)
         return cache.stats.total.accesses
 
-    def batched_run():
+    def session_run():
         cache = _molecular_cache(config)
         cache.access_many(blocks, 0)
         return cache.stats.total.accesses
 
     scalar_s = timed(scalar_run)
-    batched_s = timed(batched_run)
-    speedup = scalar_s / batched_s
-    throughput = N_REFS / batched_s
+    session_s = timed(session_run)
+    speedup = scalar_s / session_s
+    throughput = N_REFS / session_s
     emit(
-        "perf_batched_engine",
-        "Batched access engine vs scalar reference "
+        "perf_molecular_session",
+        "Access session vs scalar reference "
         f"({N_REFS} refs, molecular 1MB/4-tile)\n"
         f"  scalar access_block : {scalar_s:.3f}s "
         f"({N_REFS / scalar_s:,.0f} refs/s)\n"
-        f"  batched access_many : {batched_s:.3f}s "
+        f"  session access_many : {session_s:.3f}s "
         f"({throughput:,.0f} refs/s)\n"
         f"  speedup             : {speedup:.2f}x "
         f"(floor {MIN_BATCHED_SPEEDUP:.1f}x)",
         metrics=[
             {
-                "metric": "molecular_batched_refs_per_sec",
+                "metric": "molecular_session_refs_per_sec",
                 "value": throughput,
                 "unit": "refs/s",
                 "direction": "higher",
             },
             {
-                "metric": "molecular_batched_speedup",
+                "metric": "molecular_session_speedup",
                 "value": speedup,
                 "unit": "x",
                 "direction": "higher",
@@ -157,11 +157,11 @@ def test_molecular_batched_speedup(blocks):
         ],
     )
     assert speedup >= MIN_BATCHED_SPEEDUP, (
-        f"batched engine only {speedup:.2f}x over scalar "
+        f"access session only {speedup:.2f}x over scalar "
         f"(floor {MIN_BATCHED_SPEEDUP:.1f}x)"
     )
     assert throughput >= MIN_BATCHED_THROUGHPUT, (
-        f"batched throughput {throughput:,.0f} refs/s below floor "
+        f"session throughput {throughput:,.0f} refs/s below floor "
         f"{MIN_BATCHED_THROUGHPUT:,.0f}"
     )
 

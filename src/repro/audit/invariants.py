@@ -1,8 +1,8 @@
 """Full-state invariant auditor for the cache simulators.
 
-Every redundant view the simulator maintains for speed is a conservation
-law this module checks. The invariants are named, so a failure pinpoints
-*which* bookkeeping drifted, and the mutation self-tests
+Every redundant structure the simulator maintains for speed is a
+conservation law this module checks. The invariants are named, so a
+failure pinpoints *which* bookkeeping drifted, and the mutation self-tests
 (``tests/test_audit.py``) prove each corruption class is detected by the
 invariant that owns it:
 
@@ -31,24 +31,25 @@ slug                      law
                           region, are unconfigured, and
                           ``tile.failed_count`` / ``molecules_retired``
                           match the failed molecules
-``region-counters``       window counters never exceed cumulative ones
+``region-counters``       window counts never exceed cumulative ones, and
+                          molecule integrals are non-negative
 ``placement-recency``     LRU-Direct touch maps only reference resident
                           blocks (so they cannot grow without bound)
-``stats-conservation``    hits + misses == accesses, totals == Σ per-ASID,
-                          ``lines_fetched`` == Σ region misses × line
-                          multiplier, ``writebacks_to_memory`` == dirty
-                          evictions + withdrawal flushes, cache totals == Σ
-                          region totals
+``stats-conservation``    over each ASID's lifetime counters: hits <=
+                          accesses; ``lines_fetched`` == Σ region misses ×
+                          line multiplier; ``writebacks_to_memory`` == dirty
+                          evictions + withdrawal flushes; (set-associative)
+                          writebacks <= evictions <= misses and resident
+                          lines <= misses
 ``set-structure``         (set-associative) set sizes <= associativity, every
                           line is keyed and indexed consistently
 ========================  ====================================================
 
-Cross-family stats checks (cache stats vs per-region counters) are only
-valid when the two were accumulated over the same interval; an external
-``stats.reset()`` (the warm-up boundary in ``run_trace``) clears one side
-but not the other. ``counters=None`` (the default) detects that case and
-skips just those checks; ``counters=True`` forces them (fuzzing, fresh
-caches); ``counters=False`` always skips them.
+Totals, windows, post-warm-up counts and region counts are views over
+one raw counter set per ASID (:mod:`repro.caches.stats`), so no check
+compares a view with the counters it is computed from. The physical laws
+are checked on the lifetime counters, which no reset touches, so every
+check holds across a warm-up ``stats.reset()``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ import os
 from dataclasses import dataclass
 from itertools import islice
 
+from repro.caches.stats import summed
 from repro.common.errors import ConfigError, SimulationError
 
 #: Environment variable carrying the audit cadence to drivers (including
@@ -403,47 +405,15 @@ def _audit_placement(audit: _Audit, cache,
 
 
 def _audit_molecular_stats(
-    audit: _Audit,
-    cache,
-    regions: list[tuple[object, list[int]]],
-    counters: bool | None,
+    audit: _Audit, cache, regions: list[tuple[object, list[int]]]
 ) -> None:
     stats = cache.stats
-    total = stats.total
-
-    def sum_counters(table):
-        acc = hits = ev = wb = 0
-        for c in table.values():
-            acc += c.accesses
-            hits += c.hits
-            ev += c.evictions
-            wb += c.writebacks
-        return acc, hits, ev, wb
-
-    for name, tot, table in (
-        ("total", total, stats.per_asid),
-        ("window", stats.window_total, stats.window_per_asid),
-    ):
-        acc, hits, ev, wb = sum_counters(table)
-        audit.check(
-            "stats-conservation",
-            (tot.accesses, tot.hits, tot.evictions, tot.writebacks)
-            == (acc, hits, ev, wb),
-            f"stats {name} ({tot.accesses}/{tot.hits}/{tot.evictions}/"
-            f"{tot.writebacks}) != per-ASID sum ({acc}/{hits}/{ev}/{wb})",
-        )
+    lifetime = stats.lifetime.values()
     audit.check(
         "stats-conservation",
-        all(
-            0 <= c.hits <= c.accesses
-            for c in (total, stats.window_total, *stats.per_asid.values())
-        ),
+        all(0 <= c.hits <= c.accesses for c in lifetime),
         "a counter has more hits than accesses",
     )
-
-    # Region totals survive external stats resets (the warm-up boundary),
-    # so these two are always valid.
-    region_misses = sum(r.total_misses for r, _ in regions)
     expected_fetches = sum(
         r.total_misses * r.line_multiplier for r, _ in regions
     )
@@ -453,6 +423,13 @@ def _audit_molecular_stats(
         f"lines_fetched {stats.lines_fetched} != Σ region misses × line "
         f"multiplier {expected_fetches}",
     )
+    dirty = sum(c.writebacks for c in lifetime)
+    audit.check(
+        "stats-conservation",
+        stats.writebacks_to_memory == dirty + stats.flush_writebacks,
+        f"writebacks_to_memory {stats.writebacks_to_memory} != dirty "
+        f"evictions {dirty} + withdrawal flushes {stats.flush_writebacks}",
+    )
     audit.check(
         "region-counters",
         all(r.molecule_integral >= 0 for r, _ in regions),
@@ -460,8 +437,7 @@ def _audit_molecular_stats(
     )
 
     # Retirement accounting: the cumulative retired counter is never
-    # reset, and neither is a failed flag, so this holds across warm-up
-    # boundaries.
+    # reset, and neither is a failed flag.
     failed_total = sum(t.failed_count for t in cache._tiles.values())
     audit.check(
         "fault-retirement",
@@ -475,48 +451,8 @@ def _audit_molecular_stats(
         "a region's pending_repair went negative",
     )
 
-    # Cross-family conservation needs cache stats and region counters to
-    # cover the same interval.
-    region_accesses = sum(r.total_accesses for r, _ in regions)
-    if counters is None:
-        counters = total.accesses == region_accesses
-    if not counters:
-        return
-    audit.check(
-        "stats-conservation",
-        total.accesses == region_accesses
-        and total.misses == region_misses,
-        f"cache totals ({total.accesses} accesses, {total.misses} misses) "
-        f"!= region totals ({region_accesses}, {region_misses})",
-    )
-    audit.check(
-        "stats-conservation",
-        stats.writebacks_to_memory
-        == total.writebacks + stats.flush_writebacks,
-        f"writebacks_to_memory {stats.writebacks_to_memory} != dirty "
-        f"evictions {total.writebacks} + withdrawal flushes "
-        f"{stats.flush_writebacks}",
-    )
-    for region, asids in regions:
-        if not asids:
-            continue
-        acc = sum(
-            stats.per_asid[a].accesses for a in asids if a in stats.per_asid
-        )
-        hits = sum(
-            stats.per_asid[a].hits for a in asids if a in stats.per_asid
-        )
-        audit.check(
-            "stats-conservation",
-            region.total_accesses == acc
-            and region.total_misses == acc - hits,
-            f"region asid={region.asid}: totals "
-            f"({region.total_accesses}/{region.total_misses}) != per-ASID "
-            f"stats over {asids} ({acc}/{acc - hits})",
-        )
 
-
-def _audit_molecular(cache, counters: bool | None) -> AuditOutcome:
+def _audit_molecular(cache) -> AuditOutcome:
     from repro.molecular.cache import SHARED_ASID
 
     audit = _Audit()
@@ -526,7 +462,7 @@ def _audit_molecular(cache, counters: bool | None) -> AuditOutcome:
         _audit_region(audit, region, owner, SHARED_ASID)
     _audit_tiles(audit, cache, owner)
     _audit_placement(audit, cache, regions)
-    _audit_molecular_stats(audit, cache, regions, counters)
+    _audit_molecular_stats(audit, cache, regions)
     return AuditOutcome(
         accesses=cache.stats.total.accesses,
         checks=audit.checks,
@@ -537,7 +473,7 @@ def _audit_molecular(cache, counters: bool | None) -> AuditOutcome:
 # -------------------------------------------------------- set-associative
 
 
-def _audit_setassoc(cache, counters: bool | None) -> AuditOutcome:
+def _audit_setassoc(cache) -> AuditOutcome:
     audit = _Audit()
     stats = cache.stats
     mask = cache.num_sets - 1
@@ -573,40 +509,23 @@ def _audit_setassoc(cache, counters: bool | None) -> AuditOutcome:
         f"{resident} resident lines exceed capacity",
     )
 
-    def sum_counters(table):
-        return tuple(
-            sum(getattr(c, f) for c in table.values())
-            for f in ("accesses", "hits", "evictions", "writebacks")
-        )
-
-    for name, tot, table in (
-        ("total", stats.total, stats.per_asid),
-        ("window", stats.window_total, stats.window_per_asid),
-    ):
-        audit.check(
-            "stats-conservation",
-            (tot.accesses, tot.hits, tot.evictions, tot.writebacks)
-            == sum_counters(table),
-            f"stats {name} != per-ASID sum",
-        )
+    # Every resident line was filled by a miss of its owner, which is
+    # also the ASID each eviction and writeback is charged to.
+    lifetime = summed(stats.lifetime)
     audit.check(
         "stats-conservation",
-        stats.total.hits <= stats.total.accesses
-        and stats.total.writebacks <= stats.total.evictions
-        and stats.total.evictions <= stats.total.misses,
-        f"totals out of order: hits={stats.total.hits} "
-        f"accesses={stats.total.accesses} evictions={stats.total.evictions} "
-        f"writebacks={stats.total.writebacks} misses={stats.total.misses}",
+        lifetime.hits <= lifetime.accesses
+        and lifetime.writebacks <= lifetime.evictions <= lifetime.misses,
+        f"lifetime totals out of order: hits={lifetime.hits} "
+        f"accesses={lifetime.accesses} evictions={lifetime.evictions} "
+        f"writebacks={lifetime.writebacks} misses={lifetime.misses}",
     )
-    if counters:
-        # Only valid when stats cover the cache's whole lifetime (no
-        # warm-up reset): every resident line was filled by some miss.
-        audit.check(
-            "stats-conservation",
-            resident <= stats.total.misses,
-            f"{resident} resident lines but only {stats.total.misses} "
-            f"misses ever filled a line",
-        )
+    audit.check(
+        "stats-conservation",
+        resident <= lifetime.misses,
+        f"{resident} resident lines but only {lifetime.misses} misses "
+        f"ever filled a line",
+    )
     return AuditOutcome(
         accesses=stats.total.accesses,
         checks=audit.checks,
@@ -617,36 +536,30 @@ def _audit_setassoc(cache, counters: bool | None) -> AuditOutcome:
 # --------------------------------------------------------------- public
 
 
-def audit_cache(cache, counters: bool | None = None) -> AuditOutcome:
-    """Run every applicable invariant; returns the outcome (never raises).
-
-    ``counters`` controls the cross-family stats conservation checks:
-    ``None`` (default) runs them only when cache stats and region
-    counters demonstrably cover the same interval (no external reset in
-    between); ``True`` forces them; ``False`` skips them.
-    """
+def audit_cache(cache) -> AuditOutcome:
+    """Run every applicable invariant; returns the outcome (never raises)."""
     if hasattr(cache, "regions") and hasattr(cache, "clusters"):
-        return _audit_molecular(cache, counters)
+        return _audit_molecular(cache)
     if hasattr(cache, "iter_sets"):
-        return _audit_setassoc(cache, counters)
+        return _audit_setassoc(cache)
     raise ConfigError(
         f"cannot audit a {type(cache).__name__}: expected a molecular or "
         f"set-associative cache"
     )
 
 
-def assert_invariants(cache, counters: bool | None = None) -> AuditOutcome:
+def assert_invariants(cache) -> AuditOutcome:
     """:func:`audit_cache`, raising :class:`AuditError` on any violation."""
-    outcome = audit_cache(cache, counters)
+    outcome = audit_cache(cache)
     if not outcome.ok:
         raise AuditError(outcome)
     return outcome
 
 
-def audit_and_emit(cache, counters: bool | None = None) -> AuditOutcome:
+def audit_and_emit(cache) -> AuditOutcome:
     """Audit, publish an ``AuditReport`` telemetry event, then raise on
     violations (drivers call this at their audit cadence)."""
-    outcome = audit_cache(cache, counters)
+    outcome = audit_cache(cache)
     bus = getattr(cache, "telemetry", None)
     if bus is not None:
         from repro.telemetry.events import AuditReport

@@ -237,9 +237,7 @@ def replay(
         pending.clear()
 
     def audit_now() -> None:
-        # counters=True: oracle caches are built fresh and never reset,
-        # so the cross-family conservation checks always apply.
-        assert_invariants(cache, counters=True)
+        assert_invariants(cache)
 
     try:
         for op in ops:

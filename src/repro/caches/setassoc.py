@@ -222,46 +222,44 @@ class SetAssociativeCache:
 
 
 class _SetAssocSession:
-    """Per-access fast path bound to one :class:`SetAssociativeCache`."""
+    """Per-access fast path bound to one :class:`SetAssociativeCache`.
 
-    __slots__ = ("_cache", "_counters")
+    It bumps the same raw per-ASID counters as :meth:`SetAssociativeCache.
+    access_block`: accesses and hits for the accessing ASID, evictions
+    and writebacks for the victim's owner. Those counters are never
+    replaced, so a session stays valid across ``stats.reset()`` and
+    ``reset_window()``.
+    """
+
+    __slots__ = ("_cache", "_stats", "_live")
 
     def __init__(self, cache: SetAssociativeCache) -> None:
         self._cache = cache
-        # (cumulative, window) counter pairs per ASID. Valid for the
-        # session's lifetime: set-associative windows are only reset by
-        # external callers, and the contract (as for the molecular
-        # session) is that stats are not reset while a session is live.
-        self._counters: dict[int, tuple] = {}
+        self._stats = cache.stats
+        self._live = cache.stats.live
 
     def access(self, block: int, asid: int = 0, write: bool = False) -> bool:
         cache = self._cache
-        stats = cache.stats
-        pair = self._counters.get(asid)
-        if pair is None:
-            pair = stats.counters_for(asid)
-            self._counters[asid] = pair
-        tc, wc = pair
-        tot = stats.total
-        wtot = stats.window_total
+        live = self._live
+        counters = live.get(asid)
+        if counters is None:
+            counters = self._stats.counters(asid)
         cache_set = cache._sets[block & cache._set_mask]
         line = cache_set.get(block)
-        tot.accesses += 1
-        wtot.accesses += 1
-        tc.accesses += 1
-        wc.accesses += 1
+        counters.accesses += 1
         if line is not None:
-            tot.hits += 1
-            wtot.hits += 1
-            tc.hits += 1
-            wc.hits += 1
+            counters.hits += 1
             cache._policy.touch(cache_set, block)
             if write:
                 line.dirty = True
             return True
         if len(cache_set) >= cache.associativity:
-            evicted_block = cache._policy.victim(cache_set)
-            victim_line = cache_set.pop(evicted_block)
-            stats.record_eviction(victim_line.asid, victim_line.dirty)
-        cache_set[block] = CacheLine(block=block, asid=asid, dirty=write)
+            victim = cache_set.pop(cache._policy.victim(cache_set))
+            owner = live.get(victim.asid)
+            if owner is None:
+                owner = self._stats.counters(victim.asid)
+            owner.evictions += 1
+            if victim.dirty:
+                owner.writebacks += 1
+        cache_set[block] = CacheLine(block, asid, write)
         return False

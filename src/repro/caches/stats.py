@@ -1,23 +1,22 @@
-"""Cache statistics with per-ASID breakdown and resettable windows.
+"""Cache statistics: one raw counter set per ASID, every other figure a view.
 
-Two time horizons matter in this reproduction:
-
-* *cumulative* counters over a whole run — what the paper's tables report;
-* *window* counters since the last resize decision — what Algorithm 1 feeds
-  on (the molecular resize engine resets the window every period).
-
-:class:`CacheStats` maintains both simultaneously for the cache as a whole
-and per ASID.
+``CacheStats.lifetime`` maps each ASID to an :class:`AsidCounters` bumped
+once per event and never replaced or zeroed. Totals sum ASIDs; cumulative
+counts (the paper's tables) subtract the values at the last ``reset()``
+(warm-up), window counts (Algorithm 1's input) those at the last
+``reset_window()``. Views list the ASIDs touched since ``reset()`` in
+first-touch order: sessions look counters up in ``live``, which
+``reset()`` empties in place, so an ASID re-enters it on its next event.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)
 class AsidCounters:
-    """Raw event counters for one ASID (or for the whole cache)."""
+    """Event counters for one ASID (or for the whole cache)."""
 
     accesses: int = 0
     hits: int = 0
@@ -31,15 +30,11 @@ class AsidCounters:
     @property
     def miss_rate(self) -> float:
         """Miss ratio; 0.0 when no accesses were recorded."""
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
+        return self.misses / self.accesses if self.accesses else 0.0
 
     @property
     def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
+        return self.hits / self.accesses if self.accesses else 0.0
 
     def copy(self) -> "AsidCounters":
         return AsidCounters(self.accesses, self.hits, self.evictions, self.writebacks)
@@ -50,112 +45,115 @@ class AsidCounters:
         self.evictions += other.evictions
         self.writebacks += other.writebacks
 
+    def minus(self, base: "AsidCounters") -> "AsidCounters":
+        """The counts accumulated since ``base`` was copied."""
+        return AsidCounters(*(getattr(self, f) - getattr(base, f) for f in _FIELDS))
 
-@dataclass(slots=True)
+
+_FIELDS = ("accesses", "hits", "evictions", "writebacks")
+
+
+def summed(table: dict[int, AsidCounters]) -> AsidCounters:
+    total = AsidCounters()
+    for counters in table.values():
+        total.add(counters)
+    return total
+
+
 class CacheStats:
-    """Cumulative and windowed statistics, overall and per ASID."""
+    """Raw per-ASID counters with cumulative and window views."""
 
-    total: AsidCounters = field(default_factory=AsidCounters)
-    per_asid: dict[int, AsidCounters] = field(default_factory=dict)
-    window_total: AsidCounters = field(default_factory=AsidCounters)
-    window_per_asid: dict[int, AsidCounters] = field(default_factory=dict)
+    __slots__ = ("lifetime", "live", "_reset_base", "_window_base")
 
-    def _counters_for(self, table: dict[int, AsidCounters], asid: int) -> AsidCounters:
-        counters = table.get(asid)
+    def __init__(self) -> None:
+        self.lifetime: dict[int, AsidCounters] = {}
+        self.live: dict[int, AsidCounters] = {}
+        self._reset_base: dict[int, AsidCounters] = {}
+        self._window_base: dict[int, AsidCounters] = {}
+
+    def counters(self, asid: int) -> AsidCounters:
+        """The raw counters of one ASID, touching it."""
+        counters = self.live.get(asid)
         if counters is None:
-            counters = AsidCounters()
-            table[asid] = counters
+            counters = self.lifetime.setdefault(asid, AsidCounters())
+            self.live[asid] = counters
         return counters
 
-    def counters_for(self, asid: int) -> tuple[AsidCounters, AsidCounters]:
-        """The (cumulative, window) counter objects for one ASID.
-
-        Creates them on first use exactly like :meth:`record_access`
-        would, so batched engines can hold direct references and bump
-        attributes without per-access dictionary lookups. The references
-        go stale when a window reset replaces the counter tables —
-        callers must re-fetch after any reset (the molecular engine keys
-        this on its context epoch).
-        """
-        return (
-            self._counters_for(self.per_asid, asid),
-            self._counters_for(self.window_per_asid, asid),
-        )
-
     def record_access(self, asid: int, hit: bool) -> None:
-        for total, table in (
-            (self.total, self.per_asid),
-            (self.window_total, self.window_per_asid),
-        ):
-            total.accesses += 1
-            counters = self._counters_for(table, asid)
-            counters.accesses += 1
-            if hit:
-                total.hits += 1
-                counters.hits += 1
+        counters = self.counters(asid)
+        counters.accesses += 1
+        if hit:
+            counters.hits += 1
 
     def record_eviction(self, asid: int, writeback: bool) -> None:
-        for total, table in (
-            (self.total, self.per_asid),
-            (self.window_total, self.window_per_asid),
-        ):
-            total.evictions += 1
-            counters = self._counters_for(table, asid)
-            counters.evictions += 1
-            if writeback:
-                total.writebacks += 1
-                counters.writebacks += 1
+        counters = self.counters(asid)
+        counters.evictions += 1
+        if writeback:
+            counters.writebacks += 1
+
+    def _since(self, base: dict[int, AsidCounters]) -> dict[int, AsidCounters]:
+        return {
+            asid: counters.minus(base[asid]) if asid in base else counters.copy()
+            for asid, counters in self.live.items()
+        }
+
+    @property
+    def per_asid(self) -> dict[int, AsidCounters]:
+        """Per-ASID counts since the last :meth:`reset` (fresh copies)."""
+        return self._since(self._reset_base)
+
+    @property
+    def total(self) -> AsidCounters:
+        return summed(self.per_asid)
+
+    @property
+    def window_total(self) -> AsidCounters:
+        return summed(self._since(self._window_base))
 
     def reset_window(self) -> None:
-        """Zero the window counters (called at every resize decision)."""
-        self.window_total = AsidCounters()
-        self.window_per_asid = {}
-
-    def reset_window_for(self, asid: int) -> None:
-        """Zero only one application's window (per-application adaptive trigger)."""
-        removed = self.window_per_asid.pop(asid, None)
-        if removed is not None:
-            self.window_total.accesses -= removed.accesses
-            self.window_total.hits -= removed.hits
-            self.window_total.evictions -= removed.evictions
-            self.window_total.writebacks -= removed.writebacks
+        """Start a new window (called at every resize decision)."""
+        self._window_base = {a: c.copy() for a, c in self.lifetime.items()}
 
     def reset(self) -> None:
-        """Zero everything (e.g. after a warm-up phase)."""
-        self.total = AsidCounters()
-        self.per_asid = {}
+        """Start the cumulative counts over (e.g. after a warm-up phase)."""
         self.reset_window()
+        self._reset_base = self._window_base
+        self.live.clear()
 
     def miss_rate(self, asid: int | None = None) -> float:
         """Cumulative miss rate, overall or for one ASID."""
         if asid is None:
             return self.total.miss_rate
-        counters = self.per_asid.get(asid)
-        return counters.miss_rate if counters is not None else 0.0
+        return self.per_asid.get(asid, AsidCounters()).miss_rate
 
     def window_miss_rate(self, asid: int | None = None) -> float:
         """Miss rate since the last window reset."""
         if asid is None:
             return self.window_total.miss_rate
-        counters = self.window_per_asid.get(asid)
-        return counters.miss_rate if counters is not None else 0.0
+        return self._since(self._window_base).get(asid, AsidCounters()).miss_rate
+
+    def _key(self) -> tuple:
+        return (self.per_asid, self._since(self._window_base))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot (handy for reports and JSON dumps)."""
+        per_asid = self.per_asid
+        total = summed(per_asid)
         return {
-            "accesses": self.total.accesses,
-            "hits": self.total.hits,
-            "misses": self.total.misses,
-            "miss_rate": self.total.miss_rate,
-            "evictions": self.total.evictions,
-            "writebacks": self.total.writebacks,
+            "accesses": total.accesses,
+            "hits": total.hits,
+            "misses": total.misses,
+            "miss_rate": total.miss_rate,
+            "evictions": total.evictions,
+            "writebacks": total.writebacks,
             "per_asid": {
-                asid: {
-                    "accesses": c.accesses,
-                    "hits": c.hits,
-                    "misses": c.misses,
-                    "miss_rate": c.miss_rate,
-                }
-                for asid, c in sorted(self.per_asid.items())
+                asid: {"accesses": c.accesses, "hits": c.hits,
+                       "misses": c.misses, "miss_rate": c.miss_rate}
+                for asid, c in sorted(per_asid.items())
             },
         }

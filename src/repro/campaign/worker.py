@@ -526,17 +526,27 @@ def _replay_events(paths: list[Path], telemetry) -> None:
             telemetry.emit(event)
 
 
-def _hung(manager: LeaseManager, launcher: str, limit: float) -> list[int]:
-    """Indices of ``launcher``'s workers whose lease is older than
-    ``limit`` seconds and still names them."""
+def _hung(
+    manager: LeaseManager, launcher: str, config: LeaseConfig
+) -> list[int]:
+    """Indices of ``launcher``'s workers still named by the lease of a job
+    that ran past ``job_timeout`` and is two polls from expiring.
+
+    The heartbeat stops renewing at ``job_timeout``, and a peer may
+    reclaim the lease ``ttl`` after its last renewal. Killing first
+    means the hung worker is always replaced, rather than left to be
+    dismissed once a peer has quarantined its job.
+    """
     prefix, now = f"{launcher}:w", manager.clock()
+    horizon = config.ttl - 2 * _POLL_S
     return [
         int(record["owner"][len(prefix):])
         for path in manager.leases_dir.glob("*.json")
         if (record := manager.read(path.stem)) is not None
         and record.get("state") == "active"
         and str(record.get("owner")).startswith(prefix)
-        and now - float(record.get("acquired", now)) > limit
+        and now - float(record.get("acquired", now)) > config.job_timeout
+        and now - float(record.get("heartbeat", now)) > horizon
     ]
 
 
@@ -616,8 +626,7 @@ def _drain_forked(
                 if done.issuperset(pending):
                     settled_at = tick()
                 elif config.job_timeout is not None:
-                    limit = config.job_timeout + config.ttl
-                    for index in _hung(manager, launcher, limit):
+                    for index in _hung(manager, launcher, config):
                         if processes[index].is_alive():
                             processes[index].kill()
                             processes[index].join()

@@ -25,6 +25,7 @@ which is what the power model integrates (DESIGN.md section 7).
 
 from __future__ import annotations
 
+from repro.caches.stats import AsidCounters
 from repro.common.errors import ConfigError, UnknownASIDError
 from repro.common.rng import DeterministicRNG, XorShift64
 from repro.common.types import Access, AccessResult
@@ -107,6 +108,7 @@ class MolecularCache:
             molecule_id += (
                 self.config.tiles_per_cluster * self.config.molecules_per_tile
             )
+            cluster.ulmo.stats.owner = self.stats
             self.clusters.append(cluster)
             for tile in cluster.tiles:
                 self._tiles[tile.tile_id] = tile
@@ -252,6 +254,7 @@ class MolecularCache:
             )
 
         region = CacheRegion(asid, goal, tile_id, line_multiplier)
+        region.served.append(self._lifetime_counters(asid))
         if initial_molecules is None:
             initial_molecules = max(
                 1,
@@ -316,8 +319,14 @@ class MolecularCache:
         if shared is None:
             raise ConfigError(f"tile {tile_id} has no shared region")
         self.regions[asid] = shared
+        shared.served.append(self._lifetime_counters(asid))
         self._ctx_epoch += 1
         return shared
+
+    def _lifetime_counters(self, asid: int) -> AsidCounters:
+        # Not ``stats.counters``: an assigned application that never
+        # accesses stays out of the per-ASID views.
+        return self.stats.lifetime.setdefault(asid, AsidCounters())
 
     def region_of(self, asid: int) -> CacheRegion:
         try:
@@ -377,9 +386,7 @@ class MolecularCache:
         Returns an :class:`~repro.molecular.engine.AccessEngine` whose
         ``access(block, asid, write) -> bool`` skips ``AccessResult``
         construction while keeping stats/telemetry byte-identical to
-        :meth:`access_block`. The session caches per-region contexts, so
-        do not reset :attr:`stats` while one is live — build a new
-        session instead.
+        :meth:`access_block`. Sessions stay valid across stats resets.
         """
         profiler = self.profiler
         if profiler is not None and profiler.enabled:
@@ -402,17 +409,20 @@ class MolecularCache:
         if region is None:
             raise UnknownASIDError(asid)
         stats = self.stats
-        # Touch the per-ASID counters at dispatch, like the engines do
-        # when they build an access context — keeps partial state
-        # identical across paths if the access errors out mid-way.
-        stats.counters_for(asid)
+        # Charges below go straight into the stats, so a session's live
+        # context for this ASID settles and goes (the next session access
+        # rebuilds it). Touching the counters at dispatch, like a context
+        # build does, keeps the two paths' state identical on errors.
+        context = stats.contexts.pop(asid, None)
+        if context is not None:
+            context.settle()
+        stats.counters(asid)
         home_tile_id = region.home_tile_id
         home_tile = self._tiles[home_tile_id]
-        home_tile.port_accesses += 1
 
         # Stage 1: ASID comparators fire in every molecule of the home tile
         # (retired molecules are powered off — their comparators are gone).
-        stats.asid_comparisons += home_tile.comparator_count
+        comparisons = home_tile.comparator_count
 
         # Stage 2: probe the matching molecules of the home tile (plus any
         # shared-bit molecules).
@@ -420,7 +430,6 @@ class MolecularCache:
         shared_region = self._shared_regions.get(home_tile_id)
         if shared_region is not None and shared_region is not region:
             local_probes += home_tile.shared_count
-        stats.molecules_probed_local += local_probes
 
         molecule = region.lookup(block)
         serving_region = region
@@ -429,19 +438,21 @@ class MolecularCache:
             if molecule is not None:
                 serving_region = shared_region
 
+        # Stage 3 (on a tile miss): Ulmo searches the remote tiles.
+        # Nothing is charged until the access has succeeded, so a
+        # placement error leaves the stats untouched.
         remote_probes = 0
         remote_tiles = 0
         remote_extra = 0
+        ulmo = self.cluster_of_tile(home_tile_id).ulmo.stats
         if molecule is not None:
             if molecule.tile_id != home_tile_id:
-                cluster = self.cluster_of_tile(home_tile_id)
-                cluster.ulmo.stats.tile_misses += 1
-                cluster.ulmo.stats.remote_hits += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
+                remote_tiles, remote_probes, more, remote_extra = (
                     self._remote_search(region, molecule.tile_id)
                 )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons
+                comparisons += more
+                ulmo.tile_misses += 1
+                ulmo.remote_hits += 1
             if write:
                 molecule.mark_dirty(block)
             # Recency belongs to the region that served the hit: a hit in
@@ -449,31 +460,24 @@ class MolecularCache:
             # not stamp the exclusive region's map.
             self.placement.on_hit(serving_region, block)
             stats.record_access(asid, hit=True)
-            region.record_access(hit=True)
             result = AccessResult(
                 hit=True,
                 molecules_probed_local=local_probes,
                 molecules_probed_remote=remote_probes,
             )
         else:
-            cluster = self.cluster_of_tile(home_tile_id)
-            contributing = region.contributing_tiles()
-            has_remote = bool(contributing) and (
-                contributing[0] != home_tile_id or len(contributing) > 1
-            )
-            if has_remote:
-                cluster.ulmo.stats.tile_misses += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
-                    self._remote_search(region, None)
-                )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons
-            cluster.ulmo.stats.global_misses += 1
-
+            # Stage 4: a global miss installs the line (or unit).
             target, row_index = self.placement.choose(
                 region, block, self.config.lines_per_molecule, self.rng
             )
             evicted = region.install(block, target, row_index, write)
+            remote_tiles, remote_probes, more, remote_extra = (
+                self._remote_search(region, None)
+            )
+            if remote_tiles:
+                comparisons += more
+                ulmo.tile_misses += 1
+            ulmo.global_misses += 1
             dirty = sum(1 for _b, was_dirty in evicted if was_dirty)
             stats.writebacks_to_memory += dirty
             for b, was_dirty in evicted:
@@ -481,7 +485,6 @@ class MolecularCache:
                 self.placement.on_evict(region, b)
             stats.lines_fetched += region.line_multiplier
             stats.record_access(asid, hit=False)
-            region.record_access(hit=False)
             result = AccessResult(
                 hit=False,
                 evicted_block=evicted[0][0] if evicted else None,
@@ -493,12 +496,15 @@ class MolecularCache:
 
         if remote_tiles:
             result.extra["remote_tiles_searched"] = remote_tiles
+        stats.asid_comparisons += comparisons
+        stats.molecules_probed_local += local_probes
+        stats.molecules_probed_remote += remote_probes
         stats.latency_cycles += (
             self.latency_model.cycles(result)
             + home_tile.extra_port_cycles
             + remote_extra
         )
-        self.resizer.on_access(stats.total.accesses, region, block)
+        self.resizer.on_access(region, block)
         bus = self.telemetry
         if bus is not None:
             bus.record_access(asid, block, write, result, remote_tiles)

@@ -11,24 +11,43 @@ paper's "threshold size" observation in Figure 5.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.errors import ConfigError
 from repro.molecular.molecule import Molecule
 from repro.molecular.region import CacheRegion
+from repro.molecular.stats import settled
 from repro.molecular.tile import Tile
 
 
-@dataclass(slots=True)
 class UlmoStats:
-    """Activity counters of one Ulmo controller."""
+    """Activity counters of one Ulmo controller.
 
-    tile_misses: int = 0
-    remote_hits: int = 0
-    global_misses: int = 0
-    remote_molecules_probed: int = 0
-    allocations: int = 0
-    allocation_shortfalls: int = 0
+    The search counters are settled like the cache's probe charges:
+    reading one first settles ``owner`` (the cache's
+    :class:`~repro.molecular.stats.MolecularStats`).
+    """
+
+    __slots__ = ("_tile_misses", "_remote_hits", "_global_misses",
+                 "allocations", "allocation_shortfalls", "owner")
+
+    tile_misses = settled("_tile_misses")
+    remote_hits = settled("_remote_hits")
+    global_misses = settled("_global_misses")
+
+    def __init__(self) -> None:
+        self._tile_misses = self._remote_hits = self._global_misses = 0
+        self.allocations = 0
+        self.allocation_shortfalls = 0
+        self.owner = None
+
+    def settle(self) -> None:
+        if self.owner is not None:
+            self.owner.settle()
+
+    def charge(self, tile_misses: int, remote_hits: int, global_misses: int) -> None:
+        """Add one settlement's searches (without settling again)."""
+        self._tile_misses += tile_misses
+        self._remote_hits += remote_hits
+        self._global_misses += global_misses
 
 
 class Ulmo:

@@ -6,9 +6,9 @@ dictionary lookups, the probe-count recomputation, an
 :class:`~repro.common.types.AccessResult` allocation (plus its ``extra``
 dict), a latency-model call and a resizer hook call. All of that is
 per-*region* state that only changes at resize, migration or
-shared-region events — so this module hoists it into an immutable
+shared-region events — so this module hoists it into an
 :class:`AccessContext`, and :meth:`AccessEngine.access` serves one
-reference with local-variable arithmetic plus the presence-map lookup.
+reference with a presence-map lookup and a few counter bumps.
 
 There are exactly two bodies of the access rule: the scalar
 ``MolecularCache.access_block`` (the readable oracle reference) and
@@ -17,8 +17,8 @@ There are exactly two bodies of the access rule: the scalar
 loop over the session; ``repro.prof.engine`` keeps a stage-timed copy of
 the session body for sampled profiling.
 
-Equivalence contract
---------------------
+Equivalence contract: one counter per fact; every read settles
+-----------------------------------------------------------------
 The engine is an *optimisation*, never a semantic fork: for any access
 sequence the resulting stats dicts, telemetry event streams, resize
 decisions and occupancy reports are byte-identical to replaying the same
@@ -26,12 +26,20 @@ sequence through the scalar ``MolecularCache.access_block``.
 ``tests/test_prop_batched.py`` asserts this property over randomized
 traces. Concretely:
 
-* every counter the scalar path touches is updated per access (through
-  cached references, not method calls), so mid-stream observers — the
-  resize trigger, telemetry epoch rollovers, warm-up snapshots — see
-  exactly the values they would have seen;
-* the resize trigger is inlined (two integer compares) and fires the
-  same ``Resizer`` methods at the same access counts;
+* each fact has one counter, bumped once per event: the accessing ASID's
+  raw (accesses, hits) pair (:mod:`repro.caches.stats`), evictions and
+  writebacks on dirty victims, and one resize-trigger countdown. With no
+  telemetry bus a local hit makes three counter stores;
+* every other statistic is a view over those counters (totals, windows,
+  post-warm-up counts, the regions' counts and molecule integrals), or a
+  charge that is constant for the access context: probes, ASID
+  comparisons, latency, Ulmo searches and fetched lines. A context keeps
+  outcome counts for those — remote hits per stop tile; local hits and
+  misses follow from the raw pair — and :meth:`AccessContext.settle`
+  charges them in bulk when the context is replaced and before any
+  reader looks (:func:`~repro.molecular.stats.settled`);
+* the resize triggers count down on every access and fire the same
+  ``Resizer`` methods at the same access counts;
 * when a telemetry bus is attached the engine builds the same
   ``AccessResult`` the scalar path would and feeds
   ``bus.record_access`` per access; with no bus attached no result
@@ -39,19 +47,20 @@ traces. Concretely:
 
 Context invalidation
 --------------------
-A context is valid while both hold:
+Contexts live in ``stats.contexts``, one per ASID, shared by every
+session of the cache. A context is valid while both hold:
 
 * ``region.version`` is unchanged — bumped by
   :meth:`~repro.molecular.region.CacheRegion.invalidate_search_order`
   on every molecule grant/withdrawal and home-tile migration;
 * the cache's ``_ctx_epoch`` is unchanged — bumped by region
-  assignment, shared-region creation, migration, and by the resizer
-  whenever a resize round fires (a global resize can reset stats
-  windows of regions whose membership did not change, and an external
-  ``force_resize`` must invalidate live sessions the same way).
+  assignment, shared-region creation, migration, faults, and by the
+  resizer whenever a resize round fires.
 
 Every access checks both, so a session stays correct across structural
-events made between (or, through resize fires, during) its calls.
+events made between (or, through resize fires, during) its calls. A
+stale context still settles at its own constants: it served exactly the
+accesses counted since its last settle.
 
 A custom :class:`~repro.molecular.latency.LatencyModel` subclass (one
 that overrides ``cycles``) disables the precomputed cycle constants and
@@ -68,51 +77,87 @@ from repro.molecular.placement import PlacementPolicy
 
 
 class AccessContext:
-    """Immutable per-region snapshot of every invariant an access needs.
+    """Per-(ASID, region state) constants plus outcome counts.
 
-    Built once per (engine, asid) and reused until a resize, migration
-    or shared-region event invalidates it. All fields are plain
+    Built on an ASID's first access and rebuilt after a resize,
+    migration, fault or shared-region event. All fields are plain
     attributes so the hot loop reads them without method calls.
     """
 
     __slots__ = (
-        "asid",
         "region",
         "region_version",
         "cache_epoch",
-        "home_tile",
+        "stats",
+        "counters",
+        "seen_accesses",
+        "seen_hits",
         "home_tile_id",
-        "home_comparisons",
-        "local_probes",
         "region_lookup",
         "shared_lookup",
         "shared_region",
         "remote_stop",
+        "remote_hits",
         "remote_full",
-        "has_remote",
         "ulmo_stats",
-        "molecule_count",
-        "line_multiplier",
+        "managed",
+        "local_probes",
+        "home_comparisons",
         "hit_cycles",
-        "miss_cycles",
         "dispatch_cycles",
         "per_tile_cycles",
-        "total_counters",
-        "window_counters",
-        "managed",
+        "miss_probes_remote",
+        "miss_comparisons",
+        "miss_cycles",
+        "line_multiplier",
     )
+
+    def settle(self) -> None:
+        """Charge the accesses counted since the last settle."""
+        counters = self.counters
+        accesses = counters.accesses - self.seen_accesses
+        if not accesses:
+            return
+        hits = counters.hits - self.seen_hits
+        misses = accesses - hits
+        self.seen_accesses = counters.accesses
+        self.seen_hits = counters.hits
+        remote = probes = comparisons = cycles = 0
+        remote_hits = self.remote_hits
+        for tile_id, count in remote_hits.items():
+            if count:
+                remote_hits[tile_id] = 0
+                tiles, tile_probes, tile_comparisons, extra = self.remote_stop[tile_id]
+                remote += count
+                probes += count * tile_probes
+                comparisons += count * tile_comparisons
+                cycles += count * (
+                    self.dispatch_cycles + tiles * self.per_tile_cycles + extra
+                )
+        self.stats.charge(
+            probed_local=accesses * self.local_probes,
+            probed_remote=probes + misses * self.miss_probes_remote,
+            comparisons=comparisons
+            + hits * self.home_comparisons
+            + misses * self.miss_comparisons,
+            fetched=misses * self.line_multiplier,
+            cycles=cycles + hits * self.hit_cycles + misses * self.miss_cycles,
+        )
+        self.ulmo_stats.charge(
+            tile_misses=remote + (misses if self.remote_full[0] else 0),
+            remote_hits=remote,
+            global_misses=misses,
+        )
 
 
 class AccessEngine:
     """Serves references through a molecular cache via cached contexts.
 
-    One engine is built per :meth:`~repro.molecular.cache.MolecularCache.
-    access_many` call (contexts must not outlive external stats resets),
-    or held for the duration of a run as a per-access *session* by
-    drivers that interleave applications one reference at a time
-    (:class:`~repro.sim.cmp.CMPRunner`). A session assumes the cache's
-    stats are not reset behind its back; drivers that need a mid-run
-    reset (warm-up) split the stream instead.
+    Build one per :meth:`~repro.molecular.cache.MolecularCache.
+    access_many` call, or hold one for a whole run as a per-access
+    *session* (:class:`~repro.sim.cmp.CMPRunner` interleaves applications
+    one reference at a time through it). Contexts live on the cache's
+    stats, so any number of sessions may be live at once.
     """
 
     __slots__ = ("cache", "stats", "placement", "rng", "resizer",
@@ -134,7 +179,7 @@ class AccessEngine:
             type(cache.placement).on_evict is not PlacementPolicy.on_evict
         )
         self.lines_per_molecule = cache.config.lines_per_molecule
-        self.contexts: dict[int, AccessContext] = {}
+        self.contexts: dict[int, AccessContext] = cache.stats.contexts
         self.fast_latency = type(cache.latency_model).cycles is LatencyModel.cycles
 
     # ------------------------------------------------------------- contexts
@@ -145,15 +190,16 @@ class AccessEngine:
         if region is None:
             raise UnknownASIDError(asid)
         ctx = AccessContext()
-        ctx.asid = asid
         ctx.region = region
         ctx.region_version = region.version
         ctx.cache_epoch = cache._ctx_epoch
+        ctx.stats = self.stats
+        counters = ctx.counters = self.stats.counters(asid)
+        ctx.seen_accesses = counters.accesses
+        ctx.seen_hits = counters.hits
         home_id = region.home_tile_id
         ctx.home_tile_id = home_id
         home_tile = cache._tiles[home_id]
-        ctx.home_tile = home_tile
-        ctx.home_comparisons = home_tile.comparator_count
 
         shared = cache._shared_regions.get(home_id)
         local_probes = region.molecules_by_tile.get(home_id, 0)
@@ -170,11 +216,10 @@ class AccessEngine:
         # Remote search tables: cumulative (tiles, probes, comparisons,
         # extra degraded-port cycles) along Ulmo's deterministic order,
         # keyed by the tile the search stops at; the final accumulation is
-        # the global-miss full walk.
+        # the global-miss full walk (all zero when nothing is remote).
         tiles = probes = comparisons = extra = 0
         stop: dict[int, tuple[int, int, int, int]] = {}
-        contributing = region.contributing_tiles()
-        for tile_id in contributing:
+        for tile_id in region.contributing_tiles():
             if tile_id == home_id:
                 continue
             tiles += 1
@@ -184,39 +229,35 @@ class AccessEngine:
             extra += tile.extra_port_cycles
             stop[tile_id] = (tiles, probes, comparisons, extra)
         ctx.remote_stop = stop
+        ctx.remote_hits = dict.fromkeys(stop, 0)
         ctx.remote_full = (tiles, probes, comparisons, extra)
-        ctx.has_remote = bool(contributing) and (
-            contributing[0] != home_id or len(contributing) > 1
-        )
 
         ctx.ulmo_stats = cache.clusters[home_tile.cluster_id].ulmo.stats
-        ctx.molecule_count = region.molecule_count
         ctx.line_multiplier = region.line_multiplier
+        ctx.managed = region.goal is not None
 
         hit_cycles, memory, dispatch, per_tile = cache.latency_model.constants()
         # A degraded home tile charges its port penalty on every access,
         # so it folds straight into the per-access constants.
         hit_cycles += home_tile.extra_port_cycles
         ctx.hit_cycles = hit_cycles
-        ctx.miss_cycles = hit_cycles + memory
         ctx.dispatch_cycles = dispatch
         ctx.per_tile_cycles = per_tile
-
-        total_counters, window_counters = self.stats.counters_for(asid)
-        ctx.total_counters = total_counters
-        ctx.window_counters = window_counters
-        ctx.managed = region.goal is not None
+        ctx.home_comparisons = home_tile.comparator_count
+        ctx.miss_probes_remote = probes
+        ctx.miss_comparisons = comparisons + home_tile.comparator_count
+        ctx.miss_cycles = hit_cycles + memory
+        if tiles:
+            ctx.miss_cycles += dispatch + tiles * per_tile + extra
         return ctx
 
-    def _context(self, asid: int) -> AccessContext:
-        ctx = self.contexts.get(asid)
-        if (
-            ctx is None
-            or ctx.region_version != ctx.region.version
-            or ctx.cache_epoch != self.cache._ctx_epoch
-        ):
-            ctx = self._build_context(asid)
-            self.contexts[asid] = ctx
+    def _refresh(self, asid: int) -> AccessContext:
+        """Replace the ASID's context, settling the one it supersedes."""
+        ctx = self._build_context(asid)
+        old = self.contexts.get(asid)
+        if old is not None:
+            old.settle()
+        self.contexts[asid] = ctx
         return ctx
 
     # ------------------------------------------------------------ streaming
@@ -255,21 +296,9 @@ class AccessEngine:
             or ctx.region_version != ctx.region.version
             or ctx.cache_epoch != self.cache._ctx_epoch
         ):
-            ctx = self._build_context(asid)
-            self.contexts[asid] = ctx
-
-        cache = self.cache
-        stats = self.stats
+            ctx = self._refresh(asid)
+        counters = ctx.counters
         region = ctx.region
-        tot = stats.total
-        wtot = stats.window_total
-        tc = ctx.total_counters
-        wc = ctx.window_counters
-        local_probes = ctx.local_probes
-        bus = cache.telemetry
-        ctx.home_tile.port_accesses += 1
-        result = None
-        remote_tiles = 0
 
         molecule = ctx.region_lookup(block)
         if molecule is None and ctx.shared_lookup is not None:
@@ -277,26 +306,11 @@ class AccessEngine:
 
         if molecule is not None:
             hit = True
+            evicted = None
+            counters.accesses += 1
+            counters.hits += 1
             if molecule.tile_id != ctx.home_tile_id:
-                ulmo_stats = ctx.ulmo_stats
-                ulmo_stats.tile_misses += 1
-                ulmo_stats.remote_hits += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
-                    ctx.remote_stop[molecule.tile_id]
-                )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons + ctx.home_comparisons
-                stats.latency_cycles += (
-                    ctx.hit_cycles
-                    + ctx.dispatch_cycles
-                    + remote_tiles * ctx.per_tile_cycles
-                    + remote_extra
-                )
-            else:
-                remote_probes = 0
-                stats.asid_comparisons += ctx.home_comparisons
-                stats.latency_cycles += ctx.hit_cycles
-            stats.molecules_probed_local += local_probes
+                ctx.remote_hits[molecule.tile_id] += 1
             if write:
                 molecule.mark_dirty(block)
             if self.on_hit_live:
@@ -306,91 +320,69 @@ class AccessEngine:
                     self.placement.on_hit(ctx.shared_region, block)
                 else:
                     self.placement.on_hit(region, block)
-            tot.accesses += 1
-            tot.hits += 1
-            wtot.accesses += 1
-            wtot.hits += 1
-            tc.accesses += 1
-            tc.hits += 1
-            wc.accesses += 1
-            wc.hits += 1
-            region.window_accesses += 1
-            region.total_accesses += 1
-            region.molecule_integral += ctx.molecule_count
-            if bus is not None:
-                result = AccessResult(
-                    hit=True,
-                    molecules_probed_local=local_probes,
-                    molecules_probed_remote=remote_probes,
-                )
         else:
             hit = False
-            ulmo_stats = ctx.ulmo_stats
-            if ctx.has_remote:
-                ulmo_stats.tile_misses += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
-                    ctx.remote_full
-                )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons + ctx.home_comparisons
-            else:
-                remote_probes = 0
-                stats.asid_comparisons += ctx.home_comparisons
-            ulmo_stats.global_misses += 1
-            # Charged before the placement decision, like the scalar
-            # reference — identical partial state if placement raises.
-            stats.molecules_probed_local += local_probes
+            # Nothing is counted before the install succeeds, like the
+            # scalar reference: identical state if placement raises.
             target, row_index = self.placement.choose(
                 region, block, self.lines_per_molecule, self.rng
             )
             evicted = region.install(block, target, row_index, write)
-            dirty = 0
-            for _b, was_dirty in evicted:
-                if was_dirty:
-                    dirty += 1
-                stats.record_eviction(asid, was_dirty)
-            if self.on_evict_live:
-                for b, _was_dirty in evicted:
-                    self.placement.on_evict(region, b)
-            stats.writebacks_to_memory += dirty
-            stats.lines_fetched += ctx.line_multiplier
-            cycles = ctx.miss_cycles
-            if remote_tiles:
-                cycles += (
-                    ctx.dispatch_cycles
-                    + remote_tiles * ctx.per_tile_cycles
-                    + remote_extra
-                )
-            stats.latency_cycles += cycles
-            tot.accesses += 1
-            wtot.accesses += 1
-            tc.accesses += 1
-            wc.accesses += 1
-            region.window_accesses += 1
-            region.window_misses += 1
-            region.total_accesses += 1
-            region.total_misses += 1
-            region.molecule_integral += ctx.molecule_count
-            if bus is not None:
-                result = AccessResult(
-                    hit=False,
-                    evicted_block=evicted[0][0] if evicted else None,
-                    writeback=dirty > 0,
-                    molecules_probed_local=local_probes,
-                    molecules_probed_remote=remote_probes,
-                    lines_filled=ctx.line_multiplier,
-                )
+            counters.accesses += 1
+            if evicted:
+                counters.evictions += len(evicted)
+                dirty = 0
+                for _b, was_dirty in evicted:
+                    if was_dirty:
+                        dirty += 1
+                if dirty:
+                    counters.writebacks += dirty
+                    self.stats.writebacks_to_memory += dirty
+                if self.on_evict_live:
+                    for b, _was_dirty in evicted:
+                        self.placement.on_evict(region, b)
 
         if self.advisor is not None:
             self.advisor.observe(region, block)
         if self.per_app:
-            if ctx.managed and region.total_accesses >= region.next_resize_at:
-                self.resizer._resize_one(region, tot.accesses)
-        elif tot.accesses >= self.resizer.next_global_at:
-            self.resizer._resize_all(tot.accesses)
+            if ctx.managed:
+                region.resize_countdown -= 1
+                if region.resize_countdown <= 0:
+                    self.resizer._resize_one(region, self.stats.total.accesses)
+        else:
+            resizer = self.resizer
+            resizer.global_countdown -= 1
+            if resizer.global_countdown <= 0:
+                resizer.global_due()
 
+        bus = self.cache.telemetry
         if bus is not None:
-            if remote_tiles:
-                result.extra["remote_tiles_searched"] = remote_tiles
-            bus.record_access(asid, block, write, result, remote_tiles)
+            publish_access(bus, ctx, asid, block, write, molecule, evicted)
         return hit
+
+
+def publish_access(bus, ctx: AccessContext, asid: int, block: int, write: bool,
+             molecule, evicted) -> None:
+    """Feed the bus the ``AccessResult`` the scalar path would have built."""
+    if molecule is not None:
+        remote_tiles = remote_probes = 0
+        if molecule.tile_id != ctx.home_tile_id:
+            remote_tiles, remote_probes, _c, _e = ctx.remote_stop[molecule.tile_id]
+        result = AccessResult(
+            hit=True,
+            molecules_probed_local=ctx.local_probes,
+            molecules_probed_remote=remote_probes,
+        )
+    else:
+        remote_tiles, remote_probes, _c, _e = ctx.remote_full
+        result = AccessResult(
+            hit=False,
+            evicted_block=evicted[0][0] if evicted else None,
+            writeback=any(was_dirty for _b, was_dirty in evicted),
+            molecules_probed_local=ctx.local_probes,
+            molecules_probed_remote=remote_probes,
+            lines_filled=ctx.line_multiplier,
+        )
+    if remote_tiles:
+        result.extra["remote_tiles_searched"] = remote_tiles
+    bus.record_access(asid, block, write, result, remote_tiles)

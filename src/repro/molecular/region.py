@@ -13,14 +13,18 @@ application, organised two ways at once (paper Figure 4):
   incoming line from this view; rows may have different lengths, which is
   how a region gets *per-row (per-address-range) associativity*.
 
-The region also owns the per-window statistics Algorithm 1 feeds on, the
-per-row miss counters, and the variable line size (a power-of-two multiple
-of the base line; the paper restricts a region to one line size fixed at
-creation).
+The region also owns the per-row miss counters and the variable line
+size (a power-of-two multiple of the base line; the paper restricts a
+region to one line size fixed at creation). Its access statistics — the
+cumulative and window counts Algorithm 1 feeds on, and the molecule
+integral — are views over the raw per-ASID counters of the applications
+it serves (:mod:`repro.caches.stats`), so the access paths never count
+them twice.
 """
 
 from __future__ import annotations
 
+from repro.caches.stats import AsidCounters
 from repro.common.bitops import is_power_of_two
 from repro.common.errors import ConfigError, SimulationError
 from repro.molecular.molecule import Molecule
@@ -58,16 +62,15 @@ class CacheRegion:
         "_molecule_count",
         "_tile_order",
         "version",
-        "window_accesses",
-        "window_misses",
-        "total_accesses",
-        "total_misses",
-        "molecule_integral",
+        "served",
+        "_window_base",
+        "_integral",
+        "_integral_mark",
         "last_miss_rate",
         "last_allocation",
         "max_allocation",
         "resize_period",
-        "next_resize_at",
+        "resize_countdown",
         "pending_repair",
     )
 
@@ -102,20 +105,23 @@ class CacheRegion:
         #: precomputed probe counts and search orders are still valid.
         self.version = 0
 
-        self.window_accesses = 0
-        self.window_misses = 0
-        self.total_accesses = 0
-        self.total_misses = 0
-        #: Sum over accesses of the region's molecule count — the integral
-        #: that average-molecule-count, HPM and average-power need.
-        self.molecule_integral = 0
+        #: Raw counters of the ASIDs this region serves (one for an
+        #: exclusive region, any number for a shared one).
+        self.served: list[AsidCounters] = []
+        #: (accesses, misses) at the last window reset.
+        self._window_base = (0, 0)
+        #: Molecule integral up to the last membership change, and the
+        #: access count it was taken at.
+        self._integral = 0
+        self._integral_mark = 0
 
         # --- Algorithm 1 state ------------------------------------------
         self.last_miss_rate = 1.0
         self.last_allocation = 0
         self.max_allocation = 0  # set by the resizer at assignment
         self.resize_period = 0  # used by the per-application trigger
-        self.next_resize_at = 0
+        #: Accesses left before the per-application trigger fires.
+        self.resize_countdown = 0
         #: Molecules lost to hard faults and not yet replaced; the resize
         #: engine tries to re-grow the region by this much at the start of
         #: each of its epochs (partial grants stay pending).
@@ -153,16 +159,55 @@ class CacheRegion:
     # ---------------------------------------------------------- accounting
 
     def record_access(self, hit: bool) -> None:
-        self.window_accesses += 1
-        self.total_accesses += 1
-        if not hit:
-            self.window_misses += 1
-            self.total_misses += 1
-        self.molecule_integral += self.molecule_count
+        """Count one access by the region's owner (standalone use: a
+        cache counts through its per-ASID stats instead)."""
+        if not self.served:
+            self.served.append(AsidCounters())
+        counters = self.served[0]
+        counters.accesses += 1
+        if hit:
+            counters.hits += 1
+
+    @property
+    def total_accesses(self) -> int:
+        return sum(c.accesses for c in self.served)
+
+    @property
+    def total_misses(self) -> int:
+        return sum(c.accesses - c.hits for c in self.served)
+
+    @property
+    def window_accesses(self) -> int:
+        return self.total_accesses - self._window_base[0]
+
+    @window_accesses.setter
+    def window_accesses(self, value: int) -> None:
+        self._window_base = (self.total_accesses - value, self._window_base[1])
+
+    @property
+    def window_misses(self) -> int:
+        return self.total_misses - self._window_base[1]
+
+    @window_misses.setter
+    def window_misses(self, value: int) -> None:
+        self._window_base = (self._window_base[0], self.total_misses - value)
 
     def reset_window(self) -> None:
-        self.window_accesses = 0
-        self.window_misses = 0
+        self._window_base = (self.total_accesses, self.total_misses)
+
+    @property
+    def molecule_integral(self) -> int:
+        """Sum over accesses of the region's molecule count — the integral
+        that average-molecule-count, HPM and average-power need."""
+        unfolded = self.total_accesses - self._integral_mark
+        return self._integral + unfolded * self._molecule_count
+
+    def _fold_integral(self) -> None:
+        # Called before every membership change: the accesses since the
+        # last one were all served at the current molecule count.
+        accesses = self.total_accesses
+        self._integral += (accesses - self._integral_mark) * self._molecule_count
+        self._integral_mark = accesses
 
     @property
     def window_miss_rate(self) -> float:
@@ -230,6 +275,7 @@ class CacheRegion:
             self.rows[row_index].append(molecule)
         tile = molecule.tile_id
         self.molecules_by_tile[tile] = self.molecules_by_tile.get(tile, 0) + 1
+        self._fold_integral()
         self._molecule_count += 1
         self.invalidate_search_order()
 
@@ -259,6 +305,7 @@ class CacheRegion:
             self.molecules_by_tile[tile] = remaining
         else:
             self.molecules_by_tile.pop(tile, None)
+        self._fold_integral()
         self._molecule_count -= 1
         self.invalidate_search_order()
         flushed = molecule.flush()

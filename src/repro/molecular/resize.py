@@ -322,6 +322,7 @@ class Resizer:
         "policy",
         "global_period",
         "next_global_at",
+        "global_countdown",
         "log",
         "advisor",
         "mechanism",
@@ -331,7 +332,11 @@ class Resizer:
         self.cache = cache
         self.policy = policy
         self.global_period = policy.period
+        #: The global round fires once ``stats.total.accesses`` reaches
+        #: this. Accesses count ``global_countdown`` down to zero, then
+        #: check (a ``stats.reset()`` since arming pushes the round back).
         self.next_global_at = policy.period
+        self.global_countdown = policy.period
         #: Chronicle of (access_count, asid, action, amount) tuples for
         #: diagnostics and the resize-behaviour tests.
         self.log: list[tuple[int, int, str, int]] = []
@@ -352,20 +357,30 @@ class Resizer:
         region.last_allocation = region.molecule_count
         region.last_miss_rate = 1.0
         region.resize_period = self.policy.period
-        region.next_resize_at = region.total_accesses + self.policy.period
+        region.resize_countdown = self.policy.period
 
-    def on_access(
-        self, total_accesses: int, region: CacheRegion, block: int | None = None
-    ) -> None:
+    def on_access(self, region: CacheRegion, block: int | None = None) -> None:
         """Called by the cache after every access; fires due resizes."""
         if self.advisor is not None and block is not None:
             self.advisor.observe(region, block)
         if self.policy.trigger == "per_app_adaptive":
-            if region.goal is not None and region.total_accesses >= region.next_resize_at:
-                self._resize_one(region, total_accesses)
+            if region.goal is not None:
+                region.resize_countdown -= 1
+                if region.resize_countdown <= 0:
+                    self._resize_one(region, self.cache.stats.total.accesses)
         else:
-            if total_accesses >= self.next_global_at:
-                self._resize_all(total_accesses)
+            self.global_countdown -= 1
+            if self.global_countdown <= 0:
+                self.global_due()
+
+    def global_due(self) -> None:
+        """The global countdown ran out: fire the round, or re-arm when a
+        stats reset since arming has pushed it back."""
+        total_accesses = self.cache.stats.total.accesses
+        if total_accesses >= self.next_global_at:
+            self._resize_all(total_accesses)
+        else:
+            self.global_countdown = self.next_global_at - total_accesses
 
     # ------------------------------------------------------- global round
 
@@ -403,6 +418,7 @@ class Resizer:
             self.cache.placement.reset_counters(region)
         self.cache.stats.reset_window()
         self.next_global_at = total_accesses + self.global_period
+        self.global_countdown = self.global_period
         self.cache.stats.resize_events += 1
         self.cache.stats.resize_compute_cycles += RESIZE_COMPUTE_CYCLES * len(regions)
         # A round resets stats windows even for regions whose membership
@@ -444,7 +460,7 @@ class Resizer:
                 )
         region.reset_window()
         self.cache.placement.reset_counters(region)
-        region.next_resize_at = region.total_accesses + region.resize_period
+        region.resize_countdown = region.resize_period
         self.cache.stats.resize_events += 1
         self.cache.stats.resize_compute_cycles += RESIZE_COMPUTE_CYCLES
         self.cache._ctx_epoch += 1

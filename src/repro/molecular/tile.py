@@ -19,7 +19,6 @@ class Tile:
         "tile_id",
         "cluster_id",
         "molecules",
-        "port_accesses",
         "shared_count",
         "failed_count",
         "extra_port_cycles",
@@ -41,8 +40,6 @@ class Tile:
             Molecule(first_molecule_id + i, tile_id, cluster_id, lines_per_molecule)
             for i in range(molecule_count)
         ]
-        #: Accesses that arrived at this tile (port pressure diagnostic).
-        self.port_accesses = 0
         #: Number of molecules with the shared bit set (probed by every
         #: request on this tile regardless of ASID).
         self.shared_count = 0

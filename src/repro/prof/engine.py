@@ -21,7 +21,7 @@ are measured*, never *what happens*:
 
 Stage boundaries (see DESIGN.md section 10): **probe** is the presence-
 map lookup (home tile + shared region); **remote-search** is the Ulmo
-remote-walk bookkeeping; **replace** is victim choice plus install;
+remote-hit outcome count; **replace** is victim choice plus install;
 **writeback** is the evicted-line processing and writeback accounting;
 **account** is everything else (context refresh, counters, telemetry).
 The resize-trigger interval is deliberately left out of every sampled
@@ -40,8 +40,7 @@ from time import perf_counter
 
 from repro.common.clock import tick
 from repro.common.refs import iter_refs
-from repro.common.types import AccessResult
-from repro.molecular.engine import AccessEngine
+from repro.molecular.engine import AccessEngine, publish_access
 from repro.prof.profiler import HotPathProfiler
 
 
@@ -113,22 +112,10 @@ class ProfiledAccessEngine(AccessEngine):
             or ctx.region_version != ctx.region.version
             or ctx.cache_epoch != self.cache._ctx_epoch
         ):
-            ctx = self._build_context(asid)
-            self.contexts[asid] = ctx
-
-        cache = self.cache
-        stats = self.stats
+            ctx = self._refresh(asid)
+        counters = ctx.counters
         region = ctx.region
-        tot = stats.total
-        wtot = stats.window_total
-        tc = ctx.total_counters
-        wc = ctx.window_counters
-        local_probes = ctx.local_probes
-        bus = cache.telemetry
-        ctx.home_tile.port_accesses += 1
-        result = None
-        remote_tiles = 0
-        probe_s = remote_s = replace_s = writeback_s = 0.0
+        replace_s = writeback_s = 0.0
         t1 = pc()
         account_s = t1 - t0
 
@@ -140,28 +127,13 @@ class ProfiledAccessEngine(AccessEngine):
 
         if molecule is not None:
             hit = True
+            evicted = None
             if molecule.tile_id != ctx.home_tile_id:
-                ulmo_stats = ctx.ulmo_stats
-                ulmo_stats.tile_misses += 1
-                ulmo_stats.remote_hits += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
-                    ctx.remote_stop[molecule.tile_id]
-                )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons + ctx.home_comparisons
-                stats.latency_cycles += (
-                    ctx.hit_cycles
-                    + ctx.dispatch_cycles
-                    + remote_tiles * ctx.per_tile_cycles
-                    + remote_extra
-                )
-            else:
-                remote_probes = 0
-                stats.asid_comparisons += ctx.home_comparisons
-                stats.latency_cycles += ctx.hit_cycles
+                ctx.remote_hits[molecule.tile_id] += 1
             t3 = pc()
             remote_s = t3 - t2
-            stats.molecules_probed_local += local_probes
+            counters.accesses += 1
+            counters.hits += 1
             if write:
                 molecule.mark_dirty(block)
             if self.on_hit_live:
@@ -171,106 +143,53 @@ class ProfiledAccessEngine(AccessEngine):
                     self.placement.on_hit(ctx.shared_region, block)
                 else:
                     self.placement.on_hit(region, block)
-            tot.accesses += 1
-            tot.hits += 1
-            wtot.accesses += 1
-            wtot.hits += 1
-            tc.accesses += 1
-            tc.hits += 1
-            wc.accesses += 1
-            wc.hits += 1
-            region.window_accesses += 1
-            region.total_accesses += 1
-            region.molecule_integral += ctx.molecule_count
-            if bus is not None:
-                result = AccessResult(
-                    hit=True,
-                    molecules_probed_local=local_probes,
-                    molecules_probed_remote=remote_probes,
-                )
-            t4 = pc()
-            account_s += t4 - t3
+            account_s += pc() - t3
         else:
             hit = False
-            ulmo_stats = ctx.ulmo_stats
-            if ctx.has_remote:
-                ulmo_stats.tile_misses += 1
-                remote_tiles, remote_probes, comparisons, remote_extra = (
-                    ctx.remote_full
-                )
-                stats.molecules_probed_remote += remote_probes
-                stats.asid_comparisons += comparisons + ctx.home_comparisons
-            else:
-                remote_probes = 0
-                stats.asid_comparisons += ctx.home_comparisons
-            ulmo_stats.global_misses += 1
-            # Charged before the placement decision, like the scalar
-            # reference — identical partial state if placement raises.
-            stats.molecules_probed_local += local_probes
+            remote_s = 0.0
             t3 = pc()
-            remote_s = t3 - t2
+            # Nothing is counted before the install succeeds, like the
+            # scalar reference: identical state if placement raises.
             target, row_index = self.placement.choose(
                 region, block, self.lines_per_molecule, self.rng
             )
             evicted = region.install(block, target, row_index, write)
             t4 = pc()
             replace_s = t4 - t3
-            dirty = 0
-            for _b, was_dirty in evicted:
-                if was_dirty:
-                    dirty += 1
-                stats.record_eviction(asid, was_dirty)
-            if self.on_evict_live:
-                for b, _was_dirty in evicted:
-                    self.placement.on_evict(region, b)
-            stats.writebacks_to_memory += dirty
-            stats.lines_fetched += ctx.line_multiplier
-            t5 = pc()
-            writeback_s = t5 - t4
-            cycles = ctx.miss_cycles
-            if remote_tiles:
-                cycles += (
-                    ctx.dispatch_cycles
-                    + remote_tiles * ctx.per_tile_cycles
-                    + remote_extra
-                )
-            stats.latency_cycles += cycles
-            tot.accesses += 1
-            wtot.accesses += 1
-            tc.accesses += 1
-            wc.accesses += 1
-            region.window_accesses += 1
-            region.window_misses += 1
-            region.total_accesses += 1
-            region.total_misses += 1
-            region.molecule_integral += ctx.molecule_count
-            if bus is not None:
-                result = AccessResult(
-                    hit=False,
-                    evicted_block=evicted[0][0] if evicted else None,
-                    writeback=dirty > 0,
-                    molecules_probed_local=local_probes,
-                    molecules_probed_remote=remote_probes,
-                    lines_filled=ctx.line_multiplier,
-                )
-            t6 = pc()
-            account_s += t6 - t5
+            counters.accesses += 1
+            if evicted:
+                counters.evictions += len(evicted)
+                dirty = 0
+                for _b, was_dirty in evicted:
+                    if was_dirty:
+                        dirty += 1
+                if dirty:
+                    counters.writebacks += dirty
+                    self.stats.writebacks_to_memory += dirty
+                if self.on_evict_live:
+                    for b, _was_dirty in evicted:
+                        self.placement.on_evict(region, b)
+            writeback_s = pc() - t4
 
         # The resize-trigger interval is excluded from every stage: fires
         # are timed exactly by the resizer (see module docstring).
         if self.advisor is not None:
             self.advisor.observe(region, block)
         if self.per_app:
-            if ctx.managed and region.total_accesses >= region.next_resize_at:
-                self.resizer._resize_one(region, tot.accesses)
-        elif tot.accesses >= self.resizer.next_global_at:
-            self.resizer._resize_all(tot.accesses)
-        t7 = pc()
+            if ctx.managed:
+                region.resize_countdown -= 1
+                if region.resize_countdown <= 0:
+                    self.resizer._resize_one(region, self.stats.total.accesses)
+        else:
+            resizer = self.resizer
+            resizer.global_countdown -= 1
+            if resizer.global_countdown <= 0:
+                resizer.global_due()
 
+        bus = self.cache.telemetry
         if bus is not None:
-            if remote_tiles:
-                result.extra["remote_tiles_searched"] = remote_tiles
-            bus.record_access(asid, block, write, result, remote_tiles)
+            t7 = pc()
+            publish_access(bus, ctx, asid, block, write, molecule, evicted)
             account_s += pc() - t7
 
         self.profiler.add_sample(

@@ -196,9 +196,7 @@ class CMPRunner:
             issued += 1
             index += 1
             if snapshot is None and warmup and issued >= warmup:
-                snapshot = {
-                    a: c.copy() for a, c in cache.stats.per_asid.items()
-                }
+                snapshot = cache.stats.per_asid
             if index >= len(blocks):
                 end_time = time_now
                 break
@@ -219,12 +217,7 @@ class CMPRunner:
         measured = 0
         for asid, counters in self.cache.stats.per_asid.items():
             base = (snapshot or {}).get(asid)
-            net = counters.copy()
-            if base is not None:
-                net.accesses -= base.accesses
-                net.hits -= base.hits
-                net.evictions -= base.evictions
-                net.writebacks -= base.writebacks
+            net = counters if base is None else counters.minus(base)
             if net.accesses > 0:
                 result.per_asid[asid] = net
                 measured += net.accesses

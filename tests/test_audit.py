@@ -75,10 +75,8 @@ def drive(cache: MolecularCache, count: int = 1500, seed: int = 5) -> None:
         cache.access_block(block, asid, rng.randrange(3) == 0)
 
 
-def violation_slugs(cache, counters=None) -> set[str]:
-    return {
-        v.invariant for v in audit_cache(cache, counters=counters).violations
-    }
+def violation_slugs(cache) -> set[str]:
+    return {v.invariant for v in audit_cache(cache).violations}
 
 
 # --------------------------------------------------------------- clean runs
@@ -90,7 +88,7 @@ class TestCleanAudits:
     def test_driven_cache_is_clean(self, placement, trigger):
         cache = build_cache(placement, trigger, shared=True, multipliers=(2, 4))
         drive(cache)
-        outcome = assert_invariants(cache, counters=True)
+        outcome = assert_invariants(cache)
         assert outcome.ok
         assert outcome.checks > 20
         assert outcome.accesses == cache.stats.total.accesses
@@ -102,10 +100,10 @@ class TestCleanAudits:
         drive(cache, 400, seed=9)
         cache.resizer.force_resize()
         drive(cache, 400, seed=13)
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_fresh_cache_is_clean(self):
-        assert assert_invariants(build_cache(), counters=True).ok
+        assert assert_invariants(build_cache()).ok
 
     def test_setassoc_is_clean(self):
         cache = SetAssociativeCache(1 << 14, 4)
@@ -113,17 +111,22 @@ class TestCleanAudits:
         for _ in range(2000):
             cache.access_block(rng.randrange(1 << 9), rng.randrange(2),
                                rng.randrange(4) == 0)
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
-    def test_warmup_reset_skips_cross_family_checks(self):
-        cache = build_cache()
+    def test_clean_across_warmup_reset(self):
+        # The laws are checked on lifetime counters, which a warm-up
+        # reset leaves alone; sessions count straight through it.
+        cache = build_cache(shared=True, multipliers=(2, 1))
         drive(cache, 400)
         cache.stats.reset()
         drive(cache, 400, seed=7)
-        # Auto-detect (counters=None) must notice the reset and stay clean;
-        # forcing the cross-family checks must flag the mismatch.
-        assert audit_cache(cache).ok
-        assert "stats-conservation" in violation_slugs(cache, counters=True)
+        session = cache.access_session()
+        cache.access_many([1 + i % 90 for i in range(300)], 0, True)
+        cache.stats.reset()
+        for i in range(300):
+            session.access(100_001 + i % 70, 1, i % 4 == 0)
+        assert assert_invariants(cache).ok
+        assert cache.stats.total.accesses == 300
 
 
 # ------------------------------------------------------- mutation self-test
@@ -136,7 +139,7 @@ class TestMutationsDetected:
         cache = build_cache(**kwargs)
         drive(cache, count)
         mutate(cache)
-        return violation_slugs(cache, counters=True)
+        return violation_slugs(cache)
 
     def test_dropped_presence_entry(self):
         def mutate(cache):
@@ -196,7 +199,7 @@ class TestMutationsDetected:
 
     def test_stats_drift(self):
         def mutate(cache):
-            cache.stats.total.hits += 1
+            cache.stats.lines_fetched += 1
 
         assert self.corrupted(mutate) == {"stats-conservation"}
 
@@ -246,7 +249,7 @@ class TestSatelliteFixes:
         touches = cache.placement._touch
         assert block in touches.get(SHARED_ASID, {})
         assert block not in touches.get(0, {})
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_touch_map_pruned_on_eviction(self):
         cache = build_cache("lru_direct")
@@ -257,7 +260,7 @@ class TestSatelliteFixes:
         touches = cache.placement._touch[0]
         assert touches, "hits should have stamped timestamps"
         assert set(touches) <= set(region.presence)
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def withdrawable_cache(self, placement: str) -> MolecularCache:
         config = MolecularCacheConfig(
@@ -281,7 +284,7 @@ class TestSatelliteFixes:
         cache.resizer._withdraw(region, 1, cache.stats.total.accesses)
         assert region.molecule_count == before - 1
         assert set(cache.placement._touch[0]) <= set(region.presence)
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_shared_rollback_reports_true_free_count(self):
         cache = build_cache()  # tiles of 6 molecules; tile 2 untouched
@@ -289,7 +292,7 @@ class TestSatelliteFixes:
             cache.create_shared_region(2, 7)
         # The partial grant was rolled back, not leaked.
         assert cache.tile_of(2).free_count == 6
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_assign_fails_fast_on_empty_grant(self):
         config = MolecularCacheConfig(
@@ -312,7 +315,7 @@ class TestSatelliteFixes:
         flushed = cache.stats.flush_writebacks
         assert flushed > 0
         assert cache.stats.writebacks_to_memory == before + flushed
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
 
 # ------------------------------------------------------------- API plumbing
@@ -346,7 +349,7 @@ class TestAuditApi:
         sink = RingBufferSink()
         cache.attach_telemetry(EventBus([sink], epoch_refs=0))
         drive(cache, 200)
-        outcome = audit_and_emit(cache, counters=True)
+        outcome = audit_and_emit(cache)
         reports = [e for e in sink if e.kind == "audit_report"]
         assert len(reports) == 1
         assert reports[0].ok and reports[0].checks == outcome.checks
@@ -358,7 +361,7 @@ class TestAuditApi:
         drive(cache, 200)
         cache.regions[0].row_misses.append(0)
         with pytest.raises(AuditError):
-            audit_and_emit(cache, counters=True)
+            audit_and_emit(cache)
         report = [e for e in sink if e.kind == "audit_report"][-1]
         assert not report.ok
         assert any("row-misses" in v for v in report.violations)
@@ -391,7 +394,7 @@ class TestDriverIntegration:
         real = driver.audit_and_emit
         monkeypatch.setattr(
             driver, "audit_and_emit",
-            lambda cache, counters=None: calls.append(1) or real(cache),
+            lambda cache: calls.append(1) or real(cache),
         )
         from repro.trace.container import Trace
 
@@ -420,7 +423,7 @@ class TestDriverIntegration:
         calls = []
         monkeypatch.setattr(
             driver, "audit_and_emit",
-            lambda cache, counters=None: calls.append(1),
+            lambda cache: calls.append(1),
         )
         monkeypatch.setenv(AUDIT_ENV, "50")
         from repro.trace.container import Trace

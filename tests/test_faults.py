@@ -122,7 +122,7 @@ class TestHardFaults:
         assert cache.regions[0].pending_repair == 1
         assert cache.stats.molecules_retired == 1
         assert cache.tile_of(molecule.tile_id).failed_count == 1
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_retirement_flushes_dirty_lines_to_memory(self):
         cache, _ = build_cache()
@@ -145,7 +145,7 @@ class TestHardFaults:
         apply_fault(cache, FaultSpec(kind="hard", at=0, target=free.molecule_id))
         assert free.failed and not free.is_free
         assert all(r.pending_repair == 0 for r in cache.regions.values())
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_refused_at_region_minimum_size(self):
         cache, _ = build_cache()
@@ -203,7 +203,7 @@ class TestHardFaults:
         target = next(shared.molecules()).molecule_id
         apply_fault(cache, FaultSpec(kind="hard", at=0, target=target))
         assert shared.pending_repair == 0
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
 
 # -------------------------------------------------------------- repair
@@ -220,7 +220,7 @@ class TestRepair:
         assert cache.regions[0].pending_repair == 0
         assert cache.stats.molecules_repaired == 1
         assert any(e[2] == "repair" for e in cache.resizer.log)
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_repair_denied_when_the_free_pool_is_exhausted(self):
         cache, _ = build_cache()
@@ -238,7 +238,7 @@ class TestRepair:
         cache.resizer.force_resize()
         assert cache.regions[0].pending_repair == 1  # still owed
         assert any(e[2] == "repair-denied" for e in cache.resizer.log)
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_repair_does_not_disturb_last_allocation(self):
         cache, _ = build_cache()
@@ -272,7 +272,7 @@ class TestTransientFaults:
         # Dirty data is *lost*, not written back.
         assert cache.stats.writebacks_to_memory == writebacks
         assert not cache.access_block(block, 0).hit
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_no_resident_lines_is_a_no_op(self):
         cache, _ = build_cache()
@@ -298,7 +298,7 @@ class TestDegradedTiles:
         cache.access_block(1, 0)  # same hit, degraded port
         degraded = cache.stats.latency_cycles - before
         assert degraded - clean == 9
-        assert assert_invariants(cache, counters=True).ok
+        assert assert_invariants(cache).ok
 
     def test_reapplying_the_same_degradation_is_a_no_op(self):
         cache, _ = build_cache()

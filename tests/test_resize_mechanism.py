@@ -253,8 +253,8 @@ def test_flush_backend_is_byte_identical_to_legacy(placement, trigger, faults):
     assert [e.as_dict() for e in current_sink] == [
         e.as_dict() for e in legacy_sink
     ]
-    assert_invariants(current, counters=True)
-    assert_invariants(legacy, counters=True)
+    assert_invariants(current)
+    assert_invariants(legacy)
 
 
 # ------------------------------------------------------------------- ring
@@ -385,7 +385,7 @@ class TestChashWithdraw:
         assert set(region.presence) == resident_before
         assert cache.stats.flush_writebacks == 0
         assert cache.stats.resize_spill_writebacks == 0
-        assert_invariants(cache, counters=True)
+        assert_invariants(cache)
 
     def test_reclaim_adopts_a_loaded_molecules_lines(self):
         """Emptying a molecule with resident dirty data spills nothing."""
@@ -465,7 +465,7 @@ class TestChashWithdraw:
         )
         assert 0 <= migrated <= dirty_total
         assert cache.stats.flush_writebacks == 0  # migration is on-chip
-        assert_invariants(cache, counters=True)
+        assert_invariants(cache)
 
 
 class TestChashEndToEnd:
@@ -500,10 +500,10 @@ class TestChashEndToEnd:
                     cache, FaultSpec(kind="hard", at=0, target=rng.randrange(16))
                 )
             if index % 500 == 0:
-                assert_invariants(cache, counters=True)
+                assert_invariants(cache)
         assert cache.stats.molecules_withdrawn > 0
         assert cache.stats.resize_blocks_moved > 0
-        assert_invariants(cache, counters=True)
+        assert_invariants(cache)
 
     def test_all_access_paths_agree_under_chash(self):
         """The differential oracle holds with the chash backend active."""

@@ -50,15 +50,6 @@ class TestCacheStats:
         assert stats.window_miss_rate(1) == 0.0
         assert stats.miss_rate(1) == pytest.approx(0.5)
 
-    def test_reset_window_for_single_asid(self):
-        stats = CacheStats()
-        stats.record_access(1, hit=False)
-        stats.record_access(2, hit=False)
-        stats.reset_window_for(1)
-        assert 1 not in stats.window_per_asid
-        assert stats.window_per_asid[2].accesses == 1
-        assert stats.window_total.accesses == 1
-
     def test_record_eviction(self):
         stats = CacheStats()
         stats.record_eviction(3, writeback=True)
