@@ -46,7 +46,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim": ("CMPRunConfig", "CMPRunner"),
     "repro.telemetry": (
         "EventBus",
-        "JsonlSink",
         "MetricsTimeline",
         "RingBufferSink",
     ),

@@ -218,6 +218,10 @@ class LeaseManager:
     coordinate purely through its ``leases/`` and ``quarantine/``
     subdirectories. ``clock`` is injectable (wall-clock seconds) so
     tests — and the chaos harness — can skew one worker's view of time.
+    ``telemetry`` is anything with ``emit(event)`` — in a campaign, the
+    worker's track of the trace — and receives the ``LeaseAcquired``,
+    ``LeaseExpired`` and ``JobQuarantined`` events, stamped with
+    ``clock`` time so readers can interleave workers.
     """
 
     def __init__(

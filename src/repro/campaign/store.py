@@ -8,11 +8,11 @@ Layout of a store directory::
         leases/<hash>.json      # one lease per job in flight (campaign/lease.py)
         leases/<hash>.*.claim   # takeovers of expired leases (campaign/lease.py)
         quarantine/<hash>.json  # poison jobs parked by the lease protocol
-        events/worker-N.jsonl   # forked worker N's telemetry (--record)
-        spans/worker-N.json     # forked worker N's spans (--spans)
+        spans/worker-N.json     # forked worker N's trace events (--trace)
 
-The ``events/`` and ``spans/`` files are hand-offs from forked workers
-to the launcher, which merges and deletes them when the drain ends.
+The ``spans/`` files are hand-offs from forked workers to the launcher,
+which merges them into the campaign's trace and deletes them when the
+drain ends.
 
 Every write is atomic (tmp file in the same directory + ``os.replace``)
 so a campaign killed mid-write never leaves a truncated JSON file — on
@@ -164,6 +164,11 @@ class ResultStore:
             raise ConfigError(
                 f"{self.manifest_path}: corrupt campaign manifest ({error})"
             ) from None
+        if not isinstance(manifest, dict):
+            raise ConfigError(
+                f"{self.manifest_path}: corrupt campaign manifest (a JSON "
+                f"{type(manifest).__name__}, not an object)"
+            )
         version = manifest.get("version")
         if version != MANIFEST_VERSION:
             raise ConfigError(

@@ -42,7 +42,6 @@ workers, which is how the chaos suite proves convergence.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import random
@@ -62,14 +61,7 @@ from repro.common.clock import tick
 from repro.common.errors import CampaignError, ConfigError
 from repro.faults.chaos import WorkerChaos
 from repro.prof.spans import LAUNCHER_TID, SpanRecorder
-from repro.telemetry.events import (
-    CampaignInterrupted,
-    JobCompleted,
-    JobRetried,
-    JobStarted,
-    JobSubmitted,
-    event_from_dict,
-)
+from repro.telemetry.events import CampaignInterrupted
 
 __all__ = [
     "CampaignOutcome",
@@ -167,10 +159,18 @@ def _manifest_jobs(store: ResultStore) -> tuple[str, list[tuple[str, dict]]]:
             f"{store.root} has no campaign manifest; run `repro sweep "
             "<experiment> --out <store>` (or write_manifest) first"
         )
+    entries = manifest.get("jobs", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"{store.manifest_path}: 'jobs' is not a list")
     jobs: list[tuple[str, dict]] = []
     seen: set[str] = set()
-    for entry in manifest.get("jobs", ()):
-        job_hash = entry["hash"]
+    for position, entry in enumerate(entries):
+        job_hash = _manifest_entry(entry)
+        if job_hash is None:
+            raise ConfigError(
+                f"{store.manifest_path}: job {position} is not a 'hash' "
+                "plus the 'spec' it is the content hash of"
+            )
         if job_hash not in seen:
             seen.add(job_hash)
             jobs.append((job_hash, entry["spec"]))
@@ -181,11 +181,24 @@ def _manifest_jobs(store: ResultStore) -> tuple[str, list[tuple[str, dict]]]:
     return str(manifest.get("campaign", "campaign")), jobs
 
 
+def _manifest_entry(entry: Any) -> str | None:
+    """The hash of a well-formed manifest entry, else None."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("spec"), dict):
+        return None
+    spec = entry["spec"]
+    if not all(isinstance(spec.get(key), str) for key in ("experiment", "job")):
+        return None
+    try:
+        job_hash = JobSpec.from_payload(spec).content_hash()
+    except (AttributeError, TypeError, ValueError):
+        return None
+    return job_hash if entry.get("hash") == job_hash else None
+
+
 def run_worker(
     store: ResultStore | str | Path,
     config: LeaseConfig | None = None,
     owner: str | None = None,
-    telemetry=None,
     chaos: WorkerChaos | None = None,
     clock: Callable[[], float] = time.time,
     spans: SpanRecorder | None = None,
@@ -196,23 +209,23 @@ def run_worker(
     when there is nothing left this worker could ever do. ``chaos``
     sabotages *this* worker only (the chaos harness's lever), ``clock``
     skews its view of lease time, and ``spans`` receives this worker's
-    ``queue``/``job``/``store`` spans on a track named after its pid.
+    ``queue``/``job``/``store`` spans, ``retry`` markers and lease
+    events on a track named after its pid.
     """
     if not isinstance(store, ResultStore):
         store = ResultStore(store)
     config = config or LeaseConfig()
     campaign, jobs = _manifest_jobs(store)
-    manager = LeaseManager(
-        store, owner=owner, config=config, telemetry=telemetry,
-        clock=clock, campaign=campaign,
-    )
-    report = WorkerReport(owner=manager.owner, campaign=campaign)
-    emit = telemetry.emit if telemetry is not None else (lambda _event: None)
-    index_of = {job_hash: i for i, (job_hash, _p) in enumerate(jobs)}
-    rng = random.Random(manager.owner)
     tid = os.getpid()
     if spans is not None:
         spans.name_track(tid, f"worker {tid}")
+    manager = LeaseManager(
+        store, owner=owner, config=config,
+        telemetry=spans.track(tid) if spans is not None else None,
+        clock=clock, campaign=campaign,
+    )
+    report = WorkerReport(owner=manager.owner, campaign=campaign)
+    rng = random.Random(manager.owner)
     acquisitions = 0
     idle_passes = 0
     idle_since = tick()
@@ -254,10 +267,6 @@ def run_worker(
                     # and before any result is — the orphaned-lease
                     # scenario.
                     chaos.on_acquire(acquisitions)
-                emit(JobStarted(
-                    campaign=campaign, job=job_hash,
-                    index=index_of[job_hash], attempt=lease.token,
-                ))
                 started = tick()
                 error = None
                 with manager.heartbeat(lease):
@@ -286,11 +295,6 @@ def run_worker(
                         lease, spec, outcome["result"], outcome["elapsed"]
                     ):
                         report.committed += 1
-                        emit(JobCompleted(
-                            campaign=campaign, job=job_hash,
-                            index=index_of[job_hash], attempts=lease.token,
-                            elapsed=outcome["elapsed"], cached=False,
-                        ))
                     else:
                         report.fenced += 1
                     if spans is not None:
@@ -304,19 +308,13 @@ def run_worker(
                     # every retry would fail the same way.
                     retry = not isinstance(error, (ConfigError, CampaignError))
                     if manager.fail(lease, error, retry=retry):
-                        reason = str(error) or type(error).__name__
-                        emit(JobRetried(
-                            campaign=campaign, job=job_hash,
-                            index=index_of[job_hash],
-                            attempt=lease.token + 1, error=reason,
-                        ))
                         if spans is not None:
                             spans.instant(
                                 "retry", "retry", tick(), tid=tid,
                                 args={
                                     "job": spec.label(),
                                     "attempt": lease.token + 1,
-                                    "error": reason,
+                                    "error": str(error) or type(error).__name__,
                                 },
                             )
                     else:
@@ -435,32 +433,24 @@ def _worker_entry(
     store_root: str,
     config: LeaseConfig,
     owner: str,
-    events_path: Path | None,
     spans_path: Path | None,
     chaos_spec: str | None,
     skew: float,
 ) -> None:
     """Body of one forked lease worker."""
     signal.signal(signal.SIGTERM, _raise_sigterm)
-    bus = None
-    if events_path is not None:
-        from repro.telemetry import EventBus, JsonlSink
-
-        bus = EventBus([JsonlSink(events_path)], epoch_refs=0)
     spans = SpanRecorder() if spans_path is not None else None
     clock: Callable[[], float] = (
         (lambda: time.time() + skew) if skew else time.time
     )
     try:
         run_worker(
-            store_root, config=config, owner=owner, telemetry=bus,
+            store_root, config=config, owner=owner,
             chaos=WorkerChaos.parse(chaos_spec), clock=clock, spans=spans,
         )
     except KeyboardInterrupt:
         raise SystemExit(130) from None  # quiet: the launcher reports it
     finally:
-        if bus is not None:
-            bus.close()
         if spans is not None:
             spans.dump(spans_path)
 
@@ -496,36 +486,6 @@ def _stop(processes: list, grace: float) -> set[int]:
     return stopped
 
 
-def _replay_events(paths: list[Path], telemetry) -> None:
-    """Feed the forked workers' JSONL streams into the launcher's bus.
-
-    Lease events carry a wall-clock ``at``; events without one (job
-    lifecycle) inherit the last ``at`` seen in their own stream, which
-    keeps each worker's events in order while interleaving workers by
-    time. A torn tail (a killed worker's last line) is skipped.
-    """
-    decorated: list[tuple[float, int, int, dict]] = []
-    for stream, path in enumerate(paths):
-        try:
-            lines = path.read_text(encoding="utf-8").splitlines()
-        except FileNotFoundError:
-            continue
-        last_at = 0.0
-        for position, line in enumerate(lines):
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(payload.get("at"), (int, float)):
-                last_at = float(payload["at"])
-            decorated.append((last_at, stream, position, payload))
-    decorated.sort(key=lambda item: item[:3])
-    for *_order, payload in decorated:
-        event = event_from_dict(payload)
-        if event is not None:
-            telemetry.emit(event)
-
-
 def _hung(
     manager: LeaseManager, launcher: str, config: LeaseConfig
 ) -> list[int]:
@@ -557,7 +517,6 @@ def _drain_forked(
     launcher: str,
     workers: int,
     config: LeaseConfig,
-    telemetry,
     spans: SpanRecorder | None,
     worker_chaos: list[str | None] | None,
     worker_skews: list[float] | None,
@@ -568,15 +527,13 @@ def _drain_forked(
     its heartbeat gave up on the job is hung: it is killed (a worker
     death, charged to the job when its lease is reclaimed) and replaced
     by a clean worker, so a job that hangs every time reaches quarantine
-    within ``max_reclaims``. Telemetry and spans come back through
-    per-worker files under the store (``events/``, ``spans/``), merged
-    here even when the drain is interrupted. Once every pending job is
+    within ``max_reclaims``. Each worker's spans and lease events come
+    back through its file under the store (``spans/worker-N.json``),
+    merged here even when the drain is interrupted. Once every pending job is
     committed or quarantined, a worker still running after ``grace`` is
     stuck in a fenced-off job and is dismissed rather than waited on.
     """
-    events_dir, spans_dir = store.root / "events", store.root / "spans"
-    if telemetry is not None:
-        events_dir.mkdir(exist_ok=True)
+    spans_dir = store.root / "spans"
     if spans is not None:
         spans_dir.mkdir(exist_ok=True)
     # Sabotage targets the first ``workers`` processes; replacements
@@ -588,20 +545,17 @@ def _drain_forked(
     sys.stderr.flush()
     context = _mp_context()
     processes: list = []
-    handoff: list[tuple[Path, Path]] = []
+    handoff: list[Path] = []
 
     def spawn() -> None:
         index = len(processes)
-        paths = (events_dir / f"worker-{index}.jsonl",
-                 spans_dir / f"worker-{index}.json")
-        for path in paths:
-            path.unlink(missing_ok=True)
+        path = spans_dir / f"worker-{index}.json"
+        path.unlink(missing_ok=True)
         process = context.Process(
             target=_worker_entry,
             args=(
                 str(store.root), config, f"{launcher}:w{index}",
-                paths[0] if telemetry is not None else None,
-                paths[1] if spans is not None else None,
+                path if spans is not None else None,
                 chaos[index] if index < len(chaos) else None,
                 skews[index] if index < len(skews) else 0.0,
             ),
@@ -609,7 +563,7 @@ def _drain_forked(
         )
         process.start()
         processes.append(process)
-        handoff.append(paths)
+        handoff.append(path)
 
     # A worker idle in backoff notices the drain is over within one
     # backoff_cap sleep (jittered up to 1.5x).
@@ -635,18 +589,14 @@ def _drain_forked(
                 dismissed = _stop(processes, grace)
     finally:
         _stop(processes, grace)
-        if telemetry is not None:
-            _replay_events([events for events, _s in handoff], telemetry)
-        if spans is not None:
-            for _e, path in handoff:
+        for path in handoff:
+            if spans is not None:
                 spans.absorb(path)
-        for path in (path for paths in handoff for path in paths):
             path.unlink(missing_ok=True)
-        for directory in (events_dir, spans_dir):
-            try:
-                directory.rmdir()
-            except OSError:  # absent, or holding someone else's files
-                pass
+        try:
+            spans_dir.rmdir()
+        except OSError:  # absent, or holding someone else's files
+            pass
     return [
         None if index in dismissed else process.exitcode
         for index, process in enumerate(processes)
@@ -661,7 +611,6 @@ def run_campaign(
     resume: bool = True,
     options: dict[str, Any] | None = None,
     config: LeaseConfig | None = None,
-    telemetry=None,
     spans: SpanRecorder | None = None,
     worker_chaos: list[str | None] | None = None,
     worker_skews: list[float] | None = None,
@@ -676,8 +625,10 @@ def run_campaign(
     the in-process drain is never sabotaged (a ``kill`` would take the
     launcher down with it), nor timed out (nothing could stop it).
 
-    SIGINT/SIGTERM reopen every in-flight lease, emit
-    ``CampaignInterrupted`` and propagate; the store stays resumable.
+    ``spans`` receives every worker's track and the launcher's
+    ``campaign`` span. SIGINT/SIGTERM reopen every in-flight lease,
+    record ``CampaignInterrupted`` and propagate; the store stays
+    resumable.
     A drain that ends with a quarantined job returns a *degraded*
     outcome; one that ends with neither raises
     :class:`~repro.common.errors.CampaignError`.
@@ -708,19 +659,6 @@ def run_campaign(
             manager.reset(job_hash)
     outcome.payloads = {h: record["result"] for h, record in records.items()}
     outcome.cached = set(records)
-    if telemetry is not None:
-        for index, (spec, job_hash) in enumerate(zip(outcome.specs, hashes)):
-            telemetry.emit(JobSubmitted(
-                campaign=campaign, job=job_hash,
-                experiment=spec.experiment, index=index,
-            ))
-            if job_hash in records:
-                telemetry.emit(JobCompleted(
-                    campaign=campaign, job=job_hash, index=index,
-                    attempts=records[job_hash].get("attempts", 1),
-                    elapsed=records[job_hash].get("elapsed", 0.0),
-                    cached=True,
-                ))
 
     parked = manager.quarantined()
     pending = [h for h in unique if h not in records and h not in parked]
@@ -734,8 +672,7 @@ def run_campaign(
     try:
         if outcome.workers == 1:
             run_worker(
-                store, config=config, owner=f"{launcher}:w0",
-                telemetry=telemetry, spans=spans,
+                store, config=config, owner=f"{launcher}:w0", spans=spans,
             )
         elif outcome.workers > 1:
             # Import the simulator once, here, so each forked worker
@@ -750,16 +687,16 @@ def run_campaign(
             )
             outcome.exitcodes = _drain_forked(
                 store, manager, pending, launcher, outcome.workers, config,
-                telemetry, spans, worker_chaos, worker_skews,
+                spans, worker_chaos, worker_skews,
             )
     except (KeyboardInterrupt, SystemExit) as error:
         # Every committed job survives in the store and every in-flight
         # lease is reopened: a resumed run completes just the rest.
         manager.abandon_owned(f"{launcher}:")
         done = store.completed(unique)
-        if telemetry is not None:
+        if spans is not None:
             interrupted = isinstance(error, KeyboardInterrupt)
-            telemetry.emit(CampaignInterrupted(
+            spans.emit(CampaignInterrupted(
                 campaign=campaign,
                 signal="SIGINT" if interrupted else "SIGTERM",
                 completed=sum(1 for h in hashes if h in done),
@@ -773,7 +710,11 @@ def run_campaign(
             spans.name_track(LAUNCHER_TID, "launcher")
             spans.span(
                 f"campaign {campaign}", "campaign", started, tick(),
-                args={"jobs": len(outcome.specs), "workers": outcome.workers},
+                args={
+                    "jobs": len(outcome.specs),
+                    "workers": outcome.workers,
+                    "cached": len(outcome.cached),
+                },
             )
 
     done = store.completed(pending)

@@ -26,20 +26,16 @@ Commands
     commit results fenced by lease token. Any number of workers on a
     shared filesystem drain one campaign with no dispatcher.
 ``simulate``
-    Run a workload mix on a molecular or traditional cache; ``--record``
-    writes a telemetry JSONL stream alongside the run, ``--faults``
+    Run a workload mix on a molecular or traditional cache; ``--faults``
     schedules hardware faults (molecule retirement, transient line
     drops, degraded tiles) against a molecular run, and
     ``--resize-mechanism {flush,chash}`` picks the resize backend.
 ``inspect``
-    Replay a recorded telemetry stream: resize timeline, per-region
-    miss-rate/occupancy/HPM epochs, and a convergence summary.
+    Read a trace recorded with ``--trace``: resize timeline, per-region
+    miss-rate/occupancy/HPM epochs, the lease timeline of a distributed
+    drain, a convergence summary and the campaign's span summary.
 ``power``
     Evaluate a cache organization with the analytical power model.
-``trace-export``
-    Summarise a span trace recorded by ``sweep --spans`` (per-category
-    durations, queue-wait share, retry/timeout markers) or write a
-    category-filtered copy for Perfetto.
 ``bench-report``
     Diff the machine-readable benchmark ledger
     (``benchmarks/results/ledger/``): pair each metric's latest entry
@@ -60,9 +56,11 @@ Commands
 ``simulate`` and ``sweep`` additionally accept ``--audit [CADENCE]`` to
 run the invariant auditor every CADENCE accesses during the run (sweep
 propagates the cadence to campaign workers via ``$REPRO_AUDIT``).
-``simulate --profile [SAMPLE]`` prints a per-stage hot-path breakdown
-(see :mod:`repro.prof`); ``sweep --spans PATH`` records a
-Chrome-tracing timeline of the campaign.
+``simulate``, ``sweep`` and ``worker`` accept ``--trace PATH``, which
+records the run as one Chrome trace (:mod:`repro.prof.spans`): telemetry
+events as instants, epoch metrics as counters, and a campaign's
+job/queue/store spans. ``simulate --profile [SAMPLE]`` prints where the
+access time went by outcome class (see :mod:`repro.prof`).
 """
 
 from __future__ import annotations
@@ -85,11 +83,36 @@ def parse_size(text: str) -> int:
             break
     try:
         size = int(float(raw) * multiplier)
-    except ValueError:
+    except (ValueError, OverflowError):  # garbage, nan, inf, 1e400
         raise ConfigError(f"cannot parse size {text!r}") from None
     if size <= 0:
         raise ConfigError(f"size must be positive, got {text!r}")
     return size
+
+
+def open_trace(path: str):
+    """The recorder behind ``--trace PATH``.
+
+    The path is opened now, so an unwritable one fails before the run
+    starts; the trace itself is written when the command ends.
+    """
+    from repro.prof.spans import SpanRecorder
+
+    try:
+        open(path, "w").close()
+    except OSError as error:
+        raise ConfigError(f"cannot write trace to {path}: {error}") from None
+    return SpanRecorder()
+
+
+def write_trace(trace, path: str, what: str) -> None:
+    """Export ``trace`` to ``path`` and say where it went (on stderr)."""
+    trace.export(path)
+    print(
+        f"{what}: {len(trace)} events -> {path} (read with `python -m repro "
+        f"inspect {path}`, or load in Perfetto)",
+        file=sys.stderr,
+    )
 
 
 def validate_audit_cadence(value: int | None) -> int | None:
@@ -232,22 +255,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         cache = SetAssociativeCache(size, args.assoc)
 
-    bus = sink = None
-    if args.record:
+    bus = trace = None
+    if args.trace:
         if args.cache != "molecular":
             print(
-                "warning: --record needs the molecular cache; not recording",
+                "warning: --trace needs the molecular cache; not recording",
                 file=sys.stderr,
             )
         else:
-            from repro.telemetry import EventBus, JsonlSink
+            from repro.prof.spans import LAUNCHER_TID
+            from repro.telemetry import EventBus
 
-            sink = JsonlSink(args.record)
+            trace = open_trace(args.trace)
+            trace.name_track(LAUNCHER_TID, "simulate")
             bus = EventBus(
-                [sink],
-                epoch_refs=args.record_epoch,
-                sample_interval=args.record_sample,
-                remote_search_sample=args.record_remote_sample,
+                [trace], epoch_refs=args.trace_epoch, remote_search_sample=100
             )
 
     profiler = None
@@ -282,9 +304,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         result = runner.run(traces)
     finally:
+        run_wall = tick() - run_started
         if bus is not None:
             bus.close()
-    run_wall = tick() - run_started
+            write_trace(trace, args.trace, "trace")
     print(f"{args.cache} cache, {args.size}, {len(names)} applications:")
     for asid, name in enumerate(names):
         print(f"  {name:10s} miss rate {result.miss_rate(asid):.3f}")
@@ -307,11 +330,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{stats.molecules_repaired} repaired, "
                 f"{stats.lines_invalidated} line(s) invalidated"
             )
-    if sink is not None:
-        print(
-            f"  telemetry: {sink.count} events -> {sink.path} "
-            f"(replay with `python -m repro inspect {sink.path}`)"
-        )
     if profiler is not None:
         print(profiler.format_report(run_wall))
     return 0
@@ -338,6 +356,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     target = get_experiment(args.name)
     options = _experiment_options(target, args)
     specs = target.jobs(refs=args.refs, seed=args.seed, **options)
+    trace = open_trace(args.trace) if args.trace else None
     store = ResultStore(
         Path(args.out) if args.out else Path("campaigns") / args.name
     )
@@ -347,36 +366,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         max_reclaims=args.max_reclaims,
     )
     chaos = _worker_chaos(args.worker_chaos)
-    bus = sink = None
-    if args.record:
-        from repro.telemetry import EventBus, JsonlSink
-
-        sink = JsonlSink(args.record)
-        bus = EventBus([sink], epoch_refs=0)
-    spans = None
-    if args.spans:
-        from repro.prof import SpanRecorder
-
-        spans = SpanRecorder()
     try:
         outcome = run_campaign(
             store, specs, args.name, jobs=args.jobs, resume=args.resume,
-            options=options, config=config, telemetry=bus, spans=spans,
-            worker_chaos=chaos,
+            options=options, config=config, spans=trace, worker_chaos=chaos,
         )
     finally:
-        if bus is not None:
-            bus.close()
-        if spans is not None:
+        if trace is not None:
             # Export whatever was recorded even on an interrupt — a
             # partial timeline is exactly what post-mortems need.
-            path = spans.export(args.spans)
-            print(
-                f"campaign spans: {len(spans)} events -> {path} "
-                "(load in Perfetto / chrome://tracing, or summarise with "
-                f"`python -m repro trace-export {path}`)",
-                file=sys.stderr,
-            )
+            write_trace(trace, args.trace, "campaign trace")
     if outcome.degraded:
         print(outcome.degraded_report())
     else:
@@ -385,12 +384,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         print(result.format())
     print(f"{outcome.summary()} -> {store.root}", file=sys.stderr)
-    if sink is not None:
-        print(
-            f"campaign telemetry: {sink.count} events -> {sink.path} "
-            "(replay with `python -m repro inspect`)",
-            file=sys.stderr,
-        )
     return 1 if outcome.degraded else 0
 
 
@@ -417,15 +410,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     )
     from repro.faults.chaos import WorkerChaos
 
-    bus = sink = None
-    if args.record:
-        from pathlib import Path
-
-        from repro.telemetry import EventBus, JsonlSink
-
-        Path(args.record).parent.mkdir(parents=True, exist_ok=True)
-        sink = JsonlSink(args.record)
-        bus = EventBus([sink], epoch_refs=0)
+    trace = open_trace(args.trace) if args.trace else None
     clock = (
         (lambda: time.time() + args.skew) if args.skew else time.time
     )
@@ -440,17 +425,13 @@ def cmd_worker(args: argparse.Namespace) -> int:
                 max_reclaims=args.max_reclaims,
             ),
             owner=args.owner,
-            telemetry=bus,
             chaos=WorkerChaos.parse(args.chaos),
             clock=clock,
+            spans=trace,
         )
     finally:
-        if bus is not None:
-            bus.close()
-            print(
-                f"worker telemetry: {sink.count} events -> {sink.path}",
-                file=sys.stderr,
-            )
+        if trace is not None:
+            write_trace(trace, args.trace, "worker trace")
     print(report.summary(), file=sys.stderr)
     # Degraded drain (poison jobs parked by anyone) exits 1 so scripts
     # babysitting a fleet notice without parsing stderr.
@@ -468,7 +449,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     from repro.telemetry.replay import load_report
 
-    report = load_report(args.events)
+    report = load_report(args.trace)
     print(report.format(max_rows=args.max_rows))
     return 0
 
@@ -606,27 +587,6 @@ def cmd_power(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trace_export(args: argparse.Namespace) -> int:
-    """Summarise a recorded span trace, optionally writing a filtered copy."""
-    from repro.prof import load_trace, summarize_trace
-    from repro.prof.spans import filter_trace
-
-    events = load_trace(args.trace)
-    if args.category:
-        events = filter_trace(events, args.category)
-    print(summarize_trace(events))
-    if args.out:
-        from repro.common.io import atomic_write_json
-
-        atomic_write_json(
-            args.out,
-            {"traceEvents": events, "displayTimeUnit": "ms"},
-            sort_keys=False,
-        )
-        print(f"wrote {len(events)} event(s) -> {args.out}", file=sys.stderr)
-    return 0
-
-
 def cmd_workloads(args: argparse.Namespace) -> int:
     """List the registered workload families and their members."""
     from repro.workloads.registry import available_families
@@ -720,18 +680,16 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=1)
     sweep.add_argument("--graph", choices=["A", "B"], default="A",
                        help="figure5 graph")
-    sweep.add_argument("--record", metavar="PATH", default=None,
-                       help="record campaign lifecycle events to a JSONL "
-                            "file (replay with `repro inspect`)")
     sweep.add_argument("--audit", metavar="CADENCE", nargs="?", type=int,
                        const=100_000, default=None,
                        help="run the invariant auditor every CADENCE "
                             "accesses inside every job (default 100000; "
                             "propagated to workers via $REPRO_AUDIT)")
-    sweep.add_argument("--spans", metavar="PATH", default=None,
-                       help="record job/queue/store spans, one track per "
-                            "worker, to a Chrome-tracing JSON file (view in "
-                            "Perfetto or chrome://tracing)")
+    sweep.add_argument("--trace", "--spans", metavar="PATH", default=None,
+                       help="record the campaign as a Chrome trace: "
+                            "job/queue/store spans and lease events, one "
+                            "track per worker (read with `repro inspect`, "
+                            "or load in Perfetto)")
     sweep.add_argument("--resize-mechanism",
                        choices=["flush", "chash"], default=None,
                        help="restrict the resize-mechanism experiment to "
@@ -767,9 +725,9 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--max-reclaims", type=int, default=3,
                         help="reclaims/failures before a job is "
                              "quarantined as poison")
-    worker.add_argument("--record", metavar="PATH", default=None,
-                        help="record lease/job events to a JSONL file "
-                             "(replay with `repro inspect`)")
+    worker.add_argument("--trace", metavar="PATH", default=None,
+                        help="record this worker's spans and lease events "
+                             "as a Chrome trace (read with `repro inspect`)")
     worker.add_argument("--chaos", metavar="SPEC", default=None,
                         help="self-sabotage directive for fault-tolerance "
                              "testing: kill@N, hang@N:SECONDS, corrupt@N, "
@@ -795,17 +753,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--refs", type=int, default=200_000)
     simulate.add_argument("--seed", type=int, default=1)
     simulate.add_argument("--miss-penalty", type=float, default=10.0)
-    simulate.add_argument("--record", metavar="PATH", default=None,
-                          help="record telemetry events to a JSONL file "
-                               "(molecular cache only)")
-    simulate.add_argument("--record-epoch", type=int, default=5_000,
+    simulate.add_argument("--trace", metavar="PATH", default=None,
+                          help="record telemetry as a Chrome trace: events "
+                               "as instants, epoch metrics as counters "
+                               "(molecular cache only; read with "
+                               "`repro inspect`)")
+    simulate.add_argument("--trace-epoch", type=int, default=5_000,
                           help="accesses per telemetry metrics epoch")
-    simulate.add_argument("--record-sample", type=int, default=0,
-                          help="emit every Nth access as an AccessSampled "
-                               "event (0 = off)")
-    simulate.add_argument("--record-remote-sample", type=int, default=100,
-                          help="emit every Nth RemoteSearch event "
-                               "(1 = all; epoch aggregates are unaffected)")
     simulate.add_argument("--audit", metavar="CADENCE", nargs="?", type=int,
                           const=100_000, default=None,
                           help="run the invariant auditor every CADENCE "
@@ -817,14 +771,16 @@ def build_parser() -> argparse.ArgumentParser:
                                "(molecular cache only)")
     simulate.add_argument("--profile", metavar="SAMPLE", nargs="?", type=int,
                           const=512, default=None,
-                          help="print a per-stage hot-path breakdown; one "
-                               "access in every SAMPLE is stage-timed "
-                               "(default 512; molecular cache only)")
+                          help="print where the access time went by "
+                               "outcome (local/remote hit, clean/dirty "
+                               "miss, resize); one access in every SAMPLE "
+                               "is timed (default 512; molecular cache only)")
 
     inspect = sub.add_parser(
-        "inspect", help="replay a recorded telemetry JSONL stream"
+        "inspect", help="read a trace recorded with --trace"
     )
-    inspect.add_argument("events", help="JSONL file written by --record")
+    inspect.add_argument("trace", help="Chrome trace JSON written by "
+                                       "`simulate`/`sweep`/`worker --trace`")
     inspect.add_argument("--max-rows", type=int, default=40,
                          help="cap rows per table (use a large value for "
                               "the full timeline)")
@@ -888,19 +844,6 @@ def build_parser() -> argparse.ArgumentParser:
     power.add_argument("--line", type=int, default=64)
     power.add_argument("--ports", type=int, default=4)
 
-    trace_export = sub.add_parser(
-        "trace-export",
-        help="summarise or filter a recorded campaign span trace",
-    )
-    trace_export.add_argument("trace", help="span JSON written by "
-                                            "`repro sweep --spans`")
-    trace_export.add_argument("--category", default=None,
-                              help="keep only one span category "
-                                   "(job, queue, store, campaign, retry)")
-    trace_export.add_argument("--out", default=None,
-                              help="write the (filtered) trace to a new "
-                                   "Chrome-tracing JSON file")
-
     sub.add_parser(
         "workloads",
         help="list registered workload families and their members",
@@ -938,7 +881,6 @@ _COMMANDS = {
     "fuzz": cmd_fuzz,
     "chaos": cmd_chaos,
     "power": cmd_power,
-    "trace-export": cmd_trace_export,
     "bench-report": cmd_bench_report,
     "workloads": cmd_workloads,
 }

@@ -24,6 +24,10 @@ from repro.common.errors import ConfigError
 #: outcome-shape check must reject it before anything is committed.
 CORRUPT_OUTCOME = {"result": "\x00corrupt"}
 
+#: Longest ``hang@N:S`` accepted: a day, well inside what ``time.sleep``
+#: takes (it rejects NaN and overflows on infinity or ~1e10 s).
+MAX_HANG_S = 86_400.0
+
 
 @dataclass(frozen=True, slots=True)
 class WorkerChaos:
@@ -34,9 +38,10 @@ class WorkerChaos:
     * ``kill@N`` — SIGKILL the worker right after it acquires its Nth
       lease, before any result is written: the orphaned-lease scenario a
       peer must reclaim after ``ttl``.
-    * ``hang@N:S`` — sleep S seconds inside the Nth job before
-      executing it: with a ``job_timeout`` below S the worker turns into
-      a stale zombie whose eventual commit must be fenced off.
+    * ``hang@N:S`` — sleep S seconds (0 < S <= :data:`MAX_HANG_S`)
+      inside the Nth job before executing it: with a ``job_timeout``
+      below S the worker turns into a stale zombie whose eventual commit
+      must be fenced off.
     * ``corrupt@N`` — replace the Nth job's outcome with a malformed one
       (:data:`CORRUPT_OUTCOME`): it must be rejected, charged as a
       failed attempt and retried, never committed.
@@ -95,8 +100,12 @@ class WorkerChaos:
                 ) from None
         if kill_after is not None and kill_after < 1:
             raise ConfigError("kill@N needs N >= 1")
-        if hang_at is not None and (hang_at < 1 or hang_seconds <= 0):
-            raise ConfigError("hang@N:S needs N >= 1 and S > 0")
+        if hang_at is not None and not (
+            hang_at >= 1 and 0 < hang_seconds <= MAX_HANG_S
+        ):
+            raise ConfigError(
+                f"hang@N:S needs N >= 1 and 0 < S <= {MAX_HANG_S:.0f} seconds"
+            )
         if corrupt_at is not None and corrupt_at < 1:
             raise ConfigError("corrupt@N needs N >= 1")
         return cls(

@@ -14,8 +14,8 @@ There are exactly two bodies of the access rule: the scalar
 ``MolecularCache.access_block`` (the readable oracle reference) and
 :meth:`AccessEngine.access` (the per-access session). Bulk access
 (:meth:`AccessEngine.stream`, behind ``MolecularCache.access_many``) is a
-loop over the session; ``repro.prof.engine`` keeps a stage-timed copy of
-the session body for sampled profiling.
+loop over the session, and the sampling profiler (``repro.prof.engine``)
+times whole calls to it, so no third copy exists.
 
 Equivalence contract: one counter per fact; every read settles
 -----------------------------------------------------------------

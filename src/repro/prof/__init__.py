@@ -1,4 +1,4 @@
-"""Performance observability: hot-path profiler, spans, benchmark ledger.
+"""Performance observability: hot-path profiler, the trace, benchmark ledger.
 
 The paper's claims are throughput claims, and every scaling change
 (datapath, multi-host sweeps) is judged by numbers — this package is the
@@ -7,23 +7,25 @@ simulator and the telemetry bus, never inside their hot loops:
 
 :class:`HotPathProfiler` (:mod:`repro.prof.profiler`)
     A sampling profiler for the access engine. Every Nth reference runs
-    through a stage-instrumented twin of the engine's access body
-    (probe / remote-search / replace / writeback / account), resize
-    rounds are timed exactly at the resizer, and the measured wall clock
-    of the run is attributed across stages by the sampled shares — so
-    the per-stage report always sums to the wall clock, and the enabled
-    overhead is one instrumented access per ``sample_every``. Disabled,
+    the unmodified session access, timed whole and classified by outcome
+    (local hit, remote hit, clean miss, dirty miss) from counter deltas;
+    resize rounds are timed exactly at the resizer, and the measured wall
+    clock of the run is attributed across the outcome classes by their
+    sampled time — so the report always sums to the wall clock, and the
+    enabled overhead is one timed access per ``sample_every``. Disabled,
     the engine code is byte-for-byte the uninstrumented one: the only
     profiler reference is a per-``access_many``/per-session check of
     ``cache.profiler`` (``tests/test_prof_zero_cost.py`` counts it).
 
 :class:`SpanRecorder` (:mod:`repro.prof.spans`)
-    Per-worker spans for campaign runs — idle wait, job attempts,
-    store commits and retry markers — timestamped on the one shared
+    The one recording format: Chrome trace-event JSON on the one shared
     clock (:func:`repro.common.clock.tick`, comparable across worker
-    processes) and exported as Chrome-tracing JSON that loads
-    directly in Perfetto / ``chrome://tracing``. ``repro sweep --spans``
-    records one; ``repro trace-export`` summarises or filters it.
+    processes), which loads directly in Perfetto / ``chrome://tracing``.
+    It holds a campaign's per-worker spans (idle wait, job attempts,
+    store commits, retry markers) and, as a telemetry bus sink, every
+    event of the run as an instant plus per-region epoch counters.
+    ``--trace PATH`` on ``simulate``, ``sweep`` and ``worker`` records
+    one; ``repro inspect`` reads it.
 
 The benchmark ledger (:mod:`repro.prof.ledger`)
     Structured JSON next to the free-text ``benchmarks/results/*.txt``:

@@ -1,4 +1,4 @@
-"""The stage-instrumented twin of the access session.
+"""The sampling wrapper around the access session.
 
 :class:`ProfiledAccessEngine` is what ``MolecularCache.access_session``
 (and so ``access_many``) builds when a :class:`~repro.prof.profiler.
@@ -7,40 +7,33 @@ HotPathProfiler` is attached and enabled. It subclasses the ordinary
 are measured*, never *what happens*:
 
 * :meth:`access` counts every reference and, with the profiler's
-  countdown, routes one per ``sample_every`` through
-  :meth:`access_profiled`; the rest go through the parent's unmodified
-  session body.
+  countdown, routes one per ``sample_every`` through :meth:`sample`;
+  the rest go straight to the parent's session body.
 * :meth:`stream` is the parent's session loop with the same countdown
   inlined, inside a wall-clock measurement — so a profiled
   ``access_many`` runs exactly the path an unprofiled one does, plus
   one sampled access per ``sample_every``.
-* :meth:`access_profiled` is a copy of the parent's ``access`` body with
-  ``perf_counter`` captures at the stage boundaries — the one deliberate
-  duplicate of the access rule, kept honest by
-  ``tests/test_prof_profiler.py``'s byte-identical-stats checks.
+* :meth:`sample` calls the unmodified :meth:`AccessEngine.access`,
+  times the whole call and classifies it by outcome from counter
+  deltas. There is no instrumented copy of the access rule: the
+  profiler measures the path that runs.
 
-Stage boundaries (see DESIGN.md section 10): **probe** is the presence-
-map lookup (home tile + shared region); **remote-search** is the Ulmo
-remote-hit outcome count; **replace** is victim choice plus install;
-**writeback** is the evicted-line processing and writeback accounting;
-**account** is everything else (context refresh, counters, telemetry).
-The resize-trigger interval is deliberately left out of every sampled
-stage: fires are timed exactly by the resizer, and folding a
-milliseconds-long fire into one sampled access would wreck the shares.
-
-The equivalence argument is the engine's own: scalar, session and
-profiled paths all produce byte-identical stats, resize logs and
-telemetry streams, so *which* path any single reference takes is
-unobservable outside timing.
+Outcome classes (see DESIGN.md section 10): the return value says hit or
+miss; a hit is *remote* when the settled Ulmo ``remote_hits`` (summed
+over clusters) grew during the call, and a miss is *dirty* when the
+ASID's lifetime ``writebacks`` grew. Neither reads a live per-context
+count, which a settle inside the call (a resize fire, an epoch rollover)
+would zero, nor ``writebacks_to_memory``, which also counts a resize's
+flush writebacks. The resize time the resizer adds to ``resize_s``
+during the call is taken off the sample, so a fire is counted once, in
+the exactly-timed resize row.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
-
 from repro.common.clock import tick
 from repro.common.refs import iter_refs
-from repro.molecular.engine import AccessEngine, publish_access
+from repro.molecular.engine import AccessEngine
 from repro.prof.profiler import HotPathProfiler
 
 
@@ -79,7 +72,7 @@ class ProfiledAccessEngine(AccessEngine):
                     plain(block, asid, write)
                 else:
                     countdown = sample_every
-                    self.access_profiled(block, asid, write)
+                    self.sample(block, asid, write)
         finally:
             prof.countdown = countdown
         prof.refs += n
@@ -95,104 +88,27 @@ class ProfiledAccessEngine(AccessEngine):
         if prof.countdown > 0:
             return AccessEngine.access(self, block, asid, write)
         prof.countdown = prof.sample_every
-        return self.access_profiled(block, asid, write)
+        return self.sample(block, asid, write)
 
-    # ------------------------------------------------- instrumented access
+    # ------------------------------------------------------ sampled access
 
-    def access_profiled(self, block: int, asid: int = 0, write: bool = False) -> bool:
-        """One access with stage timing; side effects identical to
-        :meth:`AccessEngine.access`."""
-        if not self.fast_latency:
-            return AccessEngine.access(self, block, asid, write)
-        pc = perf_counter
-        t0 = pc()
-        ctx = self.contexts.get(asid)
-        if (
-            ctx is None
-            or ctx.region_version != ctx.region.version
-            or ctx.cache_epoch != self.cache._ctx_epoch
-        ):
-            ctx = self._refresh(asid)
-        counters = ctx.counters
-        region = ctx.region
-        replace_s = writeback_s = 0.0
-        t1 = pc()
-        account_s = t1 - t0
-
-        molecule = ctx.region_lookup(block)
-        if molecule is None and ctx.shared_lookup is not None:
-            molecule = ctx.shared_lookup(block)
-        t2 = pc()
-        probe_s = t2 - t1
-
-        if molecule is not None:
-            hit = True
-            evicted = None
-            if molecule.tile_id != ctx.home_tile_id:
-                ctx.remote_hits[molecule.tile_id] += 1
-            t3 = pc()
-            remote_s = t3 - t2
-            counters.accesses += 1
-            counters.hits += 1
-            if write:
-                molecule.mark_dirty(block)
-            if self.on_hit_live:
-                # Recency belongs to the serving region (the hit may have
-                # come from the tile's shared region).
-                if ctx.shared_lookup is not None and ctx.region_lookup(block) is None:
-                    self.placement.on_hit(ctx.shared_region, block)
-                else:
-                    self.placement.on_hit(region, block)
-            account_s += pc() - t3
+    def sample(self, block: int, asid: int = 0, write: bool = False) -> bool:
+        """One :meth:`AccessEngine.access`, timed whole and classified."""
+        prof = self.profiler
+        clusters = self.cache.clusters
+        remote = sum(cluster.ulmo.stats.remote_hits for cluster in clusters)
+        counters = self.stats.lifetime.get(asid)
+        writebacks = counters.writebacks if counters is not None else 0
+        resize_s = prof.resize_s
+        started = tick()
+        hit = AccessEngine.access(self, block, asid, write)
+        elapsed = max(tick() - started - (prof.resize_s - resize_s), 0.0)
+        if hit:
+            remote_now = sum(c.ulmo.stats.remote_hits for c in clusters)
+            outcome = "remote_hit" if remote_now != remote else "local_hit"
+        elif self.stats.lifetime[asid].writebacks != writebacks:
+            outcome = "dirty_miss"
         else:
-            hit = False
-            remote_s = 0.0
-            t3 = pc()
-            # Nothing is counted before the install succeeds, like the
-            # scalar reference: identical state if placement raises.
-            target, row_index = self.placement.choose(
-                region, block, self.lines_per_molecule, self.rng
-            )
-            evicted = region.install(block, target, row_index, write)
-            t4 = pc()
-            replace_s = t4 - t3
-            counters.accesses += 1
-            if evicted:
-                counters.evictions += len(evicted)
-                dirty = 0
-                for _b, was_dirty in evicted:
-                    if was_dirty:
-                        dirty += 1
-                if dirty:
-                    counters.writebacks += dirty
-                    self.stats.writebacks_to_memory += dirty
-                if self.on_evict_live:
-                    for b, _was_dirty in evicted:
-                        self.placement.on_evict(region, b)
-            writeback_s = pc() - t4
-
-        # The resize-trigger interval is excluded from every stage: fires
-        # are timed exactly by the resizer (see module docstring).
-        if self.advisor is not None:
-            self.advisor.observe(region, block)
-        if self.per_app:
-            if ctx.managed:
-                region.resize_countdown -= 1
-                if region.resize_countdown <= 0:
-                    self.resizer._resize_one(region, self.stats.total.accesses)
-        else:
-            resizer = self.resizer
-            resizer.global_countdown -= 1
-            if resizer.global_countdown <= 0:
-                resizer.global_due()
-
-        bus = self.cache.telemetry
-        if bus is not None:
-            t7 = pc()
-            publish_access(bus, ctx, asid, block, write, molecule, evicted)
-            account_s += pc() - t7
-
-        self.profiler.add_sample(
-            asid, probe_s, remote_s, replace_s, writeback_s, account_s
-        )
+            outcome = "clean_miss"
+        prof.add_sample(asid, outcome, elapsed)
         return hit

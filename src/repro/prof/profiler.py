@@ -1,27 +1,28 @@
 """Sampling hot-path profiler for the molecular access engine.
 
-Timing every stage of every access with ``perf_counter`` would multiply
-the cost of the hot loop several times over — useless as an instrument.
-Instead the profiler combines three measurements, each cheap where it
-runs often and exact where it runs rarely:
+Timing every access with a clock read would multiply the cost of the
+hot loop several times over — useless as an instrument. Instead the
+profiler combines three measurements, each cheap where it runs often and
+exact where it runs rarely:
 
 * **wall clock** — every profiled stream (or the caller, for per-access
   sessions) contributes its measured wall time; every profiled access
   counts itself;
-* **sampled stage splits** — every ``sample_every``-th reference the
-  profiler sees (counted across all streams and sessions) runs
-  through a stage-instrumented twin of the engine access body
-  (:meth:`repro.prof.engine.ProfiledAccessEngine.access_profiled`),
-  accumulating per-stage and per-region sampled time;
+* **sampled outcomes** — every ``sample_every``-th reference the
+  profiler sees (counted across all streams and sessions) runs the
+  unmodified session access, timed whole
+  (:meth:`repro.prof.engine.ProfiledAccessEngine.sample`) and classed as
+  a local hit, remote hit, clean miss or dirty miss, accumulating
+  per-class and per-region sampled time;
 * **exact resize timing** — resize rounds are rare and expensive, so the
-  resizer times every fire directly instead of relying on sampling.
+  resizer times every fire directly instead of relying on sampling; a
+  sample that contains a fire has the fire's time taken off.
 
 The report distributes the measured wall clock (minus the exactly-timed
-resize share) across the stages proportionally to their sampled shares.
-By construction the per-stage times sum to the wall clock — the
-breakdown answers "where did this run's time go", not "how fast is each
-stage in isolation" (the instrumented samples carry their own timer
-overhead, so absolute sampled numbers are only used as ratios).
+resize share) across the outcome classes proportionally to their sampled
+time. By construction the per-class times sum to the wall clock — the
+breakdown answers "where did this run's time go", and the per-class mean
+of the sampled accesses answers "what does one such access cost".
 
 The equivalence contract of :mod:`repro.molecular.engine` extends to the
 profiled paths: a profiled run's stats, resize log and telemetry stream
@@ -36,21 +37,20 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigError
 
-#: Stage keys, in report order. ``account`` absorbs everything that is
-#: not one of the four architectural stages: counter updates, context
-#: refreshes, resize-trigger checks and telemetry recording.
-PROFILE_STAGES = ("probe", "remote_search", "replace", "writeback", "account")
+#: The report's ``stages``: the outcome classes of a sampled access, in
+#: report order.
+PROFILE_STAGES = ("local_hit", "remote_hit", "clean_miss", "dirty_miss")
 
 
 class HotPathProfiler:
-    """Accumulates sampled stage time, wall clock and resize time.
+    """Accumulates sampled outcome time, wall clock and resize time.
 
     Parameters
     ----------
     sample_every:
-        One reference in every ``sample_every`` runs through the
-        instrumented access body. The default keeps the enabled
-        overhead on the molecular access benchmark under the 5 % budget
+        One reference in every ``sample_every`` is timed and classified.
+        The default keeps the enabled overhead on the molecular access
+        benchmark under the 5 % budget
         (``benchmarks/test_perf_prof_overhead.py`` guards it).
     """
 
@@ -58,6 +58,7 @@ class HotPathProfiler:
         "sample_every",
         "enabled",
         "stage_s",
+        "stage_samples",
         "asid_s",
         "asid_samples",
         "samples",
@@ -78,7 +79,8 @@ class HotPathProfiler:
 
     def reset(self) -> None:
         """Zero every accumulator (a fresh measurement window)."""
-        self.stage_s = {stage: 0.0 for stage in PROFILE_STAGES}
+        self.stage_s = dict.fromkeys(PROFILE_STAGES, 0.0)
+        self.stage_samples = dict.fromkeys(PROFILE_STAGES, 0)
         self.asid_s: dict[int, float] = {}
         self.asid_samples: dict[int, int] = {}
         self.samples = 0
@@ -94,24 +96,11 @@ class HotPathProfiler:
 
     # ------------------------------------------------------------- feeding
 
-    def add_sample(
-        self,
-        asid: int,
-        probe: float,
-        remote_search: float,
-        replace: float,
-        writeback: float,
-        account: float,
-    ) -> None:
-        """One instrumented access's stage durations (seconds)."""
-        stage_s = self.stage_s
-        stage_s["probe"] += probe
-        stage_s["remote_search"] += remote_search
-        stage_s["replace"] += replace
-        stage_s["writeback"] += writeback
-        stage_s["account"] += account
-        total = probe + remote_search + replace + writeback + account
-        self.asid_s[asid] = self.asid_s.get(asid, 0.0) + total
+    def add_sample(self, asid: int, outcome: str, seconds: float) -> None:
+        """One sampled access: its outcome class and duration."""
+        self.stage_s[outcome] += seconds
+        self.stage_samples[outcome] += 1
+        self.asid_s[asid] = self.asid_s.get(asid, 0.0) + seconds
         self.asid_samples[asid] = self.asid_samples.get(asid, 0) + 1
         self.samples += 1
 
@@ -140,13 +129,16 @@ class HotPathProfiler:
         distributable = max(wall - resize, 0.0)
         sampled_total = sum(self.stage_s.values())
         stages: dict[str, dict[str, float]] = {}
-        for stage in PROFILE_STAGES:
+        for outcome in PROFILE_STAGES:
             share = (
-                self.stage_s[stage] / sampled_total if sampled_total > 0 else 0.0
+                self.stage_s[outcome] / sampled_total if sampled_total > 0 else 0.0
             )
-            stages[stage] = {
+            samples = self.stage_samples[outcome]
+            stages[outcome] = {
                 "share": share,
                 "time_s": distributable * share,
+                "samples": samples,
+                "mean_us": self.stage_s[outcome] / samples * 1e6 if samples else 0.0,
             }
         regions: dict[int, dict[str, float]] = {}
         for asid in sorted(self.asid_s):
@@ -172,35 +164,35 @@ class HotPathProfiler:
     def format_report(self, wall_s: float | None = None) -> str:
         """The breakdown as the text block ``repro simulate --profile`` prints."""
         data = self.report(wall_s)
+        wall = data["wall_s"]
         lines = [
             "hot-path profile "
-            f"({data['refs']} refs in {data['wall_s'] * 1e3:.1f} ms, "
+            f"({data['refs']} refs in {wall * 1e3:.1f} ms, "
             f"{data['refs_per_sec']:,.0f} refs/s; "
-            f"{data['samples']} sampled, 1/{data['sample_every']})"
+            f"{data['samples']} sampled, 1/{data['sample_every']})",
+            f"  {'outcome':<20s} {'time':>12s} {'wall':>6s} "
+            f"{'samples':>8s} {'us/access':>10s}",
         ]
-        rows: list[tuple[str, float, float]] = [
-            (stage.replace("_", "-"), info["time_s"], info["share"])
-            for stage, info in data["stages"].items()
-        ]
-        wall = data["wall_s"]
-        resize = data["resize"]
-        rows.append(
-            (
-                f"resize ({resize['fires']} fires)",
-                resize["time_s"],
-                resize["time_s"] / wall if wall > 0 else 0.0,
+        for outcome, info in data["stages"].items():
+            lines.append(
+                f"  {outcome.replace('_', '-'):<20s} "
+                f"{info['time_s'] * 1e3:9.2f} ms "
+                f"{info['time_s'] / wall if wall > 0 else 0.0:6.1%} "
+                f"{info['samples']:>8d} {info['mean_us']:>10.2f}"
             )
+        resize = data["resize"]
+        lines.append(
+            f"  {'resize (%d fires)' % resize['fires']:<20s} "
+            f"{resize['time_s'] * 1e3:9.2f} ms "
+            f"{resize['time_s'] / wall if wall > 0 else 0.0:6.1%}"
         )
-        # Stage shares are of the non-resize wall; print wall fractions so
-        # the column sums to 100 %.
-        non_resize = max(wall - resize["time_s"], 0.0)
-        for name, time_s, share in rows:
-            frac = time_s / wall if wall > 0 else 0.0
-            if not name.startswith("resize"):
-                frac = (share * non_resize / wall) if wall > 0 else 0.0
-            lines.append(f"  {name:<22s} {time_s * 1e3:9.2f} ms  {frac:6.1%}")
-        total = sum(time_s for _n, time_s, _s in rows)
-        lines.append(f"  {'total':<22s} {total * 1e3:9.2f} ms  {total / wall if wall > 0 else 0.0:6.1%}")
+        total = resize["time_s"] + sum(
+            info["time_s"] for info in data["stages"].values()
+        )
+        lines.append(
+            f"  {'total':<20s} {total * 1e3:9.2f} ms "
+            f"{total / wall if wall > 0 else 0.0:6.1%}"
+        )
         if data["regions"]:
             lines.append("  per-region sampled share:")
             for asid, info in data["regions"].items():

@@ -1,31 +1,33 @@
-"""Campaign span tracing: idle / execute / store-write timelines.
+"""One recorded artifact: Chrome trace-event JSON on the shared clock.
 
-A multi-hour sweep that converges slowly usually isn't *computing*
-slowly — it's starving (workers idle behind a long job or a dead peer's
-lease), churning (failed attempts re-running), or serialising on the
-store. None of that is visible in end-of-run counters. The campaign
-executor therefore records **spans**: intervals on the shared monotonic
-clock (:func:`repro.common.clock.tick`, comparable across worker
-processes), one track per lease worker (named after its pid) plus a
-launcher track, with instant markers for retries. Forked workers hand
-their spans back through a file under the store; the launcher merges
-them into one trace.
+Every recording — a ``simulate`` run, a campaign, a lone ``worker`` —
+is one :class:`SpanRecorder` exported as Chrome's trace-event JSON (the
+``traceEvents`` array), which loads directly in Perfetto and
+``chrome://tracing`` and which ``repro inspect`` reads back. Timestamps
+come from the shared monotonic clock (:func:`repro.common.clock.tick`,
+comparable across worker processes), so each lease worker records on
+its own track (named after its pid) and forked workers hand their
+events back through ``spans/worker-N.json`` under the store; the
+launcher merges them into one trace.
 
-The on-disk format is Chrome's trace-event JSON (the ``traceEvents``
-array of ``ph: "X"`` complete events), which loads directly in Perfetto
-and ``chrome://tracing`` — no custom viewer to maintain.
-``repro trace-export`` summarises a recorded file (per-category
-durations, queue-wait share, marker counts) or writes a filtered copy.
+The recorder is also an :class:`~repro.telemetry.bus.EventBus` sink
+(:meth:`SpanRecorder.emit`): each telemetry event becomes an instant
+named by its ``kind`` with the event's fields as ``args``, and each
+epoch rollover adds one counter sample per region, so the simulator's
+metrics plot as counter tracks beside the campaign's spans.
 
-Span vocabulary (category → meaning):
+Event vocabulary (phase, category → meaning):
 
-== ============ ======================================================
-X  ``job``       one job attempt executing inside a lease worker
-X  ``queue``     a worker's idle time before acquiring its next job
-X  ``store``     committing one result into the ``ResultStore``
-X  ``campaign``  the whole run, on the launcher track
-i  ``retry``     a failed attempt released for another try
-== ============ ======================================================
+== ============= ======================================================
+X  ``job``        one job attempt executing inside a lease worker
+X  ``queue``      a worker's idle time before acquiring its next job
+X  ``store``      committing one result into the ``ResultStore``
+X  ``campaign``   the whole run, on the launcher track (``args`` count
+                  the jobs, workers and cached results)
+i  ``retry``      a failed attempt released for another try
+i  ``telemetry``  one telemetry event (lease protocol, resize, epoch...)
+C  ``telemetry``  one region's miss rate and molecule count at an epoch
+== ============= ======================================================
 """
 
 from __future__ import annotations
@@ -33,15 +35,23 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.common.clock import tick
 from repro.common.errors import ConfigError
 from repro.common.io import atomic_write_json
 
 #: Launcher-track sentinel tid (workers use their real pid).
 LAUNCHER_TID = 0
 
+#: Category of the instants and counters :meth:`SpanRecorder.emit` writes.
+TELEMETRY = "telemetry"
+
+#: Bound on a readable ``ts``/``dur`` (µs): rejects NaN, infinities and
+#: integers too large for a float.
+_MAX_TIME = 1e300
+
 
 class SpanRecorder:
-    """Collects spans and instant markers; exports Chrome trace JSON.
+    """Collects spans, instants and counters; exports Chrome trace JSON.
 
     Timestamps are raw :func:`~repro.common.clock.tick` seconds; the
     export normalises them to microseconds from the earliest event, so
@@ -105,6 +115,38 @@ class SpanRecorder:
             }
         )
 
+    def emit(self, event, tid: int = LAUNCHER_TID) -> None:
+        """EventBus sink: record ``event`` as an instant on track ``tid``.
+
+        The instant is named by the event's ``kind`` and carries its
+        fields as ``args``. An epoch rollover also records one ``"C"``
+        counter sample per region (miss rate and molecule count), which
+        Perfetto plots as a counter track.
+        """
+        now = tick()
+        args = event.as_dict()
+        del args["kind"]
+        self.instant(event.kind, TELEMETRY, now, tid=tid, args=args)
+        if event.kind == "epoch_rollover":
+            for asid, region in sorted(event.regions.items()):
+                self._events.append(
+                    {
+                        "name": f"asid {asid}",
+                        "cat": TELEMETRY,
+                        "ph": "C",
+                        "ts": now,
+                        "tid": tid,
+                        "args": {
+                            "miss_rate": region["miss_rate"],
+                            "molecules": region["molecules"],
+                        },
+                    }
+                )
+
+    def track(self, tid: int) -> "TrackSink":
+        """An EventBus sink whose instants land on track ``tid``."""
+        return TrackSink(self, tid)
+
     # ------------------------------------------------------ process hand-off
 
     def dump(self, path: str | Path) -> None:
@@ -165,29 +207,49 @@ class SpanRecorder:
         try:
             atomic_write_json(path, payload, sort_keys=False)
         except OSError as error:
-            raise ConfigError(f"cannot write span trace to {path}: {error}") from None
+            raise ConfigError(f"cannot write trace to {path}: {error}") from None
         return path
+
+
+class TrackSink:
+    """Telemetry sink recording each event on one track of a recorder
+    (a lease worker's, while it drains in the launcher's process)."""
+
+    __slots__ = ("recorder", "tid")
+
+    def __init__(self, recorder: SpanRecorder, tid: int) -> None:
+        self.recorder = recorder
+        self.tid = tid
+
+    def emit(self, event) -> None:
+        self.recorder.emit(event, self.tid)
 
 
 # ------------------------------------------------------------------ reading
 
 
 def load_trace(path: str | Path) -> list[dict]:
-    """The ``traceEvents`` of a recorded span file.
+    """The ``traceEvents`` of a recorded trace file.
 
     Accepts the object form (``{"traceEvents": [...]}``) and the bare
     array form — both load in Perfetto, so both are accepted here. Every
     event must be a JSON object whose ``ts`` and ``dur``, when present,
-    are numbers.
+    are finite numbers.
     """
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"no span trace at {path}")
+        raise ConfigError(f"no trace at {path}")
     try:
         with path.open("r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except json.JSONDecodeError as error:
-        raise ConfigError(f"{path}: broken span trace ({error})") from None
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        hint = ""
+        if getattr(error, "msg", "") == "Extra data":
+            hint = (
+                "; JSON Lines recordings from `--record` are not read any "
+                "more: record again with --trace"
+            )
+        raise ConfigError(f"{path}: broken trace ({error}){hint}") from None
     if isinstance(payload, dict):
         events = payload.get("traceEvents")
     else:
@@ -204,30 +266,26 @@ def load_trace(path: str | Path) -> list[dict]:
                     f"{path}: trace event {index} has a non-numeric "
                     f"{key!r} ({value!r})"
                 )
+            if not -_MAX_TIME < value < _MAX_TIME:
+                raise ConfigError(
+                    f"{path}: trace event {index} has an out-of-range "
+                    f"{key!r} ({value!r})"
+                )
     return events
-
-
-def filter_trace(events: list[dict], category: str) -> list[dict]:
-    """The subset of ``events`` in ``category`` (metadata rows kept)."""
-    return [
-        event
-        for event in events
-        if event.get("ph") == "M" or event.get("cat") == category
-    ]
 
 
 def summarize_trace(events: list[dict]) -> str:
     """Per-category duration stats plus marker counts, as a text table."""
     spans: dict[str, list[float]] = {}
     markers: dict[str, int] = {}
-    tracks: set[int] = set()
+    tracks: set[str] = set()
     for event in events:
         ph = event.get("ph")
         if ph == "X":
-            spans.setdefault(event.get("cat", "?"), []).append(
-                float(event.get("dur", 0.0)) / 1e6
+            spans.setdefault(str(event.get("cat", "?")), []).append(
+                event.get("dur", 0.0) / 1e6
             )
-            tracks.add(event.get("tid", 0))
+            tracks.add(str(event.get("tid", 0)))
         elif ph == "i":
             key = f"{event.get('cat', '?')}:{event.get('name', '?')}"
             markers[key] = markers.get(key, 0) + 1

@@ -4,9 +4,11 @@ The paper's interesting artifacts are *time-resolved* — Figure 6 plots
 hits-per-molecule over a run, Algorithm 1 grants and withdraws molecules
 on periodic epochs — so this package records what the end-of-run counters
 cannot show: an :class:`EventBus` of typed events (resize decisions,
-grants/withdrawals, remote searches, epoch metric snapshots) with
-pluggable sinks (in-memory ring buffer, JSONL file, per-region metric
-timelines) and a replay layer that powers ``python -m repro inspect``.
+grants/withdrawals, remote searches, epoch metric snapshots, the lease
+protocol) with pluggable sinks (in-memory ring buffer, per-region metric
+timelines, and :class:`~repro.prof.spans.SpanRecorder`, which writes the
+events into the run's Chrome trace) and a replay layer that powers
+``python -m repro inspect``.
 
 Design constraint: when no bus is attached the simulator's hot access
 loop pays exactly one attribute check (``cache.telemetry is None``) —
@@ -15,18 +17,21 @@ see :mod:`repro.telemetry.bus` and the overhead guard in
 
 Quick start::
 
-    from repro.telemetry import EventBus, JsonlSink, MetricsTimeline
+    from repro.prof.spans import SpanRecorder
+    from repro.telemetry import EventBus, MetricsTimeline
 
-    timeline = MetricsTimeline()
-    bus = EventBus([JsonlSink("events.jsonl"), timeline], epoch_refs=5_000)
+    trace, timeline = SpanRecorder(), MetricsTimeline()
+    bus = EventBus([trace, timeline], epoch_refs=5_000)
     cache.attach_telemetry(bus)
     ...  # run the workload
     bus.close()
+    trace.export("run.json")  # `python -m repro inspect run.json`
     print(timeline.metric_table("miss_rate"))
 
 The replay helpers (:func:`load_report`, :func:`replay_events`,
-:class:`InspectReport`) are exported lazily to keep instrumented modules
-(`molecular/cache.py`, `molecular/resize.py`) free of sim-layer imports.
+:func:`events_from_trace`, :class:`InspectReport`) are exported lazily
+to keep instrumented modules (`molecular/cache.py`, `molecular/resize.py`)
+free of sim-layer imports.
 """
 
 from __future__ import annotations
@@ -36,10 +41,6 @@ from repro.telemetry.events import (
     EVENT_TYPES,
     AccessSampled,
     EpochRollover,
-    JobCompleted,
-    JobRetried,
-    JobStarted,
-    JobSubmitted,
     MoleculeGranted,
     MoleculeWithdrawn,
     RemoteSearch,
@@ -48,10 +49,12 @@ from repro.telemetry.events import (
     TelemetryEvent,
     event_from_dict,
 )
-from repro.telemetry.sinks import JsonlSink, RingBufferSink, read_events
+from repro.telemetry.sinks import RingBufferSink
 from repro.telemetry.timeline import MetricsTimeline
 
-_REPLAY_EXPORTS = ("InspectReport", "load_report", "replay_events")
+_REPLAY_EXPORTS = (
+    "InspectReport", "events_from_trace", "load_report", "replay_events",
+)
 
 __all__ = [
     "AccessSampled",
@@ -59,11 +62,6 @@ __all__ = [
     "EVENT_TYPES",
     "EventBus",
     "InspectReport",
-    "JobCompleted",
-    "JobRetried",
-    "JobStarted",
-    "JobSubmitted",
-    "JsonlSink",
     "MetricsTimeline",
     "MoleculeGranted",
     "MoleculeWithdrawn",
@@ -74,8 +72,8 @@ __all__ = [
     "TelemetryEvent",
     "attach_telemetry",
     "event_from_dict",
+    "events_from_trace",
     "load_report",
-    "read_events",
     "replay_events",
 ]
 

@@ -9,7 +9,7 @@ accounting — lives behind the check, inside :meth:`EventBus.record_access`.
 The bus owns the run's *epoch clock*: every ``epoch_refs`` accesses it
 snapshots each region's epoch-local miss rate, molecule count and
 occupancy into an :class:`~repro.telemetry.events.EpochRollover` event, so
-a recorded JSONL stream contains the full metric timeline and can be
+a recorded trace contains the full metric timeline and can be
 replayed without the cache that produced it.
 """
 
@@ -32,7 +32,7 @@ class EventBus:
     sinks:
         Objects with an ``emit(event)`` method (and optionally ``close()``):
         :class:`~repro.telemetry.sinks.RingBufferSink`,
-        :class:`~repro.telemetry.sinks.JsonlSink`,
+        :class:`~repro.prof.spans.SpanRecorder`,
         :class:`~repro.telemetry.timeline.MetricsTimeline`, or anything
         else matching the protocol.
     epoch_refs:

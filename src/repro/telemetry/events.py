@@ -1,9 +1,12 @@
 """Typed structured events for the telemetry subsystem.
 
 Every event is a frozen, slotted dataclass with a ``kind`` discriminator so
-a recorded stream can be serialised to JSONL (:class:`~repro.telemetry.sinks.
-JsonlSink`) and replayed later (:mod:`repro.telemetry.replay`) without any
-schema negotiation: one JSON object per line, ``kind`` selects the class.
+a recorded stream can be written into a Chrome trace (each event one
+instant named by its ``kind``, its fields the ``args``; see
+:meth:`repro.prof.spans.SpanRecorder.emit`) and replayed later
+(:mod:`repro.telemetry.replay`) without any schema negotiation: ``kind``
+selects the class, and :meth:`TelemetryEvent.from_payload` rejects
+fields that do not fit it.
 
 The event vocabulary mirrors the paper's observable dynamics:
 
@@ -23,10 +26,6 @@ The event vocabulary mirrors the paper's observable dynamics:
   miss rate, molecule count, occupancy and hits-per-molecule; the raw
   material of the paper's time-resolved plots.
 * :class:`RunMeta` — a stream header describing the cache and its regions.
-* :class:`JobSubmitted` / :class:`JobStarted` / :class:`JobRetried` /
-  :class:`JobCompleted` — campaign lifecycle (:mod:`repro.campaign`):
-  one sweep job scheduled, handed to a worker, transiently failed, and
-  made durable in the result store.
 * :class:`FaultInjected` / :class:`MoleculeRetired` /
   :class:`RegionRepaired` — the fault-injection subsystem
   (:mod:`repro.faults`): a scheduled fault fired, a molecule was retired
@@ -41,6 +40,9 @@ The event vocabulary mirrors the paper's observable dynamics:
   other event — because they come from *independent processes* whose
   streams ``repro inspect`` must interleave by time.
 
+A campaign's job lifecycle (attempts, retries, commits) is not an event:
+the trace records it as ``job``/``store`` spans and ``retry`` instants.
+
 This module depends only on the standard library so instrumented code
 (`molecular/cache.py`, `molecular/resize.py`) can import it without
 dragging in the sim layer.
@@ -48,7 +50,7 @@ dragging in the sim layer.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, ClassVar
 
 
@@ -57,6 +59,8 @@ class TelemetryEvent:
     """Base class: ``kind`` discriminator + dict/JSON round-tripping."""
 
     kind: ClassVar[str] = ""
+    #: Field types of each entry of a ``regions`` table (events with one).
+    region_fields: ClassVar[dict[str, str]] = {}
 
     def as_dict(self) -> dict[str, Any]:
         """Plain-dict form with the ``kind`` discriminator first."""
@@ -66,8 +70,21 @@ class TelemetryEvent:
 
     @classmethod
     def from_payload(cls, payload: dict[str, Any]) -> "TelemetryEvent":
-        """Rebuild an event from a decoded JSON object (sans ``kind``)."""
-        return cls(**payload)
+        """Rebuild an event from a decoded JSON object (sans ``kind``).
+
+        A missing or unknown field raises :class:`TypeError`; a value
+        whose JSON type does not fit the field's annotation raises
+        :class:`ValueError`, so a reader never renders half an event.
+        """
+        if cls.region_fields:
+            payload = dict(payload)
+            payload["regions"] = _regions(payload.get("regions"), cls.region_fields)
+        event = cls(**payload)
+        for spec in fields(cls):
+            value = getattr(event, spec.name)
+            if not _fits(value, spec.type):
+                raise ValueError(f"{spec.name} is not {spec.type} ({value!r})")
+        return event
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,6 +92,12 @@ class RunMeta(TelemetryEvent):
     """Stream header: the cache geometry and its regions at attach time."""
 
     kind: ClassVar[str] = "run_meta"
+    region_fields: ClassVar[dict[str, str]] = {
+        "goal": "float | None",
+        "home_tile": "int",
+        "molecules": "int",
+        "line_multiplier": "int",
+    }
 
     total_bytes: int
     clusters: int
@@ -83,12 +106,6 @@ class RunMeta(TelemetryEvent):
     lines_per_molecule: int
     #: asid -> {"goal", "home_tile", "molecules", "line_multiplier"}
     regions: dict[int, dict[str, Any]]
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "RunMeta":
-        payload = dict(payload)
-        payload["regions"] = _int_keys(payload.get("regions", {}))
-        return cls(**payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,18 +218,20 @@ class EpochRollover(TelemetryEvent):
     """
 
     kind: ClassVar[str] = "epoch_rollover"
+    region_fields: ClassVar[dict[str, str]] = {
+        "accesses": "int",
+        "miss_rate": "float",
+        "molecules": "int",
+        "occupancy": "float",
+        "goal": "float | None",
+        "hpm": "float",
+    }
 
     epoch: int
     seq: int
     mean_molecules_probed: float
     free_molecules: int
     regions: dict[int, dict[str, Any]]
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "EpochRollover":
-        payload = dict(payload)
-        payload["regions"] = _int_keys(payload.get("regions", {}))
-        return cls(**payload)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,61 +248,6 @@ class AuditReport(TelemetryEvent):
     checks: int
     ok: bool
     violations: list[str]
-
-
-@dataclass(frozen=True, slots=True)
-class JobSubmitted(TelemetryEvent):
-    """A campaign job entered the schedule (before any execution)."""
-
-    kind: ClassVar[str] = "job_submitted"
-
-    campaign: str
-    job: str  # the spec's content hash
-    experiment: str
-    index: int
-
-
-@dataclass(frozen=True, slots=True)
-class JobStarted(TelemetryEvent):
-    """A lease worker acquired a campaign job and is about to run it."""
-
-    kind: ClassVar[str] = "job_started"
-
-    campaign: str
-    job: str
-    index: int
-    attempt: int
-
-
-@dataclass(frozen=True, slots=True)
-class JobRetried(TelemetryEvent):
-    """A campaign job failed transiently and will run again."""
-
-    kind: ClassVar[str] = "job_retried"
-
-    campaign: str
-    job: str
-    index: int
-    attempt: int  # the attempt about to run
-    error: str
-
-
-@dataclass(frozen=True, slots=True)
-class JobCompleted(TelemetryEvent):
-    """A campaign job's result is durable in the store.
-
-    ``cached`` marks jobs satisfied straight from a previous campaign's
-    stored result (resume / identical re-run) — no execution happened.
-    """
-
-    kind: ClassVar[str] = "job_completed"
-
-    campaign: str
-    job: str
-    index: int
-    attempts: int
-    elapsed: float
-    cached: bool
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,9 +367,38 @@ class JobQuarantined(TelemetryEvent):
     at: float
 
 
-def _int_keys(table: dict) -> dict[int, Any]:
-    """JSON objects stringify integer keys; undo that on replay."""
-    return {int(key): value for key, value in table.items()}
+_SCALARS = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _fits(value: Any, annotation: str) -> bool:
+    """Whether a decoded JSON value fits a field annotation."""
+    if annotation.endswith(" | None"):
+        return value is None or _fits(value, annotation[: -len(" | None")])
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(
+            _fits(item, annotation[len("list["):-1]) for item in value
+        )
+    if annotation.startswith("dict["):
+        return isinstance(value, dict)
+    if isinstance(value, bool) and annotation != "bool":
+        return False
+    return isinstance(value, _SCALARS[annotation])
+
+
+def _regions(table: Any, schema: dict[str, str]) -> dict[int, dict[str, Any]]:
+    """A checked ``regions`` table with its ASID keys restored to ints
+    (JSON stringifies them)."""
+    if not isinstance(table, dict):
+        raise ValueError(f"regions is not an object ({table!r})")
+    regions: dict[int, dict[str, Any]] = {}
+    for key, region in table.items():
+        if not isinstance(region, dict) or not all(
+            _fits(region.get(name), annotation)
+            for name, annotation in schema.items()
+        ):
+            raise ValueError(f"region {key!r} does not fit {schema}")
+        regions[int(key)] = region
+    return regions
 
 
 #: kind -> event class, for deserialisation.
@@ -421,10 +414,6 @@ EVENT_TYPES: dict[str, type[TelemetryEvent]] = {
         MoleculeRemapped,
         EpochRollover,
         AuditReport,
-        JobSubmitted,
-        JobStarted,
-        JobRetried,
-        JobCompleted,
         FaultInjected,
         MoleculeRetired,
         RegionRepaired,

@@ -1,16 +1,19 @@
-"""Replay recorded telemetry and build the ``repro inspect`` report.
+"""Replay a recorded trace and build the ``repro inspect`` report.
 
-A recorded JSONL stream is self-contained: the
-:class:`~repro.telemetry.events.EpochRollover` events carry the per-region
-metric snapshots and the resize events carry Algorithm 1's decisions, so
-this module can rebuild the run's timelines without the cache (or even the
-workload) that produced them.
+A trace written with ``--trace`` is self-contained: its ``telemetry``
+instants are the run's events (named by ``kind``, fields in ``args``),
+the :class:`~repro.telemetry.events.EpochRollover` events carry the
+per-region metric snapshots and the resize events carry Algorithm 1's
+decisions, so this module can rebuild the run's timelines without the
+cache (or even the workload) that produced them.
 
 :func:`load_report` parses a file into an :class:`InspectReport`;
 ``report.format()`` renders the resize timeline, the per-region epoch
-tables (miss rate, molecules, occupancy, hits-per-molecule) and a summary
-with resize oscillation counts, time-to-goal epochs and peak/mean
-occupancy per region.
+tables (miss rate, molecules, occupancy, hits-per-molecule), the lease
+timeline of a distributed drain, a summary with resize oscillation
+counts, time-to-goal epochs and peak/mean occupancy per region, and the
+campaign's span summary (per-category durations, queue/execute ratio).
+Only the instants are read; the ``"C"`` counter samples are for Perfetto.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.common.errors import ConfigError
+from repro.prof.spans import TELEMETRY, load_trace, summarize_trace
 from repro.telemetry.events import (
     AccessSampled,
     JobQuarantined,
@@ -30,14 +35,14 @@ from repro.telemetry.events import (
     ResizeDecision,
     RunMeta,
     TelemetryEvent,
+    event_from_dict,
 )
-from repro.telemetry.sinks import read_events
 from repro.telemetry.timeline import MetricsTimeline
 
 
 @dataclass(slots=True)
 class InspectReport:
-    """Everything ``repro inspect`` derives from one recorded stream."""
+    """Everything ``repro inspect`` derives from one recorded trace."""
 
     source: str = ""
     meta: RunMeta | None = None
@@ -53,6 +58,9 @@ class InspectReport:
         default_factory=list
     )
     quarantines: list[JobQuarantined] = field(default_factory=list)
+    #: The trace's span summary (:func:`~repro.prof.spans.
+    #: summarize_trace`); empty when it holds no spans.
+    span_summary: str = ""
 
     # ------------------------------------------------------------ ingestion
 
@@ -338,7 +346,7 @@ class InspectReport:
                         metric, title=title, max_rows=max_rows
                     )
                 )
-        elif not self.lease_events and not self.quarantines:
+        elif not (self.lease_events or self.quarantines or self.span_summary):
             sections.append(
                 "no epoch rollovers recorded — was the bus created with "
                 "epoch_refs=0, or never closed?"
@@ -349,6 +357,8 @@ class InspectReport:
             sections.append(self.quarantine_section())
         if self.asids():
             sections.append(self.summary_table())
+        if self.span_summary:
+            sections.append(self.span_summary)
         return "\n\n".join(sections)
 
 
@@ -360,6 +370,38 @@ def replay_events(events, source: str = "") -> InspectReport:
     return report
 
 
+def events_from_trace(trace_events: list[dict], source: str = ""):
+    """Yield the telemetry events recorded as a trace's instants, in order.
+
+    Unknown kinds (from a newer writer) are skipped; an instant whose
+    ``args`` do not fit its kind raises :class:`ConfigError` naming it.
+    """
+    for index, entry in enumerate(trace_events):
+        if entry.get("ph") != "i" or entry.get("cat") != TELEMETRY:
+            continue
+        kind, args = entry.get("name"), entry.get("args")
+        if not isinstance(kind, str) or not isinstance(args, dict):
+            raise ConfigError(
+                f"{source}: trace event {index} is not a telemetry event "
+                "(needs a string name and an args object)"
+            )
+        try:
+            event = event_from_dict({**args, "kind": kind})
+        except (TypeError, ValueError) as error:
+            raise ConfigError(
+                f"{source}: trace event {index} is not a {kind} event "
+                f"({error})"
+            ) from None
+        if event is not None:
+            yield event
+
+
 def load_report(path: str | Path) -> InspectReport:
-    """Read a recorded JSONL file into an :class:`InspectReport`."""
-    return replay_events(read_events(path), source=str(path))
+    """Read a trace written with ``--trace`` into an :class:`InspectReport`."""
+    trace_events = load_trace(path)
+    report = replay_events(
+        events_from_trace(trace_events, str(path)), source=str(path)
+    )
+    if any(entry.get("ph") == "X" for entry in trace_events):
+        report.span_summary = summarize_trace(trace_events)
+    return report

@@ -5,7 +5,7 @@
 per-region snapshots — and turns them into the time-resolved views the
 paper plots: miss rate, molecule count, occupancy and hits-per-molecule
 per epoch. It works identically attached to a live bus or fed from a
-replayed JSONL stream, which is how ``python -m repro inspect`` renders
+replayed trace, which is how ``python -m repro inspect`` renders
 its tables.
 """
 

@@ -35,8 +35,12 @@ def read_dinero(path: str | Path, asid: int = 0) -> Trace:
     """Read a din-format file, labelling every reference with ``asid``."""
     addresses: list[int] = []
     writes: list[bool] = []
-    with open(Path(path), "r", encoding="ascii") as handle:
+    # surrogateescape keeps a stray byte readable long enough to name
+    # its line.
+    with open(Path(path), "r", encoding="ascii", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
+            if not raw.isascii():
+                raise ConfigError(f"{path}:{line_no}: non-ASCII byte in din record")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -50,6 +54,11 @@ def read_dinero(path: str | Path, asid: int = 0) -> Trace:
                 raise ConfigError(f"{path}:{line_no}: malformed din record {raw!r}") from exc
             if label not in (_READ, _WRITE, _IFETCH):
                 raise ConfigError(f"{path}:{line_no}: unknown din label {label}")
+            if not 0 <= address < 1 << 63:
+                raise ConfigError(
+                    f"{path}:{line_no}: address {parts[1]} is outside "
+                    "0 .. 2^63-1"
+                )
             addresses.append(address)
             writes.append(label == _WRITE)
     return Trace(np.asarray(addresses, dtype=np.int64), asid, np.asarray(writes, dtype=np.bool_))

@@ -74,3 +74,31 @@ def patch_execute(monkeypatch):
         return replacement
 
     return patch
+
+
+def assert_chrome_trace(events: list[dict]) -> None:
+    """Check the subset of the Chrome trace-event schema ``--trace`` uses.
+
+    ``ph`` is X (complete span), i (instant), C (counter) or M
+    (metadata); ``ts``, ``pid`` and ``tid`` are numbers; a span has a
+    non-negative ``dur``; a counter's ``args`` are all numbers; a
+    metadata event names its thread.
+    """
+
+    def number(value) -> bool:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+    assert events, "an empty trace"
+    for event in events:
+        assert event["ph"] in ("X", "i", "C", "M"), event
+        assert number(event["pid"]) and number(event["tid"]), event
+        if event["ph"] == "M":
+            assert event["name"] == "thread_name", event
+            assert isinstance(event["args"]["name"], str), event
+            continue
+        assert number(event["ts"]), event
+        if event["ph"] == "X":
+            assert number(event["dur"]) and event["dur"] >= 0, event
+        if event["ph"] == "C":
+            assert event["args"], event
+            assert all(number(value) for value in event["args"].values()), event

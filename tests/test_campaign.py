@@ -25,14 +25,9 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.common.errors import CampaignError, ConfigError
-from repro.telemetry import EventBus, RingBufferSink
-from repro.telemetry.events import (
-    JobCompleted,
-    JobRetried,
-    JobStarted,
-    JobSubmitted,
-    event_from_dict,
-)
+from repro.prof.spans import SpanRecorder
+from repro.telemetry import events_from_trace
+from repro.telemetry.events import LeaseAcquired
 from repro.campaign import worker as worker_mod
 from tests.campaign_support import (
     calls,
@@ -493,6 +488,11 @@ class TestRunnerForked(_ExecutorContract):
 
 
 class _TelemetryContract:
+    """A campaign's lifecycle lands in its trace: one lease instant and
+    one ``job`` span per attempt, a ``store`` span per commit, a
+    ``retry`` instant per released failure, and the launcher's
+    ``campaign`` span counting cached jobs."""
+
     JOBS = 1
 
     @pytest.fixture(autouse=True)
@@ -500,35 +500,37 @@ class _TelemetryContract:
         pin_cpus(monkeypatch, 2)
 
     def test_lifecycle_events_flow_through_the_bus(self, tmp_path):
-        sink = RingBufferSink()
-        bus = EventBus([sink], epoch_refs=0)
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
+        spans = SpanRecorder()
         run_campaign(
             ResultStore(tmp_path), specs, campaign="table1",
-            jobs=self.JOBS, telemetry=bus,
+            jobs=self.JOBS, spans=spans,
         )
-        events = sink.events()
-        submitted = [e for e in events if isinstance(e, JobSubmitted)]
-        started = [e for e in events if isinstance(e, JobStarted)]
-        completed = [e for e in events if isinstance(e, JobCompleted)]
-        assert len(submitted) == len(specs)
-        assert len(started) == len(specs)
-        assert len(completed) == len(specs)
-        assert all(not e.cached for e in completed)
-        assert {e.job for e in completed} == {
-            s.content_hash() for s in specs
-        }
+        trace = spans.trace_events()
+        acquired = [
+            e for e in events_from_trace(trace) if isinstance(e, LeaseAcquired)
+        ]
+        assert {e.job for e in acquired} == {s.content_hash() for s in specs}
+        assert all(e.campaign == "table1" and e.token == 1 for e in acquired)
+        jobs = [e for e in trace if e.get("cat") == "job"]
+        assert len(jobs) == len(specs)
+        assert all(e["args"]["attempt"] == 1 for e in jobs)
+        assert sum(e.get("cat") == "store" for e in trace) == len(specs)
+        (campaign,) = [e for e in trace if e.get("cat") == "campaign"]
+        assert campaign["args"]["cached"] == 0
 
-        # resumed campaign: completions arrive flagged as cached
-        sink.clear()
+        # resumed campaign: no job runs, and the campaign span counts
+        # every job as a cache hit
+        spans = SpanRecorder()
         run_campaign(
             ResultStore(tmp_path), specs, campaign="table1",
-            jobs=self.JOBS, telemetry=bus,
+            jobs=self.JOBS, spans=spans,
         )
-        completed = [e for e in sink.events() if isinstance(e, JobCompleted)]
-        assert len(completed) == len(specs)
-        assert all(e.cached for e in completed)
+        trace = spans.trace_events()
+        assert not [e for e in trace if e.get("cat") == "job"]
+        (campaign,) = [e for e in trace if e.get("cat") == "campaign"]
+        assert campaign["args"]["cached"] == len(specs)
 
     def test_retry_event_emitted(self, tmp_path, patch_execute):
         original = worker_mod.execute_spec
@@ -539,25 +541,26 @@ class _TelemetryContract:
             return original(payload)
 
         patch_execute(fail_once)
-        sink = RingBufferSink()
-        bus = EventBus([sink], epoch_refs=0)
-        _run_table1_campaign(
-            tmp_path / "store", self.JOBS, telemetry=bus,
-        )
-        retried = [e for e in sink.events() if isinstance(e, JobRetried)]
+        spans = SpanRecorder()
+        _run_table1_campaign(tmp_path / "store", self.JOBS, spans=spans)
+        retried = [e for e in spans.trace_events() if e.get("cat") == "retry"]
         assert len(retried) == 1
-        assert retried[0].attempt == 2
-        assert "flaky" in retried[0].error
+        assert retried[0]["args"]["attempt"] == 2
+        assert "flaky" in retried[0]["args"]["error"]
 
 
 class TestCampaignTelemetry(_TelemetryContract):
-    def test_job_events_round_trip_as_json(self):
-        event = JobCompleted(
-            campaign="table1", job="abc123", index=4,
-            attempts=2, elapsed=1.5, cached=False,
+    def test_job_events_round_trip_as_json(self, tmp_path):
+        """A lease event written into an exported trace reads back equal."""
+        event = LeaseAcquired(
+            campaign="table1", job="abc123", owner="w0", token=2,
+            reclaimed=True, at=1.5,
         )
-        clone = event_from_dict(json.loads(json.dumps(event.as_dict())))
-        assert clone == event
+        spans = SpanRecorder()
+        spans.emit(event)
+        path = spans.export(tmp_path / "trace.json")
+        trace = json.loads(path.read_text())["traceEvents"]
+        assert list(events_from_trace(trace)) == [event]
 
 
 class TestCampaignTelemetryForked(_TelemetryContract):

@@ -7,7 +7,8 @@ chaos runs exactly as before), the worker-side handling of ``hang`` and
 the end-to-end convergence guarantee (a chaos campaign's reassembled
 output is byte-identical to a clean serial run), and SIGINT/SIGTERM
 interruption with durable progress plus a ``CampaignInterrupted``
-telemetry event — with one in-process worker and with forked workers.
+event in the campaign's trace — with one in-process worker and with
+forked workers.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from repro.campaign import (
 from repro.campaign import worker as worker_mod
 from repro.faults import WorkerChaos
 from repro.faults.chaos import CORRUPT_OUTCOME
-from repro.telemetry import EventBus, RingBufferSink
+from repro.prof.spans import LAUNCHER_TID, SpanRecorder
+from repro.telemetry import events_from_trace
 from repro.telemetry.events import CampaignInterrupted
 from tests.campaign_support import (
     calls,
@@ -45,11 +47,6 @@ TINY_SCALE = "0.02"
 def _tiny_scale(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", TINY_SCALE)
     pin_cpus(monkeypatch, 2)
-
-
-def _bus():
-    sink = RingBufferSink()
-    return sink, EventBus([sink], epoch_refs=0)
 
 
 def _drained_store(tmp_path, count: int = 3) -> ResultStore:
@@ -191,7 +188,7 @@ class _InterruptionContract:
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
         store = ResultStore(tmp_path / "store")
-        sink, bus = _bus()
+        spans = SpanRecorder()
         launcher = os.getpid()
         original = worker_mod.execute_spec
         log = tmp_path / "calls"
@@ -208,12 +205,18 @@ class _InterruptionContract:
         with pytest.raises(expected):
             run_campaign(
                 store, specs, campaign="table1", jobs=self.JOBS,
-                telemetry=bus,
+                spans=spans,
             )
         patch_execute(original)
+        trace = spans.trace_events()
         events = [
-            e for e in sink.events() if isinstance(e, CampaignInterrupted)
+            e for e in events_from_trace(trace)
+            if isinstance(e, CampaignInterrupted)
         ]
+        # the interrupt is the launcher's, on the launcher's track
+        assert [
+            e["tid"] for e in trace if e.get("name") == "campaign_interrupted"
+        ] == [LAUNCHER_TID]
         done = store.completed([s.content_hash() for s in specs])
         assert len(events) == 1
         assert events[0].completed == len(done)

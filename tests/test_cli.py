@@ -25,6 +25,9 @@ class TestParseSize:
 
         with pytest.raises(ConfigError):
             parse_size("lots")
+        for text in ("inf", "1e400KB", "nan", "-inf"):
+            with pytest.raises(ConfigError, match="cannot parse size"):
+                parse_size(text)
 
     def test_rejects_negative(self):
         from repro.common.errors import ConfigError
@@ -107,6 +110,10 @@ class TestCommands:
         )
         assert code == 2
         assert "positive" in capsys.readouterr().err
+        for size in ("inf", "1e400KB"):
+            assert main(["power", "--size", size]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot parse size")
 
     def test_sweep_matches_experiment_byte_for_byte(
         self, capsys, monkeypatch, tmp_path
@@ -239,7 +246,7 @@ class TestObservabilityCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "hot-path profile" in out
-        assert "remote-search" in out
+        assert "remote-hit" in out and "dirty-miss" in out
         assert "per-region sampled share:" in out
 
     def test_simulate_profile_flag_parsing(self):
@@ -262,39 +269,38 @@ class TestObservabilityCommands:
         assert "hot-path profile" not in captured.out
         assert "not profiling" in captured.err
 
-    def test_sweep_spans_and_trace_export(self, capsys, monkeypatch,
-                                          tmp_path):
+    def test_sweep_trace_then_inspect(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SCALE", "0.02")
-        trace = tmp_path / "spans.json"
+        trace = tmp_path / "trace.json"
         code = main(
             ["sweep", "table1", "--jobs", "1", "--refs", "1000",
-             "--out", str(tmp_path / "campaign"), "--spans", str(trace)]
+             "--out", str(tmp_path / "campaign"), "--trace", str(trace)]
         )
         assert code == 0
-        assert "campaign spans:" in capsys.readouterr().err
-        assert trace.exists()
+        assert "campaign trace:" in capsys.readouterr().err
 
-        assert main(["trace-export", str(trace)]) == 0
+        assert main(["inspect", str(trace)]) == 0
         out = capsys.readouterr().out
+        assert "Lease timeline" in out
         assert "span trace:" in out
-        assert "job" in out
+        assert "queue-wait / execute ratio" in out
+        assert "telemetry:lease_acquired: 11" in out
 
-        filtered = tmp_path / "jobs-only.json"
-        assert main(
-            ["trace-export", str(trace), "--category", "job",
-             "--out", str(filtered)]
-        ) == 0
+    def test_removed_commands_and_options_rejected(self, capsys, tmp_path):
+        path = str(tmp_path / "t")
+        for argv in (
+            ["trace-export", path],
+            ["simulate", "--record", path],
+            ["simulate", "--record-epoch", "5"],
+            ["simulate", "--record-sample", "5"],
+            ["simulate", "--record-remote-sample", "5"],
+            ["sweep", "table1", "--record", path],
+            ["worker", path, "--record", path],
+        ):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2, argv
         capsys.readouterr()
-        import json
-
-        events = json.loads(filtered.read_text())["traceEvents"]
-        assert all(
-            e.get("cat") == "job" for e in events if e.get("ph") == "X"
-        )
-
-    def test_trace_export_missing_file(self, capsys, tmp_path):
-        assert main(["trace-export", str(tmp_path / "nope.json")]) == 2
-        assert "error:" in capsys.readouterr().err
 
 
 class TestDistributedCli:
@@ -372,23 +378,32 @@ class TestDistributedCli:
     def test_sweep_spans_land_on_two_worker_tracks(self, capsys, tmp_path):
         import json
 
-        trace = tmp_path / "spans.json"
-        assert main(
-            ["sweep", "table1", "--refs", "20000", "--jobs", "2",
-             "--out", str(tmp_path / "store"), "--spans", str(trace)]
-        ) == 0
-        capsys.readouterr()
-        events = json.loads(trace.read_text())["traceEvents"]
-        tracks = {e["tid"] for e in events if e.get("cat") == "job"}
-        assert len(tracks) == 2
-        names = {
-            e["args"]["name"] for e in events if e.get("ph") == "M"
-            and e["tid"] in tracks
-        }
-        assert all(name.startswith("worker ") for name in names)
-        assert {"queue", "store", "campaign"} <= {
-            e.get("cat") for e in events
-        }
+        from tests.conftest import assert_chrome_trace
+
+        # --spans is the second spelling of --trace
+        for option in ("--spans", "--trace"):
+            trace = tmp_path / f"{option[2:]}.json"
+            assert main(
+                ["sweep", "table1", "--refs", "20000", "--jobs", "2",
+                 "--out", str(tmp_path / option[2:]), option, str(trace)]
+            ) == 0
+            capsys.readouterr()
+            events = json.loads(trace.read_text())["traceEvents"]
+            assert_chrome_trace(events)
+            tracks = {e["tid"] for e in events if e.get("cat") == "job"}
+            assert len(tracks) == 2
+            names = {
+                e["args"]["name"] for e in events if e.get("ph") == "M"
+                and e["tid"] in tracks
+            }
+            assert all(name.startswith("worker ") for name in names)
+            assert {"queue", "store", "campaign"} <= {
+                e.get("cat") for e in events
+            }
+            # each worker's lease instants land on its own track
+            leases = [e for e in events if e.get("name") == "lease_acquired"]
+            assert len(leases) == 11
+            assert {e["tid"] for e in leases} == tracks
 
     def test_config_error_job_runs_once_and_degrades(
         self, capsys, monkeypatch, tmp_path

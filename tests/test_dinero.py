@@ -54,3 +54,24 @@ class TestReader:
         path.write_text("0 zz\n")
         with pytest.raises(ConfigError):
             read_dinero(path)
+
+    @pytest.mark.parametrize("content, problem", [
+        ("0 40\n0 8000000000000000\n", "t.din:2: address 8000000000000000"),
+        ("0 40\n0 -10\n", "t.din:2: address -10"),
+        (b"0 40\n0 4\xe90\n", "t.din:2: non-ASCII byte"),
+    ])
+    def test_rejects_out_of_range_and_non_ascii_naming_the_line(
+        self, tmp_path, content, problem
+    ):
+        path = tmp_path / "t.din"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=problem):
+            read_dinero(path)
+
+    def test_largest_address_accepted(self, tmp_path):
+        path = tmp_path / "t.din"
+        path.write_text("1 7fffffffffffffff\n")
+        assert read_dinero(path).addresses.tolist() == [(1 << 63) - 1]

@@ -24,7 +24,8 @@ from repro.campaign import (
 )
 from repro.common.errors import ConfigError
 from repro.faults.chaos import WorkerChaos
-from repro.telemetry import EventBus, RingBufferSink
+from repro.prof.spans import SpanRecorder
+from repro.telemetry import events_from_trace
 from repro.telemetry.events import JobQuarantined, LeaseAcquired, LeaseExpired
 from tests.campaign_support import (
     calls,
@@ -51,9 +52,9 @@ def _serial_text(target, specs, **options) -> str:
     return target.assemble_results(specs, results, **options).format()
 
 
-def _bus():
-    sink = RingBufferSink()
-    return sink, EventBus([sink], epoch_refs=0)
+def _events(spans: SpanRecorder) -> list:
+    """The telemetry events a campaign wrote into its trace."""
+    return list(events_from_trace(spans.trace_events()))
 
 
 # ------------------------------------------------------------ worker chaos
@@ -80,7 +81,11 @@ class TestWorkerChaos:
         assert WorkerChaos.parse(text) is None
 
     @pytest.mark.parametrize(
-        "text", ["kill@0", "hang@1:-2", "explode@3", "kill@x"]
+        "text", [
+            "kill@0", "hang@1:-2", "explode@3", "kill@x",
+            # S values time.sleep would reject inside the job
+            "hang@1:nan", "hang@1:inf", "hang@1:1e400",
+        ]
     )
     def test_parse_rejects_bad_grammar(self, text):
         with pytest.raises(ConfigError):
@@ -212,11 +217,11 @@ class TestDistributedDrain:
         target = get_experiment("table1")
         specs = target.jobs(refs=1000)
         store = ResultStore(tmp_path)
-        sink, bus = _bus()
+        spans = SpanRecorder()
         outcome = run_campaign(
             store, specs, campaign="table1", jobs=3,
             config=LeaseConfig(ttl=0.5),
-            telemetry=bus,
+            spans=spans,
             worker_chaos=["kill@2", None, None],
         )
         # SIGKILL shows up as a negative exitcode on the saboteur.
@@ -228,10 +233,10 @@ class TestDistributedDrain:
             specs, outcome.results_in_order()
         ).format()
         assert text == _serial_text(target, specs)
-        # The death is visible in the telemetry: a LeaseExpired for the
+        # The death is visible in the trace: a LeaseExpired for the
         # killed owner, and a reclaimed LeaseAcquired with a bumped token.
-        events = sink.events()
-        assert not list(store.root.glob("events*"))  # handed off, merged
+        events = _events(spans)
+        assert not list(store.root.glob("spans*"))  # handed off, merged
         expiries = [e for e in events if isinstance(e, LeaseExpired)]
         assert expiries, "the killed worker's lease never expired"
         reclaims = [
@@ -352,11 +357,11 @@ class TestPoisonQuarantine:
         store = ResultStore(tmp_path)
         poison = specs[0].content_hash()[:8]
         chaos = f"poison@{poison}:raise"
-        sink, bus = _bus()
+        spans = SpanRecorder()
         outcome = run_campaign(
             store, specs, campaign="table1", jobs=2,
             config=LeaseConfig(ttl=0.5, max_reclaims=2),
-            telemetry=bus,
+            spans=spans,
             worker_chaos=[chaos, chaos],
         )
         assert outcome.degraded
@@ -369,10 +374,8 @@ class TestPoisonQuarantine:
         report = outcome.degraded_report()
         assert "DEGRADED" in report and poison[:8] in report
         assert "poisoned" in report  # the last error is named
-        # The quarantine event made it into telemetry.
-        parked = [
-            e for e in sink.events() if isinstance(e, JobQuarantined)
-        ]
+        # The quarantine event made it into the trace.
+        parked = [e for e in _events(spans) if isinstance(e, JobQuarantined)]
         assert len(parked) == 1 and parked[0].attempts == 2
 
     def test_sigkill_crash_loop_quarantines(self, tmp_path):

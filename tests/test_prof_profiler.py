@@ -1,11 +1,12 @@
-"""Hot-path profiler: equivalence, attribution and report shape.
+"""Hot-path profiler: equivalence, outcome classes, attribution, report.
 
 The profiled access paths promise the engine's own equivalence contract:
 byte-identical stats, resize logs, occupancy and telemetry streams to an
-unprofiled run of the same references. On top of that the report must
-attribute the measured wall clock: stage times sum to the wall by
-construction, resize fires are timed exactly, and per-region shares
-cover every sampled access.
+unprofiled run of the same references. Every sampled access must land in
+the outcome class the scalar ``AccessResult`` of the same reference
+names. On top of that the report must attribute the measured wall
+clock: outcome times sum to the wall by construction, resize fires are
+timed exactly, and per-region shares cover every sampled access.
 """
 
 import pytest
@@ -189,7 +190,8 @@ class TestReport:
 
     def test_wall_override_for_sessions(self):
         profiler = HotPathProfiler()
-        profiler.add_sample(0, 0.1, 0.0, 0.1, 0.0, 0.2)
+        profiler.add_sample(0, "local_hit", 0.1)
+        profiler.add_sample(0, "dirty_miss", 0.3)
         profiler.refs = 100
         report = profiler.report(wall_s=2.0)
         assert report["wall_s"] == 2.0
@@ -204,13 +206,15 @@ class TestReport:
         cache.access_many(*zip(*make_stream(800)))
         text = profiler.format_report()
         assert "hot-path profile" in text
-        assert "remote-search" in text
+        for outcome in ("local-hit", "remote-hit", "clean-miss", "dirty-miss"):
+            assert outcome in text
+        assert "us/access" in text
         assert "resize" in text
         assert "per-region sampled share:" in text
 
     def test_reset(self):
         profiler = HotPathProfiler()
-        profiler.add_sample(0, 1, 1, 1, 1, 1)
+        profiler.add_sample(0, "clean_miss", 1.0)
         profiler.refs = 10
         profiler.countdown = 1
         profiler.add_stream(0.5)
@@ -233,3 +237,64 @@ class TestReport:
         assert all(
             info["share"] == 0.0 for info in report["stages"].values()
         )
+
+
+class TestOutcomeClasses:
+    """Every sampled access is classed as the scalar path would report it."""
+
+    @pytest.mark.parametrize(
+        "trigger", ["constant", "global_adaptive", "per_app_adaptive"]
+    )
+    def test_every_sample_matches_the_scalar_result(self, trigger):
+        def build():
+            # Four tiles, so growing regions spill past their home tile
+            # and some hits are remote.
+            config = MolecularCacheConfig(
+                molecule_bytes=1024, molecules_per_tile=8,
+                tiles_per_cluster=4, clusters=1, strict=False,
+            )
+            cache = MolecularCache(
+                config,
+                resize_policy=ResizePolicy(
+                    period=100, trigger=trigger, min_window_refs=8,
+                    period_floor=20,
+                ),
+                rng=XorShift64(5),
+            )
+            cache.assign_application(0, goal=0.05, initial_molecules=2, tile_id=0)
+            cache.assign_application(1, goal=0.4, initial_molecules=2, tile_id=1)
+            attach_bus(cache)
+            return cache
+
+        stream = make_stream(6_000)
+        scalar = build()
+        expected = []
+        for block, asid, write in stream:
+            result = scalar.access_block(block, asid, write)
+            if result.hit:
+                remote = "remote_tiles_searched" in result.extra
+                expected.append("remote_hit" if remote else "local_hit")
+            else:
+                expected.append("dirty_miss" if result.writeback else "clean_miss")
+
+        seen = []
+
+        class Recording(HotPathProfiler):
+            def add_sample(self, asid, outcome, seconds):
+                seen.append(outcome)
+                super().add_sample(asid, outcome, seconds)
+
+        profiled = build()
+        profiler = Recording(sample_every=1)
+        profiled.attach_profiler(profiler)
+        profiled.access_many(*zip(*stream))
+
+        assert_equivalent(scalar, profiled)
+        assert profiler.resize_fires > 0
+        assert set(expected) == set(PROFILE_STAGES)  # every class occurs
+        mismatches = [
+            (i, want, got)
+            for i, (want, got) in enumerate(zip(expected, seen))
+            if want != got
+        ]
+        assert len(seen) == len(stream) and not mismatches, mismatches[:5]

@@ -1,11 +1,12 @@
-"""Campaign span tracing: recorder, executor wiring, export and analysis.
+"""The trace recorder: spans, telemetry instants, export and analysis.
 
 The recorder's output must be Chrome trace-event JSON (``traceEvents``
 with ``ph: "X"`` complete spans in microseconds) so a recorded campaign
 loads directly in Perfetto / ``chrome://tracing``. Every lease worker
 must record queue/job/store spans on its own track — forked workers hand
 theirs back through the store — the launcher the campaign span, and a
-failed attempt a retry marker.
+failed attempt a retry marker. As a telemetry sink the recorder writes
+each event as an instant and each epoch as per-region counters.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from repro.campaign import ResultStore, run_campaign
 from repro.campaign.registry import get_experiment
 from repro.common.errors import ConfigError
 from repro.prof import SpanRecorder, load_trace, summarize_trace
-from repro.prof.spans import LAUNCHER_TID, filter_trace
+from repro.prof.spans import LAUNCHER_TID
+from repro.telemetry import EpochRollover, events_from_trace
 from tests.campaign_support import (
     first_time,
     pin_cpus,
@@ -108,19 +110,34 @@ class TestSpanRecorder:
         path.write_text('{"traceEvents": %s}' % events)
         with pytest.raises(ConfigError, match=problem):
             load_trace(path)
-        assert main(["trace-export", str(path)]) == 2
+        assert main(["inspect", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: {problem}")
         assert "Traceback" not in err
 
-    def test_filter_keeps_metadata(self):
+    def test_emit_records_instants_and_counters(self):
+        epoch = EpochRollover(
+            epoch=1, seq=100, mean_molecules_probed=2.0, free_molecules=3,
+            regions={
+                asid: {"accesses": 50, "miss_rate": rate, "molecules": 4,
+                       "occupancy": 0.5, "goal": 0.1, "hpm": 0.2}
+                for asid, rate in ((0, 0.25), (1, 0.5))
+            },
+        )
         recorder = SpanRecorder()
-        recorder.name_track(3, "worker 3")
-        recorder.span("a", "job", 0.0, 1.0, tid=3)
-        recorder.span("b", "store", 1.0, 2.0)
-        events = filter_trace(recorder.trace_events(), "job")
-        assert {e["ph"] for e in events} == {"M", "X"}
-        assert all(e["cat"] == "job" for e in events if e["ph"] == "X")
+        recorder.emit(epoch, 7)
+        recorder.track(9).emit(epoch)
+        events = recorder.trace_events()
+        instants = [e for e in events if e["ph"] == "i"]
+        counters = [e for e in events if e["ph"] == "C"]
+        assert [e["tid"] for e in instants] == [7, 9]
+        assert instants[0]["name"] == "epoch_rollover"
+        assert "kind" not in instants[0]["args"]
+        assert list(events_from_trace(events)) == [epoch, epoch]
+        assert [(e["tid"], e["name"]) for e in counters] == [
+            (7, "asid 0"), (7, "asid 1"), (9, "asid 0"), (9, "asid 1")
+        ]
+        assert counters[1]["args"] == {"miss_rate": 0.5, "molecules": 4}
 
 
 class TestRunnerSpans:

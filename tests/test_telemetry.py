@@ -8,13 +8,13 @@ from repro.cli import main
 from repro.common.errors import ConfigError
 from repro.common.rng import XorShift64
 from repro.molecular import MolecularCache, MolecularCacheConfig, ResizePolicy
+from repro.prof.spans import SpanRecorder, load_trace
 from repro.sim.cmp import CMPRunConfig, CMPRunner
 from repro.sim.driver import run_trace
 from repro.telemetry import (
     AccessSampled,
     EpochRollover,
     EventBus,
-    JsonlSink,
     MetricsTimeline,
     MoleculeGranted,
     MoleculeWithdrawn,
@@ -23,11 +23,12 @@ from repro.telemetry import (
     RingBufferSink,
     RunMeta,
     event_from_dict,
+    events_from_trace,
     load_report,
-    read_events,
     replay_events,
 )
 from repro.trace.container import Trace
+from tests.conftest import assert_chrome_trace
 
 
 def make_cache(goal=0.1, period=2_000, seed=7):
@@ -238,52 +239,56 @@ class TestResizeEvents:
 
 
 class TestJsonlRoundTrip:
+    """A recording's round trip: bus -> Chrome trace file -> replay."""
+
     def run_recorded(self, path, sample_interval=500):
         cache = make_cache(goal=0.05, period=1_000)
         timeline = MetricsTimeline()
+        trace = SpanRecorder()
         bus = EventBus(
-            [JsonlSink(path), timeline],
+            [trace, timeline],
             epoch_refs=1_000,
             sample_interval=sample_interval,
         )
         cache.attach_telemetry(bus)
         drive(cache, 10_000, span=1 << 14)
         bus.close()
+        trace.export(path)
         return cache, timeline
 
     def test_replay_equals_live(self, tmp_path):
-        path = tmp_path / "events.jsonl"
+        path = tmp_path / "trace.json"
         _cache, live = self.run_recorded(path)
-        replayed = replay_events(read_events(path))
+        replayed = replay_events(events_from_trace(load_trace(path)))
         assert replayed.timeline.epochs == live.epochs
         assert replayed.meta is not None
         assert replayed.meta.regions[0]["goal"] == pytest.approx(0.05)
 
-    def test_emit_after_close_rejected(self, tmp_path):
-        sink = JsonlSink(tmp_path / "events.jsonl")
-        sink.close()
-        with pytest.raises(ConfigError):
-            sink.emit(RemoteSearch(seq=1, asid=0, tiles_searched=1,
-                                   molecules_probed=1, found=True))
-
     def test_broken_line_reported_with_number(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind":"remote_search","seq":1,"asid":0,'
-                        '"tiles_searched":1,"molecules_probed":1,'
-                        '"found":true}\n{"kind": "trunc')
-        with pytest.raises(ConfigError, match="bad.jsonl:2"):
-            list(read_events(path))
+        path = tmp_path / "bad.json"
+        path.write_text('{"traceEvents": [{"ph": "i", "ts": 0},\n{"ph": "tru')
+        with pytest.raises(ConfigError, match=r"bad.json: broken trace .*line 2"):
+            load_report(path)
 
     def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ConfigError, match="no telemetry recording"):
-            list(read_events(tmp_path / "absent.jsonl"))
+        with pytest.raises(ConfigError, match="no trace at"):
+            load_report(tmp_path / "absent.json")
 
-    def test_unwritable_record_path_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot record telemetry"):
-            JsonlSink(tmp_path / "missing-dir" / "events.jsonl")
+    def test_unwritable_record_path_rejected(self, tmp_path, capsys):
+        path = tmp_path / "missing-dir" / "trace.json"
+        for command in (
+            ["simulate", "--refs", "1000", "--workloads", "ammp"],
+            ["sweep", "table1", "--out", str(tmp_path / "store")],
+            ["worker", str(tmp_path / "store")],
+        ):
+            assert main([*command, "--trace", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write trace to {path}")
+        # Each failed before its run started: no store, no campaign.
+        assert not (tmp_path / "store").exists()
 
     def test_inspect_cli_renders_report(self, tmp_path, capsys):
-        path = tmp_path / "events.jsonl"
+        path = tmp_path / "trace.json"
         self.run_recorded(path)
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
@@ -294,7 +299,7 @@ class TestJsonlRoundTrip:
         assert "Per-region summary" in out
 
     def test_inspect_cli_missing_file_errors(self, tmp_path, capsys):
-        assert main(["inspect", str(tmp_path / "none.jsonl")]) == 2
+        assert main(["inspect", str(tmp_path / "none.json")]) == 2
         assert "error" in capsys.readouterr().err
 
 
@@ -349,12 +354,11 @@ class TestLeaseRendering:
         assert "no epoch rollovers" not in out
 
     def test_inspect_cli_on_distributed_stream(self, tmp_path, capsys):
-        path = tmp_path / "lease-events.jsonl"
-        sink = JsonlSink(path)
-        bus = EventBus([sink], epoch_refs=0)
-        for event in self._events():
-            bus.emit(event)
-        bus.close()
+        path = tmp_path / "lease-events.json"
+        trace = SpanRecorder()
+        for tid, event in enumerate(self._events()):
+            trace.emit(event, tid)  # workers record on their own tracks
+        trace.export(path)
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert "Lease timeline (distributed drain)" in out
@@ -434,27 +438,36 @@ class TestDriverAndRunnerWiring:
         assert set(timeline.asids()) == {0, 1}
 
     def test_simulate_record_then_inspect(self, tmp_path, capsys):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.json"
         code = main([
             "simulate", "--size", "1MB", "--refs", "20000",
             "--workloads", "ammp,parser", "--tiles", "4",
-            "--record", str(path), "--record-epoch", "2000",
+            "--trace", str(path), "--trace-epoch", "2000",
         ])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "telemetry:" in out
-        assert path.exists()
+        assert "trace:" in capsys.readouterr().err
+        events = load_trace(path)
+        assert_chrome_trace(events)
+        # One "simulate" track; every epoch plots one counter per region.
+        assert {e["args"]["name"] for e in events if e["ph"] == "M"} == {
+            "simulate"
+        }
+        epochs = sum(e.get("name") == "epoch_rollover" for e in events)
+        counters = [e for e in events if e["ph"] == "C"]
+        assert epochs > 0 and len(counters) == 2 * epochs
+        assert set(counters[0]["args"]) == {"miss_rate", "molecules"}
         assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
         assert "Resize timeline" in out
         assert "Per-region miss rate by epoch" in out
+        assert "span trace" not in out  # a simulate trace has no spans
 
     def test_simulate_record_warns_on_setassoc(self, tmp_path, capsys):
-        path = tmp_path / "run.jsonl"
+        path = tmp_path / "run.json"
         code = main([
             "simulate", "--cache", "setassoc", "--size", "1MB",
             "--refs", "5000", "--workloads", "ammp",
-            "--record", str(path),
+            "--trace", str(path),
         ])
         assert code == 0
         assert "not recording" in capsys.readouterr().err
