@@ -13,13 +13,14 @@ Shape assertions follow the paper's reading of the figure:
 import pytest
 from conftest import emit, run_once
 
-from repro.sim.experiments.figure5 import run_figure5
+from repro.campaign import get_experiment
 
 
 @pytest.mark.parametrize("graph", ["A", "B"])
 def test_figure5(benchmark, graph):
+    target = get_experiment("figure5")
     result = run_once(
-        benchmark, lambda: run_figure5(graph=graph, refs_per_app=400_000)
+        benchmark, lambda: target.run_serial(refs=400_000, graph=graph)
     )
     from repro.sim.plot import ascii_chart
 

@@ -4,7 +4,7 @@ Three contracts of the one campaign executor (lease workers behind
 :func:`repro.campaign.run_campaign`):
 
 * a ``figure5`` campaign (one job per design x size cell) reassembles to
-  the *byte-identical* ``format()`` output of the serial ``run_figure5``
+  the *byte-identical* ``format()`` output of the serial ``run_serial``
   path at ``--jobs 1`` and at ``--jobs 4``;
 * with >= 4 usable cores, ``--jobs 4`` beats ``--jobs 1`` on wall clock
   (the speedup assertion is skipped on smaller machines — forked workers
@@ -35,7 +35,6 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.worker import usable_cpus
-from repro.sim.experiments.figure5 import run_figure5
 
 #: Required wall-clock advantage of --jobs 4 over --jobs 1 on a >=4-core
 #: machine. Deliberately modest: worker start-up and result I/O are real
@@ -68,7 +67,7 @@ def test_campaign_figure5_byte_identical_and_parallel_speedup(tmp_path):
     target = get_experiment("figure5")
     specs = target.jobs(refs=REFS_PER_APP, graph=GRAPH)
     serial_start = time.perf_counter()
-    reference = run_figure5(graph=GRAPH, refs_per_app=REFS_PER_APP).format()
+    reference = target.run_serial(refs=REFS_PER_APP, graph=GRAPH).format()
     serial_elapsed = time.perf_counter() - serial_start
 
     one, one_elapsed = _campaign(tmp_path / "one", specs, jobs=1)
@@ -76,7 +75,7 @@ def test_campaign_figure5_byte_identical_and_parallel_speedup(tmp_path):
     for results, jobs in ((one, 1), (four, 4)):
         text = target.assemble_results(specs, results, graph=GRAPH).format()
         assert text == reference, (
-            f"a jobs={jobs} campaign must reproduce run_figure5 "
+            f"a jobs={jobs} campaign must reproduce run_serial "
             "byte-for-byte"
         )
 
@@ -86,7 +85,7 @@ def test_campaign_figure5_byte_identical_and_parallel_speedup(tmp_path):
         "perf_campaign",
         "Campaign figure5 sweep (graph A, lease workers)\n"
         f"  usable cores          : {cores}\n"
-        f"  serial run_figure5    : {serial_elapsed:.1f}s\n"
+        f"  serial run_serial     : {serial_elapsed:.1f}s\n"
         f"  campaign --jobs 1     : {one_elapsed:.1f}s (in process)\n"
         f"  campaign --jobs 4     : {four_elapsed:.1f}s "
         f"({min(4, cores)} forked worker(s))\n"

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 from conftest import emit, run_once
 
-from repro.sim.experiments.resize_mechanism import run_resize_mechanism
+from repro.campaign import get_experiment
 from repro.sim.scale import scaled
 
 REFS_PER_APP = 30_000
 
 
 def test_chash_moves_less_data_than_flush(benchmark):
-    result = run_once(
-        benchmark, lambda: run_resize_mechanism(refs_per_app=REFS_PER_APP)
-    )
+    target = get_experiment("resize-mechanism")
+    result = run_once(benchmark, lambda: target.run_serial(refs=REFS_PER_APP))
     verdicts = result.verdicts()
     assert verdicts, "experiment produced no flush/chash verdict pairs"
 

@@ -8,13 +8,15 @@ because the workloads are synthetic stand-ins (DESIGN.md section 3).
 
 from conftest import emit, run_once
 
-from repro.sim.experiments.table1 import QUARTET, run_table1
+from repro.campaign import get_experiment
+from repro.sim.experiments.table1 import QUARTET
 
 ALL_FOUR = QUARTET
 
 
 def test_table1_interference(benchmark):
-    result = run_once(benchmark, lambda: run_table1(refs_per_app=500_000))
+    target = get_experiment("table1")
+    result = run_once(benchmark, lambda: target.run_serial(refs=500_000))
     emit("table1", result.format())
 
     alone = {name: result.miss_rate((name,), name) for name in QUARTET}

@@ -11,8 +11,10 @@ Public API highlights
 * :mod:`repro.workloads` — SPEC/NetBench/MediaBench stand-in models.
 * :class:`repro.sim.CMPRunner` — the throttled CMP execution model.
 * :mod:`repro.power` — the CACTI-like timing/power model.
-* :mod:`repro.sim.experiments` — ``run_table1`` ... ``run_table5``,
-  ``run_figure5``, ``run_figure6``: one harness per table/figure.
+* :mod:`repro.sim.experiments` — one harness per table/figure, run
+  through the experiment registry:
+  ``repro.campaign.get_experiment("figure5").run_serial()`` (``repro
+  experiment``), or as a parallel, resumable campaign (``repro sweep``).
 
 Quick start::
 

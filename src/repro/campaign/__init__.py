@@ -2,14 +2,16 @@
 
 Every paper artifact is a sweep of *independent* simulations (Table 1's
 eleven benchmark combinations, Figure 5's six designs x four sizes);
-this package turns such a sweep into deterministic
-:class:`~repro.campaign.spec.JobSpec` jobs, drains them with lease
-workers (:mod:`repro.campaign.worker` over :mod:`repro.campaign.lease`),
-and caches every completed job in a content-hashed
-:class:`~repro.campaign.store.ResultStore` — so an interrupted campaign
-resumes by skipping finished jobs, a re-run with identical specs is a
-pure cache hit, and parallel results reassemble byte-identical to the
-serial path (jobs regenerate their traces from the seed).
+the registry (:mod:`repro.campaign.registry`) lists each sweep's cells
+as deterministic :class:`~repro.campaign.spec.JobSpec` jobs, lease
+workers (:mod:`repro.campaign.worker` over :mod:`repro.campaign.lease`)
+drain them, and a content-hashed
+:class:`~repro.campaign.store.ResultStore` caches every completed job —
+so an interrupted campaign resumes by skipping finished jobs, and a
+re-run with identical specs is a pure cache hit. The serial path
+(``run_serial``) runs the same jobs in process and assembles their
+payloads the same way, so a sweep's output is byte-identical to it
+(jobs regenerate their traces from the seed).
 
 Quick start::
 
@@ -21,12 +23,13 @@ Quick start::
                            campaign="figure5", jobs=4)
     result = target.assemble_results(specs, outcome.results_in_order(),
                                      graph="A")
-    print(result.format())        # byte-identical to run_figure5().format()
+    print(result.format())   # byte-identical to target.run_serial(graph="A")
 
 The CLI front end is ``python -m repro sweep`` (``--jobs``, ``--resume``,
-``--timeout``, ``--max-reclaims``, ``--out``); campaign lifecycle events
-(job submitted/started/retried/completed, lease acquired/expired, job
-quarantined) flow through the standard :mod:`repro.telemetry` event bus.
+``--timeout``, ``--max-reclaims``, ``--out``). With ``--trace`` the
+campaign's job/queue/store spans, retry markers and the lease events
+(lease acquired/expired, job quarantined) land in one Chrome trace
+(:mod:`repro.prof.spans`).
 
 The names in ``__all__`` are imported on first use
 (:mod:`repro.common.lazy`): reading a store needs neither the lease
@@ -45,7 +48,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "experiment_names",
         "get_experiment",
     ),
-    "repro.campaign.spec": ("JobSpec", "expand_grid"),
+    "repro.campaign.spec": ("JobSpec",),
     "repro.campaign.store": ("ResultStore",),
     "repro.campaign.worker": (
         "CampaignOutcome",

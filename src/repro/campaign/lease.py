@@ -73,6 +73,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import socket
 import tempfile
@@ -101,6 +102,46 @@ __all__ = [
 def make_owner_id() -> str:
     """A worker identity unique across hosts, processes and restarts."""
     return f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_time(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _is_lease(record: Any) -> bool:
+    """Whether ``record`` has the shape every lease and claim record the
+    protocol writes has: an ``active`` or ``open`` state, a string
+    owner, an int token, finite ``acquired``/``heartbeat`` stamps and a
+    ``history`` list of attempt records."""
+    return (
+        isinstance(record, dict)
+        and record.get("state") in ("active", "open")
+        and isinstance(record.get("owner"), str)
+        and _is_int(record.get("token"))
+        and _is_time(record.get("acquired"))
+        and _is_time(record.get("heartbeat"))
+        and isinstance(record.get("history"), list)
+        and all(isinstance(entry, dict) for entry in record["history"])
+    )
+
+
+def _is_quarantine(record: Any, job_hash: str) -> bool:
+    """Whether ``record`` is the quarantine record of ``job_hash``."""
+    return (
+        isinstance(record, dict)
+        and record.get("job") == job_hash
+        and _is_int(record.get("attempts"))
+        and isinstance(record.get("history"), list)
+        and all(isinstance(entry, dict) for entry in record["history"])
+    )
 
 
 @dataclass(slots=True)
@@ -265,19 +306,44 @@ class LeaseManager:
         )
 
     @staticmethod
-    def _load(path: Path) -> dict[str, Any] | None:
-        """A JSON record, or None when absent or torn (a torn record is
-        treated as absent, the same way a crashed write would be)."""
+    def _load(path: Path) -> Any:
+        """The JSON value at ``path``; None when absent or unreadable."""
         try:
             with path.open("r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+        except (FileNotFoundError, ValueError):
             return None
+
+    def _load_lease(
+        self, path: Path, taking_over: dict[str, Any] | None = None
+    ) -> dict[str, Any] | None:
+        """The lease or claim record at ``path``, or None when absent.
+
+        A record that does not parse or is not a lease (:func:`_is_lease`)
+        is moved aside to ``<name>.corrupt`` and read as absent, and so
+        is a claim whose token does not exceed that of the record it
+        claims to be taking over. Left in place either would block its
+        job for good: no worker can acquire over a record it cannot
+        read or take over, and a claim that names its own record would
+        be followed forever. A live owner whose record was moved aside
+        fails its next ownership check, so its commit is fenced like any
+        reclaimed owner's.
+        """
+        record = self._load(path)
+        if _is_lease(record) and (
+            taking_over is None or record["token"] > taking_over["token"]
+        ):
+            return record
+        try:
+            os.replace(path, path.with_name(path.name + ".corrupt"))
+        except OSError:
+            pass  # absent, or a peer already moved it aside
+        return None
 
     def read(self, job_hash: str) -> dict[str, Any] | None:
         """The current lease record, or None (never leased / released /
-        corrupt)."""
-        return self._load(self._lease_path(job_hash))
+        corrupt, in which case it was moved aside)."""
+        return self._load_lease(self._lease_path(job_hash))
 
     def _link(self, path: Path, record: dict[str, Any]) -> bool:
         """Publish ``record`` at ``path`` unless something is already
@@ -376,7 +442,9 @@ class LeaseManager:
         """
         record = self.read(job_hash)
         while record is not None and (
-            successor := self._load(self._claim_path(job_hash, record))
+            successor := self._load_lease(
+                self._claim_path(job_hash, record), taking_over=record
+            )
         ) is not None:
             record = successor
         if record is None or not self.expired(record):
@@ -609,4 +677,17 @@ class LeaseManager:
             return set()
 
     def quarantine_record(self, job_hash: str) -> dict[str, Any] | None:
-        return self._load(self._quarantine_path(job_hash))
+        """The parked job's record; None when the job is not parked.
+
+        A record that does not parse or has the wrong shape still parks
+        its job (the file is what parks it) and reads as ``{"job":
+        job_hash, "unreadable": True}``, so a degraded report can name
+        the job.
+        """
+        path = self._quarantine_path(job_hash)
+        record = self._load(path)
+        if _is_quarantine(record, job_hash):
+            return record
+        if record is None and not path.exists():
+            return None
+        return {"job": job_hash, "unreadable": True}

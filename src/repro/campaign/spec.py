@@ -15,9 +15,9 @@ The hash is the key of the :class:`~repro.campaign.store.ResultStore`
 cache: a re-run with identical specs is a pure cache hit, and a resumed
 campaign skips every hash already on disk.
 
-:func:`expand_grid` turns a parameter grid (name -> list of values) into
-the cartesian-product list of specs, in deterministic grid order — the
-*spec order* that campaign results are reassembled in.
+An experiment's specs come from its registry target
+(:meth:`~repro.campaign.registry.ExperimentTarget.jobs`), in the *spec
+order* that campaign results are reassembled in.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Any, Mapping
 
 from repro.common.errors import ConfigError
@@ -134,26 +133,15 @@ class JobSpec:
         )
 
 
-def expand_grid(
-    experiment: str,
-    job: str,
-    grid: Mapping[str, list[Any]],
-    base: Mapping[str, Any] | None = None,
-    seed: int = 1,
-    scale: float | None = None,
-) -> list[JobSpec]:
-    """Cartesian-product a parameter grid into an ordered spec list.
-
-    Axes vary in the grid's insertion order, last axis fastest — the same
-    nesting a hand-written ``for`` loop over the grid would produce, so
-    assembly code can rely on the order.
-    """
-    if not grid:
-        raise ConfigError("an empty grid expands to no jobs")
-    names = list(grid)
-    specs: list[JobSpec] = []
-    for values in product(*(grid[name] for name in names)):
-        params = dict(base or {})
-        params.update(zip(names, values))
-        specs.append(JobSpec.make(experiment, job, params, seed=seed, scale=scale))
-    return specs
+def payload_hash(payload: Any) -> str | None:
+    """The content hash of the spec ``payload`` describes, or None when
+    it describes none (a manifest entry or stored result that rotted)."""
+    if not isinstance(payload, Mapping) or not all(
+        isinstance(payload.get(key), str) and payload[key]
+        for key in ("experiment", "job")
+    ):
+        return None
+    try:
+        return JobSpec.from_payload(payload).content_hash()
+    except (AttributeError, TypeError, ValueError):
+        return None

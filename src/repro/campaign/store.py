@@ -32,10 +32,26 @@ from typing import Any, Iterable
 
 from repro.common.errors import ConfigError
 from repro.common.io import atomic_write_json as _atomic_write_json
-from repro.campaign.spec import JobSpec
+from repro.campaign.spec import JobSpec, payload_hash
 
 #: Manifest schema version, bumped on incompatible layout changes.
 MANIFEST_VERSION = 1
+
+
+def _malformed(record: Any, job_hash: str) -> str | None:
+    """Why ``record`` is not the saved result of ``job_hash``, or None
+    when it is: an object with a ``result``, a numeric ``elapsed``, an
+    int ``attempts`` and the ``spec`` the file is named after."""
+    if not isinstance(record, dict) or "result" not in record:
+        return "not an object with a result"
+    elapsed, attempts = record.get("elapsed"), record.get("attempts")
+    if isinstance(elapsed, bool) or not isinstance(elapsed, (int, float)):
+        return "elapsed is not a number"
+    if isinstance(attempts, bool) or not isinstance(attempts, int):
+        return "attempts is not an integer"
+    if payload_hash(record.get("spec")) != job_hash:
+        return "its spec is not the job the file is named after"
+    return None
 
 
 class ResultStore:
@@ -78,27 +94,34 @@ class ResultStore:
         self._result_path(job_hash).unlink(missing_ok=True)
 
     def load(self, job_hash: str) -> dict[str, Any]:
-        """The full saved record (``spec`` / ``result`` / ``elapsed``)."""
+        """The full saved record (``spec`` / ``result`` / ``elapsed`` /
+        ``attempts``)."""
         path = self._result_path(job_hash)
         try:
             with path.open("r", encoding="utf-8") as fh:
-                return json.load(fh)
+                record = json.load(fh)
         except FileNotFoundError:
             raise ConfigError(f"no campaign result {job_hash} in {self.root}") from None
-        except json.JSONDecodeError as error:
-            # Honour the store's crash-safety promise: a result that does
-            # not parse (bit rot, a non-atomic writer, a torn NFS page)
-            # is moved aside — not left to wedge every future resume —
-            # and the job simply counts as incomplete again.
-            corrupt = path.with_name(path.name + ".corrupt")
-            try:
-                os.replace(path, corrupt)
-            except OSError:
-                pass  # a concurrent reader already moved (or removed) it
-            raise ConfigError(
-                f"{path}: corrupt campaign result ({error}); quarantined "
-                f"to {corrupt.name}, the job will re-run"
-            ) from None
+        except ValueError as error:  # JSON or UTF-8 decoding
+            problem = str(error)
+        else:
+            problem = _malformed(record, job_hash)
+            if problem is None:
+                return record
+        # Honour the store's crash-safety promise: a result that does
+        # not parse or is not a record of this job (bit rot, a
+        # non-atomic writer, a torn NFS page) is moved aside — not left
+        # to wedge every future resume — and the job simply counts as
+        # incomplete again.
+        corrupt = path.with_name(path.name + ".corrupt")
+        try:
+            os.replace(path, corrupt)
+        except OSError:
+            pass  # a concurrent reader already moved (or removed) it
+        raise ConfigError(
+            f"{path}: corrupt campaign result ({problem}); quarantined "
+            f"to {corrupt.name}, the job will re-run"
+        )
 
     def load_result(self, job_hash: str) -> Any:
         return self.load(job_hash)["result"]
@@ -160,7 +183,7 @@ class ResultStore:
                 manifest = json.load(fh)
         except FileNotFoundError:
             return None
-        except json.JSONDecodeError as error:
+        except ValueError as error:  # JSON or UTF-8 decoding
             raise ConfigError(
                 f"{self.manifest_path}: corrupt campaign manifest ({error})"
             ) from None

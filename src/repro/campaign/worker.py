@@ -55,7 +55,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.campaign.lease import LeaseConfig, LeaseManager, make_owner_id
-from repro.campaign.spec import JobSpec
+from repro.campaign.spec import JobSpec, payload_hash
 from repro.campaign.store import ResultStore
 from repro.common.clock import tick
 from repro.common.errors import CampaignError, ConfigError
@@ -183,15 +183,9 @@ def _manifest_jobs(store: ResultStore) -> tuple[str, list[tuple[str, dict]]]:
 
 def _manifest_entry(entry: Any) -> str | None:
     """The hash of a well-formed manifest entry, else None."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("spec"), dict):
+    if not isinstance(entry, dict):
         return None
-    spec = entry["spec"]
-    if not all(isinstance(spec.get(key), str) for key in ("experiment", "job")):
-        return None
-    try:
-        job_hash = JobSpec.from_payload(spec).content_hash()
-    except (AttributeError, TypeError, ValueError):
-        return None
+    job_hash = payload_hash(entry.get("spec"))
     return job_hash if entry.get("hash") == job_hash else None
 
 
@@ -393,7 +387,11 @@ class CampaignOutcome:
             f"{len(self.quarantined)} job(s) quarantined"
         ]
         for record in self.quarantined:
-            history = record.get("history", [])
+            job = record["job"][:12]
+            if record.get("unreadable"):
+                lines.append(f"  job {job}: unreadable quarantine record")
+                continue
+            history = record["history"]
             owners = ", ".join(
                 str(entry.get("owner", "?")) for entry in history
             )
@@ -403,8 +401,7 @@ class CampaignOutcome:
                 if entry.get("error")
             ]
             lines.append(
-                f"  job {record.get('job', '?')[:12]}: "
-                f"{record.get('attempts', len(history))} attempt(s) "
+                f"  job {job}: {record['attempts']} attempt(s) "
                 f"by [{owners}]"
                 + (f"; last error: {errors[-1]}" if errors else "")
             )
@@ -723,7 +720,7 @@ def run_campaign(
             record = store.load(job_hash)
             outcome.payloads[job_hash] = record["result"]
             outcome.executed += 1
-            outcome.retried += record.get("attempts", 1) - 1
+            outcome.retried += record["attempts"] - 1
     parked = manager.quarantined()
     outcome.quarantined = [
         record

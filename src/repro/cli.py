@@ -48,10 +48,11 @@ Commands
     fault schedules into every stream; ``--mechanism {all,flush,chash}``
     adds the resize-mechanism axis to the fuzz grid.
 ``chaos``
-    Chaos-test the campaign executor: run an experiment once cleanly and
-    once with sabotaged lease workers (``--worker-chaos``: kills, hangs,
-    corrupted results) with resume-until-converged, then verify the two
-    outputs are byte-identical.
+    Chaos-test the campaign executor: run an experiment once in process
+    (as ``experiment`` does) and once as a campaign with sabotaged lease
+    workers (``--worker-chaos``: kills, hangs, corrupted results) with
+    resume-until-converged, then verify the two outputs are
+    byte-identical.
 
 ``simulate`` and ``sweep`` additionally accept ``--audit [CADENCE]`` to
 run the invariant auditor every CADENCE accesses during the run (sweep
@@ -515,12 +516,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     out = Path(args.out) if args.out else Path("campaigns") / f"chaos-{args.name}"
     chaos = _worker_chaos(args.worker_chaos)
 
-    clean = run_campaign(
-        ResultStore(out / "clean"), specs, args.name, jobs=1, resume=False
-    )
-    clean_text = target.assemble_results(specs, clean.results_in_order()).format()
+    clean_text = target.run_serial(refs=args.refs, seed=args.seed).format()
 
-    store = ResultStore(out / "chaos")
+    store = ResultStore(out)
     config = LeaseConfig(
         ttl=CHAOS_TTL,
         job_timeout=args.timeout,

@@ -86,11 +86,28 @@ def resolve_fractions(fractions) -> tuple[float, ...]:
     return tuple(resolved)
 
 
-def assemble_rows(cells: list[dict]) -> DegradationResult:
+#: The job kind of one point of the curve.
+JOB = "fraction"
+
+
+def cells(refs: int, options: dict) -> list[dict]:
+    """One cell per failed fraction; ``refs`` is the scaled
+    per-application reference count. :func:`resolve_fractions` forces
+    the 0.0 baseline in, so the first cell is always the fault-free run
+    every other cell is normalised against."""
+    return [
+        {"fraction": fraction, "refs": refs}
+        for fraction in resolve_fractions(options.get("fractions"))
+    ]
+
+
+def assemble(
+    params: list[dict], payloads: list[dict], options: dict
+) -> DegradationResult:
     """Fold per-fraction payloads (baseline first) into the curve."""
     result = DegradationResult()
-    baseline = cells[0]["throughput"]
-    for cell in cells:
+    baseline = payloads[0]["throughput"]
+    for cell in payloads:
         result.rows.append(
             DegradationRow(
                 fraction=cell["fraction"],

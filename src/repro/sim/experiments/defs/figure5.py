@@ -70,7 +70,7 @@ def figure5_series() -> list[tuple[str, str, int | str]]:
 
     ``kind`` is ``"traditional"`` (parameter = associativity) or
     ``"molecular"`` (parameter = placement policy), in the figure's
-    series order — the order ``run_figure5`` builds its result in.
+    series order.
     """
     series: list[tuple[str, str, int | str]] = [
         (label, "traditional", assoc) for label, assoc in TRADITIONAL_SERIES
@@ -79,3 +79,40 @@ def figure5_series() -> list[tuple[str, str, int | str]]:
         (label, "molecular", placement) for label, placement in MOLECULAR_SERIES
     ]
     return series
+
+
+#: The job kind of one design x size cell.
+JOB = "cell"
+
+
+def cells(refs: int, options: dict) -> list[dict]:
+    """Every design x size cell of one graph, series-major; ``refs`` is
+    the scaled per-application reference count."""
+    graph = str(options.get("graph", "A")).upper()
+    return [
+        {
+            "label": label,
+            "kind": kind,
+            "parameter": parameter,
+            "size_mb": size_mb,
+            "graph": graph,
+            "refs": refs,
+            "mode": "absolute",
+        }
+        for label, kind, parameter in figure5_series()
+        for size_mb in SIZES_MB
+    ]
+
+
+def assemble(
+    params: list[dict], payloads: list[dict], options: dict
+) -> Figure5Result:
+    """Fold the cells' deviations and miss rates (cell order) into the
+    figure's series."""
+    graph = str(options.get("graph", "A")).upper()
+    result = Figure5Result(graph=graph, sizes_mb=SIZES_MB)
+    for cell, payload in zip(params, payloads):
+        label = cell["label"]
+        result.series.setdefault(label, []).append(payload["deviation"])
+        result.miss_rates[(label, cell["size_mb"])] = payload["rates"]
+    return result

@@ -127,6 +127,21 @@ class ResizeMechanismResult:
         return "\n".join(lines)
 
 
-def assemble_cells(cells: list[dict]) -> ResizeMechanismResult:
+#: The job kind of one trigger x mechanism cell.
+JOB = "cell"
+
+
+def cells(refs: int, options: dict) -> list[dict]:
+    """The grid's cells, trigger-major; ``refs`` is the scaled reference
+    count of the churn trace."""
+    return [
+        {"mechanism": mechanism, "trigger": trigger, "refs": refs}
+        for trigger, mechanism in resolve_grid(options.get("resize_mechanism"))
+    ]
+
+
+def assemble(
+    params: list[dict], payloads: list[dict], options: dict
+) -> ResizeMechanismResult:
     """Fold per-cell payloads (grid order) into the result."""
-    return ResizeMechanismResult(cells=list(cells))
+    return ResizeMechanismResult(cells=list(payloads))

@@ -72,3 +72,36 @@ def table1_combos() -> list[tuple[str, ...]]:
     combos += list(combinations(QUARTET, 2))
     combos.append(QUARTET)
     return combos
+
+
+#: The job kind of one combination.
+JOB = "combo"
+
+
+def cells(refs: int, options: dict) -> list[dict]:
+    """One cell per combination, in the table's row order; ``refs`` is
+    the scaled per-application reference count."""
+    return [
+        {
+            "combo": list(combo),
+            "refs": refs,
+            "size_bytes": 1 << 20,
+            "associativity": 4,
+        }
+        for combo in table1_combos()
+    ]
+
+
+def assemble(
+    params: list[dict], payloads: list[dict], options: dict
+) -> Table1Result:
+    """Fold the combinations' miss rates (cell order) into the table."""
+    first = params[0]
+    result = Table1Result(
+        cache_label=(
+            f"{first['size_bytes'] >> 20}MB {first['associativity']}-way L2"
+        )
+    )
+    for cell, payload in zip(params, payloads):
+        result.combos[tuple(cell["combo"])] = payload["rates"]
+    return result

@@ -31,10 +31,8 @@ from repro.sim.experiments.defs.degradation import (  # noqa: F401  (re-exported
     DEFAULT_FRACTIONS,
     DegradationResult,
     DegradationRow,
-    assemble_rows,
     resolve_fractions,
 )
-from repro.sim.scale import scaled
 from repro.workloads.spec import SPEC_QUARTET
 
 #: Miss-rate goal every application is managed towards.
@@ -109,15 +107,6 @@ def run_degradation_cell(fraction: float, refs: int, seed: int = 1) -> dict:
     }
 
 
-def run_degradation(
-    refs_per_app: int = 200_000,
-    seed: int = 1,
-    fractions=None,
-) -> DegradationResult:
-    """Sweep the degradation curve serially."""
-    refs = scaled(refs_per_app)
-    cells = [
-        run_degradation_cell(fraction, refs, seed)
-        for fraction in resolve_fractions(fractions)
-    ]
-    return assemble_rows(cells)
+def run_cell(params: dict, seed: int) -> dict:
+    """One job of the curve (:func:`run_degradation_cell`)."""
+    return run_degradation_cell(params["fraction"], params["refs"], seed=seed)

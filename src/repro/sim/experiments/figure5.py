@@ -13,6 +13,8 @@ for every partition to reach its goal.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.analysis.metrics import DeviationMode, average_deviation
 from repro.common.errors import ConfigError
 from repro.molecular.config import MolecularCacheConfig
@@ -31,7 +33,18 @@ from repro.sim.experiments.defs.figure5 import (  # noqa: F401  (re-exported)
     figure5_series,
     goals_for_graph,
 )
-from repro.sim.scale import scaled
+
+
+@lru_cache(maxsize=1)
+def _traces(refs: int, seed: int):
+    """The four applications' traces, kept for the next cell.
+
+    Every cell of one sweep replays the same four streams, so a worker
+    (or the serial run) builds them once per ``(refs, seed)`` instead of
+    once per cell. One entry is enough, and holds one trace set alive
+    at most: the cells of a sweep share a key.
+    """
+    return build_traces(list(APPS), refs, seed)
 
 
 def run_figure5_cell(
@@ -42,19 +55,17 @@ def run_figure5_cell(
     refs: int = 400_000,
     seed: int = 1,
     deviation_mode: DeviationMode = DeviationMode.ABSOLUTE,
-    traces=None,
 ) -> tuple[float, dict[str, float]]:
     """One design x size cell of Figure 5: ``(deviation, miss rates)``.
 
-    ``refs`` is the already-scaled per-application reference count.
-    ``traces`` lets a serial sweep reuse one trace set across cells;
-    when omitted the traces are regenerated from the seed, which yields
-    the identical reference stream — the property ``repro.campaign``
-    relies on to run cells in parallel workers byte-identically.
+    ``refs`` is the already-scaled per-application reference count. The
+    traces are a pure function of ``(refs, seed)``, so a cell yields the
+    same result in any process and after any other cell — the property
+    ``repro.campaign`` relies on to run cells in parallel workers
+    byte-identically.
     """
     goals = goals_for_graph(graph)
-    if traces is None:
-        traces = build_traces(list(APPS), refs, seed)
+    traces = _traces(refs, seed)
     if kind == "traditional":
         run = run_traditional_workload(traces, size_mb << 20, parameter)
         rates = run.miss_rates()
@@ -76,33 +87,15 @@ def run_figure5_cell(
     return deviation, {APPS[a]: r for a, r in rates.items()}
 
 
-def run_figure5(
-    graph: str = "A",
-    refs_per_app: int = 400_000,
-    seed: int = 1,
-    sizes_mb: tuple[int, ...] = SIZES_MB,
-    deviation_mode: DeviationMode = DeviationMode.ABSOLUTE,
-) -> Figure5Result:
-    """Reproduce one graph of Figure 5."""
-    refs = scaled(refs_per_app)
-    result = Figure5Result(graph=graph.upper(), sizes_mb=tuple(sizes_mb))
-    traces = build_traces(list(APPS), refs, seed)
-
-    for label, kind, parameter in figure5_series():
-        deviations: list[float] = []
-        for size_mb in sizes_mb:
-            deviation, rates = run_figure5_cell(
-                kind,
-                parameter,
-                size_mb,
-                graph=graph,
-                refs=refs,
-                seed=seed,
-                deviation_mode=deviation_mode,
-                traces=traces,
-            )
-            deviations.append(deviation)
-            result.miss_rates[(label, size_mb)] = rates
-        result.series[label] = deviations
-
-    return result
+def run_cell(params: dict, seed: int) -> dict:
+    """One job of the figure: the cell's deviation and miss rates."""
+    deviation, rates = run_figure5_cell(
+        params["kind"],
+        params["parameter"],
+        params["size_mb"],
+        graph=params["graph"],
+        refs=params["refs"],
+        seed=seed,
+        deviation_mode=DeviationMode(params["mode"]),
+    )
+    return {"deviation": deviation, "rates": rates}

@@ -41,10 +41,8 @@ from repro.sim.experiments.defs.resize_mechanism import (  # noqa: F401  (re-exp
     MECHANISMS,
     TRIGGERS,
     ResizeMechanismResult,
-    assemble_cells,
     resolve_grid,
 )
-from repro.sim.scale import scaled
 
 #: Miss-rate goal both applications are managed towards.
 GOAL = 0.25
@@ -221,15 +219,8 @@ def run_resize_mechanism_cell(
     }
 
 
-def run_resize_mechanism(
-    refs_per_app: int = 60_000,
-    seed: int = 1,
-    resize_mechanism: str | None = None,
-) -> ResizeMechanismResult:
-    """Sweep the trigger x mechanism grid serially."""
-    refs = scaled(refs_per_app)
-    cells = [
-        run_resize_mechanism_cell(mechanism, trigger, refs, seed)
-        for trigger, mechanism in resolve_grid(resize_mechanism)
-    ]
-    return assemble_cells(cells)
+def run_cell(params: dict, seed: int) -> dict:
+    """One job of the grid (:func:`run_resize_mechanism_cell`)."""
+    return run_resize_mechanism_cell(
+        params["mechanism"], params["trigger"], params["refs"], seed=seed
+    )

@@ -14,7 +14,6 @@ from repro.sim.experiments.defs.table1 import (  # noqa: F401  (re-exported)
     Table1Result,
     table1_combos,
 )
-from repro.sim.scale import scaled
 
 
 def run_table1_combo(
@@ -36,19 +35,13 @@ def run_table1_combo(
     return {name: run.miss_rate(asid) for asid, name in enumerate(combo)}
 
 
-def run_table1(
-    refs_per_app: int = 500_000,
-    seed: int = 1,
-    size_bytes: int = 1 << 20,
-    associativity: int = 4,
-) -> Table1Result:
-    """Reproduce Table 1: alone, all pairs, and all four concurrently."""
-    refs = scaled(refs_per_app)
-    result = Table1Result(
-        cache_label=f"{size_bytes >> 20}MB {associativity}-way L2"
+def run_cell(params: dict, seed: int) -> dict:
+    """One job of the table: a combination's per-benchmark miss rates."""
+    rates = run_table1_combo(
+        tuple(params["combo"]),
+        params["refs"],
+        seed=seed,
+        size_bytes=params["size_bytes"],
+        associativity=params["associativity"],
     )
-    for combo in table1_combos():
-        result.combos[combo] = run_table1_combo(
-            combo, refs, seed, size_bytes, associativity
-        )
-    return result
+    return {"rates": rates}

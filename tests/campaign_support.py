@@ -9,6 +9,8 @@ marker files fire exactly once across processes.
 from __future__ import annotations
 
 import os
+import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 from repro.campaign import worker as worker_mod
@@ -42,3 +44,19 @@ def pin_cpus(monkeypatch, count: int) -> None:
     """Make the launcher see ``count`` usable CPUs, so a test's worker
     count is the same on every host."""
     monkeypatch.setattr(worker_mod, "usable_cpus", lambda: count)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Fail, instead of hanging the suite, when the body runs too long
+    (SIGALRM: the body must run in the main thread)."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -11,6 +11,7 @@ with two forked workers (``TestRunnerForked``).
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.campaign import (
     LeaseConfig,
     ResultStore,
     execute_spec,
-    expand_grid,
     experiment_names,
     get_experiment,
     run_campaign,
@@ -31,6 +31,7 @@ from repro.telemetry.events import LeaseAcquired
 from repro.campaign import worker as worker_mod
 from tests.campaign_support import (
     calls,
+    deadline,
     first_time,
     pin_cpus,
     record_call,
@@ -85,24 +86,6 @@ class TestJobSpec:
     def test_rejects_unserialisable_params(self):
         with pytest.raises(ConfigError):
             JobSpec.make("table1", "combo", {"bad": object()})
-
-    def test_expand_grid_order_and_count(self):
-        specs = expand_grid(
-            "figure5",
-            "cell",
-            {"size_mb": [1, 2], "assoc": [4, 8]},
-            base={"graph": "A"},
-        )
-        assert len(specs) == 4
-        first = specs[0].params_dict
-        assert first == {"graph": "A", "size_mb": 1, "assoc": 4}
-        # last axis varies fastest, like a nested for loop
-        assert [s.params_dict["assoc"] for s in specs] == [4, 8, 4, 8]
-        assert [s.params_dict["size_mb"] for s in specs] == [1, 1, 2, 2]
-
-    def test_expand_grid_rejects_empty(self):
-        with pytest.raises(ConfigError):
-            expand_grid("table1", "combo", {})
 
 
 # ------------------------------------------------------------------- store
@@ -250,7 +233,7 @@ class TestRegistry:
         specs = get_experiment("figure5").jobs(refs=TINY_REFS, graph="B")
         assert len(specs) == 24  # 6 designs x 4 sizes
         assert all(s.params_dict["graph"] == "B" for s in specs)
-        # series-major, sizes fastest — the serial loop's nesting
+        # series-major, sizes fastest — the figure's series order
         assert [s.params_dict["size_mb"] for s in specs[:4]] == [1, 2, 4, 8]
         assert specs[0].params_dict["label"] == "Direct Mapped"
         assert specs[-1].params_dict["label"] == "Molecular (Randy)"
@@ -260,6 +243,51 @@ class TestRegistry:
         assert len(specs) == 1
         assert specs[0].job == "whole"
         assert specs[0].params_dict == {"refs_per_app": TINY_REFS}
+
+
+# ---------------------------------------------------------------- pipeline
+
+
+class TestOnePipeline:
+    """``run_serial`` and a campaign run the same jobs through the same
+    cells and assemble them with the same ``defs`` function."""
+
+    @pytest.mark.parametrize("name, options", [
+        ("table1", {}),
+        ("figure5", {"graph": "A"}),
+        ("figure5", {"graph": "B"}),
+        ("degradation", {}),
+        ("resize-mechanism", {}),
+    ], ids=["table1", "figure5-A", "figure5-B", "degradation",
+            "resize-mechanism"])
+    def test_run_serial_matches_the_campaign(self, tmp_path, name, options):
+        target = get_experiment(name)
+        specs = target.jobs(refs=1000, **options)
+        outcome = run_campaign(
+            ResultStore(tmp_path), specs, campaign=name, jobs=1,
+            options=options,
+        )
+        swept = target.assemble_results(
+            specs, outcome.results_in_order(), **options
+        )
+        serial = target.run_serial(refs=1000, **options)
+        assert serial.format() == swept.format()
+
+    def test_figure5_trace_memo_leaks_nothing(self):
+        """A cell's payload does not depend on which cells ran before it
+        in the process, nor on whether its traces were memoised."""
+        from repro.sim.experiments import figure5
+
+        def payload(refs: int, seed: int) -> dict:
+            spec = get_experiment("figure5").jobs(refs=refs, seed=seed)[-1]
+            return figure5.run_cell(spec.params_dict, spec.seed)
+
+        first = payload(1000, 1)
+        assert payload(550_000, 2) != first  # another (refs, seed) key
+        assert payload(1000, 1) == first
+        figure5._traces.cache_clear()
+        assert payload(1000, 1) == first
+        assert figure5._traces.cache_info().currsize == 1
 
 
 # ---------------------------------------------------------------- executor
@@ -290,11 +318,10 @@ class _ExecutorContract:
         pin_cpus(monkeypatch, 2)
 
     def test_serial_matches_direct_run(self, tmp_path):
-        from repro.sim.experiments.table1 import run_table1
-
         outcome, campaign_text = _run_table1_campaign(tmp_path, self.JOBS)
         assert outcome.workers == self.JOBS
-        assert campaign_text == run_table1(refs_per_app=1000).format()
+        serial = get_experiment("table1").run_serial(refs=1000)
+        assert campaign_text == serial.format()
 
     def test_identical_rerun_is_pure_cache_hit(self, tmp_path):
         first, text1 = _run_table1_campaign(tmp_path, self.JOBS)
@@ -476,6 +503,85 @@ class TestRunner(_ExecutorContract):
         from repro.sim.scale import scale_factor
 
         assert scale_factor() == 777  # environment restored afterwards
+
+
+class TestCorruptStore:
+    """A store record that parses but has the wrong shape ends in a
+    recovered resume or a named quarantine, never a traceback or a hang.
+    """
+
+    @pytest.fixture(scope="class")
+    def clean(self, tmp_path_factory):
+        """A complete tiny table1 store and its output."""
+        root = tmp_path_factory.mktemp("clean")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_SCALE", TINY_SCALE)
+            _, text = _run_table1_campaign(root, 1)
+        return root, text
+
+    @pytest.fixture
+    def damaged(self, clean, tmp_path):
+        """A copy of the clean store, its output, and a function that
+        writes ``content`` into one job's ``kind`` file (its result
+        removed) and resumes the campaign."""
+        root = tmp_path / "store"
+        shutil.copytree(clean[0], root)
+        clean_text = clean[1]
+        store = ResultStore(root)
+        target = get_experiment("table1")
+        specs = target.jobs(refs=1000)
+        job_hash = specs[0].content_hash()
+
+        def resume(kind: str, content: str):
+            if kind != "results":
+                store.discard(job_hash)
+            directory = root / kind
+            directory.mkdir(exist_ok=True)
+            (directory / f"{job_hash}.json").write_text(content)
+            with deadline(60):
+                return run_campaign(store, specs, campaign="table1")
+
+        def text(outcome) -> str:
+            return target.assemble_results(
+                specs, outcome.results_in_order()
+            ).format()
+
+        return resume, text, clean_text, job_hash
+
+    @pytest.mark.parametrize("content", [
+        "[1]",
+        '{"spec": {}, "result": [1], "elapsed": 0, "attempts": 1}',
+    ], ids=["list", "foreign-spec"])
+    def test_malformed_result_reruns(self, damaged, capsys, content):
+        resume, text, clean_text, job_hash = damaged
+        outcome = resume("results", content)
+        assert outcome.executed == 1
+        assert text(outcome) == clean_text
+        assert "corrupt campaign result" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        "{torn",
+        "[1]",
+        '{"state": "active", "owner": "w", "token": 1, "acquired": 0, '
+        '"heartbeat": "soon", "history": []}',
+    ], ids=["torn", "list", "heartbeat-soon"])
+    def test_malformed_lease_is_set_aside(self, damaged, tmp_path, content):
+        resume, text, clean_text, job_hash = damaged
+        outcome = resume("leases", content)
+        assert outcome.executed == 1
+        assert text(outcome) == clean_text
+        aside = tmp_path / "store" / "leases" / f"{job_hash}.json.corrupt"
+        assert aside.read_text() == content
+
+    @pytest.mark.parametrize("content", ["[1]", "{torn"])
+    def test_unreadable_quarantine_record_still_parks(self, damaged, content):
+        resume, _text, _clean, job_hash = damaged
+        outcome = resume("quarantine", content)
+        assert outcome.degraded and outcome.executed == 0
+        assert (
+            f"job {job_hash[:12]}: unreadable quarantine record"
+            in outcome.degraded_report()
+        )
 
 
 class TestRunnerForked(_ExecutorContract):

@@ -8,10 +8,12 @@ only verify the plumbing and the coarse qualitative properties.
 import pytest
 
 from repro.analysis.metrics import DeviationMode
+from repro.campaign import get_experiment
 from repro.sim.experiments import (
-    run_figure5,
+    Figure5Result,
+    figure5_series,
+    run_figure5_cell,
     run_figure6,
-    run_table1,
     run_table2,
     run_table4,
     run_table5,
@@ -27,7 +29,7 @@ def no_external_scale(monkeypatch):
 
 class TestTable1:
     def test_small_run_shape(self):
-        result = run_table1(refs_per_app=40_000)
+        result = get_experiment("table1").run_serial(refs=40_000)
         assert len(result.combos) == 4 + 6 + 1
         # interference: parser worse with all four than alone
         alone = result.miss_rate(("parser",), "parser")
@@ -37,7 +39,7 @@ class TestTable1:
         assert "Table 1" in result.format()
 
     def test_mcf_always_bad(self):
-        result = run_table1(refs_per_app=40_000)
+        result = get_experiment("table1").run_serial(refs=40_000)
         for combo, rates in result.combos.items():
             if "mcf" in combo:
                 assert rates["mcf"] > 0.4
@@ -52,9 +54,13 @@ class TestFigure5:
             goals_for_graph("C")
 
     def test_small_sweep_shape(self):
-        result = run_figure5(
-            graph="B", refs_per_app=60_000, sizes_mb=(1, 4)
-        )
+        result = Figure5Result(graph="B", sizes_mb=(1, 4))
+        for label, kind, parameter in figure5_series():
+            result.series[label] = [
+                run_figure5_cell(kind, parameter, size_mb, graph="B",
+                                 refs=60_000)[0]
+                for size_mb in result.sizes_mb
+            ]
         assert set(result.series) == {
             "Direct Mapped", "2-way", "4-way", "8-way",
             "Molecular (Random)", "Molecular (Randy)",
@@ -120,13 +126,14 @@ class TestTable2AndFriends:
 
 class TestDeviationModes:
     def test_excess_only_leq_absolute(self):
-        absolute = run_figure5(
-            graph="B", refs_per_app=30_000, sizes_mb=(1,),
-            deviation_mode=DeviationMode.ABSOLUTE,
-        )
-        excess = run_figure5(
-            graph="B", refs_per_app=30_000, sizes_mb=(1,),
-            deviation_mode=DeviationMode.EXCESS_ONLY,
-        )
-        for name in absolute.series:
-            assert excess.series[name][0] <= absolute.series[name][0] + 1e-9
+        def deviations(mode):
+            return {
+                label: run_figure5_cell(kind, parameter, 1, graph="B",
+                                        refs=30_000, deviation_mode=mode)[0]
+                for label, kind, parameter in figure5_series()
+            }
+
+        absolute = deviations(DeviationMode.ABSOLUTE)
+        excess = deviations(DeviationMode.EXCESS_ONLY)
+        for name in absolute:
+            assert excess[name] <= absolute[name] + 1e-9

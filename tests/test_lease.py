@@ -19,6 +19,7 @@ from repro.campaign import lease as lease_mod
 from repro.common.errors import ConfigError
 from repro.telemetry import EventBus, RingBufferSink
 from repro.telemetry.events import JobQuarantined, LeaseAcquired, LeaseExpired
+from tests.campaign_support import deadline
 
 
 class FakeClock:
@@ -364,6 +365,33 @@ class TestEdgeCases:
         m._lease_path(JOB).write_text("{torn")
         assert m.read(JOB) is None
         assert m.try_reclaim(JOB) is None  # nothing to go through
+
+    def test_owner_of_a_set_aside_record_is_fenced(self, tmp_path):
+        spec = JobSpec.make("table1", "combo", {"x": 1})
+        job = spec.content_hash()
+        a = _manager(tmp_path, owner="a")
+        b = _manager(tmp_path, owner="b")
+        stale = a.try_acquire(job)
+        a._lease_path(job).write_text("{torn")
+        fresh = b.try_acquire(job) or b.try_reclaim(job) or b.try_acquire(job)
+        assert fresh is not None and fresh.owner == "b"
+        assert not a.renew(stale) and stale.lost
+        assert not a.commit(stale, spec, {"who": "a"}, 0.1)
+        assert b.commit(fresh, spec, {"who": "b"}, 0.1)
+        assert b.store.load_result(job) == {"who": "b"}
+
+    def test_claim_naming_its_own_record_is_set_aside(self, tmp_path):
+        """A claim must carry a higher token than the record it takes
+        over; one that repeats it would be followed forever."""
+        clock = FakeClock()
+        m = _manager(tmp_path, owner="a", clock=clock, ttl=10.0)
+        m.try_acquire(JOB)
+        record = m.read(JOB)
+        m._claim_path(JOB, record).write_text(json.dumps(record))
+        clock.advance(11.0)
+        with deadline(30):
+            lease = m.try_reclaim(JOB)
+        assert lease is not None and lease.token == 2
 
     def test_fail_after_reclaim_is_a_noop(self, tmp_path):
         clock = FakeClock()

@@ -2,10 +2,11 @@
 
 Every place the toolkit reads text or JSON a person (or a crash) could
 have written — CLI sizes, the ``--worker-chaos`` and ``--faults``
-grammars, Dinero traces, a campaign manifest, a recorded trace — must
-either return a value or raise :class:`ConfigError`, which the CLI
-prints as ``error: ...`` with exit 2. The ``@example`` cases are defects
-this suite was written against.
+grammars, Dinero traces, a campaign manifest, a recorded trace, the
+result, lease and quarantine records of a campaign store — must either
+return a value or raise :class:`ConfigError`, which the CLI prints as
+``error: ...`` with exit 2. The ``@example`` cases are defects this
+suite was written against.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import JobSpec, LeaseConfig, LeaseManager, ResultStore
+from repro.campaign.worker import CampaignOutcome
 from repro.cli import main, parse_size
 from repro.common.errors import ConfigError
 from repro.faults import FaultPlan, WorkerChaos
@@ -248,3 +251,140 @@ def test_inspect_trace(content):
         path = Path(directory) / "trace.json"
         path.write_text(content)
         run_cli(["inspect", str(path)])
+
+
+# ------------------------------------------------------------ campaign store
+
+
+SPEC = JobSpec.make("table1", "combo", {"combo": ["art"]}, scale=1.0)
+JOB = SPEC.content_hash()
+#: The lease protocol's clock in the store tests, and its ttl.
+NOW, TTL = 1000.0, 30.0
+
+times = st.one_of(st.floats(), st.integers(), json_values)
+store_records = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {"result": json_values},
+        optional={
+            "spec": st.one_of(json_values, st.just(SPEC.as_payload())),
+            "elapsed": times,
+            "attempts": st.one_of(st.integers(), json_values),
+        },
+    ),
+    st.fixed_dictionaries(
+        {"history": st.lists(st.one_of(json_values, st.fixed_dictionaries(
+            {"owner": json_values, "error": json_values})), max_size=2)},
+        optional={
+            "job": st.one_of(st.just(JOB), json_values),
+            "attempts": st.one_of(st.integers(), json_values),
+        },
+    ),
+)
+store_files = st.one_of(store_records.map(json.dumps), st.text(max_size=24))
+
+
+@FILES
+@given(store_files)
+@example("[1]")
+@example('{"spec": {}, "result": [1], "elapsed": 0, "attempts": 1}')
+def test_stored_result(content):
+    with tempfile.TemporaryDirectory() as directory:
+        store = ResultStore(directory)
+        (store.results_dir / f"{JOB}.json").write_text(content)
+        record = returns_or_config_error(store.load, JOB)
+        if record is None:
+            assert not store.has(JOB)  # moved aside: the job re-runs
+        else:
+            assert JobSpec.from_payload(record["spec"]) == SPEC
+            assert "result" in record
+            assert type(record["elapsed"]) in (int, float)
+            assert type(record["attempts"]) is int
+
+
+@FILES
+@given(store_files)
+@example("[1]")
+@example("{torn")
+def test_quarantine_record(content):
+    with tempfile.TemporaryDirectory() as directory:
+        manager = LeaseManager(ResultStore(directory))
+        (manager.quarantine_dir / f"{JOB}.json").write_text(content)
+        record = manager.quarantine_record(JOB)
+        assert manager.quarantined() == {JOB}  # any record parks the job
+        report = CampaignOutcome("t", [SPEC], quarantined=[record])
+        assert f"job {JOB[:12]}" in report.degraded_report()
+
+
+def holds_job(content: str) -> bool:
+    """Whether ``content`` is a live lease record: one that may keep its
+    job from every other worker until its heartbeat is ``TTL`` old."""
+    try:
+        record = json.loads(content)
+    except ValueError:
+        return False
+    return (
+        isinstance(record, dict)
+        and record.get("state") == "active"
+        and isinstance(record.get("owner"), str)
+        and type(record.get("token")) is int
+        and all(
+            type(record.get(key)) in (int, float) and math.isfinite(record[key])
+            for key in ("acquired", "heartbeat")
+        )
+        and isinstance(record.get("history"), list)
+        and all(isinstance(entry, dict) for entry in record["history"])
+        and NOW - record["heartbeat"] <= TTL
+    )
+
+
+lease_records = st.one_of(
+    json_values,
+    st.fixed_dictionaries({
+        "state": st.one_of(st.sampled_from(["active", "open"]), json_values),
+        "owner": st.one_of(st.text(max_size=4), json_values),
+        "token": st.one_of(st.integers(), json_values),
+        "acquired": times,
+        "heartbeat": st.one_of(times, st.just("soon")),
+        "history": st.one_of(json_values, st.lists(st.one_of(
+            json_values, st.fixed_dictionaries({"owner": json_values})),
+            max_size=2)),
+    }),
+)
+lease_files = st.one_of(lease_records.map(json.dumps), st.text(max_size=24))
+
+
+@FILES
+@given(lease_files, st.booleans())
+@example("{torn", False)
+@example("[1]", False)
+@example('{"state": "active", "owner": "x", "token": 1, "acquired": 0, '
+         '"heartbeat": "soon", "history": []}', False)
+@example("{torn", True)
+def test_lease_record(content, as_claim):
+    """A lease record (or the claim file of an expired one) holding
+    ``content``: one worker pass — acquire, else take over, else
+    acquire — gets the job unless a live lease holds it or the takeover
+    parked it."""
+    with tempfile.TemporaryDirectory() as directory:
+        manager = LeaseManager(
+            ResultStore(directory), owner="w",
+            config=LeaseConfig(ttl=TTL), clock=lambda: NOW,
+        )
+        path = manager.leases_dir / f"{JOB}.json"
+        if as_claim:
+            dead = {"state": "active", "owner": "dead", "token": 1,
+                    "acquired": 0.0, "heartbeat": 0.0, "history": []}
+            path.write_text(json.dumps(dead))
+            path = manager._claim_path(JOB, dead)
+        path.write_text(content)
+        lease = (
+            manager.try_acquire(JOB)
+            or manager.try_reclaim(JOB)
+            or manager.try_acquire(JOB)
+        )
+        assert (
+            lease is not None
+            or holds_job(content)
+            or manager.quarantine_record(JOB) is not None
+        )
