@@ -33,7 +33,7 @@ from repro.common.lazy import lazy_exports
 __version__ = "1.0.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.caches": ("CacheHierarchy", "SetAssociativeCache"),
+    "repro.caches": ("SetAssociativeCache",),
     "repro.common": ("Access", "AccessResult", "AccessType"),
     "repro.molecular": (
         "MolecularCache",

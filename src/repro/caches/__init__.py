@@ -2,16 +2,13 @@
 
 This package is the modified-Dinero equivalent the paper runs its traces
 through: direct-mapped and N-way set-associative caches with LRU / FIFO /
-Random replacement, per-ASID statistics for shared-cache studies, and a
-two-level (per-core L1 + shared L2) hierarchy.
+Random replacement, per-ASID statistics for shared-cache studies, and the
+Modified LRU and column-caching partitioned baselines of the paper's
+section 2. Every cache here is the shared last level: the workloads are
+post-L1 miss streams (DESIGN.md section 3), so there is no L1 level and
+no coherence protocol to model.
 """
 
-from repro.caches.coherence import (
-    CoherenceStats,
-    CoherentL1,
-    MESIState,
-    SnoopingBus,
-)
 from repro.caches.line import CacheLine
 from repro.caches.partitioned import ColumnCache, ModifiedLRUCache
 from repro.caches.replacement import (
@@ -23,23 +20,17 @@ from repro.caches.replacement import (
 )
 from repro.caches.setassoc import SetAssociativeCache
 from repro.caches.stats import AsidCounters, CacheStats
-from repro.caches.hierarchy import CacheHierarchy
 
 __all__ = [
     "AsidCounters",
-    "CacheHierarchy",
     "CacheLine",
     "CacheStats",
-    "CoherenceStats",
-    "CoherentL1",
     "ColumnCache",
     "ModifiedLRUCache",
     "FIFOReplacement",
     "LRUReplacement",
-    "MESIState",
     "RandomReplacement",
     "ReplacementPolicy",
     "SetAssociativeCache",
-    "SnoopingBus",
     "make_replacement_policy",
 ]

@@ -6,9 +6,11 @@ it one pipeline:
 
 * ``defs`` — the numpy-free :mod:`repro.sim.experiments.defs` module
   that lists the experiment's cells (``cells(refs, options)``, one
-  :class:`~repro.campaign.spec.JobSpec` of kind ``JOB`` each) and folds
+  :class:`~repro.campaign.spec.JobSpec` of kind ``JOB`` each), folds
   their payloads back into the result (``assemble(params, payloads,
-  options)``);
+  options)``) and states the shape of one payload
+  (``payload_shape(params)``), which a resume checks cached payloads
+  against;
 * ``module`` — the experiment module whose ``run_cell(params, seed)``
   simulates one cell and returns its JSON payload.
 
@@ -38,6 +40,7 @@ from typing import Any, Iterable, Mapping
 from repro.campaign.spec import JobSpec
 from repro.common.errors import ConfigError
 from repro.common.lazy import import_module
+from repro.sim.experiments.defs import shape_problem
 from repro.sim.scale import scaled
 
 
@@ -109,6 +112,14 @@ class ExperimentTarget:
             return module.run_cell(spec.params_dict, spec.seed)
         result = getattr(module, self.runner)(seed=spec.seed, **spec.params_dict)
         return {"formatted": result.format()}
+
+    def payload_shape(self, params: Mapping[str, Any]) -> dict:
+        """What :meth:`assemble_results` reads of the payload of the job
+        with ``params``: the shape its ``defs`` module states, or a
+        whole job's formatted text."""
+        if self.defs is None:
+            return {"formatted": "string"}
+        return import_module(self.defs).payload_shape(params)
 
     def assemble_results(
         self, specs: list[JobSpec], results: list[Any], **options
@@ -213,6 +224,17 @@ def get_experiment(name: str) -> ExperimentTarget:
         raise ConfigError(
             f"unknown experiment {name!r}; available: {experiment_names()}"
         ) from None
+
+
+def stored_payload_problem(record: Mapping[str, Any]) -> str | None:
+    """Why a stored result ``record``'s payload is not what its job's
+    experiment assembles, or None when it is. A resume checks every
+    cached record with it (:meth:`ResultStore.load`'s ``check``)."""
+    spec = record["spec"]
+    target = get_experiment(spec["experiment"])
+    return shape_problem(
+        record["result"], target.payload_shape(spec.get("params", {}))
+    )
 
 
 def import_experiments(names: Iterable[str]) -> None:

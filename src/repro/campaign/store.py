@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.common.errors import ConfigError
 from repro.common.io import atomic_write_json as _atomic_write_json
@@ -93,9 +93,14 @@ class ResultStore:
         """Forget one job's result, so the next drain runs it again."""
         self._result_path(job_hash).unlink(missing_ok=True)
 
-    def load(self, job_hash: str) -> dict[str, Any]:
+    def load(
+        self,
+        job_hash: str,
+        check: Callable[[dict[str, Any]], str | None] | None = None,
+    ) -> dict[str, Any]:
         """The full saved record (``spec`` / ``result`` / ``elapsed`` /
-        ``attempts``)."""
+        ``attempts``). ``check`` may name a further problem with a
+        well-formed record, which is then set aside like a corrupt one."""
         path = self._result_path(job_hash)
         try:
             with path.open("r", encoding="utf-8") as fh:
@@ -106,6 +111,8 @@ class ResultStore:
             problem = str(error)
         else:
             problem = _malformed(record, job_hash)
+            if problem is None and check is not None:
+                problem = check(record)
             if problem is None:
                 return record
         # Honour the store's crash-safety promise: a result that does

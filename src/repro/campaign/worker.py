@@ -644,11 +644,16 @@ def run_campaign(
 
     records: dict[str, dict] = {}
     if resume:
+        from repro.campaign.registry import stored_payload_problem
+
         for job_hash in store.completed(unique):
             try:
-                records[job_hash] = store.load(job_hash)
+                records[job_hash] = store.load(
+                    job_hash, check=stored_payload_problem
+                )
             except ConfigError as error:
-                # load() moved the corrupt result aside, so the job is
+                # load() moved the corrupt result (or a payload its
+                # experiment cannot assemble) aside, so the job is
                 # simply pending again.
                 print(f"campaign: {error}", file=sys.stderr)
     else:

@@ -23,7 +23,6 @@ paper's structure:
 from repro.molecular.advisor import StackDistanceAdvisor
 from repro.molecular.cache import MolecularCache
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
-from repro.molecular.inspect import render_replacement_view, render_tile_map
 from repro.molecular.latency import LatencyModel, LatencyParameters
 from repro.molecular.molecule import Molecule
 from repro.molecular.placement import (
@@ -58,6 +57,4 @@ __all__ = [
     "TileCluster",
     "Ulmo",
     "make_placement_policy",
-    "render_replacement_view",
-    "render_tile_map",
 ]

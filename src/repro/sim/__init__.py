@@ -10,5 +10,4 @@ from repro.common.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.sim.cmp": ("CMPRunConfig", "CMPRunner", "CMPRunResult"),
     "repro.sim.driver": ("run_trace",),
-    "repro.sim.platform": ("CMPPlatform", "PlatformConfig", "PlatformResult"),
 })

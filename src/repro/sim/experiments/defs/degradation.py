@@ -101,6 +101,19 @@ def cells(refs: int, options: dict) -> list[dict]:
     ]
 
 
+def payload_shape(params: dict) -> dict:
+    """One fraction's payload: a :class:`DegradationRow` but its
+    relative IPC, which :func:`assemble` derives."""
+    return {
+        "fraction": "number",
+        "retired": "integer",
+        "repaired": "integer",
+        "miss_rate": "number",
+        "mean_latency": "number",
+        "throughput": "number",
+    }
+
+
 def assemble(
     params: list[dict], payloads: list[dict], options: dict
 ) -> DegradationResult:

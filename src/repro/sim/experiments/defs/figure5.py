@@ -104,6 +104,11 @@ def cells(refs: int, options: dict) -> list[dict]:
     ]
 
 
+def payload_shape(params: dict) -> dict:
+    """One cell's payload: its deviation and a miss rate per application."""
+    return {"deviation": "number", "rates": {app: "number" for app in APPS}}
+
+
 def assemble(
     params: list[dict], payloads: list[dict], options: dict
 ) -> Figure5Result:

@@ -140,6 +140,23 @@ def cells(refs: int, options: dict) -> list[dict]:
     ]
 
 
+def payload_shape(params: dict) -> dict:
+    """One cell's payload: the columns and verdict inputs ``format``
+    reads (a recovery is null when nothing of its class fired)."""
+    counts = ("granted", "withdrawn", "repaired", "blocks_moved",
+              "flush_writebacks", "data_moved")
+    return {
+        "trigger": "string",
+        "mechanism": "string",
+        "miss_rate": "number",
+        **{name: "integer" for name in counts},
+        "recovery": {
+            action: "number or null"
+            for action in ("grow", "withdraw", "repair")
+        },
+    }
+
+
 def assemble(
     params: list[dict], payloads: list[dict], options: dict
 ) -> ResizeMechanismResult:

@@ -92,6 +92,11 @@ def cells(refs: int, options: dict) -> list[dict]:
     ]
 
 
+def payload_shape(params: dict) -> dict:
+    """One combination's payload: a miss rate per benchmark in it."""
+    return {"rates": {name: "number" for name in params.get("combo", ())}}
+
+
 def assemble(
     params: list[dict], payloads: list[dict], options: dict
 ) -> Table1Result:

@@ -7,7 +7,6 @@ optional per-phase drift. DESIGN.md section 3 documents the substitution
 and the calibration targets (Table 1 of the paper).
 """
 
-from repro.workloads.fit import model_from_miss_curve, model_from_trace
 from repro.workloads.model import BenchmarkModel, RingComponent
 from repro.workloads.spec import SPEC_QUARTET, spec_model
 from repro.workloads.mixed import MIXED_SUITE, mixed_model
@@ -30,7 +29,5 @@ __all__ = [
     "get_family",
     "get_model",
     "mixed_model",
-    "model_from_miss_curve",
-    "model_from_trace",
     "spec_model",
 ]

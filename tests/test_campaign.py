@@ -10,8 +10,10 @@ with two forked workers (``TestRunnerForked``).
 
 from __future__ import annotations
 
+import io
 import json
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -24,8 +26,10 @@ from repro.campaign import (
     get_experiment,
     run_campaign,
 )
+from repro.cli import main
 from repro.common.errors import CampaignError, ConfigError
 from repro.prof.spans import SpanRecorder
+from repro.sim.experiments.defs import shape_problem
 from repro.telemetry import events_from_trace
 from repro.telemetry.events import LeaseAcquired
 from repro.campaign import worker as worker_mod
@@ -267,9 +271,12 @@ class TestOnePipeline:
             ResultStore(tmp_path), specs, campaign=name, jobs=1,
             options=options,
         )
-        swept = target.assemble_results(
-            specs, outcome.results_in_order(), **options
-        )
+        payloads = outcome.results_in_order()
+        for spec, payload in zip(specs, payloads):
+            # what run_cell produced has the shape its defs module states
+            shape = target.payload_shape(spec.params_dict)
+            assert shape_problem(payload, shape) is None
+        swept = target.assemble_results(specs, payloads, **options)
         serial = target.run_serial(refs=1000, **options)
         assert serial.format() == swept.format()
 
@@ -572,6 +579,54 @@ class TestCorruptStore:
         assert text(outcome) == clean_text
         aside = tmp_path / "store" / "leases" / f"{job_hash}.json.corrupt"
         assert aside.read_text() == content
+
+    @pytest.fixture(scope="class")
+    def clean_sweeps(self, tmp_path_factory):
+        """``repro sweep``'s argv, complete tiny store and stdout for
+        table1 (a grid) and table2 (a whole experiment)."""
+        sweeps = {}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_SCALE", TINY_SCALE)
+            for name in ("table1", "table2"):
+                root = tmp_path_factory.mktemp(name)
+                argv = ["sweep", name, "--jobs", "1", "--refs", "1000",
+                        "--out", str(root), "--resume"]
+                out = io.StringIO()
+                with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                    assert main(argv) == 0
+                sweeps[name] = argv, root, out.getvalue()
+        return sweeps
+
+    @pytest.mark.parametrize("name, payload", [
+        ("table1", [1]),
+        ("table1", {"rates": [1]}),
+        ("table1", {}),
+        ("table1", {"rates": {}}),
+        ("table2", {"formatted": 5}),
+    ], ids=["list", "rates-list", "empty", "rates-empty", "formatted-int"])
+    def test_wrong_shape_payload_reruns(
+        self, clean_sweeps, tmp_path, capsys, name, payload
+    ):
+        """A stored payload its experiment cannot assemble is set aside
+        and its job re-run: the resume prints the clean sweep's stdout,
+        and the next resume is a pure cache hit."""
+        argv, clean_root, clean_out = clean_sweeps[name]
+        root = tmp_path / "store"
+        shutil.copytree(clean_root, root)
+        argv = [*argv[:-2], str(root), "--resume"]
+        job_hash = get_experiment(name).jobs(refs=1000)[0].content_hash()
+        path = root / "results" / f"{job_hash}.json"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "result": payload}))
+
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == clean_out
+        assert "corrupt campaign result" in err and "(1 run," in err
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == clean_out
+        assert "(0 run," in err
 
     @pytest.mark.parametrize("content", ["[1]", "{torn"])
     def test_unreadable_quarantine_record_still_parks(self, damaged, content):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.caches.setassoc import SetAssociativeCache
 from repro.common.errors import ConfigError
+from repro.molecular import MolecularCache, MolecularCacheConfig, ResizePolicy
 from repro.sim.cmp import CMPRunConfig, CMPRunner
 from repro.trace.container import Trace
 
@@ -102,3 +103,39 @@ class TestWarmup:
         runner = CMPRunner(cache, CMPRunConfig(warmup_refs=0))
         result = runner.run({0: loop_trace(0, 16, 1000), 1: loop_trace(1, 16, 1000)})
         assert 0.0 < result.overall_miss_rate() < 0.1
+
+
+class TestMolecularL2:
+    """Two regions on two home tiles of one molecular cache, run
+    concurrently with Algorithm-1 resizing live."""
+
+    def _cache(self) -> MolecularCache:
+        config = MolecularCacheConfig(
+            molecule_bytes=8 * 1024,
+            molecules_per_tile=32,
+            tiles_per_cluster=4,
+            clusters=1,
+        )
+        cache = MolecularCache(config, resize_policy=ResizePolicy())
+        for asid in (0, 1):
+            cache.assign_application(asid, goal=0.15, tile_id=asid)
+        return cache
+
+    def test_resizing_keeps_the_cache_consistent(self):
+        cache = self._cache()
+        runner = CMPRunner(cache, CMPRunConfig(warmup_refs=0))
+        result = runner.run(
+            {0: loop_trace(0, 512, 20_000), 1: loop_trace(1, 512, 20_000)}
+        )
+        assert result.per_asid[0].accesses > 0 and result.per_asid[1].accesses > 0
+        assert cache.resizer.log  # resizing fired during the run
+        cache.resizer.check_consistency()
+
+    def test_regions_keep_their_own_copies(self):
+        cache = self._cache()
+        same_blocks = Trace((np.arange(10_000) % 256) * 64)
+        CMPRunner(cache, CMPRunConfig(warmup_refs=0)).run(
+            {0: same_blocks, 1: same_blocks}
+        )
+        # identical addresses, but each region holds its own copy
+        assert cache.regions[0].presence.keys() & cache.regions[1].presence.keys()

@@ -59,10 +59,3 @@ class TestExamples:
         out = run_example("power_study.py", monkeypatch, capsys)
         assert "Traditional 4-ported caches" in out
         assert "worst-case power" in out
-
-    def test_full_platform(self, monkeypatch, capsys):
-        out = run_example(
-            "full_platform.py", monkeypatch, capsys, REFS=25_000
-        )
-        assert "Molecular L2 partitions" in out
-        assert "Throughput change" in out

@@ -73,6 +73,13 @@ class TestAssignment:
         region = cache.assign_application(0, initial_molecules=3)
         assert region.molecule_count == 3
 
+    def test_molecules_come_from_the_chosen_tile(self, tiny_config):
+        cache = make_cache(tiny_config)
+        cache.assign_application(0, tile_id=0, initial_molecules=2)
+        cache.assign_application(1, tile_id=1, initial_molecules=1)
+        assert cache.tile_of(0).occupancy_by_asid() == {0: 2}
+        assert cache.tile_of(1).occupancy_by_asid() == {1: 1}
+
     def test_duplicate_asid_rejected(self, tiny_config):
         cache = make_cache(tiny_config)
         cache.assign_application(0)
@@ -122,6 +129,8 @@ class TestAccessPath:
         cache.assign_application(1, initial_molecules=2)
         cache.access_block(5, 0)
         assert cache.access_block(5, 1).miss  # other region: own copy
+        copies = [cache.regions[asid].lookup(5) for asid in (0, 1)]
+        assert None not in copies and copies[0] is not copies[1]
 
     def test_local_probe_accounting(self, tiny_config):
         cache = make_cache(tiny_config)
@@ -190,6 +199,17 @@ class TestReporting:
         cache.assign_application(0, initial_molecules=3)
         cache.assign_application(1, initial_molecules=2)
         assert cache.partition_sizes() == {0: 3, 1: 2}
+
+    def test_randy_view_rows_counters_and_occupancy(self, tiny_config):
+        """A Randy region of n molecules is n rows of one, each with its
+        own miss counter; the miss fills a line of the row's molecule."""
+        cache = make_cache(tiny_config, placement="randy")
+        region = cache.assign_application(0, goal=0.2, initial_molecules=3)
+        assert [len(row) for row in region.rows] == [1, 1, 1]
+        assert region.row_misses == [0, 0, 0]
+        cache.access_block(1, 0)  # row (1 // 16) % 3 == 0
+        assert region.row_misses == [1, 0, 0]
+        assert [row[0].occupancy() for row in region.rows] == [1, 0, 0]
 
     def test_free_molecules(self, tiny_config):
         cache = make_cache(tiny_config)

@@ -22,7 +22,14 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import JobSpec, LeaseConfig, LeaseManager, ResultStore
+from repro.campaign import (
+    JobSpec,
+    LeaseConfig,
+    LeaseManager,
+    ResultStore,
+    get_experiment,
+)
+from repro.campaign.registry import stored_payload_problem
 from repro.campaign.worker import CampaignOutcome
 from repro.cli import main, parse_size
 from repro.common.errors import ConfigError
@@ -256,7 +263,14 @@ def test_inspect_trace(content):
 # ------------------------------------------------------------ campaign store
 
 
-SPEC = JobSpec.make("table1", "combo", {"combo": ["art"]}, scale=1.0)
+#: Every job of each kind of target a resume assembles: the four grids
+#: and a whole experiment.
+RESUMED = {
+    name: get_experiment(name).jobs(refs=1000)
+    for name in ("table1", "figure5", "degradation", "resize-mechanism",
+                 "table2")
+}
+SPEC = RESUMED["table1"][0]
 JOB = SPEC.content_hash()
 #: The lease protocol's clock in the store tests, and its ttl.
 NOW, TTL = 1000.0, 30.0
@@ -284,22 +298,85 @@ store_records = st.one_of(
 store_files = st.one_of(store_records.map(json.dumps), st.text(max_size=24))
 
 
+def envelope(spec: JobSpec, result) -> str:
+    """A well-formed stored record of ``spec`` holding ``result``."""
+    return json.dumps(
+        {"spec": spec.as_payload(), "result": result, "elapsed": 0,
+         "attempts": 1}
+    )
+
+
+LEAVES = {
+    "number": st.floats() | st.integers(),
+    "integer": st.integers(),
+    "string": st.text(max_size=8),
+}
+
+
+def shaped(shape, wild: bool):
+    """Values of a payload ``shape``; with ``wild``, any part of one may
+    instead be arbitrary JSON."""
+    if isinstance(shape, dict):
+        right = st.fixed_dictionaries(
+            {key: shaped(inner, wild) for key, inner in shape.items()}
+        )
+    elif shape.endswith(" or null"):
+        right = st.none() | LEAVES[shape.removesuffix(" or null")]
+    else:
+        right = LEAVES[shape]
+    return right | json_values if wild else right
+
+
+def plainest(shape):
+    """The plainest payload of ``shape``: zeros, empty strings, nulls."""
+    if isinstance(shape, dict):
+        return {key: plainest(inner) for key, inner in shape.items()}
+    return {"number": 0.0, "integer": 0, "string": ""}.get(shape)
+
+
+def stored_first_job(name: str):
+    """``(name, content)``: the first job's stored file of a resume."""
+    spec = RESUMED[name][0]
+    shape = get_experiment(name).payload_shape(spec.params_dict)
+    results = shaped(shape, wild=False) | shaped(shape, wild=True)
+    contents = store_files | results.map(lambda result: envelope(spec, result))
+    return st.tuples(st.just(name), contents)
+
+
 @FILES
-@given(store_files)
-@example("[1]")
-@example('{"spec": {}, "result": [1], "elapsed": 0, "attempts": 1}')
-def test_stored_result(content):
+@given(st.sampled_from(sorted(RESUMED)).flatmap(stored_first_job))
+@example(("table1", "[1]"))
+@example(("table1", '{"spec": {}, "result": [1], "elapsed": 0, "attempts": 1}'))
+@example(("table1", envelope(SPEC, [1])))
+@example(("table1", envelope(SPEC, {"rates": [1]})))
+@example(("table1", envelope(SPEC, {})))
+@example(("table1", envelope(SPEC, {"rates": {}})))
+@example(("table2", envelope(RESUMED["table2"][0], {"formatted": 5})))
+def test_stored_result(stored):
+    """A resume moves the first job's stored file aside, so the job
+    re-runs, or assembles and prints what it holds beside the other
+    jobs' (here the plainest) payloads."""
+    name, content = stored
+    target, specs = get_experiment(name), RESUMED[name]
+    job_hash = specs[0].content_hash()
     with tempfile.TemporaryDirectory() as directory:
         store = ResultStore(directory)
-        (store.results_dir / f"{JOB}.json").write_text(content)
-        record = returns_or_config_error(store.load, JOB)
+        (store.results_dir / f"{job_hash}.json").write_text(content)
+        record = returns_or_config_error(
+            store.load, job_hash, stored_payload_problem
+        )
         if record is None:
-            assert not store.has(JOB)  # moved aside: the job re-runs
-        else:
-            assert JobSpec.from_payload(record["spec"]) == SPEC
-            assert "result" in record
-            assert type(record["elapsed"]) in (int, float)
-            assert type(record["attempts"]) is int
+            assert not store.has(job_hash)  # moved aside: the job re-runs
+            return
+        assert JobSpec.from_payload(record["spec"]) == specs[0]
+        assert type(record["elapsed"]) in (int, float)
+        assert type(record["attempts"]) is int
+        payloads = [record["result"]] + [
+            plainest(target.payload_shape(spec.params_dict))
+            for spec in specs[1:]
+        ]
+        text = target.assemble_results(specs, payloads).format()
+        assert isinstance(text, str)
 
 
 @FILES

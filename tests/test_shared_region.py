@@ -13,6 +13,7 @@ class TestSharedRegionCreation:
         assert region.molecule_count == 2
         tile = cache.tile_of(0)
         assert tile.shared_count == 2
+        assert all(m.shared and m.tile_id == 0 for m in region.molecules())
 
     def test_duplicate_shared_region_rejected(self, tiny_config):
         cache = make_cache(tiny_config)

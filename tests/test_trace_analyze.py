@@ -51,6 +51,25 @@ class TestProfileTrace:
         curve = profile.miss_curve
         assert curve[256] >= curve[1024] >= curve[32768]
 
+    def test_measured_curve_floors_at_cold_misses(self):
+        """A generated trace's measured LRU curve falls with capacity to
+        exactly its cold misses once the cache holds the footprint."""
+        model = BenchmarkModel(
+            name="m",
+            components=(
+                RingComponent(weight=0.70, blocks=800, run_length=4),
+                RingComponent(weight=0.25, blocks=10_000, run_length=2),
+                RingComponent(weight=0.05, blocks=1 << 21),
+            ),
+        )
+        profile = profile_trace(
+            model.generate(60_000, seed=9), curve_capacities=(1024, 4096, 16384)
+        )
+        cold = profile.footprint_blocks / profile.references
+        curve = profile.miss_curve
+        assert profile.footprint_blocks < 16384
+        assert curve[1024] > curve[4096] > curve[16384] == pytest.approx(cold)
+
     def test_as_dict(self):
         trace = Trace([0, 64])
         snapshot = profile_trace(trace, curve_capacities=(4,)).as_dict()
