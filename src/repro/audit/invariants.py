@@ -39,10 +39,11 @@ slug                      law
                           accesses; ``lines_fetched`` == Σ region misses ×
                           line multiplier; ``writebacks_to_memory`` == dirty
                           evictions + withdrawal flushes; (set-associative)
-                          writebacks <= evictions <= misses and resident
-                          lines <= misses
+                          writebacks <= evictions <= misses, and each ASID
+                          owns at most as many resident lines as its
+                          misses filled
 ``set-structure``         (set-associative) set sizes <= associativity, every
-                          line is keyed and indexed consistently
+                          block sits in the set its index selects
 ========================  ====================================================
 
 Totals, windows, post-warm-up counts and region counts are views over
@@ -58,6 +59,7 @@ import os
 from dataclasses import dataclass
 from itertools import islice
 
+from repro.caches.setassoc import line_owner
 from repro.caches.stats import summed
 from repro.common.errors import ConfigError, SimulationError
 
@@ -478,6 +480,7 @@ def _audit_setassoc(cache) -> AuditOutcome:
     stats = cache.stats
     mask = cache.num_sets - 1
     resident = 0
+    owned: dict[int, int] = {}
     structure_ok = True
     for index, cache_set in enumerate(cache.iter_sets()):
         if len(cache_set) > cache.associativity:
@@ -487,14 +490,10 @@ def _audit_setassoc(cache) -> AuditOutcome:
                 f"{cache.associativity}-way",
             )
             structure_ok = False
-        for block, line in cache_set.items():
+        for block, state in cache_set.items():
             resident += 1
-            if line.block != block:
-                audit.fail(
-                    "set-structure",
-                    f"set {index}: key {block} != line block {line.block}",
-                )
-                structure_ok = False
+            owner = line_owner(state)
+            owned[owner] = owned.get(owner, 0) + 1
             if block & mask != index:
                 audit.fail(
                     "set-structure",
@@ -520,12 +519,15 @@ def _audit_setassoc(cache) -> AuditOutcome:
         f"accesses={lifetime.accesses} evictions={lifetime.evictions} "
         f"writebacks={lifetime.writebacks} misses={lifetime.misses}",
     )
-    audit.check(
-        "stats-conservation",
-        resident <= lifetime.misses,
-        f"{resident} resident lines but only {lifetime.misses} misses "
-        f"ever filled a line",
-    )
+    for owner, lines in sorted(owned.items()):
+        counters = stats.lifetime.get(owner)
+        filled = 0 if counters is None else counters.misses
+        audit.check(
+            "stats-conservation",
+            lines <= filled,
+            f"asid {owner} owns {lines} resident lines but only {filled} "
+            f"of its misses ever filled a line",
+        )
     return AuditOutcome(
         accesses=stats.total.accesses,
         checks=audit.checks,

@@ -9,7 +9,6 @@ post-L1 miss streams (DESIGN.md section 3), so there is no L1 level and
 no coherence protocol to model.
 """
 
-from repro.caches.line import CacheLine
 from repro.caches.partitioned import ColumnCache, ModifiedLRUCache
 from repro.caches.replacement import (
     FIFOReplacement,
@@ -23,7 +22,6 @@ from repro.caches.stats import AsidCounters, CacheStats
 
 __all__ = [
     "AsidCounters",
-    "CacheLine",
     "CacheStats",
     "ColumnCache",
     "ModifiedLRUCache",

@@ -11,7 +11,8 @@ cache partitioning — Suh, Rudolph and Devadas' two schemes:
   'columns' (i.e. ways) of a multi-way associative cache"; lookups still
   search every way, placement is confined to the permitted columns.
 
-Both are implemented over the same per-set ``OrderedDict`` machinery as
+Both share :class:`~repro.caches.setassoc.PackedSets` (geometry, stats and
+the per-set ``block -> asid << 1 | dirty`` maps) with
 :class:`~repro.caches.SetAssociativeCache`, so they drop into every runner
 and experiment in the library. A comparison bench
 (`benchmarks/test_ablation_partitioning.py`) pits them against the
@@ -22,57 +23,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
-from repro.caches.line import CacheLine
-from repro.caches.stats import CacheStats
-from repro.common.bitops import ilog2, is_power_of_two
+from repro.caches.setassoc import DIRTY, PackedSets, line_owner, line_state
 from repro.common.errors import ConfigError
-from repro.common.types import Access, AccessResult
+from repro.common.types import AccessResult
 
 
-class _PartitionedBase:
-    """Shared geometry/stats plumbing for the partitioned caches."""
-
-    def __init__(self, size_bytes: int, associativity: int, line_bytes: int,
-                 name: str) -> None:
-        if not is_power_of_two(size_bytes) or not is_power_of_two(line_bytes):
-            raise ConfigError("size and line size must be powers of two")
-        if associativity < 1:
-            raise ConfigError("associativity must be >= 1")
-        total_lines = size_bytes // line_bytes
-        if total_lines % associativity:
-            raise ConfigError("lines do not divide into sets")
-        num_sets = total_lines // associativity
-        if not is_power_of_two(num_sets):
-            raise ConfigError("number of sets must be a power of two")
-        self.size_bytes = size_bytes
-        self.associativity = associativity
-        self.line_bytes = line_bytes
-        self.num_sets = num_sets
-        self.name = name
-        self.stats = CacheStats()
-        self._line_shift = ilog2(line_bytes)
-        self._set_mask = num_sets - 1
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
-
-    def access(self, access: Access) -> AccessResult:
-        return self.access_block(
-            access.address >> self._line_shift, access.asid, access.is_write
-        )
-
-    def occupancy_by_asid(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                counts[line.asid] = counts.get(line.asid, 0) + 1
-        return counts
-
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-
-class ModifiedLRUCache(_PartitionedBase):
+class ModifiedLRUCache(PackedSets):
     """Suh et al.'s Modified LRU: quota-gated global/local replacement.
 
     Parameters
@@ -116,12 +72,12 @@ class ModifiedLRUCache(_PartitionedBase):
 
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         cache_set = self._sets[block & self._set_mask]
-        line = cache_set.get(block)
-        if line is not None:
+        state = cache_set.get(block)
+        if state is not None:
             self.stats.record_access(asid, hit=True)
             cache_set.move_to_end(block)
             if write:
-                line.dirty = True
+                cache_set[block] = state | DIRTY
             return AccessResult(hit=True)
 
         self.stats.record_access(asid, hit=False)
@@ -130,24 +86,25 @@ class ModifiedLRUCache(_PartitionedBase):
         if len(cache_set) >= self.associativity:
             evicted_block = self._choose_victim(cache_set, asid)
             victim = cache_set.pop(evicted_block)
-            writeback = victim.dirty
-            self._resident[victim.asid] = self._resident.get(victim.asid, 1) - 1
-            self.stats.record_eviction(victim.asid, writeback)
-        cache_set[block] = CacheLine(block=block, asid=asid, dirty=write)
+            owner = line_owner(victim)
+            writeback = bool(victim & DIRTY)
+            self._resident[owner] = self._resident.get(owner, 1) - 1
+            self.stats.record_eviction(owner, writeback)
+        cache_set[block] = line_state(asid, write)
         self._resident[asid] = self._resident.get(asid, 0) + 1
         return AccessResult(hit=False, evicted_block=evicted_block, writeback=writeback)
 
-    def _choose_victim(self, cache_set: OrderedDict[int, CacheLine], asid: int) -> int:
+    def _choose_victim(self, cache_set: OrderedDict[int, int], asid: int) -> int:
         if self._over_quota(asid):
             # Local replacement: the requester's own LRU line, if it has
             # one in this set; otherwise fall back to global LRU.
-            for block, line in cache_set.items():
-                if line.asid == asid:
+            for block, state in cache_set.items():
+                if line_owner(state) == asid:
                     return block
         return next(iter(cache_set))
 
 
-class ColumnCache(_PartitionedBase):
+class ColumnCache(PackedSets):
     """Suh et al.'s column caching: way-restricted placement.
 
     Parameters
@@ -194,12 +151,12 @@ class ColumnCache(_PartitionedBase):
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         set_index = block & self._set_mask
         cache_set = self._sets[set_index]
-        line = cache_set.get(block)
-        if line is not None:
+        state = cache_set.get(block)
+        if state is not None:
             self.stats.record_access(asid, hit=True)
             cache_set.move_to_end(block)
             if write:
-                line.dirty = True
+                cache_set[block] = state | DIRTY
             return AccessResult(hit=True)
 
         self.stats.record_access(asid, hit=False)
@@ -225,11 +182,11 @@ class ColumnCache(_PartitionedBase):
             if target_way is None:  # pragma: no cover - permitted non-empty
                 raise ConfigError("no evictable line in permitted columns")
             victim = cache_set.pop(evicted_block)
-            writeback = victim.dirty
+            writeback = bool(victim & DIRTY)
             del way_of[evicted_block]
-            self.stats.record_eviction(victim.asid, writeback)
+            self.stats.record_eviction(line_owner(victim), writeback)
 
         ways[target_way] = block
         way_of[block] = target_way
-        cache_set[block] = CacheLine(block=block, asid=asid, dirty=write)
+        cache_set[block] = line_state(asid, write)
         return AccessResult(hit=False, evicted_block=evicted_block, writeback=writeback)

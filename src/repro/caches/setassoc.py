@@ -5,14 +5,24 @@ shared L2 configurations (Table 1, Figure 5, Table 2) are all instances of
 :class:`SetAssociativeCache`. Per-ASID statistics come for free because
 every access carries its application's ASID, which is how the shared-cache
 interference study (Table 1) and the deviation metric are computed.
+
+A set is an ``OrderedDict`` from block number, oldest first, to one int
+per line, its *line state* ``asid << 1 | dirty``. This module is the one
+definition of that encoding; the partitioned caches and the auditor use it.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import islice
 
-from repro.caches.line import CacheLine
-from repro.caches.replacement import ReplacementPolicy, make_replacement_policy
+from repro.caches.replacement import (
+    FIFOReplacement,
+    LRUReplacement,
+    RandomReplacement,
+    ReplacementPolicy,
+    make_replacement_policy,
+)
 from repro.caches.stats import CacheStats
 from repro.common.bitops import ilog2, is_power_of_two
 from repro.common.errors import ConfigError
@@ -20,8 +30,81 @@ from repro.common.refs import iter_refs
 from repro.common.rng import DeterministicRNG
 from repro.common.types import Access, AccessResult
 
+#: The dirty bit of a line state; the owning ASID sits above it.
+DIRTY = 1
 
-class SetAssociativeCache:
+
+def line_state(asid: int, dirty: bool) -> int:
+    """The packed state of a line owned by ``asid``."""
+    return asid << 1 | dirty
+
+
+def line_owner(state: int) -> int:
+    """The ASID that owns a line in ``state``."""
+    return state >> 1
+
+
+class PackedSets:
+    """Geometry, per-ASID statistics and the packed sets of a set-indexed
+    cache; subclasses supply ``access_block``. The set-associative cache
+    and the partitioned caches (:mod:`repro.caches.partitioned`) share it.
+    """
+
+    def __init__(
+        self, size_bytes: int, associativity: int, line_bytes: int, name: str
+    ) -> None:
+        if not is_power_of_two(size_bytes):
+            raise ConfigError(f"cache size must be a power of two, got {size_bytes}")
+        if not is_power_of_two(line_bytes):
+            raise ConfigError(f"line size must be a power of two, got {line_bytes}")
+        if associativity < 1:
+            raise ConfigError(f"associativity must be >= 1, got {associativity}")
+        total_lines = size_bytes // line_bytes
+        if total_lines == 0 or total_lines % associativity != 0:
+            raise ConfigError(
+                f"{size_bytes} B / {line_bytes} B lines does not divide into "
+                f"{associativity}-way sets"
+            )
+        num_sets = total_lines // associativity
+        if not is_power_of_two(num_sets):
+            raise ConfigError(
+                f"number of sets ({num_sets}) must be a power of two "
+                f"(size {size_bytes}, {associativity}-way, {line_bytes} B lines)"
+            )
+
+        self.size_bytes = size_bytes
+        self.associativity = associativity
+        self.line_bytes = line_bytes
+        self.num_sets = num_sets
+        self.name = name
+        self.stats = CacheStats()
+        self._line_shift = ilog2(line_bytes)
+        self._set_mask = num_sets - 1
+        self._sets: list[OrderedDict[int, int]] = [
+            OrderedDict() for _ in range(num_sets)
+        ]
+
+    def access(self, access: Access) -> AccessResult:
+        """Simulate one memory reference given as an :class:`Access`."""
+        return self.access_block(
+            access.address >> self._line_shift, access.asid, access.is_write
+        )
+
+    def occupancy(self) -> int:
+        """Number of valid lines currently resident."""
+        return sum(len(cache_set) for cache_set in self._sets)
+
+    def occupancy_by_asid(self) -> dict[int, int]:
+        """Resident line count per owning ASID (shared-cache diagnostics)."""
+        counts: dict[int, int] = {}
+        for cache_set in self._sets:
+            for state in cache_set.values():
+                owner = line_owner(state)
+                counts[owner] = counts.get(owner, 0) + 1
+        return counts
+
+
+class SetAssociativeCache(PackedSets):
     """A classic N-way set-associative cache with pluggable replacement.
 
     Parameters
@@ -51,42 +134,16 @@ class SetAssociativeCache:
         rng: DeterministicRNG | None = None,
         name: str = "",
     ) -> None:
-        if not is_power_of_two(size_bytes):
-            raise ConfigError(f"cache size must be a power of two, got {size_bytes}")
-        if not is_power_of_two(line_bytes):
-            raise ConfigError(f"line size must be a power of two, got {line_bytes}")
-        if associativity < 1:
-            raise ConfigError(f"associativity must be >= 1, got {associativity}")
-        total_lines = size_bytes // line_bytes
-        if total_lines == 0 or total_lines % associativity != 0:
-            raise ConfigError(
-                f"{size_bytes} B / {line_bytes} B lines does not divide into "
-                f"{associativity}-way sets"
-            )
-        num_sets = total_lines // associativity
-        if not is_power_of_two(num_sets):
-            raise ConfigError(
-                f"number of sets ({num_sets}) must be a power of two "
-                f"(size {size_bytes}, {associativity}-way, {line_bytes} B lines)"
-            )
-
-        self.size_bytes = size_bytes
-        self.associativity = associativity
-        self.line_bytes = line_bytes
-        self.num_sets = num_sets
-        self.name = name or f"{size_bytes // 1024}KB {associativity}way"
-        self.stats = CacheStats()
-
+        super().__init__(
+            size_bytes,
+            associativity,
+            line_bytes,
+            name or f"{size_bytes // 1024}KB {associativity}way",
+        )
         if isinstance(policy, ReplacementPolicy):
             self._policy = policy
         else:
             self._policy = make_replacement_policy(policy, rng)
-
-        self._line_shift = ilog2(line_bytes)
-        self._set_mask = num_sets - 1
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
 
     # ------------------------------------------------------------------ API
 
@@ -94,29 +151,20 @@ class SetAssociativeCache:
     def policy(self) -> ReplacementPolicy:
         return self._policy
 
-    def block_of(self, address: int) -> int:
-        """Block number for a byte address."""
-        return address >> self._line_shift
-
-    def access(self, access: Access) -> AccessResult:
-        """Simulate one memory reference given as an :class:`Access`."""
-        return self.access_block(
-            access.address >> self._line_shift, access.asid, access.is_write
-        )
-
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         """Fast-path access by pre-computed block number.
 
         Bulk drivers use this to avoid constructing an :class:`Access`
-        object per reference.
+        object per reference. It is the readable reference of the access
+        rule, calling the policy's ``touch`` and ``victim`` (DESIGN.md 7.1).
         """
         cache_set = self._sets[block & self._set_mask]
-        line = cache_set.get(block)
-        if line is not None:
+        state = cache_set.get(block)
+        if state is not None:
             self.stats.record_access(asid, hit=True)
             self._policy.touch(cache_set, block)
             if write:
-                line.dirty = True
+                cache_set[block] = state | DIRTY
             return AccessResult(hit=True)
 
         self.stats.record_access(asid, hit=False)
@@ -124,10 +172,10 @@ class SetAssociativeCache:
         writeback = False
         if len(cache_set) >= self.associativity:
             evicted_block = self._policy.victim(cache_set)
-            victim_line = cache_set.pop(evicted_block)
-            writeback = victim_line.dirty
-            self.stats.record_eviction(victim_line.asid, writeback)
-        cache_set[block] = CacheLine(block=block, asid=asid, dirty=write)
+            victim = cache_set.pop(evicted_block)
+            writeback = bool(victim & DIRTY)
+            self.stats.record_eviction(line_owner(victim), writeback)
+        cache_set[block] = line_state(asid, write)
         return AccessResult(hit=False, evicted_block=evicted_block, writeback=writeback)
 
     def access_many(self, blocks, asids=0, writes=False) -> int:
@@ -153,7 +201,8 @@ class SetAssociativeCache:
         The set-associative twin of the molecular cache's session: the
         same stats updates as :meth:`access_block` without the
         ``AccessResult``, for feedback drivers that interleave
-        applications one reference at a time.
+        applications one reference at a time. Only the built-in LRU,
+        FIFO and Random policies have one (:class:`ConfigError` otherwise).
         """
         return _SetAssocSession(self)
 
@@ -176,7 +225,8 @@ class SetAssociativeCache:
         return block in self._sets[block & self._set_mask]
 
     def iter_sets(self):
-        """Iterate the sets in index order (read-only audit hook).
+        """Iterate the sets, ``block -> line state``, in index order
+        (read-only audit hook).
 
         The audit subsystem (:mod:`repro.audit.invariants`) walks every
         set to check structural invariants; the dispatch there keys off
@@ -191,25 +241,12 @@ class SetAssociativeCache:
             resident.extend(cache_set.keys())
         return resident
 
-    def occupancy(self) -> int:
-        """Number of valid lines currently resident."""
-        return sum(len(cache_set) for cache_set in self._sets)
-
-    def occupancy_by_asid(self) -> dict[int, int]:
-        """Resident line count per owning ASID (shared-cache diagnostics)."""
-        counts: dict[int, int] = {}
-        for cache_set in self._sets:
-            for line in cache_set.values():
-                counts[line.asid] = counts.get(line.asid, 0) + 1
-        return counts
-
     def flush(self) -> int:
         """Invalidate everything; returns the number of dirty lines dropped."""
         dirty = 0
         for cache_set in self._sets:
-            for line in cache_set.values():
-                if line.dirty:
-                    dirty += 1
+            for state in cache_set.values():
+                dirty += state & DIRTY
             cache_set.clear()
         return dirty
 
@@ -229,37 +266,57 @@ class _SetAssocSession:
     and writebacks for the victim's owner. Those counters are never
     replaced, so a session stays valid across ``stats.reset()`` and
     ``reset_window()``.
+
+    The policy is read once, as data: LRU refreshes a hit; Random evicts
+    entry ``rng.randrange(len(set))``, the draws ``RandomReplacement.
+    victim`` makes; LRU and FIFO evict the oldest line.
     """
 
-    __slots__ = ("_cache", "_stats", "_live")
+    __slots__ = ("_sets", "_set_mask", "_ways", "_stats", "_live", "_refresh", "_rng")
 
     def __init__(self, cache: SetAssociativeCache) -> None:
-        self._cache = cache
+        policy = cache.policy
+        kind = type(policy)
+        if kind not in (LRUReplacement, FIFOReplacement, RandomReplacement):
+            raise ConfigError(
+                f"the set-associative access session cannot express "
+                f"replacement policy {kind.__name__}; use access_block"
+            )
+        self._sets = cache._sets
+        self._set_mask = cache._set_mask
+        self._ways = cache.associativity
         self._stats = cache.stats
         self._live = cache.stats.live
+        self._refresh = kind is LRUReplacement
+        self._rng = policy.rng if kind is RandomReplacement else None
 
     def access(self, block: int, asid: int = 0, write: bool = False) -> bool:
-        cache = self._cache
         live = self._live
         counters = live.get(asid)
         if counters is None:
             counters = self._stats.counters(asid)
-        cache_set = cache._sets[block & cache._set_mask]
-        line = cache_set.get(block)
+        cache_set = self._sets[block & self._set_mask]
+        state = cache_set.get(block)
         counters.accesses += 1
-        if line is not None:
+        if state is not None:
             counters.hits += 1
-            cache._policy.touch(cache_set, block)
+            if self._refresh:
+                cache_set.move_to_end(block)
             if write:
-                line.dirty = True
+                cache_set[block] = state | DIRTY
             return True
-        if len(cache_set) >= cache.associativity:
-            victim = cache_set.pop(cache._policy.victim(cache_set))
-            owner = live.get(victim.asid)
+        if len(cache_set) >= self._ways:
+            rng = self._rng
+            if rng is None:
+                victim = cache_set.popitem(last=False)[1]
+            else:
+                index = rng.randrange(len(cache_set))
+                victim = cache_set.pop(next(islice(cache_set, index, None)))
+            owner = live.get(victim >> 1)
             if owner is None:
-                owner = self._stats.counters(victim.asid)
+                owner = self._stats.counters(victim >> 1)
             owner.evictions += 1
-            if victim.dirty:
+            if victim & DIRTY:
                 owner.writebacks += 1
-        cache_set[block] = CacheLine(block, asid, write)
+        cache_set[block] = asid << 1 | write
         return False

@@ -233,6 +233,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{args.cache})"
             )
         faults = FaultPlan.parse(args.faults)
+    run_config = CMPRunConfig(
+        args.miss_penalty,
+        warmup_refs=args.refs // 4,
+        audit_every=args.audit,
+        faults=faults,
+    )
     size = parse_size(args.size)
     traces = {
         asid: get_model(name).generate(args.refs, seed=args.seed, asid=asid)
@@ -286,16 +292,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             profiler = HotPathProfiler(sample_every=args.profile)
             cache.attach_profiler(profiler)
 
-    runner = CMPRunner(
-        cache,
-        CMPRunConfig(
-            args.miss_penalty,
-            warmup_refs=args.refs // 4,
-            audit_every=args.audit,
-            faults=faults,
-        ),
-        telemetry=bus,
-    )
+    runner = CMPRunner(cache, run_config, telemetry=bus)
     # The CMP runner issues references one at a time through sessions, so
     # the profiler cannot see stream wall clock — measure the run here
     # and hand it to the report.

@@ -18,16 +18,21 @@ only emerges with this throttling.
 * per-application miss rates are measured from a post-warm-up snapshot
   (``warmup_refs`` total references) to exclude cold-start effects that the
   paper's 3.9 M-reference traces amortise away.
+
+Each core streams its trace's cached block and write columns through
+:func:`repro.common.refs.iter_refs`, so a run holds no whole-trace list.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from repro.audit.invariants import resolve_cadence
 from repro.caches.stats import AsidCounters
 from repro.common.errors import ConfigError
+from repro.common.refs import iter_refs
 from repro.faults.spec import FaultPlan
 from repro.telemetry.bus import EventBus, attach_telemetry
 from repro.trace.container import Trace
@@ -40,7 +45,8 @@ class CMPRunConfig:
     ``miss_penalty`` is the stall, in units of the inter-reference gap of a
     hitting core, that a shared-cache miss inflicts on its core. 10 is a
     reasonable ratio of memory latency to the mean time between post-L1
-    references of a well-cached application.
+    references of a well-cached application; it must be finite. The run
+    must issue more than ``warmup_refs`` references.
 
     ``audit_every`` runs the full-state invariant auditor every that many
     issued references (``None`` consults ``$REPRO_AUDIT``; 0 disables —
@@ -58,8 +64,10 @@ class CMPRunConfig:
     faults: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.miss_penalty < 0:
-            raise ConfigError("miss penalty cannot be negative")
+        if not math.isfinite(self.miss_penalty) or self.miss_penalty < 0:
+            raise ConfigError(
+                f"miss penalty must be finite and >= 0, got {self.miss_penalty}"
+            )
         if self.warmup_refs < 0:
             raise ConfigError("warmup_refs cannot be negative")
         if self.audit_every is not None and self.audit_every < 0:
@@ -96,7 +104,8 @@ class CMPRunner:
     The cache may be a :class:`~repro.caches.SetAssociativeCache`, a
     :class:`~repro.molecular.MolecularCache`, or anything else exposing
     ``access_block(block, asid, write) -> AccessResult`` and a ``stats``
-    attribute with ``per_asid`` counters.
+    attribute with ``per_asid`` counters; one with ``access_session()``
+    is driven through its session's ``access(...) -> bool`` instead.
     """
 
     def __init__(
@@ -120,15 +129,16 @@ class CMPRunner:
         if not traces:
             raise ConfigError("CMPRunner.run needs at least one trace")
         attach_telemetry(self.cache, self.telemetry)
-        streams = {}
+        # (time, asid, refs left, references): one entry per core, so
+        # ordering never looks past the distinct ASIDs, and heapreplace
+        # issues in the order heappop + heappush would.
+        heap = []
         for asid, trace in traces.items():
             if len(trace) == 0:
                 raise ConfigError(f"trace for asid {asid} is empty")
-            streams[asid] = (
-                trace.block_list(line_bytes),
-                trace.write_list(),
-            )
-        penalty = self.config.miss_penalty
+            count, refs = iter_refs(trace.block_column(line_bytes), asid, trace.writes)
+            heap.append((0.0, asid, count, refs))
+        heapq.heapify(heap)
         cache = self.cache
         session_factory = getattr(cache, "access_session", None)
         if session_factory is not None:
@@ -175,34 +185,30 @@ class CMPRunner:
                     audit_and_emit(cache)
                 return hit
 
-        # (time, tiebreak, asid, index) — the tiebreak keeps ordering
-        # deterministic and avoids comparing beyond the asid.
-        heap: list[tuple[float, int, int, int]] = [
-            (0.0, asid, asid, 0) for asid in sorted(streams)
-        ]
-        heapq.heapify(heap)
-
         issued = 0
         snapshot: dict[int, AsidCounters] | None = None
         warmup = self.config.warmup_refs
-        end_time = 0.0
-        push = heapq.heappush
-        pop = heapq.heappop
+        miss_gap = 1.0 + self.config.miss_penalty
+        replace = heapq.heapreplace
 
         while True:
-            time_now, tiebreak, asid, index = pop(heap)
-            blocks, writes = streams[asid]
-            hit = access(blocks[index], asid, writes[index])
+            time_now, asid, left, refs = heap[0]
+            block, _, write = next(refs)
+            hit = access(block, asid, write)
             issued += 1
-            index += 1
-            if snapshot is None and warmup and issued >= warmup:
+            if issued == warmup:
                 snapshot = cache.stats.per_asid
-            if index >= len(blocks):
+            if left == 1:
                 end_time = time_now
                 break
-            gap = 1.0 if hit else 1.0 + penalty
-            push(heap, (time_now + gap, tiebreak, asid, index))
+            next_time = time_now + (1.0 if hit else miss_gap)
+            replace(heap, (next_time, asid, left - 1, refs))
 
+        if warmup >= issued:
+            raise ConfigError(
+                f"warmup_refs ({warmup}) must be smaller than the {issued} "
+                f"references the run issued; nothing would be measured"
+            )
         if self.telemetry is not None:
             self.telemetry.flush_epoch()
         return self._collect(snapshot, issued, end_time)

@@ -114,8 +114,10 @@ class Trace:
 
         Only the ndarray column (:meth:`block_column`) is cached; scalar
         consumers that want plain ints for a Python loop pay one
-        ``.tolist()`` per run instead of keeping a duplicate list copy
-        alive for the lifetime of the trace.
+        ``.tolist()`` per call instead of keeping a duplicate list copy
+        alive for the lifetime of the trace. At ~40 B per reference the
+        list is what ``CMPRunner`` and ``access_many`` avoid: they convert
+        the column a slice at a time (:func:`repro.common.refs.iter_refs`).
         """
         return self.block_column(line_bytes).tolist()
 

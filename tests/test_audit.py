@@ -18,8 +18,7 @@ from repro.audit.invariants import (
     audit_cache,
     resolve_cadence,
 )
-from repro.caches.line import CacheLine
-from repro.caches.setassoc import SetAssociativeCache
+from repro.caches.setassoc import SetAssociativeCache, line_state
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import XorShift64
 from repro.molecular.cache import SHARED_ASID, MolecularCache
@@ -210,16 +209,34 @@ class TestMutationsDetected:
 
         assert self.corrupted(mutate) == {"region-counters"}
 
-    def test_setassoc_mismatched_key(self):
+    def driven_setassoc(self) -> SetAssociativeCache:
         cache = SetAssociativeCache(1 << 13, 2)
         rng = XorShift64(3)
         for _ in range(500):
-            cache.access_block(rng.randrange(1 << 8))
-        target = next(s for s in cache.iter_sets() if s)
-        block = next(iter(target))
-        target[block] = CacheLine(block=block + 1, asid=0, dirty=False)
+            cache.access_block(rng.randrange(1 << 8), asid=rng.randrange(2))
+        assert audit_cache(cache).ok
+        return cache
+
+    def test_setassoc_mismatched_key(self):
+        """Two resident blocks swapped into sets their index does not
+        select (set sizes and owners unchanged)."""
+        cache = self.driven_setassoc()
+        first, second = [s for s in cache.iter_sets() if s][:2]
+        a, a_state = first.popitem(last=False)
+        b, b_state = second.popitem(last=False)
+        first[b] = b_state
+        second[a] = a_state
         slugs = {v.invariant for v in audit_cache(cache).violations}
         assert slugs == {"set-structure"}
+
+    def test_setassoc_owner_without_misses(self):
+        """A resident line handed to an ASID that never missed."""
+        cache = self.driven_setassoc()
+        target = next(s for s in cache.iter_sets() if s)
+        block = next(iter(target))
+        target[block] = line_state(7, False)
+        slugs = {v.invariant for v in audit_cache(cache).violations}
+        assert slugs == {"stats-conservation"}
 
 
 # --------------------------------------------------------- regression: fixes

@@ -34,6 +34,7 @@ from repro.campaign.worker import CampaignOutcome
 from repro.cli import main, parse_size
 from repro.common.errors import ConfigError
 from repro.faults import FaultPlan, WorkerChaos
+from repro.sim.cmp import CMPRunConfig
 from repro.telemetry import EVENT_TYPES
 from repro.trace.dinero import read_dinero
 
@@ -109,6 +110,23 @@ def test_worker_chaos_grammar(text):
     if chaos is not None and chaos.hang_at is not None:
         # time.sleep must accept it: finite, positive and not huge.
         assert math.isfinite(chaos.hang_seconds) and chaos.hang_seconds > 0
+
+
+@FAST
+@given(numbers)
+@example("nan")
+@example("inf")
+@example("1e400")
+def test_cmp_miss_penalty(text):
+    """``simulate --miss-penalty`` reads a float; the run config takes
+    only a stall that keeps the issue times ordered and finite."""
+    try:
+        penalty = float(text)
+    except ValueError:
+        return  # argparse refuses it before the config sees it
+    config = returns_or_config_error(CMPRunConfig, penalty)
+    if config is not None:
+        assert math.isfinite(config.miss_penalty) and config.miss_penalty >= 0
 
 
 @FAST

@@ -4,19 +4,19 @@ from collections import OrderedDict
 
 import pytest
 
-from repro.caches.line import CacheLine
 from repro.caches.replacement import (
     FIFOReplacement,
     LRUReplacement,
     RandomReplacement,
     make_replacement_policy,
 )
+from repro.caches.setassoc import line_state
 from repro.common.errors import ConfigError
 from repro.common.rng import XorShift64
 
 
 def make_set(blocks) -> OrderedDict:
-    return OrderedDict((b, CacheLine(block=b)) for b in blocks)
+    return OrderedDict((b, line_state(0, False)) for b in blocks)
 
 
 class TestLRU:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.caches.replacement import LRUReplacement
 from repro.caches.setassoc import SetAssociativeCache
 from repro.common.errors import ConfigError
 from repro.common.types import Access, AccessType
@@ -173,6 +174,30 @@ class TestStatsIntegration:
         cache.run([1, 1], asids=[1, 2], writes=[False, True])
         assert cache.stats.per_asid[1].accesses == 1
         assert cache.stats.per_asid[2].accesses == 1
+
+
+class MRUReplacement(LRUReplacement):
+    """A user policy: evict the most recently used line."""
+
+    def victim(self, cache_set):
+        return next(reversed(cache_set))
+
+
+class TestUserPolicy:
+    def test_scalar_path_runs_it(self):
+        cache = SetAssociativeCache(128, 2, 64, MRUReplacement())
+        for block in (0, 1, 2):
+            cache.access_block(block)
+        assert sorted(cache.resident_blocks()) == [0, 2]
+
+    def test_session_refuses_it(self):
+        # The session reads the built-in policies as data; a subclass
+        # may override anything, so it gets no session.
+        cache = SetAssociativeCache(128, 2, 64, MRUReplacement())
+        with pytest.raises(ConfigError, match="MRUReplacement"):
+            cache.access_session()
+        with pytest.raises(ConfigError):
+            cache.access_many([0, 1, 2])
 
 
 class TestLRUStackProperty:
