@@ -21,8 +21,6 @@ molecular cache on the SPEC quartet.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.caches.setassoc import DIRTY, PackedSets, line_owner, line_state
 from repro.common.errors import ConfigError
 from repro.common.types import AccessResult
@@ -72,12 +70,10 @@ class ModifiedLRUCache(PackedSets):
 
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         cache_set = self._sets[block & self._set_mask]
-        state = cache_set.get(block)
+        state = cache_set.pop(block, None)
         if state is not None:
             self.stats.record_access(asid, hit=True)
-            cache_set.move_to_end(block)
-            if write:
-                cache_set[block] = state | DIRTY
+            cache_set[block] = state | write
             return AccessResult(hit=True)
 
         self.stats.record_access(asid, hit=False)
@@ -94,7 +90,7 @@ class ModifiedLRUCache(PackedSets):
         self._resident[asid] = self._resident.get(asid, 0) + 1
         return AccessResult(hit=False, evicted_block=evicted_block, writeback=writeback)
 
-    def _choose_victim(self, cache_set: OrderedDict[int, int], asid: int) -> int:
+    def _choose_victim(self, cache_set: dict[int, int], asid: int) -> int:
         if self._over_quota(asid):
             # Local replacement: the requester's own LRU line, if it has
             # one in this set; otherwise fall back to global LRU.
@@ -151,12 +147,10 @@ class ColumnCache(PackedSets):
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         set_index = block & self._set_mask
         cache_set = self._sets[set_index]
-        state = cache_set.get(block)
+        state = cache_set.pop(block, None)
         if state is not None:
             self.stats.record_access(asid, hit=True)
-            cache_set.move_to_end(block)
-            if write:
-                cache_set[block] = state | DIRTY
+            cache_set[block] = state | write
             return AccessResult(hit=True)
 
         self.stats.record_access(asid, hit=False)
@@ -173,7 +167,7 @@ class ColumnCache(PackedSets):
                 break
         if target_way is None:
             # Evict the least-recently-used line among the permitted ways.
-            for candidate in cache_set:  # OrderedDict: oldest first
+            for candidate in cache_set:  # insertion order: oldest first
                 way = way_of[candidate]
                 if way in permitted:
                     target_way = way

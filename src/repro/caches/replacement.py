@@ -3,8 +3,8 @@
 The paper's baselines use LRU (the best of FIFO/Random/LRU, per section
 3.3); FIFO and Random are provided for completeness and for the replacement
 comparison studies. A policy operates on one set at a time; sets are
-``OrderedDict[block -> line state]`` (:mod:`repro.caches.setassoc`) so LRU
-recency is encoded by dictionary order (oldest first), which makes `touch`
+plain ``dict[block -> line state]`` (:mod:`repro.caches.setassoc`) so LRU
+recency is encoded by insertion order (oldest first), which makes `touch`
 and `victim` O(1). ``access_block`` calls these methods; the access
 session reads a built-in policy as data instead.
 """
@@ -12,7 +12,6 @@ session reads a built-in policy as data instead.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from itertools import islice
 
 from repro.common.errors import ConfigError
@@ -25,11 +24,11 @@ class ReplacementPolicy(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def touch(self, cache_set: OrderedDict[int, int], block: int) -> None:
+    def touch(self, cache_set: dict[int, int], block: int) -> None:
         """Update recency state after a hit on ``block``."""
 
     @abstractmethod
-    def victim(self, cache_set: OrderedDict[int, int]) -> int:
+    def victim(self, cache_set: dict[int, int]) -> int:
         """Return the block number to evict from a full set."""
 
 
@@ -38,10 +37,10 @@ class LRUReplacement(ReplacementPolicy):
 
     name = "lru"
 
-    def touch(self, cache_set: OrderedDict[int, int], block: int) -> None:
-        cache_set.move_to_end(block)
+    def touch(self, cache_set: dict[int, int], block: int) -> None:
+        cache_set[block] = cache_set.pop(block)
 
-    def victim(self, cache_set: OrderedDict[int, int]) -> int:
+    def victim(self, cache_set: dict[int, int]) -> int:
         return next(iter(cache_set))
 
 
@@ -50,10 +49,10 @@ class FIFOReplacement(ReplacementPolicy):
 
     name = "fifo"
 
-    def touch(self, cache_set: OrderedDict[int, int], block: int) -> None:
+    def touch(self, cache_set: dict[int, int], block: int) -> None:
         return None
 
-    def victim(self, cache_set: OrderedDict[int, int]) -> int:
+    def victim(self, cache_set: dict[int, int]) -> int:
         return next(iter(cache_set))
 
 
@@ -69,10 +68,10 @@ class RandomReplacement(ReplacementPolicy):
     def __init__(self, rng: DeterministicRNG | None = None) -> None:
         self.rng = rng if rng is not None else XorShift64()
 
-    def touch(self, cache_set: OrderedDict[int, int], block: int) -> None:
+    def touch(self, cache_set: dict[int, int], block: int) -> None:
         return None
 
-    def victim(self, cache_set: OrderedDict[int, int]) -> int:
+    def victim(self, cache_set: dict[int, int]) -> int:
         index = self.rng.randrange(len(cache_set))
         return next(islice(iter(cache_set), index, None))
 

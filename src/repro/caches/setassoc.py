@@ -6,14 +6,15 @@ shared L2 configurations (Table 1, Figure 5, Table 2) are all instances of
 every access carries its application's ASID, which is how the shared-cache
 interference study (Table 1) and the deviation metric are computed.
 
-A set is an ``OrderedDict`` from block number, oldest first, to one int
-per line, its *line state* ``asid << 1 | dirty``. This module is the one
-definition of that encoding; the partitioned caches and the auditor use it.
+A set is a plain ``dict`` from block number to one int per line, its
+*line state* ``asid << 1 | dirty``. A dict keeps insertion order, so the
+oldest line is ``next(iter(set))`` and popping a line and storing it again
+moves it to the young end. This module is the one definition of that
+encoding; the partitioned caches and the auditor use it.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from itertools import islice
 
 from repro.caches.replacement import (
@@ -80,9 +81,7 @@ class PackedSets:
         self.stats = CacheStats()
         self._line_shift = ilog2(line_bytes)
         self._set_mask = num_sets - 1
-        self._sets: list[OrderedDict[int, int]] = [
-            OrderedDict() for _ in range(num_sets)
-        ]
+        self._sets: list[dict[int, int]] = [{} for _ in range(num_sets)]
 
     def access(self, access: Access) -> AccessResult:
         """Simulate one memory reference given as an :class:`Access`."""
@@ -267,9 +266,10 @@ class _SetAssocSession:
     replaced, so a session stays valid across ``stats.reset()`` and
     ``reset_window()``.
 
-    The policy is read once, as data: LRU refreshes a hit; Random evicts
-    entry ``rng.randrange(len(set))``, the draws ``RandomReplacement.
-    victim`` makes; LRU and FIFO evict the oldest line.
+    The policy is read once, as data: LRU pops a hit and stores it again
+    at the young end, dirty bit included; Random evicts entry
+    ``rng.randrange(len(set))``, the draws ``RandomReplacement.victim``
+    makes; LRU and FIFO evict the oldest line, ``next(iter(set))``.
     """
 
     __slots__ = ("_sets", "_set_mask", "_ways", "_stats", "_live", "_refresh", "_rng")
@@ -296,19 +296,24 @@ class _SetAssocSession:
         if counters is None:
             counters = self._stats.counters(asid)
         cache_set = self._sets[block & self._set_mask]
-        state = cache_set.get(block)
         counters.accesses += 1
-        if state is not None:
-            counters.hits += 1
-            if self._refresh:
-                cache_set.move_to_end(block)
-            if write:
-                cache_set[block] = state | DIRTY
-            return True
+        if self._refresh:
+            state = cache_set.pop(block, None)
+            if state is not None:
+                counters.hits += 1
+                cache_set[block] = state | write
+                return True
+        else:
+            state = cache_set.get(block)
+            if state is not None:
+                counters.hits += 1
+                if write:
+                    cache_set[block] = state | DIRTY
+                return True
         if len(cache_set) >= self._ways:
             rng = self._rng
             if rng is None:
-                victim = cache_set.popitem(last=False)[1]
+                victim = cache_set.pop(next(iter(cache_set)))
             else:
                 index = rng.randrange(len(cache_set))
                 victim = cache_set.pop(next(islice(cache_set, index, None)))

@@ -4,7 +4,8 @@ Bulk entry points (``MolecularCache.access_many``, ``AccessEngine.stream``,
 ``SetAssociativeCache.access_many``) take a block column plus parallel
 ASID and write columns, and ``CMPRunner.run`` feeds each core through
 it. Each column may be a list, a tuple, a 1-D array (anything with
-``ndim``/``tolist``, i.e. a numpy ndarray) or any other iterable; ASIDs
+``ndim``/``tolist``: a numpy ndarray, or a trace's
+:class:`~repro.trace.container.BlockColumn`) or any other iterable; ASIDs
 and writes may also be a scalar broadcast to every reference.
 :func:`iter_refs` checks the shapes before the first reference is
 simulated and yields plain ``(block, asid, write)`` tuples.

@@ -19,8 +19,9 @@ only emerges with this throttling.
   (``warmup_refs`` total references) to exclude cold-start effects that the
   paper's 3.9 M-reference traces amortise away.
 
-Each core streams its trace's cached block and write columns through
-:func:`repro.common.refs.iter_refs`, so a run holds no whole-trace list.
+Each core streams block numbers shifted from its trace's addresses, and
+its write column, through :func:`repro.common.refs.iter_refs` one slice
+at a time, so a run holds no whole-trace block column or list.
 """
 
 from __future__ import annotations

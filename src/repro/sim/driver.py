@@ -2,7 +2,8 @@
 
 For experiments on one application — or pre-interleaved traces — where
 issue-rate feedback is not wanted, :func:`run_trace` simply streams a trace
-through a cache in order.
+through a cache in order, shifting block numbers from its addresses a
+slice at a time.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ def run_trace(
     attach_telemetry(cache, telemetry)
     access_many = getattr(cache, "access_many", None)
     if access_many is not None:
-        # Columns stay ndarrays on the batched path: slicing below only
-        # takes views, and access_many converts them to plain ints a
-        # bounded slice at a time.
+        # Slicing below only takes views: the block column shifts each
+        # slice from the addresses as access_many converts it to plain
+        # ints, so no whole-trace block column is built.
         blocks = trace.block_column(line_bytes)
         asids = trace.asids
         writes = trace.writes

@@ -3,7 +3,10 @@
 A :class:`Trace` stores one column per attribute (addresses, ASIDs, write
 flags) as numpy arrays. Columnar storage keeps multi-million-reference
 traces compact and makes interleaving, slicing and block-number conversion
-vectorised operations.
+vectorised operations. A column that holds one value (a scalar ASID or
+write flag) is stored once, as a read-only zero-stride view, and block
+numbers are shifted from the addresses a slice at a time
+(:class:`BlockColumn`), so a trace holds only the columns that vary.
 """
 
 from __future__ import annotations
@@ -17,6 +20,45 @@ from repro.common.errors import ConfigError
 from repro.common.types import Access, AccessType
 
 
+def _line_shift(line_bytes: int) -> int:
+    if line_bytes <= 0 or line_bytes & (line_bytes - 1):
+        raise ConfigError(f"line size must be a power of two, got {line_bytes}")
+    return int(line_bytes).bit_length() - 1
+
+
+def _copy(column: np.ndarray) -> np.ndarray:
+    """A copy of a varying column; a one-value column is a read-only view,
+    shared rather than copied out to full length."""
+    return column if column.strides == (0,) else column.copy()
+
+
+class BlockColumn:
+    """The block numbers of an address column, shifted as they are read.
+
+    It holds no block array: ``len`` answers from the addresses, a slice
+    is another view, and :meth:`tolist` shifts only what the view covers.
+    That is the 1-D column :func:`repro.common.refs.iter_refs` converts a
+    slice at a time.
+    """
+
+    __slots__ = ("addresses", "shift")
+
+    ndim = 1
+
+    def __init__(self, addresses: np.ndarray, shift: int) -> None:
+        self.addresses = addresses
+        self.shift = shift
+
+    def __len__(self) -> int:
+        return len(self.addresses)
+
+    def __getitem__(self, key: slice) -> "BlockColumn":
+        return BlockColumn(self.addresses[key], self.shift)
+
+    def tolist(self) -> list[int]:
+        return (self.addresses >> self.shift).tolist()
+
+
 class Trace:
     """An ordered sequence of memory references.
 
@@ -25,25 +67,32 @@ class Trace:
     addresses:
         Byte addresses (array-like of ints).
     asids:
-        Per-reference ASID array, or a scalar broadcast to every reference.
+        Per-reference ASID array, or a scalar (int32) stored once for
+        every reference.
     writes:
-        Per-reference write flags, or a scalar. Defaults to all-reads.
+        Per-reference write flags, or a scalar stored once. Defaults to
+        all-reads.
     """
 
-    __slots__ = ("addresses", "asids", "writes", "_derived")
+    __slots__ = ("addresses", "asids", "writes")
 
     def __init__(self, addresses, asids=0, writes=False) -> None:
-        self._derived: dict = {}
         self.addresses = np.asarray(addresses, dtype=np.int64)
         if self.addresses.ndim != 1:
             raise ConfigError("trace addresses must be one-dimensional")
         n = len(self.addresses)
         if np.isscalar(asids):
-            self.asids = np.full(n, asids, dtype=np.int32)
+            bounds = np.iinfo(np.int32)
+            if not bounds.min <= asids <= bounds.max:
+                raise ConfigError(
+                    f"ASID must be in [{bounds.min}, {bounds.max}] (int32), "
+                    f"got {asids}"
+                )
+            self.asids = np.broadcast_to(np.int32(asids), (n,))
         else:
             self.asids = np.asarray(asids, dtype=np.int32)
         if np.isscalar(writes) or isinstance(writes, bool):
-            self.writes = np.full(n, bool(writes), dtype=np.bool_)
+            self.writes = np.broadcast_to(np.bool_(writes), (n,))
         else:
             self.writes = np.asarray(writes, dtype=np.bool_)
         if len(self.asids) != n or len(self.writes) != n:
@@ -80,46 +129,32 @@ class Trace:
         )
 
     def blocks(self, line_bytes: int = 64) -> np.ndarray:
-        """Block numbers at the given line size (vectorised, uncached).
+        """Block numbers at the given line size, as a new array.
 
         Always equal to ``addresses // line_bytes`` for non-negative
-        addresses — the shift amount is parenthesised so it cannot be
-        re-associated with the shift by a careless edit (``a >> b - 1``
-        only means ``a >> (b - 1)`` by precedence accident).
+        addresses.
         """
-        if line_bytes <= 0 or line_bytes & (line_bytes - 1):
-            raise ConfigError(f"line size must be a power of two, got {line_bytes}")
-        return self.addresses >> (int(line_bytes).bit_length() - 1)
+        return self.addresses >> _line_shift(line_bytes)
 
-    def block_column(self, line_bytes: int = 64) -> np.ndarray:
-        """Block-number column, lazily materialised and cached per line size.
+    def block_column(self, line_bytes: int = 64) -> BlockColumn:
+        """Block-number column that shifts a slice at a time as it is read.
 
-        Drivers stream the same trace through many cache configurations;
-        the shift is paid once per line size and the column is then fed
-        straight to the vector kernels (``access_many``) without any
-        per-element conversion. The cache assumes the column arrays are
-        not mutated in place — derived views (``with_asid``, slices,
-        ``offset``) return fresh ``Trace`` objects and so get fresh
-        caches.
+        Runs stream a trace through many cache configurations; a
+        whole-trace block array would be one more int64 column per trace
+        and line size. :func:`repro.common.refs.iter_refs` (``access_many``,
+        ``CMPRunner``) converts this view like any array column. A bad
+        line size is a :class:`ConfigError` here, before any access.
         """
-        key = ("blocks", line_bytes)
-        cached = self._derived.get(key)
-        if cached is None:
-            cached = self.blocks(line_bytes)
-            self._derived[key] = cached
-        return cached
+        return BlockColumn(self.addresses, _line_shift(line_bytes))
 
     def block_list(self, line_bytes: int = 64) -> list[int]:
         """Block numbers as a plain-int list (converted per call).
 
-        Only the ndarray column (:meth:`block_column`) is cached; scalar
-        consumers that want plain ints for a Python loop pay one
-        ``.tolist()`` per call instead of keeping a duplicate list copy
-        alive for the lifetime of the trace. At ~40 B per reference the
-        list is what ``CMPRunner`` and ``access_many`` avoid: they convert
-        the column a slice at a time (:func:`repro.common.refs.iter_refs`).
+        At ~40 B per reference the list is what ``CMPRunner`` and
+        ``access_many`` avoid: they convert :meth:`block_column` a slice
+        at a time.
         """
-        return self.block_column(line_bytes).tolist()
+        return self.blocks(line_bytes).tolist()
 
     def asid_list(self) -> list[int]:
         """ASID column as a plain-int list (converted per call)."""
@@ -160,7 +195,7 @@ class Trace:
 
     def with_asid(self, asid: int) -> "Trace":
         """Copy of the trace with every reference relabelled to ``asid``."""
-        return Trace(self.addresses.copy(), asid, self.writes.copy())
+        return Trace(self.addresses.copy(), asid, _copy(self.writes))
 
     def offset(self, base: int) -> "Trace":
         """Copy with ``base`` added to every address (address-space placement).
@@ -182,7 +217,7 @@ class Trace:
                     f"trace offset {base} overflows int64 addresses "
                     f"(range [{low}, {high}])"
                 )
-        return Trace(self.addresses + np.int64(base), self.asids.copy(), self.writes.copy())
+        return Trace(self.addresses + np.int64(base), _copy(self.asids), _copy(self.writes))
 
     # ----------------------------------------------------------- persistence
 

@@ -31,6 +31,9 @@ from repro.trace.container import Trace
 #: shared traditional caches never see aliasing between applications.
 APP_SPACE_BYTES = 1 << 40
 
+#: Application address spaces that fit int64 addresses: ASIDs 0 to 2**23 - 1.
+APP_SPACES = (1 << 63) // APP_SPACE_BYTES
+
 
 @dataclass(frozen=True, slots=True)
 class RingComponent:
@@ -137,34 +140,34 @@ class BenchmarkModel:
 
         The trace is deterministic in ``(n_refs, seed, asid)``. Addresses
         live in the application's private space
-        ``[asid * APP_SPACE_BYTES, ...)``.
+        ``[asid * APP_SPACE_BYTES, (asid + 1) * APP_SPACE_BYTES)``; only
+        ASIDs below :data:`APP_SPACES` have one that int64 addresses reach.
+        The address column is built in place (DESIGN.md section 7).
         """
         if n_refs < 1:
             raise ConfigError(f"n_refs must be >= 1, got {n_refs}")
+        if not 0 <= asid < APP_SPACES:
+            raise ConfigError(
+                f"asid must be in [0, {APP_SPACES}) for its address space "
+                f"to fit int64 addresses, got {asid}"
+            )
         rng = np.random.default_rng((seed * 1_000_003 + asid * 97 + 1) & 0x7FFFFFFF)
         line_shift = ilog2(line_bytes)
 
-        blocks = np.empty(n_refs, dtype=np.int64)
         choice = rng.choice(len(self.components), size=n_refs, p=self.weights)
+        choice = choice.astype(np.min_scalar_type(len(self.components)))
+        addresses = np.empty(n_refs, dtype=np.int64)
         bases = self._ring_bases()
-        phase_of_ref = (
-            np.minimum(
-                (np.arange(n_refs) * self.phases) // n_refs, self.phases - 1
-            )
-            if self.phases > 1
-            else None
-        )
-
         for index, component in enumerate(self.components):
-            positions = np.nonzero(choice == index)[0]
-            if positions.size == 0:
-                continue
-            blocks[positions] = self._component_blocks(
-                component, bases[index], positions, phase_of_ref, rng
-            )
+            positions = np.flatnonzero(choice == index)
+            if positions.size:
+                addresses[positions] = self._component_blocks(
+                    component, bases[index], positions, n_refs, rng
+                )
+        del choice, positions
 
-        app_base_block = (asid * APP_SPACE_BYTES) >> line_shift
-        addresses = (blocks + app_base_block) << line_shift
+        addresses += (asid * APP_SPACE_BYTES) >> line_shift
+        addresses <<= line_shift
         writes = rng.random(n_refs) < self.write_fraction
         return Trace(addresses, asid, writes)
 
@@ -173,29 +176,35 @@ class BenchmarkModel:
         component: RingComponent,
         base: int,
         positions: np.ndarray,
-        phase_of_ref: np.ndarray | None,
+        n_refs: int,
         rng: np.random.Generator,
     ) -> np.ndarray:
         """Block numbers for this component's references (vectorised runs)."""
         m = positions.size
         if component.run_length == 1:
-            in_ring = rng.integers(0, component.blocks, size=m, dtype=np.int64)
+            blocks = rng.integers(0, component.blocks, size=m, dtype=np.int64)
         else:
             restart = rng.random(m) < (1.0 / component.run_length)
             restart[0] = True
-            group_id = np.cumsum(restart) - 1
+            # A reference's offset in its run: its index minus the index of
+            # the run's restart. Its run number picks the run's start.
+            blocks = np.arange(m, dtype=np.int64)
+            run = np.where(restart, blocks, 0)
+            np.maximum.accumulate(run, out=run)
+            blocks -= run
+            np.cumsum(restart, out=run)
+            run -= 1
             starts = rng.integers(
-                0, component.blocks, size=int(group_id[-1]) + 1, dtype=np.int64
+                0, component.blocks, size=int(run[-1]) + 1, dtype=np.int64
             )
-            indices = np.arange(m, dtype=np.int64)
-            last_restart = np.maximum.accumulate(np.where(restart, indices, 0))
-            within = indices - last_restart
-            in_ring = (starts[group_id] + within) % component.blocks
+            blocks += starts[run]
+            blocks %= component.blocks
 
-        if component.drift and phase_of_ref is not None:
-            phase = phase_of_ref[positions]
-            return base + phase * component.blocks + in_ring
-        return base + in_ring
+        if component.drift and self.phases > 1:
+            phase = np.minimum(positions * self.phases // n_refs, self.phases - 1)
+            blocks += phase * component.blocks
+        blocks += base
+        return blocks
 
     # ------------------------------------------------------------- analysis
 

@@ -222,8 +222,10 @@ class TestMutationsDetected:
         select (set sizes and owners unchanged)."""
         cache = self.driven_setassoc()
         first, second = [s for s in cache.iter_sets() if s][:2]
-        a, a_state = first.popitem(last=False)
-        b, b_state = second.popitem(last=False)
+        a = next(iter(first))
+        b = next(iter(second))
+        a_state = first.pop(a)
+        b_state = second.pop(b)
         first[b] = b_state
         second[a] = a_state
         slugs = {v.invariant for v in audit_cache(cache).violations}

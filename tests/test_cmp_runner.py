@@ -240,15 +240,14 @@ class TestIssueOrder:
 
 class TestMemory:
     def test_run_holds_no_whole_trace_list(self):
-        """The run streams its columns a slice at a time: past the cached
-        block columns, its peak is independent of trace length."""
+        """The run shifts and converts its columns a slice at a time: it
+        builds no block column (3.2 MB for these two traces), and its peak
+        is independent of trace length."""
         rng = np.random.default_rng(5)
         traces = {
-            asid: Trace(rng.integers(0, 1 << 30, 100_000) * 64, asids=asid)
+            asid: Trace(rng.integers(0, 1 << 30, 200_000) * 64, asids=asid)
             for asid in (0, 1)
         }
-        for trace in traces.values():
-            trace.block_column()
         cache = SetAssociativeCache(64 * 1024, 4)
         runner = CMPRunner(cache, CMPRunConfig(warmup_refs=1000))
         tracemalloc.start()
@@ -257,5 +256,13 @@ class TestMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.total_refs > 100_000
+        assert result.total_refs > 200_000
         assert peak < 2 << 20, f"peak {peak / 2**20:.2f} MB"
+
+    def test_bad_line_size_refused_before_any_access(self):
+        cache = FlagCache([True])
+        with pytest.raises(ConfigError, match="power of two"):
+            CMPRunner(cache, CMPRunConfig(warmup_refs=0)).run(
+                {0: loop_trace(0, 4, 10)}, line_bytes=48
+            )
+        assert cache.issued == []

@@ -1,5 +1,8 @@
 """Tests for the single-stream driver, report formatting, and REPRO_SCALE."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.caches.setassoc import SetAssociativeCache
@@ -37,6 +40,27 @@ class TestDriver:
         cache = SetAssociativeCache(4096, 2)
         stats = run_trace(cache, Trace([]), warmup_refs=0)
         assert stats.total.accesses == 0
+
+    def test_bad_line_size_refused_before_any_access(self):
+        cache = SetAssociativeCache(4096, 2)
+        with pytest.raises(ConfigError, match="power of two"):
+            run_trace(cache, Trace([0, 64]), line_bytes=48)
+        assert cache.stats.total.accesses == 0
+
+    def test_run_holds_no_block_column(self):
+        """Blocks are shifted from the addresses a slice at a time: the
+        run peaks far below its 3.2 MB block column."""
+        addresses = np.random.default_rng(3).integers(0, 1 << 30, 400_000) * 64
+        trace = Trace(addresses, asids=1)
+        cache = SetAssociativeCache(64 * 1024, 4)
+        tracemalloc.start()
+        try:
+            stats = run_trace(cache, trace, warmup_refs=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.total.accesses == 399_000
+        assert peak < 2 << 20, f"peak {peak / 2**20:.2f} MB"
 
     def test_negative_warmup_rejected(self):
         cache = SetAssociativeCache(4096, 2)

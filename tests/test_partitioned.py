@@ -1,9 +1,13 @@
 """Tests for the related-work partitioned caches (Suh et al.)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.caches.partitioned import ColumnCache, ModifiedLRUCache
+from repro.caches.setassoc import DIRTY, line_owner
 from repro.common.errors import ConfigError
+from tests.test_setassoc_model import LINE, ListModel, streams
 
 
 class TestModifiedLRU:
@@ -140,3 +144,33 @@ class TestColumnCache:
         sets = cache.num_sets
         cache.access_block(0, asid=1, write=True)
         assert cache.access_block(sets, asid=1).writeback
+
+
+@given(
+    stream=streams,
+    ways=st.sampled_from([1, 2, 4]),
+    sets=st.sampled_from([1, 2, 4]),
+    kind=st.sampled_from([ModifiedLRUCache, ColumnCache]),
+)
+@settings(max_examples=100, deadline=None)
+def test_unrestricted_cache_matches_lru_list_model(stream, ways, sets, kind):
+    """With no quotas or column restrictions both caches are plain LRU:
+    per-ASID counters and every set's ``(block, owner, dirty)`` contents,
+    oldest first, match the list model of ``test_setassoc_model.py``."""
+    model = ListModel(sets, ways, "lru", [0])
+    cache = kind(sets * ways * LINE, ways, LINE)
+    for block, asid, write in stream:
+        model.access(block, asid, write)
+        cache.access_block(block, asid, write)
+
+    counts = {
+        asid: [c.accesses, c.hits, c.evictions, c.writebacks]
+        for asid, c in cache.stats.lifetime.items()
+    }
+    assert counts == model.counts
+    contents = [
+        [[block, line_owner(state), bool(state & DIRTY)]
+         for block, state in cache_set.items()]
+        for cache_set in cache._sets
+    ]
+    assert contents == model.sets

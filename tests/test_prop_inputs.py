@@ -36,7 +36,10 @@ from repro.common.errors import ConfigError
 from repro.faults import FaultPlan, WorkerChaos
 from repro.sim.cmp import CMPRunConfig
 from repro.telemetry import EVENT_TYPES
+from repro.trace.container import Trace
 from repro.trace.dinero import read_dinero
+from repro.workloads import get_model
+from repro.workloads.model import APP_SPACE_BYTES
 
 FAST = settings(max_examples=150, deadline=None)
 #: The file-based surfaces run the CLI per example; fewer keep tier-1 fast.
@@ -127,6 +130,27 @@ def test_cmp_miss_penalty(text):
     config = returns_or_config_error(CMPRunConfig, penalty)
     if config is not None:
         assert math.isfinite(config.miss_penalty) and config.miss_penalty >= 0
+
+
+@FAST
+@given(st.integers(min_value=-(1 << 70), max_value=1 << 70))
+@example(2**24)
+@example(2**23)
+@example(-1)
+@example(2**31)
+@example(2**40)
+def test_application_asid(asid):
+    """A generated trace stays inside its application's address space;
+    an ASID that has none in int64 addresses, or that a trace's int32
+    column cannot hold, is refused."""
+    trace = returns_or_config_error(get_model("art").generate, 10, 1, asid)
+    if trace is not None:
+        low = asid * APP_SPACE_BYTES
+        assert low <= int(trace.addresses.min())
+        assert int(trace.addresses.max()) < low + APP_SPACE_BYTES
+    labelled = returns_or_config_error(Trace, [0], asid)
+    if labelled is not None:
+        assert labelled.asids.tolist() == [asid]
 
 
 @FAST

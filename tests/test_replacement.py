@@ -1,7 +1,5 @@
 """Unit tests for the set-associative replacement policies."""
 
-from collections import OrderedDict
-
 import pytest
 
 from repro.caches.replacement import (
@@ -15,8 +13,8 @@ from repro.common.errors import ConfigError
 from repro.common.rng import XorShift64
 
 
-def make_set(blocks) -> OrderedDict:
-    return OrderedDict((b, line_state(0, False)) for b in blocks)
+def make_set(blocks) -> dict[int, int]:
+    return {b: line_state(0, False) for b in blocks}
 
 
 class TestLRU:

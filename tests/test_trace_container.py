@@ -1,5 +1,7 @@
 """Unit tests for the columnar Trace container."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,6 +31,39 @@ class TestConstruction:
     def test_multidimensional_rejected(self):
         with pytest.raises(ConfigError):
             Trace(np.zeros((2, 2)))
+
+
+class TestCompactColumns:
+    def test_one_value_columns_are_stored_once(self):
+        addresses = np.arange(1_000_000, dtype=np.int64) * 64
+        tracemalloc.start()
+        try:
+            trace = Trace(addresses, asids=3, writes=True)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert allocated < 64 << 10, f"{allocated} B"
+        assert (trace.asids == 3).all() and trace.writes.all()
+
+    def test_one_value_columns_behave_as_full_ones(self, tmp_path):
+        compact = Trace([0, 64, 128], asids=7, writes=True)
+        full = Trace([0, 64, 128], asids=[7, 7, 7], writes=[True] * 3)
+        assert compact == full
+        assert compact[1:].asids.tolist() == [7, 7]
+        assert Trace.concatenate([compact, full]).asids.tolist() == [7] * 6
+        compact.save(tmp_path / "trace.npz")
+        assert Trace.load(tmp_path / "trace.npz") == full
+        for derived in (compact[::2], compact.offset(64), compact.with_asid(2)):
+            assert derived.asids.strides == derived.writes.strides == (0,)
+
+    def test_block_column_shifts_per_slice(self):
+        trace = Trace([0, 63, 64, 129, 4096])
+        column = trace.block_column(64)
+        assert (column.ndim, len(column)) == (1, 5)
+        assert column.tolist() == [0, 0, 1, 2, 64]
+        assert column[1:4].tolist() == [0, 1, 2]
+        with pytest.raises(ConfigError):
+            trace.block_column(48)
 
 
 class TestAccessors:
