@@ -10,6 +10,10 @@ machine-readable ledger (``benchmarks/results/ledger/``) by passing
 ``metrics=`` to :func:`emit`; ``repro bench-report`` diffs consecutive
 runs and flags regressions (see :mod:`repro.prof.ledger`).
 
+The Table 2 family (Table 2, Figure 6, Table 4, Table 5) reads one set
+of Table 2 cells; the ``table2_family`` fixture serves them from one
+result store per session, so each cell is simulated once.
+
 Scale with ``REPRO_SCALE`` (e.g. ``REPRO_SCALE=0.25`` for a quick pass).
 """
 
@@ -17,11 +21,16 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.common.io import atomic_write_text
 from repro.prof.ledger import write_entry
 
 RESULTS_DIR = Path(__file__).parent / "results"
 LEDGER_DIR = RESULTS_DIR / "ledger"
+
+#: Per-application references of the Table 2-family benches.
+TABLE2_REFS = 300_000
 
 # Hoisted out of emit(): one mkdir at collection time, not one syscall
 # per result block.
@@ -50,3 +59,21 @@ def emit(name: str, text: str, metrics: list[dict] | None = None) -> None:
 def run_once(benchmark, func):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(func, rounds=1, iterations=1, warmup_rounds=0)
+
+
+@pytest.fixture(scope="session")
+def table2_family(tmp_path_factory):
+    """``run(name)``: the Table 2-family experiment ``name`` at
+    :data:`TABLE2_REFS`, its Table 2 cells drained into (or served from)
+    the session's one result store."""
+    from repro.campaign import ResultStore, get_experiment, run_campaign
+
+    store = ResultStore(tmp_path_factory.mktemp("table2-cells"))
+
+    def run(name: str):
+        target = get_experiment(name)
+        specs = target.jobs(refs=TABLE2_REFS)
+        outcome = run_campaign(store, specs, campaign=name, jobs=1)
+        return target.assemble_results(specs, outcome.results_in_order())
+
+    return run

@@ -1,8 +1,8 @@
 """Bench: Figure 6 — hits-per-molecule, Random vs Randy placement.
 
 Regenerates the per-application HPM series for the mixed workload (log
-scale in the paper). Reuses the Table 2 molecular runs when that bench ran
-first in the same session.
+scale in the paper). Reads Table 2's two molecular cells from the
+session's shared result store, so they are simulated once per session.
 
 Shape assertions:
 * every application has a positive HPM under both policies;
@@ -18,12 +18,9 @@ relative numbers are printed for the record.
 
 from conftest import emit, run_once
 
-from repro.sim.experiments.figure6 import run_figure6
-from test_table2_mixed import shared_table2
 
-
-def test_figure6_hits_per_molecule(benchmark):
-    result = run_once(benchmark, lambda: run_figure6(table2=shared_table2()))
+def test_figure6_hits_per_molecule(benchmark, table2_family):
+    result = run_once(benchmark, lambda: table2_family("figure6"))
     emit("figure6", result.format())
 
     for policy in ("random", "randy"):

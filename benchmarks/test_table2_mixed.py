@@ -15,20 +15,9 @@ Random is competitive, so no Random-vs-Randy ordering is asserted here.
 
 from conftest import emit, run_once
 
-from repro.sim.experiments.table2 import run_table2
 
-# Shared across the Table 2 / Figure 6 / Table 5 benches (computed once).
-_CACHE = {}
-
-
-def shared_table2():
-    if "result" not in _CACHE:
-        _CACHE["result"] = run_table2(refs_per_app=300_000)
-    return _CACHE["result"]
-
-
-def test_table2_mixed_workload(benchmark):
-    result = run_once(benchmark, shared_table2)
+def test_table2_mixed_workload(benchmark, table2_family):
+    result = run_once(benchmark, lambda: table2_family("table2"))
     emit("table2", result.format())
 
     dev = result.deviations

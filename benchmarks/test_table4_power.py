@@ -11,13 +11,15 @@ Shape assertions mirror the paper's reading:
 * the headline: the molecular cache saves ~29% power against the 8 MB
   8-way baseline (ours lands in the 15-40% band);
 * the measured mixed-workload average is below the worst case.
+
+The average column reads the probe counters of Table 2's Randy cell, from
+the session's shared result store.
 """
 
 from conftest import emit, run_once
 
 from repro.molecular.config import MolecularCacheConfig
-from repro.sim.experiments.table4 import TABLE3_MOLECULAR, run_table4
-from test_table2_mixed import shared_table2
+from repro.sim.experiments.defs.table4 import TABLE3_MOLECULAR
 
 
 def test_table3_configuration():
@@ -33,9 +35,8 @@ def test_table3_configuration():
     assert isinstance(TABLE3_MOLECULAR, MolecularCacheConfig)
 
 
-def test_table4_power(benchmark):
-    stats = shared_table2().molecular_runs["randy"].cache.stats
-    result = run_once(benchmark, lambda: run_table4(mixed_stats=stats))
+def test_table4_power(benchmark, table2_family):
+    result = run_once(benchmark, lambda: table2_family("table4"))
     emit("table4", result.format())
 
     rows = {row.cache_type: row for row in result.rows}

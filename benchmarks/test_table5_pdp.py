@@ -1,7 +1,8 @@
 """Bench: Table 5 — the power-deviation product.
 
 Regenerates the PDP comparison: 8 MB 4-way / 8-way traditional caches vs
-the 6 MB molecular cache (Randy) at the same operating frequencies.
+the 6 MB molecular cache (Randy) at the same operating frequencies, from
+three Table 2 cells in the session's shared result store.
 
 Shape assertion (the paper's conclusion): the molecular cache's PDP is
 lower in both comparisons — it meets QoS better per watt.
@@ -9,12 +10,9 @@ lower in both comparisons — it meets QoS better per watt.
 
 from conftest import emit, run_once
 
-from repro.sim.experiments.table5 import run_table5
-from test_table2_mixed import shared_table2
 
-
-def test_table5_power_deviation_product(benchmark):
-    result = run_once(benchmark, lambda: run_table5(table2=shared_table2()))
+def test_table5_power_deviation_product(benchmark, table2_family):
+    result = run_once(benchmark, lambda: table2_family("table5"))
     emit("table5", result.format())
 
     assert len(result.rows) == 2

@@ -88,7 +88,7 @@ def measured_average_power(model: CactiModel) -> None:
           f"(worst case: {config.molecules_per_tile})")
     print(f"  worst-case power  @200MHz: {energy.worst_case_power_w(frequency):.2f} W")
     print(f"  measured average  @200MHz: "
-          f"{energy.average_power_w(cache.stats, frequency):.2f} W")
+          f"{energy.average_power_w(cache.stats.probe_counters(), frequency):.2f} W")
     print(
         "  -> selective (ASID-gated) molecule enablement is where the "
         "paper's ~29%\n     power advantage over an 8MB 8-way cache comes from."

@@ -35,6 +35,9 @@ slug                      law
                           molecule integrals are non-negative
 ``placement-recency``     LRU-Direct touch maps only reference resident
                           blocks (so they cannot grow without bound)
+``placement-rows``        a Random region holds at most one row (Random
+                          shares Randy's ``choose``, which draws from the
+                          row the block hashes to: row 0 of one)
 ``stats-conservation``    over each ASID's lifetime counters: hits <=
                           accesses; ``lines_fetched`` == Σ region misses ×
                           line multiplier; ``writebacks_to_memory`` == dirty
@@ -386,9 +389,14 @@ def _audit_tiles(audit: _Audit, cache, owner: dict[int, object]) -> None:
 
 def _audit_placement(audit: _Audit, cache,
                      regions: list[tuple[object, list[int]]]) -> None:
-    from repro.molecular.placement import LRUDirectPlacement
+    from repro.molecular.placement import LRUDirectPlacement, RandomPlacement
 
     placement = cache.placement
+    if isinstance(placement, RandomPlacement):
+        for region, _asids in regions:
+            audit.check("placement-rows", len(region.rows) <= 1,
+                        f"Random region asid={region.asid} holds "
+                        f"{len(region.rows)} rows")
     if not isinstance(placement, LRUDirectPlacement):
         return
     resident_by_asid: dict[int, set[int]] = {}

@@ -43,7 +43,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.campaign.registry": (
         "EXPERIMENTS",
         "ExperimentTarget",
-        "FormattedResult",
         "execute_job",
         "experiment_names",
         "get_experiment",

@@ -17,11 +17,12 @@ it one pipeline:
 ``repro experiment`` (:meth:`ExperimentTarget.run_serial`) runs every
 job's cell in process; ``repro sweep`` drains the same jobs through
 lease workers. Both assemble the payloads with the same ``assemble``,
-so the two outputs agree by construction. ``table1`` has one job per
-benchmark combination (11 jobs) and ``figure5`` one per design x size
-cell (24 jobs). A target without ``defs`` runs as a single ``whole``
-job that calls the module's serial ``runner`` and keeps its formatted
-text — still cacheable and resumable through the result store.
+so the two outputs agree by construction. All eight experiments are
+cells: ``table1`` has one job per benchmark combination, ``figure5``
+one per design x size cell and ``table2`` one per cache design.
+``figure6``, ``table4`` and ``table5`` list the Table 2 cells they read
+(their ``defs`` name ``EXPERIMENT = "table2"``): their jobs *are* Table
+2 jobs, so one result store serves all four.
 
 The CLI's ``experiment`` command looks its dispatch and default
 reference counts up here instead of a hardcoded if/elif ladder, so the
@@ -45,16 +46,6 @@ from repro.sim.scale import scaled
 
 
 @dataclass(frozen=True, slots=True)
-class FormattedResult:
-    """Wraps a whole-experiment job's stored text as a result object."""
-
-    text: str
-
-    def format(self) -> str:
-        return self.text
-
-
-@dataclass(frozen=True, slots=True)
 class ExperimentTarget:
     """One runnable experiment: its jobs, how one runs, and how their
     payloads fold back into the printed result."""
@@ -63,13 +54,11 @@ class ExperimentTarget:
     default_refs: int
     description: str
     #: The experiment module. It is imported only to run a job: its
-    #: ``run_cell`` simulates one cell (``runner`` one whole experiment).
+    #: ``run_cell`` simulates one cell.
     module: str
     #: The numpy-free definitions module (``JOB``, ``cells``,
-    #: ``assemble``); None for a target that runs as one whole job.
-    defs: str | None = None
-    #: A whole target's serial function in ``module``.
-    runner: str | None = None
+    #: ``assemble``, ``payload_shape``).
+    defs: str
     options: tuple[str, ...] = ()
 
     def _check_options(self, options: Mapping[str, Any]) -> dict[str, Any]:
@@ -93,32 +82,21 @@ class ExperimentTarget:
         """The experiment's jobs, in result order."""
         options = self._check_options(options)
         refs = self.resolve_refs(refs)
-        if self.defs is None:
-            # ``refs_per_app`` stays unscaled: the runner applies
-            # REPRO_SCALE itself, and the spec's captured scale keeps
-            # the content hash faithful to the effective workload size.
-            params = {"refs_per_app": refs, **options}
-            return [JobSpec.make(self.name, "whole", params, seed=seed)]
         defs = import_module(self.defs)
+        # An experiment that reads another's cells lists that one's jobs.
+        experiment = getattr(defs, "EXPERIMENT", self.name)
         return [
-            JobSpec.make(self.name, defs.JOB, params, seed=seed)
+            JobSpec.make(experiment, defs.JOB, params, seed=seed)
             for params in defs.cells(scaled(refs), options)
         ]
 
     def run_job(self, spec: JobSpec) -> Any:
         """Simulate one job in this process; returns its JSON payload."""
-        module = import_module(self.module)
-        if self.defs is not None:
-            return module.run_cell(spec.params_dict, spec.seed)
-        result = getattr(module, self.runner)(seed=spec.seed, **spec.params_dict)
-        return {"formatted": result.format()}
+        return import_module(self.module).run_cell(spec.params_dict, spec.seed)
 
     def payload_shape(self, params: Mapping[str, Any]) -> dict:
         """What :meth:`assemble_results` reads of the payload of the job
-        with ``params``: the shape its ``defs`` module states, or a
-        whole job's formatted text."""
-        if self.defs is None:
-            return {"formatted": "string"}
+        with ``params``: the shape its ``defs`` module states."""
         return import_module(self.defs).payload_shape(params)
 
     def assemble_results(
@@ -126,8 +104,6 @@ class ExperimentTarget:
     ) -> Any:
         """Fold job payloads (spec order) back into a result object."""
         options = self._check_options(options)
-        if self.defs is None:
-            return FormattedResult(text=results[0]["formatted"])
         return import_module(self.defs).assemble(
             [spec.params_dict for spec in specs], results, options
         )
@@ -162,21 +138,21 @@ _register(ExperimentTarget(
     default_refs=300_000,
     description="mixed 12-benchmark workload, deviation from a 25% goal",
     module="repro.sim.experiments.table2",
-    runner="run_table2",
+    defs="repro.sim.experiments.defs.table2",
 ))
 _register(ExperimentTarget(
     name="table4",
     default_refs=150_000,
     description="CACTI power at 0.07um, traditional vs molecular",
-    module="repro.sim.experiments.table4",
-    runner="run_table4",
+    module="repro.sim.experiments.table2",
+    defs="repro.sim.experiments.defs.table4",
 ))
 _register(ExperimentTarget(
     name="table5",
     default_refs=300_000,
     description="power-deviation product",
-    module="repro.sim.experiments.table5",
-    runner="run_table5",
+    module="repro.sim.experiments.table2",
+    defs="repro.sim.experiments.defs.table5",
 ))
 _register(ExperimentTarget(
     name="figure5",
@@ -198,8 +174,8 @@ _register(ExperimentTarget(
     name="figure6",
     default_refs=300_000,
     description="hits-per-molecule, Random vs Randy placement",
-    module="repro.sim.experiments.figure6",
-    runner="run_figure6",
+    module="repro.sim.experiments.table2",
+    defs="repro.sim.experiments.defs.figure6",
 ))
 _register(ExperimentTarget(
     name="resize-mechanism",

@@ -48,10 +48,11 @@ class DeterministicRNG(ABC):
         return self.next_u64() % bound
 
     def choice(self, seq: Sequence[T]) -> T:
-        """Return a pseudo-randomly chosen element of a non-empty sequence."""
+        """Return a pseudo-randomly chosen element of a non-empty sequence
+        (the one :meth:`randrange` would index, from the same draw)."""
         if not seq:
             raise ConfigError("choice from an empty sequence")
-        return seq[self.randrange(len(seq))]
+        return seq[self.next_u64() % len(seq)]
 
     def random(self) -> float:
         """Float in ``[0, 1)`` with 53 bits of precision."""

@@ -18,43 +18,30 @@ paper's structure:
   adaptive / per-application adaptive triggers (section 3.4);
 * :mod:`~repro.molecular.cache` — the full cache front end with
   hierarchical lookup and probe-energy accounting.
+
+The names in ``__all__`` are imported on first use
+(:mod:`repro.common.lazy`): the configuration and the statistics import
+without the cache models.
 """
 
-from repro.molecular.advisor import StackDistanceAdvisor
-from repro.molecular.cache import MolecularCache
-from repro.molecular.config import MolecularCacheConfig, ResizePolicy
-from repro.molecular.latency import LatencyModel, LatencyParameters
-from repro.molecular.molecule import Molecule
-from repro.molecular.placement import (
-    LRUDirectPlacement,
-    PlacementPolicy,
-    RandomPlacement,
-    RandyPlacement,
-    make_placement_policy,
-)
-from repro.molecular.region import CacheRegion
-from repro.molecular.resize import Resizer
-from repro.molecular.stats import MolecularStats
-from repro.molecular.tile import Tile
-from repro.molecular.cluster import TileCluster, Ulmo
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "CacheRegion",
-    "LRUDirectPlacement",
-    "LatencyModel",
-    "LatencyParameters",
-    "MolecularCache",
-    "MolecularCacheConfig",
-    "MolecularStats",
-    "Molecule",
-    "PlacementPolicy",
-    "RandomPlacement",
-    "RandyPlacement",
-    "ResizePolicy",
-    "Resizer",
-    "StackDistanceAdvisor",
-    "Tile",
-    "TileCluster",
-    "Ulmo",
-    "make_placement_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.molecular.advisor": ("StackDistanceAdvisor",),
+    "repro.molecular.cache": ("MolecularCache",),
+    "repro.molecular.cluster": ("TileCluster", "Ulmo"),
+    "repro.molecular.config": ("MolecularCacheConfig", "ResizePolicy"),
+    "repro.molecular.latency": ("LatencyModel", "LatencyParameters"),
+    "repro.molecular.molecule": ("Molecule",),
+    "repro.molecular.placement": (
+        "LRUDirectPlacement",
+        "PlacementPolicy",
+        "RandomPlacement",
+        "RandyPlacement",
+        "make_placement_policy",
+    ),
+    "repro.molecular.region": ("CacheRegion",),
+    "repro.molecular.resize": ("Resizer",),
+    "repro.molecular.stats": ("MolecularStats",),
+    "repro.molecular.tile": ("Tile",),
+})

@@ -34,7 +34,6 @@ class PlacementPolicy(ABC):
 
     name: str = "abstract"
 
-    @abstractmethod
     def choose(
         self,
         region: CacheRegion,
@@ -42,7 +41,14 @@ class PlacementPolicy(ABC):
         lines_per_molecule: int,
         rng: DeterministicRNG,
     ) -> tuple[Molecule, int]:
-        """Molecule (and its replacement-view row) to receive ``block``."""
+        """Molecule (and its replacement-view row) to receive ``block``.
+
+        Default: a uniformly random molecule of the row the address
+        hashes to. That is Randy's rule, and Random's too: a Random
+        region is one row, and every block hashes to row 0 of one.
+        """
+        row_index = region.row_of(block, lines_per_molecule)
+        return rng.choice(region.rows[row_index]), row_index
 
     @abstractmethod
     def add_row_index(self, region: CacheRegion) -> int | None:
@@ -83,22 +89,19 @@ class PlacementPolicy(ABC):
         region.row_misses = [0] * len(region.rows)
 
 
+def _fewest_misses(region: CacheRegion, molecules: list[Molecule]) -> Molecule:
+    """The molecule with the fewest replacement misses. Ties release
+    remote molecules first — keeping the region on its home tile
+    preserves the cheap local-lookup path."""
+    return min(molecules, key=lambda m: (
+        m.replacement_misses, m.tile_id == region.home_tile_id, m.molecule_id,
+    ))
+
+
 class RandomPlacement(PlacementPolicy):
     """Single-row region; a uniformly random molecule takes the line."""
 
     name = "random"
-
-    def choose(
-        self,
-        region: CacheRegion,
-        block: int,
-        lines_per_molecule: int,
-        rng: DeterministicRNG,
-    ) -> tuple[Molecule, int]:
-        if not region.rows:
-            raise SimulationError(f"region asid={region.asid} has no molecules")
-        row = region.rows[0]
-        return rng.choice(row), 0
 
     def add_row_index(self, region: CacheRegion) -> int | None:
         # "All molecules can be visualized as placed one behind the other
@@ -106,43 +109,22 @@ class RandomPlacement(PlacementPolicy):
         # increases the associativity of the arrangement."
         return 0 if region.rows else None
 
-    def initial_row_index(self, region: CacheRegion) -> int | None:
-        """Random keeps the whole region in one row from the start."""
-        return 0 if region.rows else None
+    # Random keeps the whole region in one row from the start.
+    initial_row_index = add_row_index
 
     def choose_withdrawal(self, region: CacheRegion) -> Molecule:
         # Per-molecule counters: withdraw the molecule with the fewest
         # replacement misses ("it holds the least number of addresses").
-        # Ties release remote molecules first — keeping the region on its
-        # home tile preserves the cheap local-lookup path.
         candidates = list(region.molecules())
         if not candidates:
             raise SimulationError(f"region asid={region.asid} has no molecules")
-        return min(
-            candidates,
-            key=lambda m: (
-                m.replacement_misses,
-                m.tile_id == region.home_tile_id,
-                m.molecule_id,
-            ),
-        )
+        return _fewest_misses(region, candidates)
 
 
 class RandyPlacement(PlacementPolicy):
     """Row selected by address hash; random molecule within the row."""
 
     name = "randy"
-
-    def choose(
-        self,
-        region: CacheRegion,
-        block: int,
-        lines_per_molecule: int,
-        rng: DeterministicRNG,
-    ) -> tuple[Molecule, int]:
-        row_index = region.row_of(block, lines_per_molecule)
-        row = region.rows[row_index]
-        return rng.choice(row), row_index
 
     def add_row_index(self, region: CacheRegion) -> int | None:
         # "Molecules are added along the rows with the highest miss count"
@@ -168,21 +150,8 @@ class RandyPlacement(PlacementPolicy):
             range(len(region.rows)),
             key=lambda i: (region.row_misses[i], -len(region.rows[i])),
         )
-        chosen = order[0]
-        for index in order:
-            if len(region.rows[index]) > 1:
-                chosen = index
-                break
-        row = region.rows[chosen]
-        # Ties release remote molecules first (see RandomPlacement).
-        return min(
-            row,
-            key=lambda m: (
-                m.replacement_misses,
-                m.tile_id == region.home_tile_id,
-                m.molecule_id,
-            ),
-        )
+        chosen = next((i for i in order if len(region.rows[i]) > 1), order[0])
+        return _fewest_misses(region, region.rows[chosen])
 
 
 class LRUDirectPlacement(RandyPlacement):

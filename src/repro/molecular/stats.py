@@ -101,6 +101,15 @@ class MolecularStats(CacheStats):
     def molecules_probed(self) -> int:
         return self.molecules_probed_local + self.molecules_probed_remote
 
+    def probe_counters(self) -> dict[str, int]:
+        """The counters the energy model integrates
+        (:meth:`~repro.power.energy.MolecularEnergyModel.average_energy_nj`)."""
+        return {
+            "accesses": self.total.accesses,
+            "molecules_probed": self.molecules_probed,
+            "asid_comparisons": self.asid_comparisons,
+        }
+
     def mean_molecules_probed(self) -> float:
         """Average molecules probed per access — the power model's input."""
         accesses = self.total.accesses

@@ -6,17 +6,16 @@ compare + output, with sub-banking and port scaling) whose coefficients are
 *calibrated against the paper's own Table 4 rows* — see
 :mod:`repro.power.tables` for the fit provenance. Energy accounting for
 molecular caches integrates the probe counters recorded by the simulator.
+
+The names in ``__all__`` are imported on first use
+(:mod:`repro.common.lazy`): Table 4 and Table 5 assemble from stored
+payloads without the simulator.
 """
 
-from repro.power.model import CacheOrganization, CactiModel, Evaluation
-from repro.power.energy import MolecularEnergyModel, power_watts
-from repro.power.metrics import power_deviation_product
+from repro.common.lazy import lazy_exports
 
-__all__ = [
-    "CacheOrganization",
-    "CactiModel",
-    "Evaluation",
-    "MolecularEnergyModel",
-    "power_deviation_product",
-    "power_watts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.power.energy": ("MolecularEnergyModel", "power_watts"),
+    "repro.power.metrics": ("power_deviation_product",),
+    "repro.power.model": ("CacheOrganization", "CactiModel", "Evaluation"),
+})

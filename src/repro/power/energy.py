@@ -21,10 +21,10 @@ we.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.common.errors import ConfigError
 from repro.molecular.config import MolecularCacheConfig
-from repro.molecular.stats import MolecularStats
 from repro.power.model import CactiModel
 
 #: Energy of one ASID comparator activation, nJ. An ~8-bit compare against
@@ -59,17 +59,19 @@ class MolecularEnergyModel:
         per_tile = self.config.molecules_per_tile
         return per_tile * self.molecule_probe_nj + per_tile * ASID_COMPARE_NJ
 
-    def average_energy_nj(self, stats: MolecularStats) -> float:
-        """Measured per-access energy from recorded probe counters."""
-        accesses = stats.total.accesses
+    def average_energy_nj(self, probes: Mapping[str, int]) -> float:
+        """Measured per-access energy from recorded probe counters:
+        ``accesses``, ``molecules_probed`` and ``asid_comparisons``
+        (:meth:`~repro.molecular.stats.MolecularStats.probe_counters`)."""
+        accesses = probes["accesses"]
         if accesses == 0:
             return 0.0
-        probe_energy = stats.molecules_probed * self.molecule_probe_nj
-        compare_energy = stats.asid_comparisons * ASID_COMPARE_NJ
+        probe_energy = probes["molecules_probed"] * self.molecule_probe_nj
+        compare_energy = probes["asid_comparisons"] * ASID_COMPARE_NJ
         return (probe_energy + compare_energy) / accesses
 
     def worst_case_power_w(self, frequency_mhz: float) -> float:
         return power_watts(self.worst_case_energy_nj(), frequency_mhz)
 
-    def average_power_w(self, stats: MolecularStats, frequency_mhz: float) -> float:
-        return power_watts(self.average_energy_nj(stats), frequency_mhz)
+    def average_power_w(self, probes: Mapping[str, int], frequency_mhz: float) -> float:
+        return power_watts(self.average_energy_nj(probes), frequency_mhz)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.audit.invariants import audit_and_emit, resolve_cadence
 from repro.common.errors import ConfigError
+from repro.common.refs import iter_refs
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultPlan
 from repro.telemetry.bus import EventBus, attach_telemetry
@@ -67,18 +68,13 @@ def run_trace(
             )
         injector = FaultInjector(cache, faults)
     attach_telemetry(cache, telemetry)
+    # Slicing below only takes views, and iter_refs converts a slice at a
+    # time: the block column shifts each slice from the addresses as it
+    # is converted to plain ints, so no whole-trace column is built.
+    blocks = trace.block_column(line_bytes)
+    asids = trace.asids
+    writes = trace.writes
     access_many = getattr(cache, "access_many", None)
-    if access_many is not None:
-        # Slicing below only takes views: the block column shifts each
-        # slice from the addresses as access_many converts it to plain
-        # ints, so no whole-trace block column is built.
-        blocks = trace.block_column(line_bytes)
-        asids = trace.asids
-        writes = trace.writes
-    else:
-        blocks = trace.block_list(line_bytes)
-        asids = trace.asid_list()
-        writes = trace.write_list()
     if access_many is not None:
         # Batched fast path: stream the warm-up prefix, reset, stream the
         # rest. Stats/telemetry are byte-identical to the scalar loop
@@ -118,7 +114,8 @@ def run_trace(
             stream(0, len(blocks))
     else:
         access_block = cache.access_block
-        for index, (block, asid, write) in enumerate(zip(blocks, asids, writes)):
+        _, references = iter_refs(blocks, asids, writes)
+        for index, (block, asid, write) in enumerate(references):
             if index == warmup_refs and warmup_refs:
                 cache.stats.reset()
             if injector is not None:

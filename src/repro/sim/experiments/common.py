@@ -9,6 +9,7 @@ per-application regions — all through the throttled CMP execution model
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.caches.setassoc import SetAssociativeCache
 from repro.common.errors import ConfigError
@@ -55,6 +56,16 @@ def build_traces(
         asid: get_model(name).generate(refs_per_app, seed=seed, asid=asid)
         for asid, name in enumerate(names)
     }
+
+
+@lru_cache(maxsize=1)
+def shared_traces(
+    names: tuple[str, ...], refs_per_app: int, seed: int
+) -> dict[int, Trace]:
+    """:func:`build_traces`, kept for the next cell: every cell of one
+    figure5 or table2 run replays the same streams. One entry holds one
+    trace set alive at most, and the cells of a run share a key."""
+    return build_traces(names, refs_per_app, seed)
 
 
 @dataclass(slots=True)

@@ -23,6 +23,10 @@ plus the grid constants and the result type. The experiment module of
 the same name (``repro.sim.experiments.figure5`` for ``defs.figure5``)
 holds ``run_cell(params, seed)``, which simulates one cell and returns
 its JSON payload, and re-exports the grid constants and result type.
+A module that reads another experiment's cells names it
+(``EXPERIMENT = "table2"`` in ``defs.figure6``, ``defs.table4`` and
+``defs.table5``), shares its ``JOB`` and ``payload_shape``, and has no
+experiment module: its jobs are that experiment's.
 """
 
 from __future__ import annotations

@@ -5,16 +5,20 @@ application's HPM (hit rate per allocated molecule, log scale) under the
 two placement policies, and observes that Randy's HPM is higher for all
 but four applications while achieving a ~9 % lower overall miss rate with
 ~5 % more molecules.
+
+The figure reads Table 2's two molecular cells; imports no simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.experiments.common import MolecularRun
-from repro.sim.experiments.table2 import Table2Result, run_table2
+from repro.sim.experiments.defs import table2
 from repro.sim.report import format_table
-from repro.workloads.mixed import MIXED_SUITE
+
+#: The experiment whose cells these are, and the rows of it read.
+EXPERIMENT, JOB, payload_shape = "table2", table2.JOB, table2.payload_shape
+ROWS = ("6MB Molecular Randy", "6MB Molecular Random")
 
 
 @dataclass(slots=True)
@@ -45,9 +49,10 @@ class Figure6Result:
 
     def format(self) -> str:
         policies = sorted(self.hpm)
-        rows = []
-        for name in MIXED_SUITE:
-            rows.append([name, *[self.hpm[p].get(name, 0.0) for p in policies]])
+        rows = [
+            [name, *[self.hpm[p].get(name, 0.0) for p in policies]]
+            for name in table2.APPS
+        ]
         table = format_table(
             ["benchmark", *[f"HPM {p}" for p in policies]],
             rows,
@@ -66,33 +71,19 @@ class Figure6Result:
         return table + summary
 
 
-def _collect(run: MolecularRun) -> tuple[dict[str, float], float, float]:
-    names = list(MIXED_SUITE)
-    hpm: dict[str, float] = {}
-    total_molecules = 0.0
-    for asid, region in run.cache.regions.items():
-        hpm[names[asid]] = region.hits_per_molecule()
-        total_molecules += region.mean_molecules
-    overall = run.result.overall_miss_rate()
-    return hpm, overall, total_molecules
+def cells(refs: int, options: dict) -> list[dict]:
+    """Table 2's molecular cells, Randy first."""
+    return [cell for cell in table2.cells(refs, options) if cell["label"] in ROWS]
 
 
-def run_figure6(
-    refs_per_app: int = 300_000,
-    seed: int = 1,
-    table2: Table2Result | None = None,
+def assemble(
+    params: list[dict], payloads: list[dict], options: dict
 ) -> Figure6Result:
-    """Reproduce Figure 6. Pass an existing Table 2 result to avoid
-    re-running the (expensive) molecular simulations."""
-    if table2 is None or not table2.molecular_runs:
-        # run_table2 applies REPRO_SCALE itself.
-        table2 = run_table2(
-            refs_per_app=refs_per_app, seed=seed, include_traditional=False
-        )
+    """Each placement's HPM, overall miss rate and molecules in use."""
     result = Figure6Result()
-    for placement, run in table2.molecular_runs.items():
-        hpm, overall, molecules = _collect(run)
-        result.hpm[placement] = hpm
-        result.overall_miss_rate[placement] = overall
-        result.mean_molecules[placement] = molecules
+    for cell, payload in zip(params, payloads):
+        placement = cell["placement"]
+        result.hpm[placement] = payload["hpm"]
+        result.overall_miss_rate[placement] = payload["overall_miss_rate"]
+        result.mean_molecules[placement] = payload["mean_molecules"]
     return result

@@ -12,6 +12,9 @@ frequency* in two columns:
 
 The paper's headline 29 % power advantage is the 8-way row: 2.55 W
 (molecular worst case) vs 3.58 W (traditional).
+
+The average column reads the probe counters of Table 2's Randy cell;
+imports no simulator.
 """
 
 from __future__ import annotations
@@ -19,12 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.molecular.config import MolecularCacheConfig
-from repro.molecular.stats import MolecularStats
 from repro.power.energy import MolecularEnergyModel
 from repro.power.model import CacheOrganization, CactiModel
 from repro.power.tables import PAPER_TABLE4_MOLECULAR, PAPER_TABLE4_TRADITIONAL
-from repro.sim.experiments.table2 import run_table2
+from repro.sim.experiments.defs import table2
 from repro.sim.report import format_table
+
+#: The experiment whose cells these are, and the one row of it read.
+EXPERIMENT, JOB, payload_shape = "table2", table2.JOB, table2.payload_shape
+ROW = "6MB Molecular Randy"
 
 #: Table 3: the molecular cache compared throughout section 4's power study.
 TABLE3_MOLECULAR = MolecularCacheConfig(
@@ -76,25 +82,19 @@ class Table4Result:
         return self.row("8MB 8way").power_advantage
 
     def format(self) -> str:
-        table_rows = []
-        for row in self.rows:
-            table_rows.append(
-                [
-                    row.cache_type,
-                    f"{row.frequency_mhz:.0f} ({row.paper_frequency_mhz:.0f})",
-                    f"{row.traditional_power_w:.2f} ({row.paper_traditional_power_w:.2f})",
-                    f"{row.molecular_worst_power_w:.2f} ({row.paper_molecular_worst_w:.2f})",
-                    f"{row.molecular_average_power_w:.2f} ({row.paper_molecular_average_w:.2f})",
-                ]
-            )
-        table = format_table(
+        table_rows = [
             [
-                "cache type",
-                "freq MHz (paper)",
-                "power W (paper)",
-                "mol worst W (paper)",
-                "mol avg W (paper)",
-            ],
+                row.cache_type,
+                f"{row.frequency_mhz:.0f} ({row.paper_frequency_mhz:.0f})",
+                f"{row.traditional_power_w:.2f} ({row.paper_traditional_power_w:.2f})",
+                f"{row.molecular_worst_power_w:.2f} ({row.paper_molecular_worst_w:.2f})",
+                f"{row.molecular_average_power_w:.2f} ({row.paper_molecular_average_w:.2f})",
+            ]
+            for row in self.rows
+        ]
+        table = format_table(
+            ["cache type", "freq MHz (paper)", "power W (paper)",
+             "mol worst W (paper)", "mol avg W (paper)"],
             table_rows,
             title="Table 4 — power at 0.07um; ours (paper)",
         )
@@ -105,35 +105,23 @@ class Table4Result:
         )
 
 
-def run_table4(
-    mixed_stats: MolecularStats | None = None,
-    refs_per_app: int = 150_000,
-    seed: int = 1,
-    model: CactiModel | None = None,
-) -> Table4Result:
-    """Reproduce Table 4.
+def cells(refs: int, options: dict) -> list[dict]:
+    """Table 2's Randy cell, whose probe counters the average column
+    integrates."""
+    return [cell for cell in table2.cells(refs, options) if cell["label"] == ROW]
 
-    ``mixed_stats`` supplies the probe counters for the "average mixed
-    workload" column; when omitted, a (scaled-down) Table 2 Randy run is
-    performed to collect them.
-    """
-    model = model or CactiModel()
+
+def power_table(probes: dict[str, int]) -> Table4Result:
+    """Every associativity's row, the average column integrating
+    ``probes`` (:meth:`~repro.molecular.stats.MolecularStats.probe_counters`)."""
+    model = CactiModel()
     energy = MolecularEnergyModel(TABLE3_MOLECULAR, model)
-    if mixed_stats is None:
-        table2 = run_table2(
-            refs_per_app=refs_per_app,
-            seed=seed,
-            include_traditional=False,
-            placements=("randy",),
-        )
-        mixed_stats = table2.molecular_runs["randy"].cache.stats
-
     result = Table4Result()
-    size = TABLE3_MOLECULAR.total_bytes
     for assoc in ASSOCIATIVITIES:
-        evaluation = model.evaluate(
-            CacheOrganization(size, assoc, TABLE3_MOLECULAR.line_bytes, TRADITIONAL_PORTS)
-        )
+        evaluation = model.evaluate(CacheOrganization(
+            TABLE3_MOLECULAR.total_bytes, assoc, TABLE3_MOLECULAR.line_bytes,
+            TRADITIONAL_PORTS,
+        ))
         freq = evaluation.frequency_mhz
         paper_freq, paper_power = PAPER_TABLE4_TRADITIONAL[assoc]
         paper_worst, paper_avg = PAPER_TABLE4_MOLECULAR[assoc]
@@ -143,7 +131,7 @@ def run_table4(
                 frequency_mhz=freq,
                 traditional_power_w=evaluation.power_watts(),
                 molecular_worst_power_w=energy.worst_case_power_w(freq),
-                molecular_average_power_w=energy.average_power_w(mixed_stats, freq),
+                molecular_average_power_w=energy.average_power_w(probes, freq),
                 paper_frequency_mhz=paper_freq,
                 paper_traditional_power_w=paper_power,
                 paper_molecular_worst_w=paper_worst,
@@ -151,3 +139,10 @@ def run_table4(
             )
         )
     return result
+
+
+def assemble(
+    params: list[dict], payloads: list[dict], options: dict
+) -> Table4Result:
+    """The table from the Randy cell's probe counters."""
+    return power_table(payloads[0]["probes"])

@@ -5,18 +5,21 @@ and 8-way traditional caches, the product of their dynamic power and their
 mixed-workload deviation, against the 6 MB molecular cache (Randy) running
 at the same frequencies. The paper reports the molecular cache winning
 both comparisons (0.909 vs 1.890 and 0.425 vs 0.870).
+
+The table reads three of Table 2's cells; imports no simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.power.energy import MolecularEnergyModel
 from repro.power.metrics import power_deviation_product
-from repro.power.model import CacheOrganization, CactiModel
-from repro.sim.experiments.table2 import Table2Result, run_table2
-from repro.sim.experiments.table4 import TABLE3_MOLECULAR, TRADITIONAL_PORTS
+from repro.sim.experiments.defs import table2, table4
 from repro.sim.report import format_table
+
+#: The experiment whose cells these are, and the rows of it read.
+EXPERIMENT, JOB, payload_shape = "table2", table2.JOB, table2.payload_shape
+TRADITIONAL_ROWS = ("8MB 4way", "8MB 8way")
 
 #: Paper Table 5 values: traditional label -> (traditional PDP, molecular PDP).
 PAPER_TABLE5 = {
@@ -64,49 +67,34 @@ class Table5Result:
         )
 
 
-def run_table5(
-    table2: Table2Result | None = None,
-    refs_per_app: int = 300_000,
-    seed: int = 1,
-    model: CactiModel | None = None,
-) -> Table5Result:
-    """Reproduce Table 5. Pass an existing Table 2 result to reuse its
-    (expensive) simulations; otherwise one is run."""
-    model = model or CactiModel()
-    if table2 is None:
-        table2 = run_table2(refs_per_app=refs_per_app, seed=seed)
-    energy = MolecularEnergyModel(TABLE3_MOLECULAR, model)
-    randy_run = table2.molecular_runs.get("randy")
-    if randy_run is None:
-        raise ValueError("Table 5 needs a Randy molecular run in the Table 2 result")
-    molecular_deviation = table2.deviations["6MB Molecular Randy"]
-    mixed_stats = randy_run.cache.stats
+def cells(refs: int, options: dict) -> list[dict]:
+    """Table 2's 8 MB 4-way, 8 MB 8-way and Randy cells."""
+    rows = (*TRADITIONAL_ROWS, table4.ROW)
+    return [cell for cell in table2.cells(refs, options) if cell["label"] in rows]
 
+
+def assemble(
+    params: list[dict], payloads: list[dict], options: dict
+) -> Table5Result:
+    """Each traditional row's PDP against the Randy cache's, both at
+    the traditional cache's frequency: Table 2's deviations times Table
+    4's powers."""
+    by_label = {cell["label"]: payload for cell, payload in zip(params, payloads)}
+    molecular = by_label[table4.ROW]
+    power = table4.power_table(molecular["probes"])
     result = Table5Result()
-    for label, assoc in (("8MB 4way", 4), ("8MB 8way", 8)):
-        if label not in table2.deviations:
-            continue
-        evaluation = model.evaluate(
-            CacheOrganization(
-                TABLE3_MOLECULAR.total_bytes,
-                assoc,
-                TABLE3_MOLECULAR.line_bytes,
-                TRADITIONAL_PORTS,
-            )
-        )
-        freq = evaluation.frequency_mhz
-        trad_pdp = power_deviation_product(
-            evaluation.power_watts(), table2.deviations[label]
-        )
-        mol_pdp = power_deviation_product(
-            energy.average_power_w(mixed_stats, freq), molecular_deviation
-        )
+    for label in TRADITIONAL_ROWS:
+        row = power.row(label)
         paper_trad, paper_mol = PAPER_TABLE5[label]
         result.rows.append(
             Table5Row(
                 cache_type=label,
-                traditional_pdp=trad_pdp,
-                molecular_pdp=mol_pdp,
+                traditional_pdp=power_deviation_product(
+                    row.traditional_power_w, by_label[label]["deviation"]
+                ),
+                molecular_pdp=power_deviation_product(
+                    row.molecular_average_power_w, molecular["deviation"]
+                ),
                 paper_traditional_pdp=paper_trad,
                 paper_molecular_pdp=paper_mol,
             )

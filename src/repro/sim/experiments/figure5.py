@@ -13,15 +13,13 @@ for every partition to reach its goal.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from repro.analysis.metrics import DeviationMode, average_deviation
 from repro.common.errors import ConfigError
 from repro.molecular.config import MolecularCacheConfig
 from repro.sim.experiments.common import (
-    build_traces,
     run_molecular_workload,
     run_traditional_workload,
+    shared_traces,
 )
 from repro.sim.experiments.defs.figure5 import (  # noqa: F401  (re-exported)
     APPS,
@@ -33,18 +31,6 @@ from repro.sim.experiments.defs.figure5 import (  # noqa: F401  (re-exported)
     figure5_series,
     goals_for_graph,
 )
-
-
-@lru_cache(maxsize=1)
-def _traces(refs: int, seed: int):
-    """The four applications' traces, kept for the next cell.
-
-    Every cell of one sweep replays the same four streams, so a worker
-    (or the serial run) builds them once per ``(refs, seed)`` instead of
-    once per cell. One entry is enough, and holds one trace set alive
-    at most: the cells of a sweep share a key.
-    """
-    return build_traces(list(APPS), refs, seed)
 
 
 def run_figure5_cell(
@@ -65,7 +51,7 @@ def run_figure5_cell(
     byte-identically.
     """
     goals = goals_for_graph(graph)
-    traces = _traces(refs, seed)
+    traces = shared_traces(APPS, refs, seed)
     if kind == "traditional":
         run = run_traditional_workload(traces, size_mb << 20, parameter)
         rates = run.miss_rates()

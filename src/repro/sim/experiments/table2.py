@@ -7,64 +7,26 @@ sharing traditional 4 MB and 8 MB caches at 4- and 8-way.
 
 The paper's headline: the 6 MB molecular cache with Randy beats even the
 8 MB 8-way traditional cache; Random placement is clearly worse.
+
+Each cache design is one cell; this module simulates the cells of
+Table 2, Figure 6, Table 4 and Table 5 alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.analysis.metrics import DeviationMode, average_deviation
+from repro.analysis.metrics import average_deviation
 from repro.molecular.config import MolecularCacheConfig
 from repro.sim.experiments.common import (
-    MolecularRun,
-    build_traces,
     run_molecular_workload,
     run_traditional_workload,
+    shared_traces,
 )
-from repro.sim.report import format_table
-from repro.sim.scale import scaled
-from repro.workloads.mixed import MIXED_GOAL, MIXED_SUITE
-
-#: The paper's Table 2, for side-by-side reporting.
-PAPER_TABLE2 = {
-    "4MB 4way": 0.313261,
-    "4MB 8way": 0.309515,
-    "8MB 4way": 0.246843,
-    "8MB 8way": 0.243161,
-    "6MB Molecular Randy": 0.222075,
-    "6MB Molecular Random": 0.356923,
-}
-
-TRADITIONAL_CONFIGS = (
-    ("4MB 4way", 4 << 20, 4),
-    ("4MB 8way", 4 << 20, 8),
-    ("8MB 4way", 8 << 20, 4),
-    ("8MB 8way", 8 << 20, 8),
+from repro.sim.experiments.defs.table2 import (  # noqa: F401  (re-exported)
+    APPS,
+    GOAL,
+    PAPER_TABLE2,
+    Table2Result,
 )
-
-
-@dataclass(slots=True)
-class Table2Result:
-    """Average deviation per cache design, plus per-app detail."""
-
-    goal: float
-    deviations: dict[str, float] = field(default_factory=dict)
-    miss_rates: dict[str, dict[str, float]] = field(default_factory=dict)
-    molecular_runs: dict[str, MolecularRun] = field(default_factory=dict)
-
-    def format(self) -> str:
-        rows = [
-            [label, dev, PAPER_TABLE2.get(label, float("nan"))]
-            for label, dev in self.deviations.items()
-        ]
-        return format_table(
-            ["cache type", "avg deviation (ours)", "avg deviation (paper)"],
-            rows,
-            title=(
-                "Table 2 — average deviation from the "
-                f"{self.goal:.0%} goal, mixed 12-benchmark workload"
-            ),
-        )
 
 
 def molecular_6mb_config(placement: str) -> MolecularCacheConfig:
@@ -78,43 +40,41 @@ def molecular_6mb_config(placement: str) -> MolecularCacheConfig:
     )
 
 
-def run_table2(
-    refs_per_app: int = 300_000,
-    seed: int = 1,
-    deviation_mode: DeviationMode = DeviationMode.ABSOLUTE,
-    include_traditional: bool = True,
-    placements: tuple[str, ...] = ("randy", "random"),
-) -> Table2Result:
-    """Reproduce Table 2 (and collect the molecular runs Figure 6 reuses)."""
-    refs = scaled(refs_per_app)
-    names = list(MIXED_SUITE)
-    goals: dict[int, float | None] = {asid: MIXED_GOAL for asid in range(len(names))}
-    traces = build_traces(names, refs, seed)
-    result = Table2Result(goal=MIXED_GOAL)
-
-    if include_traditional:
-        for label, size_bytes, assoc in TRADITIONAL_CONFIGS:
-            run = run_traditional_workload(traces, size_bytes, assoc)
-            rates = run.miss_rates()
-            result.deviations[label] = average_deviation(rates, goals, deviation_mode)
-            result.miss_rates[label] = {names[a]: r for a, r in rates.items()}
-
+def run_cell(params: dict, seed: int) -> dict:
+    """One cache design of the table: its deviation and miss rates, and
+    for a molecular cache what Figure 6 and the power model read.
+    ``params["refs"]`` is the scaled per-application reference count."""
+    traces = shared_traces(APPS, params["refs"], seed)
+    goals: dict[int, float | None] = {asid: GOAL for asid in range(len(APPS))}
+    if params["kind"] == "traditional":
+        rates = run_traditional_workload(
+            traces, params["size_bytes"], params["associativity"]
+        ).miss_rates()
+        return {
+            "deviation": average_deviation(rates, goals),
+            "rates": {APPS[a]: r for a, r in rates.items()},
+        }
     # Three groups of four, assigned to clusters "without giving
     # consideration to the nature of the mix" — i.e. in suite order. Each
     # application gets its own tile within its group's cluster.
-    tile_assignment = {asid: asid for asid in range(len(names))}
-    for placement in placements:
-        label = f"6MB Molecular {placement.capitalize()}"
-        run = run_molecular_workload(
-            traces,
-            molecular_6mb_config(placement),
-            goals,
-            placement=placement,
-            tile_assignment=tile_assignment,
-        )
-        result.deviations[label] = average_deviation(
-            run.miss_rates, goals, deviation_mode
-        )
-        result.miss_rates[label] = {names[a]: r for a, r in run.miss_rates.items()}
-        result.molecular_runs[placement] = run
-    return result
+    placement = params["placement"]
+    run = run_molecular_workload(
+        traces,
+        molecular_6mb_config(placement),
+        goals,
+        placement=placement,
+        tile_assignment={asid: asid for asid in range(len(APPS))},
+    )
+    hpm: dict[str, float] = {}
+    mean_molecules = 0.0
+    for asid, region in run.cache.regions.items():
+        hpm[APPS[asid]] = region.hits_per_molecule()
+        mean_molecules += region.mean_molecules
+    return {
+        "deviation": average_deviation(run.miss_rates, goals),
+        "rates": {APPS[a]: r for a, r in run.miss_rates.items()},
+        "hpm": hpm,
+        "mean_molecules": mean_molecules,
+        "overall_miss_rate": run.result.overall_miss_rate(),
+        "probes": run.cache.stats.probe_counters(),
+    }

@@ -115,8 +115,9 @@ class BenchmarkModel:
             total += span
         return total
 
-    def _ring_bases(self) -> list[int]:
-        """Disjoint base block numbers for each component's address range."""
+    def _ring_bases(self) -> tuple[list[int], int]:
+        """Disjoint base block numbers for each component's address
+        range, and the blocks all the (padded) ranges span."""
         bases: list[int] = []
         cursor = 0
         for component in self.components:
@@ -125,7 +126,7 @@ class BenchmarkModel:
             # Pad each ring's range to the next 4K-block boundary so rings
             # start at varied set indices without overlapping.
             cursor += span + (-span % 4096)
-        return bases
+        return bases, cursor
 
     # ----------------------------------------------------------- generation
 
@@ -141,7 +142,8 @@ class BenchmarkModel:
         The trace is deterministic in ``(n_refs, seed, asid)``. Addresses
         live in the application's private space
         ``[asid * APP_SPACE_BYTES, (asid + 1) * APP_SPACE_BYTES)``; only
-        ASIDs below :data:`APP_SPACES` have one that int64 addresses reach.
+        ASIDs below :data:`APP_SPACES` have one that int64 addresses reach,
+        and a model whose padded rings span more than one is refused.
         The address column is built in place (DESIGN.md section 7).
         """
         if n_refs < 1:
@@ -151,13 +153,18 @@ class BenchmarkModel:
                 f"asid must be in [0, {APP_SPACES}) for its address space "
                 f"to fit int64 addresses, got {asid}"
             )
-        rng = np.random.default_rng((seed * 1_000_003 + asid * 97 + 1) & 0x7FFFFFFF)
         line_shift = ilog2(line_bytes)
+        bases, span = self._ring_bases()
+        if span << line_shift > APP_SPACE_BYTES:
+            raise ConfigError(
+                f"model {self.name!r} spans {span} padded blocks of "
+                f"{line_bytes} B, past one application's address space"
+            )
+        rng = np.random.default_rng((seed * 1_000_003 + asid * 97 + 1) & 0x7FFFFFFF)
 
         choice = rng.choice(len(self.components), size=n_refs, p=self.weights)
         choice = choice.astype(np.min_scalar_type(len(self.components)))
         addresses = np.empty(n_refs, dtype=np.int64)
-        bases = self._ring_bases()
         for index, component in enumerate(self.components):
             positions = np.flatnonzero(choice == index)
             if positions.size:

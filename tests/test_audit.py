@@ -188,6 +188,14 @@ class TestMutationsDetected:
 
         assert self.corrupted(mutate, shared=True) == {"shared-bookkeeping"}
 
+    def test_second_random_row(self):
+        def mutate(cache):
+            region = cache.regions[0]
+            region.rows.append([region.rows[0].pop()])
+            region.row_misses.append(0)
+
+        assert self.corrupted(mutate, placement="random") == {"placement-rows"}
+
     def test_leaked_touch_entry(self):
         def mutate(cache):
             cache.placement._touch.setdefault(0, {})[999_999] = 1

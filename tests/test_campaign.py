@@ -242,11 +242,33 @@ class TestRegistry:
         assert specs[0].params_dict["label"] == "Direct Mapped"
         assert specs[-1].params_dict["label"] == "Molecular (Randy)"
 
-    def test_whole_experiment_target_gets_single_job(self):
+    def test_table2_lists_its_six_cells_in_table_order(self):
         specs = get_experiment("table2").jobs(refs=TINY_REFS)
-        assert len(specs) == 1
-        assert specs[0].job == "whole"
-        assert specs[0].params_dict == {"refs_per_app": TINY_REFS}
+        assert [s.params_dict["label"] for s in specs] == [
+            "4MB 4way", "4MB 8way", "8MB 4way", "8MB 8way",
+            "6MB Molecular Randy", "6MB Molecular Random",
+        ]
+        assert {s.experiment for s in specs} == {"table2"}
+        assert {s.job for s in specs} == {"cell"}
+        assert {s.params_dict["refs"] for s in specs} == {10_000}  # scaled
+
+    @pytest.mark.parametrize("name, labels", [
+        ("figure6", ["6MB Molecular Randy", "6MB Molecular Random"]),
+        ("table4", ["6MB Molecular Randy"]),
+        ("table5", ["8MB 4way", "8MB 8way", "6MB Molecular Randy"]),
+    ])
+    def test_table2_family_lists_table2_jobs(self, name, labels):
+        """Equal refs and seed give the same jobs, hashes included, so
+        one store serves Table 2 and the experiments that read it."""
+        table2 = {
+            s.params_dict["label"]: s
+            for s in get_experiment("table2").jobs(refs=TINY_REFS, seed=3)
+        }
+        specs = get_experiment(name).jobs(refs=TINY_REFS, seed=3)
+        assert [s.params_dict["label"] for s in specs] == labels
+        assert [s.content_hash() for s in specs] == [
+            table2[label].content_hash() for label in labels
+        ]
 
 
 # ---------------------------------------------------------------- pipeline
@@ -262,8 +284,9 @@ class TestOnePipeline:
         ("figure5", {"graph": "B"}),
         ("degradation", {}),
         ("resize-mechanism", {}),
+        ("table2", {}),
     ], ids=["table1", "figure5-A", "figure5-B", "degradation",
-            "resize-mechanism"])
+            "resize-mechanism", "table2"])
     def test_run_serial_matches_the_campaign(self, tmp_path, name, options):
         target = get_experiment(name)
         specs = target.jobs(refs=1000, **options)
@@ -283,7 +306,7 @@ class TestOnePipeline:
     def test_figure5_trace_memo_leaks_nothing(self):
         """A cell's payload does not depend on which cells ran before it
         in the process, nor on whether its traces were memoised."""
-        from repro.sim.experiments import figure5
+        from repro.sim.experiments import common, figure5
 
         def payload(refs: int, seed: int) -> dict:
             spec = get_experiment("figure5").jobs(refs=refs, seed=seed)[-1]
@@ -292,9 +315,29 @@ class TestOnePipeline:
         first = payload(1000, 1)
         assert payload(550_000, 2) != first  # another (refs, seed) key
         assert payload(1000, 1) == first
-        figure5._traces.cache_clear()
+        common.shared_traces.cache_clear()
         assert payload(1000, 1) == first
-        assert figure5._traces.cache_info().currsize == 1
+        assert common.shared_traces.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("name, simulated", [
+        ("figure6", 2), ("table4", 1), ("table5", 3),
+    ])
+    def test_table2_family_simulates_only_its_cells(
+        self, monkeypatch, name, simulated
+    ):
+        from repro.sim.experiments import table2
+
+        ran = []
+        run_cell = table2.run_cell
+
+        def counted(params, seed):
+            ran.append(params["label"])
+            return run_cell(params, seed)
+
+        monkeypatch.setattr(table2, "run_cell", counted)
+        result = get_experiment(name).run_serial(refs=1000)
+        assert len(ran) == simulated
+        assert result.format()
 
 
 # ---------------------------------------------------------------- executor
@@ -489,8 +532,8 @@ class TestRunner(_ExecutorContract):
         assert outcome.workers == 1  # 0 = auto, capped by pending jobs
 
     def test_execute_spec_pins_the_captured_scale(self, monkeypatch):
-        """A whole-experiment job must run at its spec's scale even if the
-        environment changed between decompose and execution."""
+        """A job must run at its spec's scale even if the environment
+        changed between decompose and execution."""
         spec = get_experiment("table2").jobs(refs=TINY_REFS)[0]
         assert spec.scale == pytest.approx(float(TINY_SCALE))
         monkeypatch.setenv("REPRO_SCALE", "777")  # would be minutes of work
@@ -502,7 +545,7 @@ class TestRunner(_ExecutorContract):
             from repro.sim.scale import scale_factor
 
             seen["scale"] = scale_factor()
-            return {"formatted": "stub"}
+            return {"deviation": 0.0, "rates": {}}
 
         monkeypatch.setattr(registry_mod, "execute_job", probe)
         execute_spec(spec.as_payload())
@@ -583,7 +626,7 @@ class TestCorruptStore:
     @pytest.fixture(scope="class")
     def clean_sweeps(self, tmp_path_factory):
         """``repro sweep``'s argv, complete tiny store and stdout for
-        table1 (a grid) and table2 (a whole experiment)."""
+        table1 and table2."""
         sweeps = {}
         with pytest.MonkeyPatch.context() as patch:
             patch.setenv("REPRO_SCALE", TINY_SCALE)
@@ -597,15 +640,18 @@ class TestCorruptStore:
                 sweeps[name] = argv, root, out.getvalue()
         return sweeps
 
-    @pytest.mark.parametrize("name, payload", [
-        ("table1", [1]),
-        ("table1", {"rates": [1]}),
-        ("table1", {}),
-        ("table1", {"rates": {}}),
-        ("table2", {"formatted": 5}),
-    ], ids=["list", "rates-list", "empty", "rates-empty", "formatted-int"])
+    @pytest.mark.parametrize("name, job, corrupt", [
+        ("table1", 0, lambda clean: [1]),
+        ("table1", 0, lambda clean: {"rates": [1]}),
+        ("table1", 0, lambda clean: {}),
+        ("table1", 0, lambda clean: {"rates": {}}),
+        # Table 2's Randy cell, one hits-per-molecule value a string
+        ("table2", 4, lambda clean: {
+            **clean, "hpm": {**clean["hpm"], "crafty": "0.5"},
+        }),
+    ], ids=["list", "rates-list", "empty", "rates-empty", "hpm-string"])
     def test_wrong_shape_payload_reruns(
-        self, clean_sweeps, tmp_path, capsys, name, payload
+        self, clean_sweeps, tmp_path, capsys, name, job, corrupt
     ):
         """A stored payload its experiment cannot assemble is set aside
         and its job re-run: the resume prints the clean sweep's stdout,
@@ -614,10 +660,10 @@ class TestCorruptStore:
         root = tmp_path / "store"
         shutil.copytree(clean_root, root)
         argv = [*argv[:-2], str(root), "--resume"]
-        job_hash = get_experiment(name).jobs(refs=1000)[0].content_hash()
+        job_hash = get_experiment(name).jobs(refs=1000)[job].content_hash()
         path = root / "results" / f"{job_hash}.json"
         record = json.loads(path.read_text())
-        path.write_text(json.dumps({**record, "result": payload}))
+        path.write_text(json.dumps({**record, "result": corrupt(record["result"])}))
 
         assert main(argv) == 0
         out, err = capsys.readouterr()

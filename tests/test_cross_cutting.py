@@ -95,13 +95,13 @@ class TestStatisticsConsistency:
 class TestEnergyConsistency:
     def test_average_power_below_worst_case(self, loaded_cache):
         energy = MolecularEnergyModel(loaded_cache.config, CactiModel())
-        average = energy.average_energy_nj(loaded_cache.stats)
+        average = energy.average_energy_nj(loaded_cache.stats.probe_counters())
         assert 0 < average <= energy.worst_case_energy_nj() * 1.01
 
     def test_energy_scales_with_frequency(self, loaded_cache):
         energy = MolecularEnergyModel(loaded_cache.config, CactiModel())
-        p100 = energy.average_power_w(loaded_cache.stats, 100.0)
-        p200 = energy.average_power_w(loaded_cache.stats, 200.0)
+        p100 = energy.average_power_w(loaded_cache.stats.probe_counters(), 100.0)
+        p200 = energy.average_power_w(loaded_cache.stats.probe_counters(), 200.0)
         assert p200 == pytest.approx(2 * p100)
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.caches.partitioned import ModifiedLRUCache
 from repro.caches.setassoc import SetAssociativeCache
 from repro.common.errors import ConfigError
 from repro.sim.driver import run_trace
@@ -61,6 +62,42 @@ class TestDriver:
             tracemalloc.stop()
         assert stats.total.accesses == 399_000
         assert peak < 2 << 20, f"peak {peak / 2**20:.2f} MB"
+
+    def test_access_block_fallback_holds_no_column_list(self):
+        """A cache without ``access_many`` is fed a slice at a time too:
+        whole-trace block, ASID and write lists would take ~56 B per
+        reference, 5.6 MB here."""
+        rng = np.random.default_rng(5)
+        addresses = rng.integers(0, 1 << 30, 100_000) * 64
+        trace = Trace(addresses, rng.integers(0, 2, 100_000),
+                      rng.random(100_000) < 0.25)
+        cache = ModifiedLRUCache(64 * 1024, 4, quotas={0: 512})
+        assert not hasattr(cache, "access_many")
+        tracemalloc.start()
+        try:
+            stats = run_trace(cache, trace, warmup_refs=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.total.accesses == 99_000
+        assert peak < 2 << 20, f"peak {peak / 2**20:.2f} MB"
+
+    def test_access_block_fallback_matches_the_lists(self):
+        """The streamed fallback issues exactly the references, warm-up
+        reset included, that the whole-trace lists hold."""
+        rng = np.random.default_rng(6)
+        trace = Trace(rng.integers(0, 1 << 16, 20_000) * 64,
+                      rng.integers(0, 3, 20_000), rng.random(20_000) < 0.3)
+        streamed = ModifiedLRUCache(16 * 1024, 4, quotas={1: 64})
+        run_trace(streamed, trace, warmup_refs=5_000)
+        listed = ModifiedLRUCache(16 * 1024, 4, quotas={1: 64})
+        references = zip(trace.block_list(), trace.asid_list(),
+                         trace.write_list())
+        for index, (block, asid, write) in enumerate(references):
+            if index == 5_000:
+                listed.stats.reset()
+            listed.access_block(block, asid, write)
+        assert streamed.stats.as_dict() == listed.stats.as_dict()
 
     def test_negative_warmup_rejected(self):
         cache = SetAssociativeCache(4096, 2)

@@ -13,10 +13,6 @@ from repro.sim.experiments import (
     Figure5Result,
     figure5_series,
     run_figure5_cell,
-    run_figure6,
-    run_table2,
-    run_table4,
-    run_table5,
 )
 from repro.sim.experiments.figure5 import goals_for_graph
 from repro.common.errors import ConfigError
@@ -77,9 +73,30 @@ class TestFigure5:
 
 
 class TestTable2AndFriends:
+    """Figure 6, Table 4 and Table 5 assemble from Table 2's payloads."""
+
+    REFS = 40_000
+
     @pytest.fixture(scope="class")
-    def table2(self):
-        return run_table2(refs_per_app=40_000)
+    def payloads(self):
+        """Table 2's payloads by job content hash."""
+        target = get_experiment("table2")
+        return {
+            spec.content_hash(): target.run_job(spec)
+            for spec in target.jobs(refs=self.REFS)
+        }
+
+    def assembled(self, name, payloads):
+        # Every job of the family is one of Table 2's: its hash is there.
+        target = get_experiment(name)
+        specs = target.jobs(refs=self.REFS)
+        return target.assemble_results(
+            specs, [payloads[spec.content_hash()] for spec in specs]
+        )
+
+    @pytest.fixture(scope="class")
+    def table2(self, payloads):
+        return self.assembled("table2", payloads)
 
     def test_all_configs_present(self, table2):
         assert set(table2.deviations) == {
@@ -89,30 +106,36 @@ class TestTable2AndFriends:
         assert all(0 <= v <= 1 for v in table2.deviations.values())
         assert "Table 2" in table2.format()
 
-    def test_molecular_runs_recorded(self, table2):
-        assert set(table2.molecular_runs) == {"randy", "random"}
-        run = table2.molecular_runs["randy"]
-        assert run.cache.stats.total.accesses > 0
+    def test_molecular_runs_recorded(self, payloads):
+        specs = get_experiment("table2").jobs(refs=self.REFS)
+        molecular = {
+            spec.params_dict["placement"]: payloads[spec.content_hash()]
+            for spec in specs if spec.params_dict["kind"] == "molecular"
+        }
+        assert set(molecular) == {"randy", "random"}
+        randy = molecular["randy"]
+        assert randy["probes"]["accesses"] > 0
+        assert randy["probes"]["molecules_probed"] > 0
+        assert len(randy["hpm"]) == 12 and randy["mean_molecules"] > 0
 
-    def test_figure6_from_table2(self, table2):
-        result = run_figure6(table2=table2)
+    def test_figure6_from_table2(self, payloads):
+        result = self.assembled("figure6", payloads)
         assert set(result.hpm) == {"randy", "random"}
         assert len(result.hpm["randy"]) == 12
         assert all(value >= 0 for value in result.hpm["randy"].values())
         assert result.mean_molecules["randy"] > 0
         assert "Figure 6" in result.format()
 
-    def test_table5_from_table2(self, table2):
-        result = run_table5(table2=table2)
+    def test_table5_from_table2(self, payloads):
+        result = self.assembled("table5", payloads)
         assert {row.cache_type for row in result.rows} == {"8MB 4way", "8MB 8way"}
         for row in result.rows:
             assert row.traditional_pdp > 0
             assert row.molecular_pdp > 0
         assert "Table 5" in result.format()
 
-    def test_table4_with_stats(self, table2):
-        stats = table2.molecular_runs["randy"].cache.stats
-        result = run_table4(mixed_stats=stats)
+    def test_table4_with_stats(self, payloads):
+        result = self.assembled("table4", payloads)
         assert len(result.rows) == 4
         row8 = result.row("8MB 8way")
         # the headline: molecular saves power vs the 8-way baseline

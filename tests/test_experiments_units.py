@@ -7,9 +7,12 @@ from repro.molecular.stats import MolecularStats
 from repro.sim.experiments.common import build_traces, warmup_for
 from repro.sim.experiments.figure5 import Figure5Result
 from repro.sim.experiments.table1 import PAPER_TABLE1, Table1Result
+from repro.sim.experiments.defs import table4
+from repro.sim.experiments.defs.table2 import APPS, GOAL
+from repro.sim.experiments.defs.table4 import TABLE3_MOLECULAR
+from repro.sim.experiments.defs.table5 import PAPER_TABLE5
 from repro.sim.experiments.table2 import PAPER_TABLE2, molecular_6mb_config
-from repro.sim.experiments.table4 import TABLE3_MOLECULAR, run_table4
-from repro.sim.experiments.table5 import PAPER_TABLE5
+from repro.workloads.mixed import MIXED_GOAL, MIXED_SUITE
 
 
 class TestCommonHelpers:
@@ -41,6 +44,11 @@ class TestPaperReferenceData:
     def test_table5_reference(self):
         assert PAPER_TABLE5["8MB 8way"] == (0.870, 0.425)
 
+    def test_table2_runs_the_mixed_suite(self):
+        # defs.table2 names the suite without importing the models
+        assert APPS == MIXED_SUITE
+        assert GOAL == MIXED_GOAL
+
 
 class TestConfigurations:
     def test_table3_is_the_paper_configuration(self):
@@ -71,14 +79,17 @@ class TestResultFormatting:
         assert "Figure 5 graph A" in result.format()
 
     def test_table4_pure_model_run(self):
-        """Table 4 with explicit stats runs in milliseconds and keeps
-        the worst-case/average relationship."""
+        """Table 4 assembled from explicit probe counters runs in
+        milliseconds and keeps the worst-case/average relationship."""
         stats = MolecularStats()
         for _ in range(100):
             stats.record_access(0, hit=True)
         stats.molecules_probed_local = 3_000  # 30/access < 64 worst case
         stats.asid_comparisons = 6_400
-        result = run_table4(mixed_stats=stats)
+        [cell] = table4.cells(1_000, {})
+        result = table4.assemble(
+            [cell], [{"probes": stats.probe_counters()}], {}
+        )
         for row in result.rows:
             assert row.molecular_average_power_w < row.molecular_worst_power_w
         assert result.row("8MB DM").frequency_mhz > result.row("8MB 8way").frequency_mhz

@@ -25,6 +25,8 @@ import pytest
 
 import repro
 import repro.campaign
+import repro.molecular
+import repro.power
 import repro.sim
 import repro.sim.experiments
 
@@ -107,8 +109,9 @@ def test_decomposing_every_experiment_loads_no_numpy():
     """)
     from repro.campaign import experiment_names
 
-    definitions = {"defs.degradation", "defs.figure5", "defs.resize_mechanism",
-                   "defs.table1"}
+    definitions = {"defs.degradation", "defs.figure5", "defs.figure6",
+                   "defs.resize_mechanism", "defs.table1", "defs.table2",
+                   "defs.table4", "defs.table5"}
     assert loaded == dict.fromkeys([*experiment_names(), *definitions], False)
 
 
@@ -122,23 +125,33 @@ class TestResumeOfACompleteStore:
     def stores(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("stores")
         cold = {}
-        for name in ("table1", "figure5"):
+        for name in ("table1", "figure5", "table2"):
             done = python("-m", "repro", *self.sweep(name, root), scale="0.02")
             assert "0 cached" in done.stderr
             cold[name] = done.stdout
         return root, cold
 
-    def sweep(self, name: str, root: Path) -> list[str]:
+    def sweep(self, name: str, root: Path, store: str | None = None) -> list[str]:
         return ["sweep", name, "--jobs", "2", "--refs", self.REFS,
-                "--out", str(root / name)]
+                "--out", str(root / (store or name))]
 
-    @pytest.mark.parametrize("name", ["table1", "figure5"])
+    @pytest.mark.parametrize("name", ["table1", "figure5", "table2"])
     def test_resume_imports_no_simulator(self, stores, name):
         root, cold = stores
         done = python("-c", WATCHED_CLI, *self.sweep(name, root), "--resume",
                       scale="0.02")
         assert done.stdout == cold[name]
         assert "(0 run, " in done.stderr
+        assert json.loads(done.stderr.splitlines()[-1]) == []
+
+    def test_table5_resumes_from_table2s_store(self, stores):
+        """Table 5's jobs are three of Table 2's: all cached, and the
+        power model assembles them without the simulator."""
+        root, _cold = stores
+        done = python("-c", WATCHED_CLI, *self.sweep("table5", root, "table2"),
+                      "--resume", scale="0.02")
+        assert done.stdout.startswith("Table 5")
+        assert "3 jobs (0 run, 3 cached" in done.stderr
         assert json.loads(done.stderr.splitlines()[-1]) == []
 
 
@@ -168,7 +181,8 @@ def test_forked_workers_inherit_the_experiment_module(tmp_path):
                       "inherited": [True, True]}
 
 
-FACADES = [repro, repro.campaign, repro.sim, repro.sim.experiments]
+FACADES = [repro, repro.campaign, repro.molecular, repro.power, repro.sim,
+           repro.sim.experiments]
 
 
 @pytest.mark.parametrize("facade", FACADES, ids=lambda m: m.__name__)

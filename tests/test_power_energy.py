@@ -46,14 +46,14 @@ class TestAverage:
         expected = (
             100 * energy.molecule_probe_nj + 640 * ASID_COMPARE_NJ
         ) / 10
-        assert energy.average_energy_nj(stats) == pytest.approx(expected)
+        assert energy.average_energy_nj(stats.probe_counters()) == pytest.approx(expected)
 
     def test_average_no_accesses_is_zero(self, energy):
-        assert energy.average_energy_nj(MolecularStats()) == 0.0
+        assert energy.average_energy_nj(MolecularStats().probe_counters()) == 0.0
 
     def test_average_below_worst_case_when_subset_probed(self, energy):
         stats = stats_with(accesses=10, probed=300, comparisons=640)  # 30/access < 64
-        assert energy.average_energy_nj(stats) < energy.worst_case_energy_nj()
+        assert energy.average_energy_nj(stats.probe_counters()) < energy.worst_case_energy_nj()
 
 
 class TestPowerHelpers:

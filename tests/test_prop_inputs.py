@@ -305,12 +305,12 @@ def test_inspect_trace(content):
 # ------------------------------------------------------------ campaign store
 
 
-#: Every job of each kind of target a resume assembles: the four grids
-#: and a whole experiment.
+#: Every job of each kind of target a resume assembles: the grids, and
+#: two that read Table 2's molecular cells (Table 2's first is not one).
 RESUMED = {
     name: get_experiment(name).jobs(refs=1000)
     for name in ("table1", "figure5", "degradation", "resize-mechanism",
-                 "table2")
+                 "table2", "figure6", "table4")
 }
 SPEC = RESUMED["table1"][0]
 JOB = SPEC.content_hash()
@@ -393,7 +393,8 @@ def stored_first_job(name: str):
 @example(("table1", envelope(SPEC, {"rates": [1]})))
 @example(("table1", envelope(SPEC, {})))
 @example(("table1", envelope(SPEC, {"rates": {}})))
-@example(("table2", envelope(RESUMED["table2"][0], {"formatted": 5})))
+@example(("table2", envelope(RESUMED["table2"][0], {"deviation": 0.1, "rates": 5})))
+@example(("figure6", envelope(RESUMED["figure6"][0], {"deviation": 0.1, "rates": {}})))
 def test_stored_result(stored):
     """A resume moves the first job's stored file aside, so the job
     re-runs, or assembles and prints what it holds beside the other

@@ -115,6 +115,26 @@ class TestValidation:
         with pytest.raises(ConfigError):
             simple_model().generate(0)
 
+    def test_rejects_a_ring_past_the_application_space(self):
+        # 2**35 blocks of 64 B would run into ASID 1's space.
+        big = BenchmarkModel("big", (RingComponent(1.0, 2**35),))
+        with pytest.raises(ConfigError, match="address space"):
+            big.generate(1000, seed=1, asid=0)
+
+    def test_rejects_a_drifting_ring_past_the_application_space(self):
+        # Each phase moves the ring to fresh blocks: 4 x 2**33 blocks.
+        drifting = BenchmarkModel(
+            "drift", (RingComponent(1.0, 2**33, drift=True),), phases=4
+        )
+        with pytest.raises(ConfigError, match="address space"):
+            drifting.generate(1000, seed=1, asid=0)
+
+    def test_a_ring_filling_the_application_space_fits(self):
+        full = BenchmarkModel("full", (RingComponent(1.0, 2**34),))
+        trace = full.generate(1000, seed=1, asid=2)
+        assert (trace.addresses >= 2 * APP_SPACE_BYTES).all()
+        assert (trace.addresses < 3 * APP_SPACE_BYTES).all()
+
 
 class TestGeneration:
     def test_deterministic(self):
