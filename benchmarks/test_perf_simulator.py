@@ -21,10 +21,8 @@ from repro.workloads import spec_model
 
 N_REFS = 50_000
 
-#: Relative floor for the access session over the scalar reference path,
-#: and an absolute throughput floor (refs/s) as a CI smoke guard. Both
-#: overridable by environment for unusual hardware.
-MIN_BATCHED_SPEEDUP = float(os.environ.get("REPRO_MIN_BATCHED_SPEEDUP", "2.0"))
+#: Absolute throughput floor (refs/s) of the access session, as a CI
+#: smoke guard; overridable by environment for unusual hardware.
 MIN_BATCHED_THROUGHPUT = float(
     os.environ.get("REPRO_MIN_BATCHED_THROUGHPUT", "100000")
 )
@@ -62,7 +60,8 @@ def test_perf_setassoc_access(benchmark, blocks):
 
 
 def test_perf_setassoc_access_scalar(benchmark, blocks):
-    """Scalar reference path (kept for before/after comparisons)."""
+    """The per-reference ``access_block`` entry point: one session access
+    plus its ``AccessResult``."""
 
     def run():
         cache = SetAssociativeCache(1 << 20, 4)
@@ -86,7 +85,8 @@ def test_perf_molecular_access(benchmark, blocks):
 
 
 def test_perf_molecular_access_scalar(benchmark, blocks):
-    """Scalar reference path (kept for before/after comparisons)."""
+    """The per-reference ``access_block`` entry point: one session access
+    plus its ``AccessResult``."""
     config = _molecular_config()
 
     def run():
@@ -99,48 +99,30 @@ def test_perf_molecular_access_scalar(benchmark, blocks):
     assert benchmark(run) == N_REFS
 
 
-def test_molecular_session_speedup(blocks):
-    """Guard: the access session must beat the scalar path by >= 2x.
+def test_molecular_session_throughput(blocks):
+    """Guard: the access session serves >= 100k refs/s.
 
     Plain min-of-three wall timing (no benchmark fixture) so the guard
     also runs under ``--benchmark-disable`` in the CI perf smoke.
     """
     config = _molecular_config()
 
-    def timed(run) -> float:
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            assert run() == N_REFS
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def scalar_run():
-        cache = _molecular_cache(config)
-        access = cache.access_block
-        for block in blocks:
-            access(block, 0)
-        return cache.stats.total.accesses
-
     def session_run():
         cache = _molecular_cache(config)
         cache.access_many(blocks, 0)
         return cache.stats.total.accesses
 
-    scalar_s = timed(scalar_run)
-    session_s = timed(session_run)
-    speedup = scalar_s / session_s
+    session_s = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert session_run() == N_REFS
+        session_s = min(session_s, time.perf_counter() - start)
     throughput = N_REFS / session_s
     emit(
         "perf_molecular_session",
-        "Access session vs scalar reference "
-        f"({N_REFS} refs, molecular 1MB/4-tile)\n"
-        f"  scalar access_block : {scalar_s:.3f}s "
-        f"({N_REFS / scalar_s:,.0f} refs/s)\n"
+        f"Access session throughput ({N_REFS} refs, molecular 1MB/4-tile)\n"
         f"  session access_many : {session_s:.3f}s "
-        f"({throughput:,.0f} refs/s)\n"
-        f"  speedup             : {speedup:.2f}x "
-        f"(floor {MIN_BATCHED_SPEEDUP:.1f}x)",
+        f"({throughput:,.0f} refs/s, floor {MIN_BATCHED_THROUGHPUT:,.0f})",
         metrics=[
             {
                 "metric": "molecular_session_refs_per_sec",
@@ -148,17 +130,7 @@ def test_molecular_session_speedup(blocks):
                 "unit": "refs/s",
                 "direction": "higher",
             },
-            {
-                "metric": "molecular_session_speedup",
-                "value": speedup,
-                "unit": "x",
-                "direction": "higher",
-            },
         ],
-    )
-    assert speedup >= MIN_BATCHED_SPEEDUP, (
-        f"access session only {speedup:.2f}x over scalar "
-        f"(floor {MIN_BATCHED_SPEEDUP:.1f}x)"
     )
     assert throughput >= MIN_BATCHED_THROUGHPUT, (
         f"session throughput {throughput:,.0f} refs/s below floor "

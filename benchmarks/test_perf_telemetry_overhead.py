@@ -1,8 +1,8 @@
 """Guard: telemetry must never silently tax the simulator's hot path.
 
-The instrumented access loop differs from the seed's by exactly one
-``cache.telemetry is None`` attribute check per access (see
-``MolecularCache.access_block``). Two assertions keep that contract:
+The access session (``AccessEngine.access``, the loop ``CMPRunner``
+runs) carries exactly one ``cache.telemetry is None`` attribute check
+per access for telemetry. Two assertions keep that contract:
 
 * the measured cost of that guard is within noise (<= 5 %) of one
   measured access — i.e. the instrumented-but-disabled path is
@@ -49,8 +49,8 @@ def make_blocks() -> list[int]:
 
 
 def time_access_loop(cache, blocks) -> float:
-    """Seconds per access, min over REPEATS runs of the full loop."""
-    access = cache.access_block
+    """Seconds per session access, min over REPEATS runs of the full loop."""
+    access = cache.access_session().access
 
     def run():
         for block in blocks:

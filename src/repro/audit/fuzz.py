@@ -3,12 +3,14 @@
 Generates operation streams — accesses across several applications ×
 placement policies × line multipliers × resize triggers × resize
 mechanisms × shared regions × migrations × forced resize rounds — and
-runs each stream through the
-differential oracle (:mod:`repro.audit.oracle`) with the full-state
-auditor firing at epoch boundaries. A failure (an invariant violation or
-a divergence between access paths) is shrunk to a minimal reproducing
-stream with a ddmin-style chunk reducer before it is reported, so a
-``repro fuzz`` failure is directly debuggable.
+runs each stream through the differential oracle
+(:mod:`repro.audit.oracle`): ``access_block`` in lockstep with the
+stdlib spec (:mod:`repro.audit.spec`), ``access_many``, and a brute arm
+audited after every op, with the full-state auditor firing at epoch
+boundaries. A failure (a spec divergence, an invariant violation or a
+divergence between arms) is shrunk to a minimal reproducing stream with
+a ddmin-style chunk reducer before it is reported, so a ``repro fuzz``
+failure is directly debuggable.
 
 Everything is deterministic in the seed: the same
 ``seed × placement × trigger`` cell always generates the same scenario
@@ -45,7 +47,7 @@ ALL_MECHANISMS = ("flush", "chash")
 LINE_MULTIPLIERS = (1, 2, 4)
 
 #: Epoch length for the in-stream audits: every this many operations the
-#: oracle runs the full auditor on each path. Chosen well below the
+#: oracle runs the full auditor on each arm. Chosen well below the
 #: generator's resize period so audits land between *and* across resize
 #: rounds.
 AUDIT_EPOCH = 500
@@ -92,8 +94,8 @@ class FuzzReport:
         status = "clean" if self.ok else f"{len(self.failures)} FAILING cell(s)"
         return (
             f"fuzz seed={self.seed}: {len(self.cells)} cell(s), "
-            f"{self.operations} operation(s) through {len(PATHS)} paths, "
-            f"~{self.audits} audit(s) per path: {status}"
+            f"{self.operations} operation(s) through {len(PATHS)} arms, "
+            f"~{self.audits} audit(s) per arm: {status}"
         )
 
 
@@ -257,9 +259,9 @@ def fuzz(
     resize mechanisms.
 
     Each cell generates its own scenario and stream (deterministic in
-    ``seed``), replays it through every oracle path with audits every
+    ``seed``), replays it through every oracle arm with audits every
     ``audit_every`` operations (default :data:`AUDIT_EPOCH`; the brute
-    path always audits per-op), and shrinks any failure. ``faults``
+    arm always audits per-op), and shrinks any failure. ``faults``
     mixes random fault schedules (molecule retirement, transient line
     drops, tile degradation) into every cell's stream. ``mechanisms``
     defaults to ``("flush",)``: flush cells derive their streams from
@@ -306,7 +308,7 @@ def fuzz(
                 stream = generate_ops(cell_rng, scenario, ops, faults=faults)
                 # Drawn *after* the stream so established fixed-seed streams
                 # stay stable. Half the cells run without a telemetry bus,
-                # so the paths are also compared with no per-access
+                # so the engine arm is also compared with no per-access
                 # AccessResult construction at all.
                 if cell_rng.random() < 0.5:
                     scenario = dataclasses.replace(scenario, telemetry=False)

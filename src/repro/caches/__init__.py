@@ -10,14 +10,7 @@ no coherence protocol to model.
 """
 
 from repro.caches.partitioned import ColumnCache, ModifiedLRUCache
-from repro.caches.replacement import (
-    FIFOReplacement,
-    LRUReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-    make_replacement_policy,
-)
-from repro.caches.setassoc import SetAssociativeCache
+from repro.caches.setassoc import POLICIES, SetAssociativeCache
 from repro.caches.stats import AsidCounters, CacheStats
 
 __all__ = [
@@ -25,10 +18,6 @@ __all__ = [
     "CacheStats",
     "ColumnCache",
     "ModifiedLRUCache",
-    "FIFOReplacement",
-    "LRUReplacement",
-    "RandomReplacement",
-    "ReplacementPolicy",
+    "POLICIES",
     "SetAssociativeCache",
-    "make_replacement_policy",
 ]

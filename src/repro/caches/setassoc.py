@@ -11,28 +11,28 @@ A set is a plain ``dict`` from block number to one int per line, its
 oldest line is ``next(iter(set))`` and popping a line and storing it again
 moves it to the young end. This module is the one definition of that
 encoding; the partitioned caches and the auditor use it.
+
+The access rule has one body, :class:`_SetAssocSession`; ``access_many``
+loops over it and ``access_block`` runs it once (DESIGN.md 7.1).
 """
 
 from __future__ import annotations
 
 from itertools import islice
 
-from repro.caches.replacement import (
-    FIFOReplacement,
-    LRUReplacement,
-    RandomReplacement,
-    ReplacementPolicy,
-    make_replacement_policy,
-)
 from repro.caches.stats import CacheStats
 from repro.common.bitops import ilog2, is_power_of_two
 from repro.common.errors import ConfigError
 from repro.common.refs import iter_refs
-from repro.common.rng import DeterministicRNG
+from repro.common.rng import DeterministicRNG, XorShift64
 from repro.common.types import Access, AccessResult
 
 #: The dirty bit of a line state; the owning ASID sits above it.
 DIRTY = 1
+
+#: Replacement policies, by name; the paper's baselines use LRU, the best
+#: of the three (section 3.3).
+POLICIES = ("lru", "fifo", "random")
 
 
 def line_state(asid: int, dirty: bool) -> int:
@@ -104,7 +104,8 @@ class PackedSets:
 
 
 class SetAssociativeCache(PackedSets):
-    """A classic N-way set-associative cache with pluggable replacement.
+    """A classic N-way set-associative cache with LRU, FIFO or Random
+    replacement.
 
     Parameters
     ----------
@@ -115,11 +116,11 @@ class SetAssociativeCache(PackedSets):
     line_bytes:
         Line (block) size in bytes; the paper uses 64 B throughout.
     policy:
-        Replacement policy name (``"lru"``, ``"fifo"``, ``"random"``) or a
-        :class:`ReplacementPolicy` instance.
+        Replacement policy name, one of :data:`POLICIES`. Anything else
+        (a policy object included) is a :class:`ConfigError`.
     rng:
-        Deterministic RNG handed to the Random policy when ``policy`` is
-        given by name.
+        Deterministic RNG the Random policy draws its victims from;
+        ignored by LRU and FIFO.
     name:
         Label used in reports (e.g. ``"8MB 4way"``).
     """
@@ -129,7 +130,7 @@ class SetAssociativeCache(PackedSets):
         size_bytes: int,
         associativity: int,
         line_bytes: int = 64,
-        policy: str | ReplacementPolicy = "lru",
+        policy: str = "lru",
         rng: DeterministicRNG | None = None,
         name: str = "",
     ) -> None:
@@ -139,43 +140,36 @@ class SetAssociativeCache(PackedSets):
             line_bytes,
             name or f"{size_bytes // 1024}KB {associativity}way",
         )
-        if isinstance(policy, ReplacementPolicy):
-            self._policy = policy
-        else:
-            self._policy = make_replacement_policy(policy, rng)
+        kind = policy.lower() if isinstance(policy, str) else None
+        if kind not in POLICIES:
+            raise ConfigError(
+                f"unknown replacement policy {policy!r}; expected a name, "
+                f"one of {sorted(POLICIES)}"
+            )
+        self.policy = kind
+        self.rng = (rng if rng is not None else XorShift64()) if kind == "random" else None
+        self._session = _SetAssocSession(self)
 
     # ------------------------------------------------------------------ API
 
-    @property
-    def policy(self) -> ReplacementPolicy:
-        return self._policy
-
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
-        """Fast-path access by pre-computed block number.
+        """One reference through the session rule, with its outcome.
 
-        Bulk drivers use this to avoid constructing an :class:`Access`
-        object per reference. It is the readable reference of the access
-        rule, calling the policy's ``touch`` and ``victim`` (DESIGN.md 7.1).
+        A miss in a full set evicts one line; it is the one line of the
+        set as it was that the set no longer holds.
         """
         cache_set = self._sets[block & self._set_mask]
-        state = cache_set.get(block)
-        if state is not None:
-            self.stats.record_access(asid, hit=True)
-            self._policy.touch(cache_set, block)
-            if write:
-                cache_set[block] = state | DIRTY
+        before = None
+        if block not in cache_set and len(cache_set) >= self.associativity:
+            before = dict(cache_set)
+        if self._session.access(block, asid, write):
             return AccessResult(hit=True)
-
-        self.stats.record_access(asid, hit=False)
-        evicted_block: int | None = None
-        writeback = False
-        if len(cache_set) >= self.associativity:
-            evicted_block = self._policy.victim(cache_set)
-            victim = cache_set.pop(evicted_block)
-            writeback = bool(victim & DIRTY)
-            self.stats.record_eviction(line_owner(victim), writeback)
-        cache_set[block] = line_state(asid, write)
-        return AccessResult(hit=False, evicted_block=evicted_block, writeback=writeback)
+        if before is None:
+            return AccessResult(hit=False)
+        (evicted,) = before.keys() - cache_set.keys()
+        return AccessResult(
+            hit=False, evicted_block=evicted, writeback=bool(before[evicted] & DIRTY)
+        )
 
     def access_many(self, blocks, asids=0, writes=False) -> int:
         """Bulk access: stream a whole reference column through a session.
@@ -185,8 +179,8 @@ class SetAssociativeCache(PackedSets):
         broadcast to every reference (:func:`repro.common.refs.
         iter_refs` checks the shapes). Stats are byte-identical to
         calling :meth:`access_block` per element
-        (``tests/test_prop_batched.py`` checks the equivalence). Returns
-        the number of accesses simulated.
+        (``tests/test_setassoc_model.py`` holds both to a list model).
+        Returns the number of accesses simulated.
         """
         n, refs = iter_refs(blocks, asids, writes)
         access = self.access_session().access
@@ -197,11 +191,9 @@ class SetAssociativeCache(PackedSets):
     def access_session(self) -> "_SetAssocSession":
         """Allocation-free per-access session (``access(...) -> bool``).
 
-        The set-associative twin of the molecular cache's session: the
-        same stats updates as :meth:`access_block` without the
-        ``AccessResult``, for feedback drivers that interleave
-        applications one reference at a time. Only the built-in LRU,
-        FIFO and Random policies have one (:class:`ConfigError` otherwise).
+        The one body of the access rule, for feedback drivers that
+        interleave applications one reference at a time: the same stats
+        updates as :meth:`access_block` without the ``AccessResult``.
         """
         return _SetAssocSession(self)
 
@@ -253,42 +245,34 @@ class SetAssociativeCache(PackedSets):
         return (
             f"SetAssociativeCache(name={self.name!r}, size={self.size_bytes}, "
             f"assoc={self.associativity}, line={self.line_bytes}, "
-            f"policy={self._policy.name})"
+            f"policy={self.policy})"
         )
 
 
 class _SetAssocSession:
-    """Per-access fast path bound to one :class:`SetAssociativeCache`.
+    """The access rule of one :class:`SetAssociativeCache`.
 
-    It bumps the same raw per-ASID counters as :meth:`SetAssociativeCache.
-    access_block`: accesses and hits for the accessing ASID, evictions
-    and writebacks for the victim's owner. Those counters are never
-    replaced, so a session stays valid across ``stats.reset()`` and
-    ``reset_window()``.
+    It bumps the raw per-ASID counters: accesses and hits for the
+    accessing ASID, evictions and writebacks for the victim's owner.
+    Those counters are never replaced, so a session stays valid across
+    ``stats.reset()`` and ``reset_window()``.
 
     The policy is read once, as data: LRU pops a hit and stores it again
     at the young end, dirty bit included; Random evicts entry
-    ``rng.randrange(len(set))``, the draws ``RandomReplacement.victim``
-    makes; LRU and FIFO evict the oldest line, ``next(iter(set))``.
+    ``rng.randrange(len(set))``; LRU and FIFO evict the oldest line,
+    ``next(iter(set))``.
     """
 
     __slots__ = ("_sets", "_set_mask", "_ways", "_stats", "_live", "_refresh", "_rng")
 
     def __init__(self, cache: SetAssociativeCache) -> None:
-        policy = cache.policy
-        kind = type(policy)
-        if kind not in (LRUReplacement, FIFOReplacement, RandomReplacement):
-            raise ConfigError(
-                f"the set-associative access session cannot express "
-                f"replacement policy {kind.__name__}; use access_block"
-            )
         self._sets = cache._sets
         self._set_mask = cache._set_mask
         self._ways = cache.associativity
         self._stats = cache.stats
         self._live = cache.stats.live
-        self._refresh = kind is LRUReplacement
-        self._rng = policy.rng if kind is RandomReplacement else None
+        self._refresh = cache.policy == "lru"
+        self._rng = cache.rng
 
     def access(self, block: int, asid: int = 0, write: bool = False) -> bool:
         live = self._live

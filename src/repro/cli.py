@@ -42,8 +42,10 @@ Commands
     with the previous same-scale one and fail on changes beyond
     ``--threshold`` in the worse direction (``--soft`` reports only).
 ``fuzz``
-    Differential fuzzing: randomized op streams through every access
-    path with the full-state invariant auditor at epoch boundaries;
+    Differential fuzzing: randomized op streams through the access rule
+    in lockstep with the stdlib spec, through ``access_many`` and through
+    a per-op-audited arm, with the full-state invariant auditor at epoch
+    boundaries;
     failures are shrunk to a minimal repro. ``--faults`` mixes random
     fault schedules into every stream; ``--mechanism {all,flush,chash}``
     adds the resize-mechanism axis to the fuzz grid.

@@ -9,7 +9,7 @@ Two layers of sabotage, both seeded and reproducible:
   molecules, transient faults drop single lines, degraded faults inflate
   a tile's port latency. The drivers (:func:`repro.sim.driver.run_trace`,
   :class:`~repro.sim.cmp.CMPRunner`) fire due faults between references,
-  so the scalar and batched access paths see identical fault timing.
+  so every access entry point sees identical fault timing.
 * **Worker chaos** (:mod:`repro.faults.chaos`) — a
   :class:`WorkerChaos` makes one campaign worker die, hang or return a
   corrupted outcome, exercising the lease drain's reclaim/fencing/

@@ -18,6 +18,8 @@ Access path for a reference from application ``a`` (home tile ``T``):
    replacement view and the line (or the region's replacement unit, for a
    larger configured line size) is installed.
 
+The rule has one body, :meth:`repro.molecular.engine.AccessEngine.access`:
+``access_block``, ``access_many`` and ``access_session`` all run it.
 Functionally, steps 2-3 are served by the region's presence map; the
 architectural probe counts are charged as if every search had happened,
 which is what the power model integrates (DESIGN.md section 7).
@@ -31,6 +33,7 @@ from repro.common.rng import DeterministicRNG, XorShift64
 from repro.common.types import Access, AccessResult
 from repro.molecular.cluster import TileCluster
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
+from repro.molecular.engine import AccessEngine, ResultTap
 from repro.molecular.latency import LatencyModel
 from repro.molecular.placement import PlacementPolicy, make_placement_policy
 from repro.molecular.region import CacheRegion
@@ -131,6 +134,9 @@ class MolecularCache:
         #: migration, resize fires). Per-region membership changes are
         #: tracked separately by ``CacheRegion.version``.
         self._ctx_epoch = 0
+        #: ``access_block``'s session, built on its first call.
+        self._engine: AccessEngine | None = None
+        self._tap = ResultTap()
 
     # ----------------------------------------------------------- telemetry
 
@@ -372,10 +378,8 @@ class MolecularCache:
         ``blocks`` is a block-number column (list, tuple, 1-D ndarray or
         iterable); ``asids``/``writes`` are parallel columns or scalars
         broadcast to every reference. Returns the number of accesses
-        simulated; cumulative results live in :attr:`stats` exactly as
-        if each reference had gone through :meth:`access_block` — the
-        session is byte-identical to the scalar path for stats, resize
-        decisions and telemetry streams (see
+        simulated; cumulative results live in :attr:`stats`, exactly as
+        if each reference had gone through :meth:`access_block` (see
         :mod:`repro.molecular.engine`).
         """
         return self.access_session().stream(blocks, asids, writes)
@@ -384,155 +388,36 @@ class MolecularCache:
         """An allocation-free per-access session for feedback drivers.
 
         Returns an :class:`~repro.molecular.engine.AccessEngine` whose
-        ``access(block, asid, write) -> bool`` skips ``AccessResult``
-        construction while keeping stats/telemetry byte-identical to
-        :meth:`access_block`. Sessions stay valid across stats resets.
+        ``access(block, asid, write) -> bool`` runs the access rule
+        without building an ``AccessResult``. Sessions stay valid across
+        stats resets.
         """
         profiler = self.profiler
         if profiler is not None and profiler.enabled:
             from repro.prof.engine import ProfiledAccessEngine
 
             return ProfiledAccessEngine(self)
-        from repro.molecular.engine import AccessEngine
-
         return AccessEngine(self)
 
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         """Simulate one reference; returns hit/miss plus probe counts.
 
-        This is the scalar *reference implementation*: the session
-        behind :meth:`access_session` and :meth:`access_many` must stay
-        byte-identical to it (``tests/test_prop_batched.py`` enforces
-        the equivalence).
+        One access through the cache's own session: for the call, a
+        :class:`~repro.molecular.engine.ResultTap` stands in for the
+        telemetry bus, keeps the ``AccessResult`` the session publishes
+        and hands every event on to the attached bus, if any.
         """
-        region = self.regions.get(asid)
-        if region is None:
-            raise UnknownASIDError(asid)
-        stats = self.stats
-        # Charges below go straight into the stats, so a session's live
-        # context for this ASID settles and goes (the next session access
-        # rebuilds it). Touching the counters at dispatch, like a context
-        # build does, keeps the two paths' state identical on errors.
-        context = stats.contexts.pop(asid, None)
-        if context is not None:
-            context.settle()
-        stats.counters(asid)
-        home_tile_id = region.home_tile_id
-        home_tile = self._tiles[home_tile_id]
-
-        # Stage 1: ASID comparators fire in every molecule of the home tile
-        # (retired molecules are powered off — their comparators are gone).
-        comparisons = home_tile.comparator_count
-
-        # Stage 2: probe the matching molecules of the home tile (plus any
-        # shared-bit molecules).
-        local_probes = region.molecules_by_tile.get(home_tile_id, 0)
-        shared_region = self._shared_regions.get(home_tile_id)
-        if shared_region is not None and shared_region is not region:
-            local_probes += home_tile.shared_count
-
-        molecule = region.lookup(block)
-        serving_region = region
-        if molecule is None and shared_region is not None and shared_region is not region:
-            molecule = shared_region.lookup(block)
-            if molecule is not None:
-                serving_region = shared_region
-
-        # Stage 3 (on a tile miss): Ulmo searches the remote tiles.
-        # Nothing is charged until the access has succeeded, so a
-        # placement error leaves the stats untouched.
-        remote_probes = 0
-        remote_tiles = 0
-        remote_extra = 0
-        ulmo = self.cluster_of_tile(home_tile_id).ulmo.stats
-        if molecule is not None:
-            if molecule.tile_id != home_tile_id:
-                remote_tiles, remote_probes, more, remote_extra = (
-                    self._remote_search(region, molecule.tile_id)
-                )
-                comparisons += more
-                ulmo.tile_misses += 1
-                ulmo.remote_hits += 1
-            if write:
-                molecule.mark_dirty(block)
-            # Recency belongs to the region that served the hit: a hit in
-            # the tile's shared region must age the *shared* occupants,
-            # not stamp the exclusive region's map.
-            self.placement.on_hit(serving_region, block)
-            stats.record_access(asid, hit=True)
-            result = AccessResult(
-                hit=True,
-                molecules_probed_local=local_probes,
-                molecules_probed_remote=remote_probes,
-            )
-        else:
-            # Stage 4: a global miss installs the line (or unit).
-            target, row_index = self.placement.choose(
-                region, block, self.config.lines_per_molecule, self.rng
-            )
-            evicted = region.install(block, target, row_index, write)
-            remote_tiles, remote_probes, more, remote_extra = (
-                self._remote_search(region, None)
-            )
-            if remote_tiles:
-                comparisons += more
-                ulmo.tile_misses += 1
-            ulmo.global_misses += 1
-            dirty = sum(1 for _b, was_dirty in evicted if was_dirty)
-            stats.writebacks_to_memory += dirty
-            for b, was_dirty in evicted:
-                stats.record_eviction(asid, was_dirty)
-                self.placement.on_evict(region, b)
-            stats.lines_fetched += region.line_multiplier
-            stats.record_access(asid, hit=False)
-            result = AccessResult(
-                hit=False,
-                evicted_block=evicted[0][0] if evicted else None,
-                writeback=dirty > 0,
-                molecules_probed_local=local_probes,
-                molecules_probed_remote=remote_probes,
-                lines_filled=region.line_multiplier,
-            )
-
-        if remote_tiles:
-            result.extra["remote_tiles_searched"] = remote_tiles
-        stats.asid_comparisons += comparisons
-        stats.molecules_probed_local += local_probes
-        stats.molecules_probed_remote += remote_probes
-        stats.latency_cycles += (
-            self.latency_model.cycles(result)
-            + home_tile.extra_port_cycles
-            + remote_extra
-        )
-        self.resizer.on_access(region, block)
-        bus = self.telemetry
-        if bus is not None:
-            bus.record_access(asid, block, write, result, remote_tiles)
-        return result
-
-    def _remote_search(
-        self, region: CacheRegion, found_tile: int | None
-    ) -> tuple[int, int, int, int]:
-        """Walk the region's remote tiles in Ulmo's search order.
-
-        Returns ``(tiles searched, molecules probed, ASID comparators
-        fired, extra degraded-port cycles)`` — the search stops at
-        ``found_tile`` (or covers every contributing tile on a global
-        miss). Retired molecules fire no comparators; a degraded tile
-        adds its ``extra_port_cycles`` to every search that reaches it.
-        """
-        tiles = probes = comparisons = extra = 0
-        for tile_id in region.contributing_tiles():
-            if tile_id == region.home_tile_id:
-                continue
-            tiles += 1
-            probes += region.molecules_by_tile[tile_id]
-            tile = self._tiles[tile_id]
-            comparisons += tile.comparator_count
-            extra += tile.extra_port_cycles
-            if found_tile is not None and tile_id == found_tile:
-                break
-        return tiles, probes, comparisons, extra
+        engine = self._engine
+        if engine is None:
+            engine = self._engine = AccessEngine(self)
+        tap = self._tap
+        tap.bus = bus = self.telemetry
+        self.telemetry = tap
+        try:
+            engine.access(block, asid, write)
+        finally:
+            self.telemetry = bus
+        return tap.result
 
     # ------------------------------------------------------------ reporting
 

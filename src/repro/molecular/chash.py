@@ -39,8 +39,8 @@ flush resize. Remap activity lands in
 :class:`~repro.telemetry.events.MoleculeRemapped` telemetry.
 
 The hash is a splitmix64 finaliser — pure integer arithmetic, no RNG
-state — so every access path (scalar, batched, session, brute)
-replays a stream to the identical ring decisions.
+state — so every entry point (``access_block``, ``access_many``, a
+session) replays a stream to the identical ring decisions.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from repro.common.errors import ConfigError
 from repro.molecular.molecule import Molecule
-from repro.molecular.region import CacheRegion
 from repro.molecular.stats import settled
 from repro.molecular.tile import Tile
 
@@ -51,32 +50,14 @@ class UlmoStats:
 
 
 class Ulmo:
-    """The per-cluster controller (global miss handler + allocator)."""
+    """The per-cluster controller (global miss handler + allocator); the
+    access engine charges its searches (:mod:`repro.molecular.engine`)."""
 
     __slots__ = ("cluster", "stats")
 
     def __init__(self, cluster: "TileCluster") -> None:
         self.cluster = cluster
         self.stats = UlmoStats()
-
-    # ----------------------------------------------------------- searching
-
-    def remote_probe_cost(self, region: CacheRegion, found_tile: int | None) -> int:
-        """Molecules probed outside the home tile during a tile miss.
-
-        Ulmo searches only the tiles that contribute molecules to the
-        region, in a deterministic order (home first, then ascending id),
-        stopping at the tile that holds the line (or after all of them on a
-        global miss, ``found_tile is None``).
-        """
-        probed = 0
-        for tile_id in region.contributing_tiles():
-            if tile_id == region.home_tile_id:
-                continue
-            probed += region.molecules_by_tile[tile_id]
-            if found_tile is not None and tile_id == found_tile:
-                break
-        return probed
 
     # ---------------------------------------------------------- allocation
 

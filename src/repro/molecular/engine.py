@@ -1,70 +1,41 @@
-"""The access engine: the molecular cache's one fast access rule.
+"""The access engine: the molecular cache's one body of the access rule.
 
-Every paper artifact is millions of accesses, and the scalar
-``access_block`` redoes invariant work on each one: the region/tile/shared
-dictionary lookups, the probe-count recomputation, an
-:class:`~repro.common.types.AccessResult` allocation (plus its ``extra``
-dict), a latency-model call and a resizer hook call. All of that is
-per-*region* state that only changes at resize, migration or
-shared-region events — so this module hoists it into an
-:class:`AccessContext`, and :meth:`AccessEngine.access` serves one
+Most of what an access needs is per-*region* state that only changes at
+resize, migration or shared-region events: the region/tile/shared
+dictionary lookups, the probe counts, the remote-search costs and the
+latency constants. This module hoists that into an
+:class:`AccessContext`, so :meth:`AccessEngine.access` serves one
 reference with a presence-map lookup and a few counter bumps.
 
-There are exactly two bodies of the access rule: the scalar
-``MolecularCache.access_block`` (the readable oracle reference) and
-:meth:`AccessEngine.access` (the per-access session). Bulk access
-(:meth:`AccessEngine.stream`, behind ``MolecularCache.access_many``) is a
-loop over the session, and the sampling profiler (``repro.prof.engine``)
-times whole calls to it, so no third copy exists.
+:meth:`AccessEngine.access` is the only body of the rule. Bulk access
+(:meth:`AccessEngine.stream`, behind ``MolecularCache.access_many``) is
+a loop over it; ``MolecularCache.access_block`` is one call to it, with a
+:class:`ResultTap` standing in for the telemetry bus to keep the
+``AccessResult`` that :func:`publish_access` assembles; the sampling
+profiler (``repro.prof.engine``) times whole calls to it. It is checked
+against a stdlib spec that shares no code with it
+(:mod:`repro.audit.spec`).
 
-Equivalence contract: one counter per fact; every read settles
------------------------------------------------------------------
-The engine is an *optimisation*, never a semantic fork: for any access
-sequence the resulting stats dicts, telemetry event streams, resize
-decisions and occupancy reports are byte-identical to replaying the same
-sequence through the scalar ``MolecularCache.access_block``.
-``tests/test_prop_batched.py`` asserts this property over randomized
-traces. Concretely:
+One counter per fact; every read settles (DESIGN.md section 7.1): an
+access bumps the accessing ASID's raw (accesses, hits) pair, evictions
+and writebacks on dirty victims, and one resize-trigger countdown (a
+local hit with no telemetry bus makes three counter stores). Probes,
+ASID comparisons, latency, Ulmo searches and fetched lines are constant
+per context: a context counts outcomes (remote hits per stop tile; local
+hits and misses follow from the raw pair) and
+:meth:`AccessContext.settle` charges them in bulk when it is replaced
+and before any reader looks (:func:`~repro.molecular.stats.settled`).
+With no bus attached no ``AccessResult`` is ever constructed.
 
-* each fact has one counter, bumped once per event: the accessing ASID's
-  raw (accesses, hits) pair (:mod:`repro.caches.stats`), evictions and
-  writebacks on dirty victims, and one resize-trigger countdown. With no
-  telemetry bus a local hit makes three counter stores;
-* every other statistic is a view over those counters (totals, windows,
-  post-warm-up counts, the regions' counts and molecule integrals), or a
-  charge that is constant for the access context: probes, ASID
-  comparisons, latency, Ulmo searches and fetched lines. A context keeps
-  outcome counts for those — remote hits per stop tile; local hits and
-  misses follow from the raw pair — and :meth:`AccessContext.settle`
-  charges them in bulk when the context is replaced and before any
-  reader looks (:func:`~repro.molecular.stats.settled`);
-* the resize triggers count down on every access and fire the same
-  ``Resizer`` methods at the same access counts;
-* when a telemetry bus is attached the engine builds the same
-  ``AccessResult`` the scalar path would and feeds
-  ``bus.record_access`` per access; with no bus attached no result
-  object is ever constructed.
-
-Context invalidation
---------------------
 Contexts live in ``stats.contexts``, one per ASID, shared by every
-session of the cache. A context is valid while both hold:
-
-* ``region.version`` is unchanged — bumped by
-  :meth:`~repro.molecular.region.CacheRegion.invalidate_search_order`
-  on every molecule grant/withdrawal and home-tile migration;
-* the cache's ``_ctx_epoch`` is unchanged — bumped by region
-  assignment, shared-region creation, migration, faults, and by the
-  resizer whenever a resize round fires.
-
-Every access checks both, so a session stays correct across structural
-events made between (or, through resize fires, during) its calls. A
-stale context still settles at its own constants: it served exactly the
-accesses counted since its last settle.
-
-A custom :class:`~repro.molecular.latency.LatencyModel` subclass (one
-that overrides ``cycles``) disables the precomputed cycle constants and
-sends every access to the scalar reference path — correctness first.
+session of the cache, and are valid while ``region.version`` (bumped on
+every molecule grant/withdrawal and home-tile migration) and the cache's
+``_ctx_epoch`` (bumped by region assignment, shared-region creation,
+migration, faults and every resize round) are unchanged. Every access
+checks both, so a session stays correct across structural events made
+between (or, through resize fires, during) its calls. A stale context
+still settles at its own constants: it served exactly the accesses
+counted since its last settle.
 """
 
 from __future__ import annotations
@@ -72,7 +43,6 @@ from __future__ import annotations
 from repro.common.errors import UnknownASIDError
 from repro.common.refs import iter_refs
 from repro.common.types import AccessResult
-from repro.molecular.latency import LatencyModel
 from repro.molecular.placement import PlacementPolicy
 
 
@@ -162,7 +132,7 @@ class AccessEngine:
 
     __slots__ = ("cache", "stats", "placement", "rng", "resizer",
                  "advisor", "per_app", "on_hit_live", "on_evict_live",
-                 "lines_per_molecule", "contexts", "fast_latency")
+                 "lines_per_molecule", "contexts")
 
     def __init__(self, cache) -> None:
         self.cache = cache
@@ -180,7 +150,6 @@ class AccessEngine:
         )
         self.lines_per_molecule = cache.config.lines_per_molecule
         self.contexts: dict[int, AccessContext] = cache.stats.contexts
-        self.fast_latency = type(cache.latency_model).cycles is LatencyModel.cycles
 
     # ------------------------------------------------------------- contexts
 
@@ -282,14 +251,12 @@ class AccessEngine:
     def access(self, block: int, asid: int = 0, write: bool = False) -> bool:
         """One allocation-free access; returns the hit flag.
 
-        The engine's single access body: :meth:`stream` loops over it,
-        and feedback drivers (schedulers interleaving applications
-        reference by reference) call it directly. Contexts persist
-        across calls and revalidate against the region version and cache
-        epoch on every call.
+        The one body of the access rule: :meth:`stream` loops over it,
+        ``access_block`` calls it once, and feedback drivers (schedulers
+        interleaving applications reference by reference) call it
+        directly. Contexts persist across calls and revalidate against
+        the region version and cache epoch on every call.
         """
-        if not self.fast_latency:
-            return self.cache.access_block(block, asid, write).hit
         ctx = self.contexts.get(asid)
         if (
             ctx is None
@@ -322,8 +289,8 @@ class AccessEngine:
                     self.placement.on_hit(region, block)
         else:
             hit = False
-            # Nothing is counted before the install succeeds, like the
-            # scalar reference: identical state if placement raises.
+            # Nothing is counted before the install succeeds, so a
+            # placement error leaves the state as it was.
             target, row_index = self.placement.choose(
                 region, block, self.lines_per_molecule, self.rng
             )
@@ -362,8 +329,8 @@ class AccessEngine:
 
 
 def publish_access(bus, ctx: AccessContext, asid: int, block: int, write: bool,
-             molecule, evicted) -> None:
-    """Feed the bus the ``AccessResult`` the scalar path would have built."""
+                   molecule, evicted) -> None:
+    """Assemble the access's ``AccessResult`` and feed it to the bus."""
     if molecule is not None:
         remote_tiles = remote_probes = 0
         if molecule.tile_id != ctx.home_tile_id:
@@ -386,3 +353,27 @@ def publish_access(bus, ctx: AccessContext, asid: int, block: int, write: bool,
     if remote_tiles:
         result.extra["remote_tiles_searched"] = remote_tiles
     bus.record_access(asid, block, write, result, remote_tiles)
+
+
+class ResultTap:
+    """Stands in for the telemetry bus during one ``access_block`` call.
+
+    Keeps the ``AccessResult`` :func:`publish_access` hands it and passes
+    the access, and every event a resize round emits during it, on to
+    :attr:`bus` (the cache's own bus, or ``None``).
+    """
+
+    __slots__ = ("bus", "result")
+
+    def __init__(self) -> None:
+        self.bus = None
+        self.result = None
+
+    def record_access(self, asid, block, write, result, remote_tiles) -> None:
+        self.result = result
+        if self.bus is not None:
+            self.bus.record_access(asid, block, write, result, remote_tiles)
+
+    def emit(self, event) -> None:
+        if self.bus is not None:
+            self.bus.emit(event)

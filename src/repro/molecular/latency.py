@@ -4,8 +4,9 @@ The paper notes two timing consequences of the design: the ASID
 comparison "would increase the number of cycles consumed by an additional
 cycle" (section 3.1), and the hierarchical lookup serialises — the home
 tile is searched first, then Ulmo walks the other contributing tiles one
-by one (section 3.3). This module turns each access's outcome into a cycle
-count so runs can report mean hit/miss latency alongside miss rates.
+by one (section 3.3). This module holds the cycle cost of each stage; the
+access engine folds them into per-region constants, so runs can report
+mean hit/miss latency alongside miss rates.
 
 Cycle parameters are deliberately coarse (the reproduction's timing claims
 are relative, not absolute); defaults reflect a fast small direct-mapped
@@ -17,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigError
-from repro.common.types import AccessResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,47 +56,21 @@ class LatencyParameters:
 
 
 class LatencyModel:
-    """Maps one access outcome to a cycle count."""
+    """The access path's cycle costs, as the engine charges them."""
 
     __slots__ = ("params",)
 
     def __init__(self, params: LatencyParameters | None = None) -> None:
         self.params = params or LatencyParameters()
 
-    def cycles(self, result: AccessResult) -> int:
-        """Latency of one access, from its recorded outcome.
-
-        ``result.extra['remote_tiles_searched']`` (recorded by the cache)
-        drives the serial remote-search term.
-        """
-        p = self.params
-        cycles = p.asid_compare_cycles + p.molecule_access_cycles
-        remote_tiles = result.extra.get("remote_tiles_searched", 0)
-        if remote_tiles:
-            cycles += p.ulmo_dispatch_cycles
-            cycles += remote_tiles * (
-                p.tile_hop_cycles + p.molecule_access_cycles
-            )
-        if result.miss:
-            cycles += p.memory_cycles
-        return cycles
-
-    def local_hit_cycles(self) -> int:
-        """Latency of the common case (hit in the home tile)."""
-        return self.params.asid_compare_cycles + self.params.molecule_access_cycles
-
     def constants(self) -> tuple[int, int, int, int]:
-        """Precomputed cycle constants for the batched access engine.
+        """``(local_hit, memory, ulmo_dispatch, per_remote_tile)`` cycles.
 
-        Returns ``(local_hit, memory, ulmo_dispatch, per_remote_tile)``
-        such that every outcome of :meth:`cycles` is
-        ``local_hit [+ memory on a miss] [+ ulmo_dispatch +
-        remote_tiles * per_remote_tile when tiles were searched]`` —
-        the engine folds these into its per-region contexts instead of
-        building an :class:`AccessResult` per access. A subclass that
-        overrides :meth:`cycles` is detected by the engine and drops it
-        back to the scalar path, so these constants never mask custom
-        timing.
+        An access costs ``local_hit`` (the ASID stage plus one molecule
+        access), plus ``ulmo_dispatch + tiles * per_remote_tile`` when
+        Ulmo searched ``tiles`` remote tiles, plus ``memory`` on a miss;
+        a degraded tile adds its port penalty wherever the access reaches
+        it. The access engine folds these into its per-region contexts.
         """
         p = self.params
         return (

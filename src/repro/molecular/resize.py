@@ -359,20 +359,6 @@ class Resizer:
         region.resize_period = self.policy.period
         region.resize_countdown = self.policy.period
 
-    def on_access(self, region: CacheRegion, block: int | None = None) -> None:
-        """Called by the cache after every access; fires due resizes."""
-        if self.advisor is not None and block is not None:
-            self.advisor.observe(region, block)
-        if self.policy.trigger == "per_app_adaptive":
-            if region.goal is not None:
-                region.resize_countdown -= 1
-                if region.resize_countdown <= 0:
-                    self._resize_one(region, self.cache.stats.total.accesses)
-        else:
-            self.global_countdown -= 1
-            if self.global_countdown <= 0:
-                self.global_due()
-
     def global_due(self) -> None:
         """The global countdown ran out: fire the round, or re-arm when a
         stats reset since arming has pushed it back."""

@@ -77,8 +77,8 @@ def run_trace(
     access_many = getattr(cache, "access_many", None)
     if access_many is not None:
         # Batched fast path: stream the warm-up prefix, reset, stream the
-        # rest. Stats/telemetry are byte-identical to the scalar loop
-        # below (tests/test_prop_batched.py holds the two to it); the
+        # rest. Stats/telemetry are byte-identical to a per-reference
+        # loop (tests/test_prop_batched.py holds the two to it); the
         # audit cadence only chunks the calls, it never reorders accesses.
         def stream(lo: int, hi: int) -> None:
             if not cadence:

@@ -36,13 +36,15 @@ from typing import Any
 
 _FLOAT_MAX = sys.float_info.max
 
-#: The leaves of a shape: JSON types, by name. A bool is no number, and
-#: a number must fit a float, so every one formats and divides.
+#: The leaves of a shape: JSON types, by name. A bool is no number. Every
+#: numeric payload field is a rate, deviation, count, mean or throughput,
+#: so a number is finite and not negative: it formats, divides and
+#: assembles (a field that may be negative would need a leaf of its own).
 _LEAVES = {
-    "number": lambda value: isinstance(value, float) or (
-        type(value) is int and abs(value) <= _FLOAT_MAX
-    ),
-    "integer": lambda value: type(value) is int and abs(value) <= _FLOAT_MAX,
+    "number": lambda value: (
+        isinstance(value, float) or type(value) is int
+    ) and 0 <= value <= _FLOAT_MAX,
+    "integer": lambda value: type(value) is int and 0 <= value <= _FLOAT_MAX,
     "string": lambda value: isinstance(value, str),
 }
 

@@ -183,13 +183,14 @@ def run_resize_mechanism_cell(
         max(1, int(refs * position)): count for position, count in FAULT_BURSTS
     }
     stats = cache.stats
+    access = cache.access_session().access
     windows: list[tuple[int, float]] = []
     window_mark_acc = window_mark_miss = 0
     for index, (block, asid, write) in enumerate(ops):
         burst = bursts.get(index)
         if burst:
             _inject_burst(cache, burst)
-        cache.access_block(block, asid, write)
+        access(block, asid, write)
         if (index + 1) % WINDOW == 0:
             accesses = stats.total.accesses
             misses = stats.total.misses

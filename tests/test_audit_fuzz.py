@@ -71,17 +71,33 @@ class TestOracle:
         )
         assert report.divergences == []
         assert set(report.results) == set(PATHS)
-        # All four paths saw identical stats down to the last counter.
+        # Every arm saw identical stats down to the last counter.
         stats = [r.stats for r in report.results.values()]
         assert all(s == stats[0] for s in stats)
 
     def test_replay_scalar_matches_brute(self):
+        # access_block in lockstep with the spec, against access_block
+        # audited after every op.
         scenario = small_scenario("lru_direct", trigger="per_app_adaptive")
         ops = mixed_ops(600, seed=9)
-        scalar = replay(scenario, ops, "scalar")
+        spec = replay(scenario, ops, "spec")
         brute = replay(scenario, ops, "brute")
-        assert scalar.error is None and brute.error is None
-        assert diff_results(scalar, brute) == []
+        assert spec.error is None and brute.error is None
+        assert diff_results(spec, brute) == []
+
+    def test_spec_arm_reports_a_divergence(self, monkeypatch):
+        # One extra hop cycle in the simulator's latency constants is a
+        # spec divergence on the first remote search, shrunk to a few ops.
+        from repro.molecular.latency import LatencyModel
+
+        real = LatencyModel.constants
+        monkeypatch.setattr(
+            LatencyModel, "constants",
+            lambda self: real(self)[:3] + (real(self)[3] + 1,),
+        )
+        scenario = small_scenario("randy")
+        report = run_oracle(scenario, mixed_ops(400, seed=2), paths=("spec",))
+        assert any("SpecDivergence" in d and "cycles" in d for d in report.divergences)
 
     def test_replay_rejects_unknown_path(self):
         with pytest.raises(ConfigError, match="unknown oracle path"):
@@ -96,8 +112,8 @@ class TestOracle:
         assert report.ok
 
     def test_diff_results_flags_divergence(self):
-        a = PathResult("scalar", {"x": 1}, {"o": 1}, [(1, 0, "grow", 1)], [])
-        b = PathResult("batched", {"x": 2}, {"o": 2}, [], [{"kind": "e"}])
+        a = PathResult("spec", {"x": 1}, {"o": 1}, [(1, 0, "grow", 1)], [])
+        b = PathResult("engine", {"x": 2}, {"o": 2}, [], [{"kind": "e"}])
         diffs = diff_results(a, b)
         assert any("stats['x']" in d for d in diffs)
         assert any("occupancy" in d for d in diffs)
@@ -105,7 +121,7 @@ class TestOracle:
         assert any("telemetry" in d for d in diffs)
 
     def test_diff_results_error_mismatch_short_circuits(self):
-        a = PathResult("scalar", {"x": 1}, {}, [], [])
+        a = PathResult("spec", {"x": 1}, {}, [], [])
         b = PathResult("brute", {"x": 2}, {}, [], [], error="AuditError: boom")
         diffs = diff_results(a, b)
         assert len(diffs) == 1 and "AuditError" in diffs[0]

@@ -674,6 +674,37 @@ class TestCorruptStore:
         assert out == clean_out
         assert "(0 run," in err
 
+    @pytest.mark.parametrize("label, corrupt", [
+        ("8MB 4way", lambda clean: {**clean, "deviation": -0.5}),
+        ("6MB Molecular Randy", lambda clean: {
+            **clean, "probes": {**clean["probes"], "molecules_probed": -1},
+        }),
+    ], ids=["negative-deviation", "negative-probe-counter"])
+    def test_negative_number_reruns(
+        self, clean_sweeps, tmp_path, capsys, label, corrupt
+    ):
+        """A payload field that is a rate, deviation or count cannot be
+        negative: Table 5's resume over Table 2's store sets the record
+        aside, re-runs that one cell and prints Table 5's clean stdout,
+        instead of failing to assemble it."""
+        _argv, clean_root, _out = clean_sweeps["table2"]
+        argv = ["sweep", "table5", "--jobs", "1", "--refs", "1000", "--out"]
+        assert main([*argv, str(clean_root), "--resume"]) == 0
+        clean_out, err = capsys.readouterr()
+        assert "(0 run," in err
+        root = tmp_path / "store"
+        shutil.copytree(clean_root, root)
+        cells = get_experiment("table2").jobs(refs=1000)
+        job = next(j for j in cells if j.params_dict["label"] == label)
+        path = root / "results" / f"{job.content_hash()}.json"
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "result": corrupt(record["result"])}))
+
+        assert main([*argv, str(root), "--resume"]) == 0
+        out, err = capsys.readouterr()
+        assert out == clean_out
+        assert "corrupt campaign result" in err and "(1 run," in err
+
     @pytest.mark.parametrize("content", ["[1]", "{torn"])
     def test_unreadable_quarantine_record_still_parks(self, damaged, content):
         resume, _text, _clean, job_hash = damaged

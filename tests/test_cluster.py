@@ -4,7 +4,6 @@ import pytest
 
 from repro.common.errors import ConfigError
 from repro.molecular.cluster import TileCluster
-from repro.molecular.region import CacheRegion
 
 
 def make_cluster(tiles=2, molecules=4, lines=16) -> TileCluster:
@@ -66,29 +65,43 @@ class TestUlmoAllocation:
 
 
 class TestUlmoSearch:
-    def _region_spanning(self, cluster: TileCluster) -> CacheRegion:
-        region = CacheRegion(asid=1, goal=None, home_tile_id=0)
-        for molecule in cluster.ulmo.allocate(1, 6, home_tile_id=0):
-            region.add_molecule(molecule, None)
-        return region
+    """Ulmo walks the region's other tiles in ascending id, probing its
+    molecules there, until the line is found (or all on a global miss)."""
+
+    def _cache(self, tiles: int, molecules: int, initial: int):
+        from repro.molecular.config import MolecularCacheConfig
+        from tests.conftest import make_cache
+
+        cache = make_cache(MolecularCacheConfig(
+            molecule_bytes=1024, molecules_per_tile=molecules,
+            tiles_per_cluster=tiles, clusters=1, strict=False,
+        ))
+        cache.assign_application(1, tile_id=0, initial_molecules=initial)
+        return cache, cache.regions[1]
 
     def test_remote_probe_cost_stops_at_found_tile(self):
-        cluster = make_cluster(tiles=3, molecules=4)
-        region = self._region_spanning(cluster)  # 4 in tile 0, 2 in tile 1
+        cache, region = self._cache(tiles=3, molecules=4, initial=6)
         assert region.molecules_by_tile == {0: 4, 1: 2}
-        assert cluster.ulmo.remote_probe_cost(region, found_tile=1) == 2
+        remote = next(m for m in region.molecules() if m.tile_id == 1)
+        region.install(7, remote, 0, write=False)
+        result = cache.access_block(7, 1)
+        assert result.hit
+        assert result.molecules_probed_remote == 2
+        assert result.extra["remote_tiles_searched"] == 1
+        assert cache.stats.molecules_probed_remote == 2
 
     def test_remote_probe_cost_global_miss_probes_all_remote(self):
-        cluster = make_cluster(tiles=3, molecules=4)
-        region = CacheRegion(asid=1, goal=None, home_tile_id=0)
-        for molecule in cluster.ulmo.allocate(1, 10, home_tile_id=0):
-            region.add_molecule(molecule, None)
+        cache, region = self._cache(tiles=3, molecules=4, initial=10)
         # 4 in tile 0 (home), 4 in tile 1, 2 in tile 2
-        assert cluster.ulmo.remote_probe_cost(region, found_tile=None) == 6
+        result = cache.access_block(12345, 1)
+        assert result.miss
+        assert result.molecules_probed_remote == 6
+        assert result.extra["remote_tiles_searched"] == 2
+        assert cache.stats.molecules_probed_remote == 6
 
     def test_home_only_region_has_no_remote_cost(self):
-        cluster = make_cluster(tiles=2, molecules=4)
-        region = CacheRegion(asid=1, goal=None, home_tile_id=0)
-        for molecule in cluster.ulmo.allocate(1, 2, home_tile_id=0):
-            region.add_molecule(molecule, None)
-        assert cluster.ulmo.remote_probe_cost(region, None) == 0
+        cache, region = self._cache(tiles=2, molecules=4, initial=2)
+        result = cache.access_block(12345, 1)
+        assert result.molecules_probed_remote == 0
+        assert "remote_tiles_searched" not in result.extra
+        assert cache.stats.molecules_probed_remote == 0

@@ -83,7 +83,7 @@ class TestStatisticsConsistency:
     def test_latency_accumulates_sanely(self, loaded_cache):
         mean = loaded_cache.stats.mean_latency_cycles()
         model = loaded_cache.latency_model
-        assert model.local_hit_cycles() <= mean
+        assert model.constants()[0] <= mean  # a local hit
         assert mean <= model.params.memory_cycles + 100
 
     def test_molecule_occupancy_matches_presence(self, loaded_cache):

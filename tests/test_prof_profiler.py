@@ -240,7 +240,7 @@ class TestReport:
 
 
 class TestOutcomeClasses:
-    """Every sampled access is classed as the scalar path would report it."""
+    """Every sampled access is classed as ``access_block``'s result reports it."""
 
     @pytest.mark.parametrize(
         "trigger", ["constant", "global_adaptive", "per_app_adaptive"]

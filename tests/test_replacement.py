@@ -1,79 +1,85 @@
-"""Unit tests for the set-associative replacement policies."""
+"""Unit tests for the set-associative replacement policies.
+
+Each policy is a name the cache reads once; these cases drive one set
+through ``access_block`` and read the victim off its ``AccessResult``.
+``test_setassoc_model.py`` checks every policy's order, draws, owners
+and dirty bits against a list model.
+"""
 
 import pytest
 
-from repro.caches.replacement import (
-    FIFOReplacement,
-    LRUReplacement,
-    RandomReplacement,
-    make_replacement_policy,
-)
-from repro.caches.setassoc import line_state
+from repro.caches.setassoc import POLICIES, SetAssociativeCache
 from repro.common.errors import ConfigError
 from repro.common.rng import XorShift64
 
 
-def make_set(blocks) -> dict[int, int]:
-    return {b: line_state(0, False) for b in blocks}
+def one_set(ways: int, policy: str, rng=None) -> SetAssociativeCache:
+    return SetAssociativeCache(ways * 64, ways, 64, policy, rng=rng)
+
+
+def filled(blocks, policy: str, rng=None) -> SetAssociativeCache:
+    cache = one_set(len(blocks), policy, rng)
+    for block in blocks:
+        assert cache.access_block(block).miss
+    return cache
 
 
 class TestLRU:
     def test_victim_is_oldest(self):
-        cache_set = make_set([1, 2, 3])
-        assert LRUReplacement().victim(cache_set) == 1
+        cache = filled([1, 2, 3, 4], "lru")
+        assert cache.access_block(9).evicted_block == 1
 
     def test_touch_refreshes(self):
-        policy = LRUReplacement()
-        cache_set = make_set([1, 2, 3])
-        policy.touch(cache_set, 1)
-        assert policy.victim(cache_set) == 2
+        cache = filled([1, 2, 3, 4], "lru")
+        assert cache.access_block(1).hit
+        assert cache.access_block(9).evicted_block == 2
 
     def test_full_recency_ordering(self):
-        policy = LRUReplacement()
-        cache_set = make_set([1, 2, 3, 4])
+        cache = filled([1, 2, 3, 4], "lru")
         for block in (3, 1, 4, 2):
-            policy.touch(cache_set, block)
-        assert list(cache_set) == [3, 1, 4, 2]
+            assert cache.access_block(block).hit
+        assert list(next(cache.iter_sets())) == [3, 1, 4, 2]
 
 
 class TestFIFO:
     def test_victim_is_first_inserted(self):
-        assert FIFOReplacement().victim(make_set([5, 6, 7])) == 5
+        assert filled([5, 6, 7, 8], "fifo").access_block(9).evicted_block == 5
 
     def test_touch_does_not_refresh(self):
-        policy = FIFOReplacement()
-        cache_set = make_set([5, 6, 7])
-        policy.touch(cache_set, 5)
-        assert policy.victim(cache_set) == 5
+        cache = filled([5, 6, 7, 8], "fifo")
+        assert cache.access_block(5).hit
+        assert cache.access_block(9).evicted_block == 5
 
 
 class TestRandom:
     def test_victim_is_member(self):
-        policy = RandomReplacement(XorShift64(1))
-        cache_set = make_set([1, 2, 3, 4])
-        for _ in range(50):
-            assert policy.victim(cache_set) in cache_set
+        cache = filled([1, 2, 3, 4], "random", XorShift64(1))
+        for block in range(10, 60):
+            resident = set(next(cache.iter_sets()))
+            assert cache.access_block(block).evicted_block in resident
 
     def test_covers_all_members(self):
-        policy = RandomReplacement(XorShift64(2))
-        cache_set = make_set([1, 2, 3, 4])
-        victims = {policy.victim(cache_set) for _ in range(200)}
+        victims = set()
+        for seed in range(1, 40):
+            cache = filled([1, 2, 3, 4], "random", XorShift64(seed))
+            victims.add(cache.access_block(9).evicted_block)
         assert victims == {1, 2, 3, 4}
 
     def test_deterministic_with_seed(self):
-        cache_set = make_set([1, 2, 3, 4])
-        a = [RandomReplacement(XorShift64(3)).victim(cache_set) for _ in range(5)]
-        b = [RandomReplacement(XorShift64(3)).victim(cache_set) for _ in range(5)]
-        # note: fresh policy each call; streams must match pairwise
-        assert a == b
+        def victims(seed: int) -> list[int]:
+            cache = filled([1, 2, 3, 4], "random", XorShift64(seed))
+            return [cache.access_block(b).evicted_block for b in range(10, 15)]
+
+        assert victims(3) == victims(3)
 
 
 class TestFactory:
     def test_builds_each(self):
-        assert make_replacement_policy("lru").name == "lru"
-        assert make_replacement_policy("FIFO").name == "fifo"
-        assert make_replacement_policy("random").name == "random"
+        assert one_set(2, "lru").policy == "lru"
+        assert one_set(2, "FIFO").policy == "fifo"
+        assert one_set(2, "random").policy == "random"
+        assert POLICIES == ("lru", "fifo", "random")
 
     def test_unknown_rejected(self):
-        with pytest.raises(ConfigError):
-            make_replacement_policy("plru")
+        with pytest.raises(ConfigError, match="plru"):
+            one_set(2, "plru")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.caches.replacement import LRUReplacement
 from repro.caches.setassoc import SetAssociativeCache
 from repro.common.errors import ConfigError
 from repro.common.types import Access, AccessType
@@ -176,28 +175,22 @@ class TestStatsIntegration:
         assert cache.stats.per_asid[2].accesses == 1
 
 
-class MRUReplacement(LRUReplacement):
-    """A user policy: evict the most recently used line."""
+class MRUReplacement:
+    """A policy object: evict the most recently used line."""
+
+    def touch(self, cache_set, block):
+        cache_set[block] = cache_set.pop(block)
 
     def victim(self, cache_set):
         return next(reversed(cache_set))
 
 
 class TestUserPolicy:
-    def test_scalar_path_runs_it(self):
-        cache = SetAssociativeCache(128, 2, 64, MRUReplacement())
-        for block in (0, 1, 2):
-            cache.access_block(block)
-        assert sorted(cache.resident_blocks()) == [0, 2]
-
     def test_session_refuses_it(self):
-        # The session reads the built-in policies as data; a subclass
-        # may override anything, so it gets no session.
-        cache = SetAssociativeCache(128, 2, 64, MRUReplacement())
+        # A policy is a name the session reads once; an object that could
+        # override anything is refused when the cache is built.
         with pytest.raises(ConfigError, match="MRUReplacement"):
-            cache.access_session()
-        with pytest.raises(ConfigError):
-            cache.access_many([0, 1, 2])
+            SetAssociativeCache(128, 2, 64, MRUReplacement())
 
 
 class TestLRUStackProperty:

@@ -15,7 +15,6 @@ distances; this model adds FIFO, Random, owners and dirty bits.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caches.replacement import RandomReplacement
 from repro.caches.setassoc import DIRTY, SetAssociativeCache, line_owner
 from repro.common.rng import DeterministicRNG
 
@@ -109,9 +108,8 @@ def test_packed_state_matches_list_model(stream, ways, sets, policy, script, pat
     for block, asid, write in stream:
         model.access(block, asid, write)
 
-    if policy == "random":
-        policy = RandomReplacement(ScriptedRNG(script))
-    cache = SetAssociativeCache(sets * ways * LINE, ways, LINE, policy)
+    rng = ScriptedRNG(script) if policy == "random" else None
+    cache = SetAssociativeCache(sets * ways * LINE, ways, LINE, policy, rng=rng)
     path(cache, stream)
 
     counts = {
