@@ -55,7 +55,7 @@ def test_disabled_audit_issues_identical_calls(monkeypatch):
     monkeypatch.delenv(invariants.AUDIT_ENV, raising=False)
     audits = []
     monkeypatch.setattr(
-        "repro.sim.driver.audit_and_emit",
+        "repro.sim.schedule.audit_and_emit",
         lambda cache: audits.append(1),
     )
     cache = build_cache()

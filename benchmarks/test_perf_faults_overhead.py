@@ -64,11 +64,11 @@ def test_no_plan_issues_identical_calls(monkeypatch):
     """Call-count proof: no injector and no stream splitting without a plan."""
     injectors = []
 
-    import repro.sim.driver as driver_mod
+    import repro.sim.schedule as schedule_mod
 
-    real_injector = driver_mod.FaultInjector
+    real_injector = schedule_mod.FaultInjector
     monkeypatch.setattr(
-        driver_mod,
+        schedule_mod,
         "FaultInjector",
         lambda *args: injectors.append(1) or real_injector(*args),
     )

@@ -308,8 +308,7 @@ def fuzz(
                 stream = generate_ops(cell_rng, scenario, ops, faults=faults)
                 # Drawn *after* the stream so established fixed-seed streams
                 # stay stable. Half the cells run without a telemetry bus,
-                # so the engine arm is also compared with no per-access
-                # AccessResult construction at all.
+                # so the simulator is also run with no event emission.
                 if cell_rng.random() < 0.5:
                     scenario = dataclasses.replace(scenario, telemetry=False)
                 if mechanism != "flush":

@@ -399,16 +399,12 @@ def _audit_placement(audit: _Audit, cache,
                         f"{len(region.rows)} rows")
     if not isinstance(placement, LRUDirectPlacement):
         return
-    resident_by_asid: dict[int, set[int]] = {}
-    for region, _asids in regions:
-        resident_by_asid.setdefault(region.asid, set()).update(region.presence)
-    for asid, touches in placement._touch.items():
-        resident = resident_by_asid.get(asid, set())
-        stale = [block for block in touches if block not in resident]
+    for region, touches in placement._touch.items():
+        stale = [block for block in touches if block not in region.presence]
         audit.check(
             "placement-recency",
             not stale,
-            f"LRU-Direct touch map for asid={asid} references "
+            f"LRU-Direct touch map for asid={region.asid} references "
             f"{len(stale)} non-resident block(s) (e.g. {stale[:4]}) — "
             f"the map is leaking across evictions",
         )

@@ -97,10 +97,9 @@ class Scenario:
     period_floor: int = 50
     min_window_refs: int = 16
     seed: int = 11
-    #: Attach the telemetry bus. Kept in the scenario so the fuzzer can
-    #: disable it for some cells: without a bus the engine constructs
-    #: no per-access ``AccessResult``, which telemetry-free cells put on
-    #: trial.
+    #: Attach a telemetry bus, whose events (resize rounds, faults) the
+    #: arms must emit alike. Kept in the scenario so the fuzzer can run
+    #: some cells without one.
     telemetry: bool = True
     #: Resize mechanism (``flush`` / ``chash``) — the fuzzer's mechanism
     #: axis replays one op stream through both backends.
@@ -141,14 +140,7 @@ class Scenario:
             telemetry = self.telemetry
         if telemetry:
             sink = RingBufferSink(capacity=_EVENT_CAPACITY)
-            cache.attach_telemetry(
-                EventBus(
-                    sinks=[sink],
-                    epoch_refs=100,
-                    sample_interval=7,
-                    remote_search_sample=2,
-                )
-            )
+            cache.attach_telemetry(EventBus([sink]))
         for tile_id, molecules in self.shared_tiles:
             cache.create_shared_region(tile_id, molecules)
         for app in self.apps:
@@ -238,7 +230,7 @@ def _region_state(cache: MolecularCache, region) -> dict:
         "rows": [[m.molecule_id for m in row] for row in region.rows],
         "row_misses": list(region.row_misses),
         "goal": region.goal,
-        "stamps": dict(getattr(cache.placement, "_touch", {}).get(region.asid, {})),
+        "stamps": dict(getattr(cache.placement, "_touch", {}).get(region, {})),
     }
 
 

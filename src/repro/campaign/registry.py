@@ -142,7 +142,7 @@ _register(ExperimentTarget(
 ))
 _register(ExperimentTarget(
     name="table4",
-    default_refs=150_000,
+    default_refs=300_000,
     description="CACTI power at 0.07um, traditional vs molecular",
     module="repro.sim.experiments.table2",
     defs="repro.sim.experiments.defs.table4",

@@ -62,8 +62,9 @@ propagates the cadence to campaign workers via ``$REPRO_AUDIT``).
 ``simulate``, ``sweep`` and ``worker`` accept ``--trace PATH``, which
 records the run as one Chrome trace (:mod:`repro.prof.spans`): telemetry
 events as instants, epoch metrics as counters, and a campaign's
-job/queue/store spans. ``simulate --profile [SAMPLE]`` prints where the
-access time went by outcome class (see :mod:`repro.prof`).
+job/queue/store spans. A ``simulate`` trace also samples one access in
+512 (:mod:`repro.sim.schedule`), and ``inspect`` prints where the access
+time went by outcome class.
 """
 
 from __future__ import annotations
@@ -266,47 +267,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     bus = trace = None
     if args.trace:
-        if args.cache != "molecular":
-            print(
-                "warning: --trace needs the molecular cache; not recording",
-                file=sys.stderr,
-            )
-        else:
-            from repro.prof.spans import LAUNCHER_TID
-            from repro.telemetry import EventBus
+        from repro.prof.spans import LAUNCHER_TID
+        from repro.telemetry import EventBus
 
-            trace = open_trace(args.trace)
-            trace.name_track(LAUNCHER_TID, "simulate")
-            bus = EventBus(
-                [trace], epoch_refs=args.trace_epoch, remote_search_sample=100
-            )
-
-    profiler = None
-    if args.profile is not None:
-        if args.cache != "molecular":
-            print(
-                "warning: --profile needs the molecular cache; not profiling",
-                file=sys.stderr,
-            )
-        else:
-            from repro.prof import HotPathProfiler
-
-            profiler = HotPathProfiler(sample_every=args.profile)
-            cache.attach_profiler(profiler)
+        trace = open_trace(args.trace)
+        trace.name_track(LAUNCHER_TID, "simulate")
+        bus = EventBus([trace], epoch_refs=args.trace_epoch)
 
     runner = CMPRunner(cache, run_config, telemetry=bus)
-    # The CMP runner issues references one at a time through sessions, so
-    # the profiler cannot see stream wall clock — measure the run here
-    # and hand it to the report.
-    from repro.common.clock import tick
-
-    run_started = tick()
     try:
         result = runner.run(traces)
     finally:
-        run_wall = tick() - run_started
-        if bus is not None:
-            bus.close()
+        if trace is not None:
             write_trace(trace, args.trace, "trace")
     print(f"{args.cache} cache, {args.size}, {len(names)} applications:")
     for asid, name in enumerate(names):
@@ -330,8 +302,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{stats.molecules_repaired} repaired, "
                 f"{stats.lines_invalidated} line(s) invalidated"
             )
-    if profiler is not None:
-        print(profiler.format_report(run_wall))
     return 0
 
 
@@ -752,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--miss-penalty", type=float, default=10.0)
     simulate.add_argument("--trace", metavar="PATH", default=None,
                           help="record telemetry as a Chrome trace: events "
-                               "as instants, epoch metrics as counters "
-                               "(molecular cache only; read with "
+                               "and one access in 512, timed, as instants; "
+                               "epoch metrics as counters (read with "
                                "`repro inspect`)")
     simulate.add_argument("--trace-epoch", type=int, default=5_000,
                           help="accesses per telemetry metrics epoch")
@@ -766,12 +736,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated fault schedule, e.g. "
                                "'hard@5000:m3,degraded@10000:t1+8' "
                                "(molecular cache only)")
-    simulate.add_argument("--profile", metavar="SAMPLE", nargs="?", type=int,
-                          const=512, default=None,
-                          help="print where the access time went by "
-                               "outcome (local/remote hit, clean/dirty "
-                               "miss, resize); one access in every SAMPLE "
-                               "is timed (default 512; molecular cache only)")
 
     inspect = sub.add_parser(
         "inspect", help="read a trace recorded with --trace"

@@ -33,7 +33,7 @@ from repro.common.rng import DeterministicRNG, XorShift64
 from repro.common.types import Access, AccessResult
 from repro.molecular.cluster import TileCluster
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
-from repro.molecular.engine import AccessEngine, ResultTap
+from repro.molecular.engine import AccessEngine
 from repro.molecular.latency import LatencyModel
 from repro.molecular.placement import PlacementPolicy, make_placement_policy
 from repro.molecular.region import CacheRegion
@@ -121,13 +121,9 @@ class MolecularCache:
         self._next_tile_assignment = 0
         self.resizer = Resizer(self, self.resize_policy)
         self._line_shift = (self.config.line_bytes - 1).bit_length()
-        #: Attached telemetry bus, or None. The access loop's only
-        #: telemetry cost when disabled is the ``is None`` check on this.
+        #: Attached telemetry bus, or None. Resize rounds, faults and
+        #: audits emit to it; the access rule never reads it.
         self.telemetry = None
-        #: Attached hot-path profiler, or None. Checked once per
-        #: ``access_many``/``access_session`` call — never per reference
-        #: (``tests/test_prof_zero_cost.py`` counts the lookups).
-        self.profiler = None
         #: Context epoch for the access engine's sessions: bumped by every
         #: cache-level event that can invalidate a cached per-region
         #: access context (region assignment, shared-region creation,
@@ -136,7 +132,6 @@ class MolecularCache:
         self._ctx_epoch = 0
         #: ``access_block``'s session, built on its first call.
         self._engine: AccessEngine | None = None
-        self._tap = ResultTap()
 
     # ----------------------------------------------------------- telemetry
 
@@ -176,24 +171,6 @@ class MolecularCache:
         if bus is not None:
             bus.bind_cache(None)
         return bus
-
-    # ------------------------------------------------------------ profiling
-
-    def attach_profiler(self, profiler):
-        """Attach a :class:`~repro.prof.profiler.HotPathProfiler`.
-
-        Subsequent ``access_many``/``access_session`` calls build the
-        stage-instrumented engine; the resizer times its rounds into the
-        profiler. Stats, telemetry and resize behaviour are unaffected
-        (the profiled paths are byte-identical to the plain ones).
-        """
-        self.profiler = profiler
-        return profiler
-
-    def detach_profiler(self):
-        """Detach and return the current profiler (None when absent)."""
-        profiler, self.profiler = self.profiler, None
-        return profiler
 
     # ------------------------------------------------------------ topology
 
@@ -392,32 +369,20 @@ class MolecularCache:
         without building an ``AccessResult``. Sessions stay valid across
         stats resets.
         """
-        profiler = self.profiler
-        if profiler is not None and profiler.enabled:
-            from repro.prof.engine import ProfiledAccessEngine
-
-            return ProfiledAccessEngine(self)
         return AccessEngine(self)
 
     def access_block(self, block: int, asid: int = 0, write: bool = False) -> AccessResult:
         """Simulate one reference; returns hit/miss plus probe counts.
 
-        One access through the cache's own session: for the call, a
-        :class:`~repro.molecular.engine.ResultTap` stands in for the
-        telemetry bus, keeps the ``AccessResult`` the session publishes
-        and hands every event on to the attached bus, if any.
+        One access through the cache's own session, which keeps the
+        access's ``AccessResult``.
         """
         engine = self._engine
         if engine is None:
             engine = self._engine = AccessEngine(self)
-        tap = self._tap
-        tap.bus = bus = self.telemetry
-        self.telemetry = tap
-        try:
-            engine.access(block, asid, write)
-        finally:
-            self.telemetry = bus
-        return tap.result
+            engine.keep_result = True
+        engine.access(block, asid, write)
+        return engine.result
 
     # ------------------------------------------------------------ reporting
 

@@ -9,23 +9,23 @@ reference with a presence-map lookup and a few counter bumps.
 
 :meth:`AccessEngine.access` is the only body of the rule. Bulk access
 (:meth:`AccessEngine.stream`, behind ``MolecularCache.access_many``) is
-a loop over it; ``MolecularCache.access_block`` is one call to it, with a
-:class:`ResultTap` standing in for the telemetry bus to keep the
-``AccessResult`` that :func:`publish_access` assembles; the sampling
-profiler (``repro.prof.engine``) times whole calls to it. It is checked
-against a stdlib spec that shares no code with it
-(:mod:`repro.audit.spec`).
+a loop over it; ``MolecularCache.access_block`` is one call to it on an
+engine whose ``keep_result`` flag has it keep the ``AccessResult`` that
+:func:`build_result` assembles; a driver's run schedule
+(:mod:`repro.sim.schedule`) times whole calls to it. The rule makes no
+telemetry call. It is checked against a stdlib spec that shares no code
+with it (:mod:`repro.audit.spec`).
 
 One counter per fact; every read settles (DESIGN.md section 7.1): an
 access bumps the accessing ASID's raw (accesses, hits) pair, evictions
 and writebacks on dirty victims, and one resize-trigger countdown (a
-local hit with no telemetry bus makes three counter stores). Probes,
+local hit makes three counter stores). Probes,
 ASID comparisons, latency, Ulmo searches and fetched lines are constant
 per context: a context counts outcomes (remote hits per stop tile; local
 hits and misses follow from the raw pair) and
 :meth:`AccessContext.settle` charges them in bulk when it is replaced
 and before any reader looks (:func:`~repro.molecular.stats.settled`).
-With no bus attached no ``AccessResult`` is ever constructed.
+Only ``access_block`` constructs an ``AccessResult``.
 
 Contexts live in ``stats.contexts``, one per ASID, shared by every
 session of the cache, and are valid while ``region.version`` (bumped on
@@ -132,7 +132,7 @@ class AccessEngine:
 
     __slots__ = ("cache", "stats", "placement", "rng", "resizer",
                  "advisor", "per_app", "on_hit_live", "on_evict_live",
-                 "lines_per_molecule", "contexts")
+                 "lines_per_molecule", "contexts", "keep_result", "result")
 
     def __init__(self, cache) -> None:
         self.cache = cache
@@ -150,6 +150,10 @@ class AccessEngine:
         )
         self.lines_per_molecule = cache.config.lines_per_molecule
         self.contexts: dict[int, AccessContext] = cache.stats.contexts
+        #: Set on ``access_block``'s engine: each access then leaves its
+        #: ``AccessResult`` in :attr:`result`.
+        self.keep_result = False
+        self.result: AccessResult | None = None
 
     # ------------------------------------------------------------- contexts
 
@@ -322,15 +326,14 @@ class AccessEngine:
             if resizer.global_countdown <= 0:
                 resizer.global_due()
 
-        bus = self.cache.telemetry
-        if bus is not None:
-            publish_access(bus, ctx, asid, block, write, molecule, evicted)
+        if self.keep_result:
+            self.result = build_result(ctx, molecule, evicted)
         return hit
 
 
-def publish_access(bus, ctx: AccessContext, asid: int, block: int, write: bool,
-                   molecule, evicted) -> None:
-    """Assemble the access's ``AccessResult`` and feed it to the bus."""
+def build_result(ctx: AccessContext, molecule, evicted) -> AccessResult:
+    """The ``AccessResult`` of an access that found ``molecule`` (or, on
+    a miss, installed its line evicting ``evicted``)."""
     if molecule is not None:
         remote_tiles = remote_probes = 0
         if molecule.tile_id != ctx.home_tile_id:
@@ -352,28 +355,5 @@ def publish_access(bus, ctx: AccessContext, asid: int, block: int, write: bool,
         )
     if remote_tiles:
         result.extra["remote_tiles_searched"] = remote_tiles
-    bus.record_access(asid, block, write, result, remote_tiles)
+    return result
 
-
-class ResultTap:
-    """Stands in for the telemetry bus during one ``access_block`` call.
-
-    Keeps the ``AccessResult`` :func:`publish_access` hands it and passes
-    the access, and every event a resize round emits during it, on to
-    :attr:`bus` (the cache's own bus, or ``None``).
-    """
-
-    __slots__ = ("bus", "result")
-
-    def __init__(self) -> None:
-        self.bus = None
-        self.result = None
-
-    def record_access(self, asid, block, write, result, remote_tiles) -> None:
-        self.result = result
-        if self.bus is not None:
-            self.bus.record_access(asid, block, write, result, remote_tiles)
-
-    def emit(self, event) -> None:
-        if self.bus is not None:
-            self.bus.emit(event)

@@ -160,17 +160,18 @@ class LRUDirectPlacement(RandyPlacement):
     The paper's future-work replacement scheme: track the last touch time
     of every resident block and evict the row member whose conflicting
     occupant is oldest (empty slots win immediately). The bookkeeping is a
-    region-side timestamp map updated from the hit path.
+    timestamp map per region, updated from the hit path. It is keyed by
+    the region, not its ASID: every shared region has the same ASID.
     """
 
     name = "lru_direct"
 
     def __init__(self) -> None:
-        self._touch: dict[int, dict[int, int]] = {}
+        self._touch: dict[CacheRegion, dict[int, int]] = {}
         self._clock = 0
 
     def _touches(self, region: CacheRegion) -> dict[int, int]:
-        return self._touch.setdefault(region.asid, {})
+        return self._touch.setdefault(region, {})
 
     def on_hit(self, region: CacheRegion, block: int) -> None:
         self._clock += 1
@@ -182,7 +183,7 @@ class LRUDirectPlacement(RandyPlacement):
         # is still resident, so its timestamp must survive.
         if block in region.presence:
             return
-        touches = self._touch.get(region.asid)
+        touches = self._touch.get(region)
         if touches is not None:
             touches.pop(block, None)
 

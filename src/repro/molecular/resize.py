@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 
-from repro.common.clock import tick
 from repro.common.errors import ConfigError
 from repro.molecular.config import ResizePolicy
 from repro.molecular.region import CacheRegion
@@ -374,10 +373,6 @@ class Resizer:
         return [r for r in self.cache.regions.values() if r.goal is not None]
 
     def _resize_all(self, total_accesses: int) -> None:
-        # Resize rounds are rare and expensive, so the profiler times
-        # every fire exactly instead of sampling (repro.prof).
-        profiler = getattr(self.cache, "profiler", None)
-        started = tick() if profiler is not None and profiler.enabled else None
         regions = self._managed_regions()
         for region in regions:
             self._repair(region, total_accesses)
@@ -410,8 +405,6 @@ class Resizer:
         # A round resets stats windows even for regions whose membership
         # did not change, so every cached access context is stale.
         self.cache._ctx_epoch += 1
-        if started is not None:
-            profiler.add_resize(tick() - started)
 
     def _aggregate_goal(self, regions: list[CacheRegion]) -> float | None:
         """Access-weighted mean goal — the "overall miss rate goal".
@@ -431,8 +424,6 @@ class Resizer:
     # ------------------------------------------------- per-app round
 
     def _resize_one(self, region: CacheRegion, total_accesses: int) -> None:
-        profiler = getattr(self.cache, "profiler", None)
-        started = tick() if profiler is not None and profiler.enabled else None
         self._repair(region, total_accesses)
         self._decide(region, total_accesses)
         if region.goal is not None:
@@ -450,8 +441,6 @@ class Resizer:
         self.cache.stats.resize_events += 1
         self.cache.stats.resize_compute_cycles += RESIZE_COMPUTE_CYCLES
         self.cache._ctx_epoch += 1
-        if started is not None:
-            profiler.add_resize(tick() - started)
 
     # ---------------------------------------------------------- Algorithm 1
 

@@ -1,21 +1,9 @@
-"""Performance observability: hot-path profiler, the trace, benchmark ledger.
+"""Performance observability: the trace and the benchmark ledger.
 
 The paper's claims are throughput claims, and every scaling change
 (datapath, multi-host sweeps) is judged by numbers — this package is the
-instrument panel. Three independent pieces, layered *beside* the
+instrument panel. Two independent pieces, layered *beside* the
 simulator and the telemetry bus, never inside their hot loops:
-
-:class:`HotPathProfiler` (:mod:`repro.prof.profiler`)
-    A sampling profiler for the access engine. Every Nth reference runs
-    the unmodified session access, timed whole and classified by outcome
-    (local hit, remote hit, clean miss, dirty miss) from counter deltas;
-    resize rounds are timed exactly at the resizer, and the measured wall
-    clock of the run is attributed across the outcome classes by their
-    sampled time — so the report always sums to the wall clock, and the
-    enabled overhead is one timed access per ``sample_every``. Disabled,
-    the engine code is byte-for-byte the uninstrumented one: the only
-    profiler reference is a per-``access_many``/per-session check of
-    ``cache.profiler`` (``tests/test_prof_zero_cost.py`` counts it).
 
 :class:`SpanRecorder` (:mod:`repro.prof.spans`)
     The one recording format: Chrome trace-event JSON on the one shared
@@ -23,9 +11,11 @@ simulator and the telemetry bus, never inside their hot loops:
     processes), which loads directly in Perfetto / ``chrome://tracing``.
     It holds a campaign's per-worker spans (idle wait, job attempts,
     store commits, retry markers) and, as a telemetry bus sink, every
-    event of the run as an instant plus per-region epoch counters.
-    ``--trace PATH`` on ``simulate``, ``sweep`` and ``worker`` records
-    one; ``repro inspect`` reads it.
+    event of the run as an instant plus per-region epoch counters. The
+    instants include the access samples a driver's run schedule takes
+    (:mod:`repro.sim.schedule`), which ``repro inspect`` tabulates per
+    outcome class. ``--trace PATH`` on ``simulate``, ``sweep`` and
+    ``worker`` records one; ``repro inspect`` reads it.
 
 The benchmark ledger (:mod:`repro.prof.ledger`)
     Structured JSON next to the free-text ``benchmarks/results/*.txt``:
@@ -45,14 +35,11 @@ from repro.prof.ledger import (
     validate_entry,
     write_entry,
 )
-from repro.prof.profiler import PROFILE_STAGES, HotPathProfiler
 from repro.prof.spans import SpanRecorder, load_trace, summarize_trace
 
 __all__ = [
-    "HotPathProfiler",
     "LEDGER_SCHEMA_VERSION",
     "LedgerEntry",
-    "PROFILE_STAGES",
     "SpanRecorder",
     "diff_ledger",
     "load_trace",

@@ -30,12 +30,12 @@ import heapq
 import math
 from dataclasses import dataclass, field
 
-from repro.audit.invariants import resolve_cadence
 from repro.caches.stats import AsidCounters
 from repro.common.errors import ConfigError
 from repro.common.refs import iter_refs
 from repro.faults.spec import FaultPlan
-from repro.telemetry.bus import EventBus, attach_telemetry
+from repro.sim.schedule import RunSchedule
+from repro.telemetry.bus import EventBus
 from repro.trace.container import Trace
 
 
@@ -50,13 +50,16 @@ class CMPRunConfig:
     must issue more than ``warmup_refs`` references.
 
     ``audit_every`` runs the full-state invariant auditor every that many
-    issued references (``None`` consults ``$REPRO_AUDIT``; 0 disables —
-    the access closure is then exactly the un-audited one).
+    issued references and at the end of the run (``None`` consults
+    ``$REPRO_AUDIT``; 0 disables).
 
     ``faults`` schedules a :class:`~repro.faults.spec.FaultPlan` against
     the run; a spec's ``at`` counts *globally issued* references (the
-    interleaved stream, not any one core's). ``None``/empty leaves the
-    access closure exactly as before.
+    interleaved stream, not any one core's).
+
+    Both run through the run's schedule (:mod:`repro.sim.schedule`),
+    which the issue loop consults only at the counts where something is
+    due.
     """
 
     miss_penalty: float = 10.0
@@ -117,9 +120,9 @@ class CMPRunner:
     ) -> None:
         self.cache = cache
         self.config = config or CMPRunConfig()
-        #: Optional event bus attached to the cache at run start (ignored
-        #: by caches without telemetry support). The runner flushes the
-        #: tail epoch after the run; closing the bus is the caller's job.
+        #: Optional event bus: the run samples its accesses into it, and
+        #: a cache that takes it (the molecular cache) adds its events and
+        #: epochs. The runner flushes the tail epoch after the run.
         self.telemetry = telemetry
 
     def run(self, traces: dict[int, Trace], line_bytes: int = 64) -> CMPRunResult:
@@ -129,7 +132,6 @@ class CMPRunner:
         """
         if not traces:
             raise ConfigError("CMPRunner.run needs at least one trace")
-        attach_telemetry(self.cache, self.telemetry)
         # (time, asid, refs left, references): one entry per core, so
         # ordering never looks past the distinct ASIDs, and heapreplace
         # issues in the order heappop + heappush would.
@@ -141,55 +143,17 @@ class CMPRunner:
             heap.append((0.0, asid, count, refs))
         heapq.heapify(heap)
         cache = self.cache
-        session_factory = getattr(cache, "access_session", None)
-        if session_factory is not None:
-            # Allocation-free per-access path: same stats/telemetry as
-            # access_block, returns a bare hit flag for the timing loop.
-            access = session_factory().access
-        else:
-            access_block = cache.access_block
-
-            def access(block: int, asid: int, write: bool) -> bool:
-                return access_block(block, asid, write).hit
-
-        if self.config.faults:
-            if not hasattr(cache, "regions"):
-                raise ConfigError(
-                    "fault injection requires a molecular cache, got "
-                    f"{type(cache).__name__}"
-                )
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector(cache, self.config.faults)
-            fault_inner = access
-            fault_issued = [0]
-
-            def access(block: int, asid: int, write: bool) -> bool:
-                injector.fire_due(fault_issued[0])
-                fault_issued[0] += 1
-                return fault_inner(block, asid, write)
-
-        cadence = resolve_cadence(self.config.audit_every)
-        if cadence:
-            # Wrap (rather than branch in the hot loop) so a disabled
-            # audit leaves the access path untouched.
-            from repro.audit.invariants import audit_and_emit
-
-            inner_access = access
-            audit_countdown = [cadence]
-
-            def access(block: int, asid: int, write: bool) -> bool:
-                hit = inner_access(block, asid, write)
-                audit_countdown[0] -= 1
-                if audit_countdown[0] <= 0:
-                    audit_countdown[0] = cadence
-                    audit_and_emit(cache)
-                return hit
-
+        config = self.config
+        warmup = config.warmup_refs
+        snapshot: dict[int, AsidCounters] = {}
+        schedule = RunSchedule(
+            cache, self.telemetry, config.audit_every, config.faults, warmup,
+            on_warmup=lambda: snapshot.update(cache.stats.per_asid),
+        )
+        mark = schedule.reach(0)
+        access = schedule.access
         issued = 0
-        snapshot: dict[int, AsidCounters] | None = None
-        warmup = self.config.warmup_refs
-        miss_gap = 1.0 + self.config.miss_penalty
+        miss_gap = 1.0 + config.miss_penalty
         replace = heapq.heapreplace
 
         while True:
@@ -197,11 +161,12 @@ class CMPRunner:
             block, _, write = next(refs)
             hit = access(block, asid, write)
             issued += 1
-            if issued == warmup:
-                snapshot = cache.stats.per_asid
             if left == 1:
                 end_time = time_now
                 break
+            if issued == mark:
+                mark = schedule.reach(issued)
+                access = schedule.access
             next_time = time_now + (1.0 if hit else miss_gap)
             replace(heap, (next_time, asid, left - 1, refs))
 
@@ -210,20 +175,19 @@ class CMPRunner:
                 f"warmup_refs ({warmup}) must be smaller than the {issued} "
                 f"references the run issued; nothing would be measured"
             )
-        if self.telemetry is not None:
-            self.telemetry.flush_epoch()
+        schedule.finish(issued)
         return self._collect(snapshot, issued, end_time)
 
     def _collect(
         self,
-        snapshot: dict[int, AsidCounters] | None,
+        snapshot: dict[int, AsidCounters],
         issued: int,
         end_time: float,
     ) -> CMPRunResult:
         result = CMPRunResult(total_refs=issued, end_time=end_time)
         measured = 0
         for asid, counters in self.cache.stats.per_asid.items():
-            base = (snapshot or {}).get(asid)
+            base = snapshot.get(asid)
             net = counters if base is None else counters.minus(base)
             if net.accesses > 0:
                 result.per_asid[asid] = net

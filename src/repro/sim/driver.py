@@ -8,12 +8,11 @@ slice at a time.
 
 from __future__ import annotations
 
-from repro.audit.invariants import audit_and_emit, resolve_cadence
 from repro.common.errors import ConfigError
 from repro.common.refs import iter_refs
-from repro.faults.injector import FaultInjector
 from repro.faults.spec import FaultPlan
-from repro.telemetry.bus import EventBus, attach_telemetry
+from repro.sim.schedule import RunSchedule
+from repro.telemetry.bus import EventBus
 from repro.trace.container import Trace
 
 
@@ -32,42 +31,37 @@ def run_trace(
     returned statistics (the cache's counters are reset at that point).
 
     ``telemetry`` attaches an :class:`~repro.telemetry.bus.EventBus` for
-    the duration of the run (caches without telemetry support ignore it);
-    the tail epoch is flushed before returning, but the bus is left open —
+    the duration of the run: epoch rollovers on a cache that takes the
+    bus, and sampled accesses on any cache (:mod:`repro.sim.schedule`).
+    The tail epoch is flushed before returning, but the bus is left open:
     the caller owns its lifecycle.
 
     ``audit_every`` runs the full-state invariant auditor
     (:func:`repro.audit.invariants.audit_and_emit`) every that many
     references, plus once at the end of the run; ``None`` consults the
-    ``$REPRO_AUDIT`` environment variable, and 0 disables auditing — in
-    which case the access stream is issued exactly as before (one
-    ``access_many`` call per segment; ``benchmarks/`` guards the
-    zero-overhead contract).
+    ``$REPRO_AUDIT`` environment variable, and 0 disables auditing.
 
     ``faults`` schedules a :class:`~repro.faults.spec.FaultPlan` against
     the run: a spec with ``at=N`` fires after ``N`` references of the
     *whole run* have been issued (warm-up included — fault time is wall
     time, not measurement time), before the N+1st; specs at or past the
-    trace length never fire. With no plan the access stream is issued
-    exactly as before (the same zero-overhead contract as auditing).
+    trace length never fire.
+
+    The trace streams through ``access_many`` in chunks that end only
+    where the run schedule has something due, so a run with nothing to
+    observe makes two calls: the warm-up, then the measured part.
     """
     if warmup_refs < 0:
         raise ConfigError("warmup_refs cannot be negative")
-    if len(trace) > 0 and warmup_refs >= len(trace):
+    n = len(trace)
+    if n > 0 and warmup_refs >= n:
         raise ConfigError(
             f"warmup_refs ({warmup_refs}) must be smaller than the trace "
-            f"length ({len(trace)}); nothing would be measured"
+            f"length ({n}); nothing would be measured"
         )
-    cadence = resolve_cadence(audit_every)
-    injector = None
-    if faults:
-        if not hasattr(cache, "regions"):
-            raise ConfigError(
-                "fault injection requires a molecular cache, got "
-                f"{type(cache).__name__}"
-            )
-        injector = FaultInjector(cache, faults)
-    attach_telemetry(cache, telemetry)
+    schedule = RunSchedule(
+        cache, telemetry, audit_every, faults, warmup_refs, cache.stats.reset
+    )
     # Slicing below only takes views, and iter_refs converts a slice at a
     # time: the block column shifts each slice from the addresses as it
     # is converted to plain ints, so no whole-trace column is built.
@@ -75,56 +69,27 @@ def run_trace(
     asids = trace.asids
     writes = trace.writes
     access_many = getattr(cache, "access_many", None)
-    if access_many is not None:
-        # Batched fast path: stream the warm-up prefix, reset, stream the
-        # rest. Stats/telemetry are byte-identical to a per-reference
-        # loop (tests/test_prop_batched.py holds the two to it); the
-        # audit cadence only chunks the calls, it never reorders accesses.
-        def stream(lo: int, hi: int) -> None:
-            if not cadence:
-                access_many(blocks[lo:hi], asids[lo:hi], writes[lo:hi])
-                return
-            for start in range(lo, hi, cadence):
-                stop = min(start + cadence, hi)
-                access_many(
-                    blocks[start:stop], asids[start:stop], writes[start:stop]
-                )
-                audit_and_emit(cache)
-
-        if injector is not None:
-            # Fault-aware wrapper: split the stream at fault firing
-            # points so each due fault lands between the same two
-            # references the scalar loop would put it between.
-            plain_stream = stream
-
-            def stream(lo: int, hi: int) -> None:
-                pos = lo
-                while pos < hi:
-                    injector.fire_due(pos)
-                    next_at = injector.next_at
-                    stop = hi if next_at is None else min(hi, max(next_at, pos + 1))
-                    plain_stream(pos, stop)
-                    pos = stop
-
-        if warmup_refs:
-            stream(0, warmup_refs)
-            cache.stats.reset()
-            stream(warmup_refs, len(blocks))
-        else:
-            stream(0, len(blocks))
-    else:
+    if access_many is None:
         access_block = cache.access_block
-        _, references = iter_refs(blocks, asids, writes)
-        for index, (block, asid, write) in enumerate(references):
-            if index == warmup_refs and warmup_refs:
-                cache.stats.reset()
-            if injector is not None:
-                injector.fire_due(index)
-            access_block(block, asid, write)
-            if cadence and (index + 1) % cadence == 0:
-                audit_and_emit(cache)
-    if cadence:
-        audit_and_emit(cache)
-    if telemetry is not None:
-        telemetry.flush_epoch()
+
+        def access_many(blocks, asids, writes) -> None:
+            for block, asid, write in iter_refs(blocks, asids, writes)[1]:
+                access_block(block, asid, write)
+
+    issued, mark = 0, schedule.reach(0)
+    while issued < n:
+        stop = min(mark, n)
+        if stop - issued == 1:
+            # One reference (the sampled one, say) takes the schedule's
+            # access, which times it when it is sampled.
+            for block, asid, write in iter_refs(
+                blocks[issued:stop], asids[issued:stop], writes[issued:stop]
+            )[1]:
+                schedule.access(block, asid, write)
+        else:
+            access_many(blocks[issued:stop], asids[issued:stop], writes[issued:stop])
+        issued = stop
+        if issued < n:
+            mark = schedule.reach(issued)
+    schedule.finish(n)
     return cache.stats

@@ -4,27 +4,28 @@ The paper's interesting artifacts are *time-resolved* — Figure 6 plots
 hits-per-molecule over a run, Algorithm 1 grants and withdraws molecules
 on periodic epochs — so this package records what the end-of-run counters
 cannot show: an :class:`EventBus` of typed events (resize decisions,
-grants/withdrawals, remote searches, epoch metric snapshots, the lease
-protocol) with pluggable sinks (in-memory ring buffer, per-region metric
-timelines, and :class:`~repro.prof.spans.SpanRecorder`, which writes the
-events into the run's Chrome trace) and a replay layer that powers
-``python -m repro inspect``.
+grants/withdrawals, faults, epoch metric snapshots, sampled access
+costs, the lease protocol) with pluggable sinks (in-memory ring buffer,
+per-region metric timelines, and :class:`~repro.prof.spans.SpanRecorder`,
+which writes the events into the run's Chrome trace) and a replay layer
+that powers ``python -m repro inspect``.
 
-Design constraint: when no bus is attached the simulator's hot access
-loop pays exactly one attribute check (``cache.telemetry is None``) —
-see :mod:`repro.telemetry.bus` and the overhead guard in
-``benchmarks/test_perf_telemetry_overhead.py``.
+Design constraint: the access rule makes no telemetry call. A driver
+given a bus (:func:`~repro.sim.driver.run_trace`,
+:class:`~repro.sim.cmp.CMPRunner`) rolls its epochs over and samples its
+accesses from its run schedule (:mod:`repro.sim.schedule`), between
+references; an attached bus costs an access nothing
+(``benchmarks/test_perf_telemetry_overhead.py``).
 
 Quick start::
 
     from repro.prof.spans import SpanRecorder
+    from repro.sim.driver import run_trace
     from repro.telemetry import EventBus, MetricsTimeline
 
     trace, timeline = SpanRecorder(), MetricsTimeline()
     bus = EventBus([trace, timeline], epoch_refs=5_000)
-    cache.attach_telemetry(bus)
-    ...  # run the workload
-    bus.close()
+    run_trace(cache, workload, telemetry=bus)
     trace.export("run.json")  # `python -m repro inspect run.json`
     print(timeline.metric_table("miss_rate"))
 
@@ -43,7 +44,6 @@ from repro.telemetry.events import (
     EpochRollover,
     MoleculeGranted,
     MoleculeWithdrawn,
-    RemoteSearch,
     ResizeDecision,
     RunMeta,
     TelemetryEvent,
@@ -65,7 +65,6 @@ __all__ = [
     "MetricsTimeline",
     "MoleculeGranted",
     "MoleculeWithdrawn",
-    "RemoteSearch",
     "ResizeDecision",
     "RingBufferSink",
     "RunMeta",

@@ -1,27 +1,25 @@
-"""The event bus: guarded emission with zero overhead when disabled.
+"""The event bus: typed events to pluggable sinks.
 
-The contract with the hot access loop is strict: an uninstrumented run
-keeps ``cache.telemetry is None`` and the *only* added cost per access is
-that single attribute check (``benchmarks/test_perf_telemetry_overhead.py``
-guards this). Everything else — sequence numbering, sampling, epoch
-accounting — lives behind the check, inside :meth:`EventBus.record_access`.
+The access rule makes no telemetry call: an access costs the same with a
+bus attached as without one (``benchmarks/test_perf_telemetry_overhead.
+py`` guards this). What a bus records comes from rare events — resize
+rounds, faults, audits, which emit as they happen — and from the
+driver's run schedule (:mod:`repro.sim.schedule`), which samples one
+issued reference in :data:`~repro.telemetry.events.SAMPLE_EVERY` and
+owns the epoch clock.
 
-The bus owns the run's *epoch clock*: every ``epoch_refs`` accesses it
-snapshots each region's epoch-local miss rate, molecule count and
-occupancy into an :class:`~repro.telemetry.events.EpochRollover` event, so
-a recorded trace contains the full metric timeline and can be
-replayed without the cache that produced it.
+At every ``epoch_refs`` issued references the schedule calls
+:meth:`EventBus.rollover`, which snapshots each region's epoch-local miss
+rate, molecule count and occupancy into an
+:class:`~repro.telemetry.events.EpochRollover` event, so a recorded
+trace contains the full metric timeline and can be replayed without the
+cache that produced it.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ConfigError
-from repro.telemetry.events import (
-    AccessSampled,
-    EpochRollover,
-    RemoteSearch,
-    TelemetryEvent,
-)
+from repro.telemetry.events import EpochRollover, TelemetryEvent
 
 
 class EventBus:
@@ -30,58 +28,36 @@ class EventBus:
     Parameters
     ----------
     sinks:
-        Objects with an ``emit(event)`` method (and optionally ``close()``):
+        Objects with an ``emit(event)`` method:
         :class:`~repro.telemetry.sinks.RingBufferSink`,
         :class:`~repro.prof.spans.SpanRecorder`,
         :class:`~repro.telemetry.timeline.MetricsTimeline`, or anything
         else matching the protocol.
     epoch_refs:
-        Accesses per metrics epoch; 0 disables epoch rollovers.
-    sample_interval:
-        Emit an :class:`AccessSampled` every Nth access; 0 disables.
-    remote_search_sample:
-        Emit every Nth :class:`RemoteSearch` (1 = all); remote searches
-        can dominate a stream on span-heavy regions, so this subsamples
-        them without touching the epoch aggregates.
+        Issued references per metrics epoch; 0 disables epoch rollovers.
     """
 
     __slots__ = (
         "sinks",
         "epoch_refs",
-        "sample_interval",
-        "remote_search_sample",
-        "access_seq",
         "epoch",
         "events_emitted",
         "_cache",
         "_region_marks",
         "_probe_mark",
-        "_remote_seen",
         "_last_rollover_seq",
     )
 
-    def __init__(
-        self,
-        sinks=(),
-        epoch_refs: int = 10_000,
-        sample_interval: int = 0,
-        remote_search_sample: int = 1,
-    ) -> None:
-        if epoch_refs < 0 or sample_interval < 0:
-            raise ConfigError("telemetry intervals cannot be negative")
-        if remote_search_sample < 1:
-            raise ConfigError("remote_search_sample must be >= 1")
+    def __init__(self, sinks=(), epoch_refs: int = 10_000) -> None:
+        if epoch_refs < 0:
+            raise ConfigError("epoch_refs cannot be negative")
         self.sinks = list(sinks)
         self.epoch_refs = epoch_refs
-        self.sample_interval = sample_interval
-        self.remote_search_sample = remote_search_sample
-        self.access_seq = 0
         self.epoch = 0
         self.events_emitted = 0
         self._cache = None
         self._region_marks: dict[int, tuple[int, int]] = {}
         self._probe_mark: tuple[int, int] = (0, 0)
-        self._remote_seen = 0
         self._last_rollover_seq = 0
 
     # ------------------------------------------------------------- plumbing
@@ -99,65 +75,18 @@ class EventBus:
         for sink in self.sinks:
             sink.emit(event)
 
-    def flush_epoch(self) -> None:
-        """Emit a rollover for a partial tail epoch (run teardown)."""
-        if self._cache is not None and self.access_seq > self._last_rollover_seq:
-            self.rollover()
-
-    def close(self) -> None:
-        """Flush the tail epoch and close every sink that supports it."""
-        self.flush_epoch()
-        for sink in self.sinks:
-            close = getattr(sink, "close", None)
-            if close is not None:
-                close()
-
-    def __enter__(self) -> "EventBus":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------- hot path
-
-    def record_access(self, asid, block, write, result, remote_tiles) -> None:
-        """Per-access bookkeeping; called only when telemetry is attached."""
-        seq = self.access_seq + 1
-        self.access_seq = seq
-        interval = self.sample_interval
-        if interval and seq % interval == 0:
-            self.emit(
-                AccessSampled(
-                    seq=seq,
-                    asid=asid,
-                    block=block,
-                    hit=result.hit,
-                    write=write,
-                    local_probes=result.molecules_probed_local,
-                    remote_probes=result.molecules_probed_remote,
-                )
-            )
-        if remote_tiles:
-            self._remote_seen += 1
-            if self._remote_seen % self.remote_search_sample == 0:
-                self.emit(
-                    RemoteSearch(
-                        seq=seq,
-                        asid=asid,
-                        tiles_searched=remote_tiles,
-                        molecules_probed=result.molecules_probed_remote,
-                        found=result.hit,
-                    )
-                )
-        if self.epoch_refs and seq % self.epoch_refs == 0:
-            self.rollover()
+    def flush_epoch(self, seq: int) -> None:
+        """Close a partial tail epoch ending at issued count ``seq``."""
+        if self._cache is not None and seq > self._last_rollover_seq:
+            self.rollover(seq)
 
     # --------------------------------------------------------------- epochs
 
-    def rollover(self) -> None:
-        """Close the current epoch: snapshot regions, emit the event."""
+    def rollover(self, seq: int) -> None:
+        """Close the epoch ending at issued count ``seq``: snapshot the
+        regions, emit the event."""
         self.epoch += 1
-        self._last_rollover_seq = self.access_seq
+        self._last_rollover_seq = seq
         regions: dict[int, dict] = {}
         mean_probed = 0.0
         free = 0
@@ -197,7 +126,7 @@ class EventBus:
         self.emit(
             EpochRollover(
                 epoch=self.epoch,
-                seq=self.access_seq,
+                seq=seq,
                 mean_molecules_probed=mean_probed,
                 free_molecules=free,
                 regions=regions,

@@ -10,10 +10,11 @@ fields that do not fit it.
 
 The event vocabulary mirrors the paper's observable dynamics:
 
-* :class:`AccessSampled` — every Nth reference through the access path
-  (block, hit/miss, probe counts), for spot-checking behaviour.
-* :class:`RemoteSearch` — a hierarchical Ulmo search left the home tile
-  (paper section 3.3); high-volume, so the bus can subsample it.
+* :class:`AccessSampled` — one issued reference in :data:`SAMPLE_EVERY`
+  of a driver run (:mod:`repro.sim.schedule`), timed whole and classed by
+  outcome (:data:`SAMPLE_OUTCOMES`): a home-tile hit, a hit Ulmo's remote
+  search found (paper section 3.3), a clean or dirty miss, or an access
+  that fired a resize round.
 * :class:`ResizeDecision` — one Algorithm-1 evaluation for one region:
   the branch taken (``grow`` / ``withdraw`` / ``grow-denied`` / ``hold``)
   with the window miss rate it saw.
@@ -108,32 +109,31 @@ class RunMeta(TelemetryEvent):
     regions: dict[int, dict[str, Any]]
 
 
+#: A driver given a bus samples one issued reference in this many, so
+#: each :class:`AccessSampled` stands for this many references.
+SAMPLE_EVERY = 512
+
+#: The classes of a sampled access, in report order.
+SAMPLE_OUTCOMES = ("hit", "remote-hit", "clean-miss", "dirty-miss", "resize")
+
+
 @dataclass(frozen=True, slots=True)
 class AccessSampled(TelemetryEvent):
-    """Every Nth reference through the molecular access path."""
+    """One sampled reference: its outcome class and how long it took.
+
+    ``seq`` is the reference's issued count in its run, ``outcome`` one
+    of :data:`SAMPLE_OUTCOMES` and ``duration_us`` the wall time of the
+    whole access, in microseconds.
+    """
 
     kind: ClassVar[str] = "access_sampled"
 
     seq: int
     asid: int
     block: int
-    hit: bool
     write: bool
-    local_probes: int
-    remote_probes: int
-
-
-@dataclass(frozen=True, slots=True)
-class RemoteSearch(TelemetryEvent):
-    """An access escalated past the home tile into Ulmo's search."""
-
-    kind: ClassVar[str] = "remote_search"
-
-    seq: int
-    asid: int
-    tiles_searched: int
-    molecules_probed: int
-    found: bool
+    outcome: str
+    duration_us: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -407,7 +407,6 @@ EVENT_TYPES: dict[str, type[TelemetryEvent]] = {
     for cls in (
         RunMeta,
         AccessSampled,
-        RemoteSearch,
         ResizeDecision,
         MoleculeGranted,
         MoleculeWithdrawn,

@@ -12,8 +12,10 @@ cache (or even the workload) that produced them.
 tables (miss rate, molecules, occupancy, hits-per-molecule), the lease
 timeline of a distributed drain, a summary with resize oscillation
 counts, time-to-goal epochs and peak/mean occupancy per region, and the
-campaign's span summary (per-category durations, queue/execute ratio).
-Only the instants are read; the ``"C"`` counter samples are for Perfetto.
+campaign's span summary (per-category durations, queue/execute ratio),
+and the sampled access cost per outcome class (samples, mean µs and the
+time they stand for). Only the instants are read; the ``"C"`` counter
+samples are for Perfetto.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from repro.telemetry.events import (
     MoleculeGranted,
     MoleculeRemapped,
     MoleculeWithdrawn,
-    RemoteSearch,
     ResizeDecision,
     RunMeta,
+    SAMPLE_EVERY,
+    SAMPLE_OUTCOMES,
     TelemetryEvent,
     event_from_dict,
 )
@@ -51,8 +54,8 @@ class InspectReport:
     grants: list[MoleculeGranted] = field(default_factory=list)
     withdrawals: list[MoleculeWithdrawn] = field(default_factory=list)
     remaps: list[MoleculeRemapped] = field(default_factory=list)
-    access_samples: int = 0
-    remote_searches: int = 0
+    #: outcome -> [samples, summed µs] of the sampled accesses.
+    sampled: dict[str, list] = field(default_factory=dict)
     total_events: int = 0
     lease_events: list[LeaseAcquired | LeaseExpired] = field(
         default_factory=list
@@ -78,9 +81,9 @@ class InspectReport:
         elif isinstance(event, MoleculeRemapped):
             self.remaps.append(event)
         elif isinstance(event, AccessSampled):
-            self.access_samples += 1
-        elif isinstance(event, RemoteSearch):
-            self.remote_searches += 1
+            tally = self.sampled.setdefault(event.outcome, [0, 0.0])
+            tally[0] += 1
+            tally[1] += event.duration_us
         elif isinstance(event, (LeaseAcquired, LeaseExpired)):
             self.lease_events.append(event)
         elif isinstance(event, JobQuarantined):
@@ -152,8 +155,8 @@ class InspectReport:
             f"decisions, {len(self.grants)} grants, "
             f"{len(self.withdrawals)} withdrawals, "
             f"{len(self.remaps)} remaps, "
-            f"{self.remote_searches} remote searches, "
-            f"{self.access_samples} access samples)"
+            f"{sum(count for count, _us in self.sampled.values())} "
+            "access samples)"
         )
         if self.lease_events or self.quarantines:
             acquisitions = sum(
@@ -167,6 +170,31 @@ class InspectReport:
                 f"expir(y/ies), {len(self.quarantines)} job(s) quarantined"
             )
         return "\n".join(lines)
+
+    def sample_table(self) -> str:
+        """Sampled access cost per outcome class: samples, mean µs, and
+        the time they stand for (each sample stands for
+        :data:`~repro.telemetry.events.SAMPLE_EVERY` references)."""
+        from repro.sim.report import format_table
+
+        outcomes = [o for o in SAMPLE_OUTCOMES if o in self.sampled]
+        outcomes += sorted(set(self.sampled) - set(SAMPLE_OUTCOMES))
+        rows = [(o, *self.sampled[o]) for o in outcomes]
+        rows.append((
+            "total",
+            sum(count for _o, count, _us in rows),
+            sum(us for _o, _count, us in rows),
+        ))
+        return format_table(
+            ["outcome", "samples", "mean us", "est. time s"],
+            [
+                [outcome, count, f"{us / count:.2f}",
+                 f"{us * SAMPLE_EVERY / 1e6:.3f}"]
+                for outcome, count, us in rows
+            ],
+            title=f"Sampled access cost (1 in {SAMPLE_EVERY} references, "
+                  "timed whole)",
+        )
 
     def resize_table(self, max_rows: int | None = None) -> str:
         from repro.sim.report import format_table
@@ -330,6 +358,8 @@ class InspectReport:
     def format(self, max_rows: int | None = None) -> str:
         """The full ``repro inspect`` report."""
         sections = [self.header()]
+        if self.sampled:
+            sections.append(self.sample_table())
         if self.decisions:
             sections.append(self.resize_table(max_rows=max_rows))
         if self.remaps:
@@ -346,10 +376,11 @@ class InspectReport:
                         metric, title=title, max_rows=max_rows
                     )
                 )
-        elif not (self.lease_events or self.quarantines or self.span_summary):
+        elif not (self.lease_events or self.quarantines or self.span_summary
+                  or self.sampled):
             sections.append(
-                "no epoch rollovers recorded — was the bus created with "
-                "epoch_refs=0, or never closed?"
+                "no epoch rollovers recorded — they come from a driver "
+                "(run_trace, CMPRunner) whose bus has epoch_refs > 0"
             )
         if self.lease_events:
             sections.append(self.lease_table(max_rows=max_rows))

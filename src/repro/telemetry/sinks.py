@@ -1,6 +1,6 @@
 """The in-memory event sink.
 
-A sink is anything with ``emit(event)``; ``close()`` is optional.
+A sink is anything with ``emit(event)``.
 :class:`RingBufferSink` keeps the last N events in memory — attach one
 in a REPL or a test and look at ``.events()`` afterwards. For the
 post-mortem workflow, attach a :class:`~repro.prof.spans.SpanRecorder`:

@@ -21,7 +21,7 @@ from repro.audit.invariants import (
 from repro.caches.setassoc import SetAssociativeCache, line_state
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.rng import XorShift64
-from repro.molecular.cache import SHARED_ASID, MolecularCache
+from repro.molecular.cache import MolecularCache
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
 from repro.telemetry.bus import EventBus
 from repro.telemetry.sinks import RingBufferSink
@@ -198,7 +198,7 @@ class TestMutationsDetected:
 
     def test_leaked_touch_entry(self):
         def mutate(cache):
-            cache.placement._touch.setdefault(0, {})[999_999] = 1
+            cache.placement._touch.setdefault(cache.regions[0], {})[999_999] = 1
 
         assert self.corrupted(mutate, placement="lru_direct") == {
             "placement-recency"
@@ -274,8 +274,8 @@ class TestSatelliteFixes:
         assert block in cache._shared_regions[0].presence
         cache.access_block(block, 0)  # asid 0's hit is served by it
         touches = cache.placement._touch
-        assert block in touches.get(SHARED_ASID, {})
-        assert block not in touches.get(0, {})
+        assert block in touches.get(cache._shared_regions[0], {})
+        assert block not in touches.get(cache.regions[0], {})
         assert assert_invariants(cache).ok
 
     def test_touch_map_pruned_on_eviction(self):
@@ -284,7 +284,7 @@ class TestSatelliteFixes:
         for block in range(1, 400):  # far beyond 2 molecules of capacity
             cache.access_block(block, 0)
             cache.access_block(block, 0)  # a hit stamps the touch map
-        touches = cache.placement._touch[0]
+        touches = cache.placement._touch[region]
         assert touches, "hits should have stamped timestamps"
         assert set(touches) <= set(region.presence)
         assert assert_invariants(cache).ok
@@ -310,7 +310,7 @@ class TestSatelliteFixes:
         before = region.molecule_count
         cache.resizer._withdraw(region, 1, cache.stats.total.accesses)
         assert region.molecule_count == before - 1
-        assert set(cache.placement._touch[0]) <= set(region.presence)
+        assert set(cache.placement._touch[region]) <= set(region.presence)
         assert assert_invariants(cache).ok
 
     def test_shared_rollback_reports_true_free_count(self):
@@ -416,20 +416,21 @@ class TestAuditApi:
 class TestDriverIntegration:
     def test_run_trace_audits_at_cadence(self, monkeypatch):
         import repro.sim.driver as driver
+        import repro.sim.schedule as schedule
 
         calls = []
-        real = driver.audit_and_emit
+        real = schedule.audit_and_emit
         monkeypatch.setattr(
-            driver, "audit_and_emit",
-            lambda cache: calls.append(1) or real(cache),
+            schedule, "audit_and_emit",
+            lambda cache: calls.append(cache.stats.total.accesses) or real(cache),
         )
         from repro.trace.container import Trace
 
         cache = build_cache()
         addresses = [(1 + (i % 50)) * 64 for i in range(400)]
         driver.run_trace(cache, Trace(addresses), audit_every=100)
-        # 4 chunk audits + 1 final audit.
-        assert len(calls) == 5
+        # At every 100th reference, then once at the end of the run.
+        assert calls == [100, 200, 300, 400]
 
     def test_run_trace_disabled_is_single_batch(self, monkeypatch):
         import repro.sim.driver as driver
@@ -446,10 +447,11 @@ class TestDriverIntegration:
 
     def test_run_trace_reads_environment(self, monkeypatch):
         import repro.sim.driver as driver
+        import repro.sim.schedule as schedule
 
         calls = []
         monkeypatch.setattr(
-            driver, "audit_and_emit",
+            schedule, "audit_and_emit",
             lambda cache: calls.append(1),
         )
         monkeypatch.setenv(AUDIT_ENV, "50")
@@ -457,7 +459,7 @@ class TestDriverIntegration:
 
         cache = build_cache()
         driver.run_trace(cache, Trace([64] * 100))
-        assert len(calls) == 3  # two chunks + final
+        assert len(calls) == 2  # at reference 50, then at the end
 
     def test_cmp_runner_audits_at_cadence(self):
         from repro.sim.cmp import CMPRunConfig, CMPRunner

@@ -205,7 +205,7 @@ class TestRegistry:
         expected = {
             "table1": 500_000,
             "table2": 300_000,
-            "table4": 150_000,
+            "table4": 300_000,
             "table5": 300_000,
             "figure5": 400_000,
             "degradation": 200_000,
@@ -214,6 +214,13 @@ class TestRegistry:
         }
         for name, refs in expected.items():
             assert get_experiment(name).default_refs == refs
+
+    def test_table4_default_jobs_are_table2_jobs(self):
+        # Table 4 reads Table 2's cells, so at its own default refs its
+        # jobs must be ones a default Table 2 store already holds.
+        table2 = {spec.content_hash() for spec in get_experiment("table2").jobs()}
+        table4 = [spec.content_hash() for spec in get_experiment("table4").jobs()]
+        assert table4 and set(table4) <= table2
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):

@@ -238,36 +238,21 @@ class TestAuditCommands:
 
 
 class TestObservabilityCommands:
-    def test_simulate_profile(self, capsys):
+    def test_simulate_profile(self, capsys, tmp_path):
+        # The run's profile is its trace: inspect prints the sampled
+        # access cost per outcome class.
+        path = tmp_path / "run.json"
         code = main(
             ["simulate", "--size", "1MB", "--refs", "20000",
-             "--workloads", "ammp,parser", "--profile", "64"]
+             "--workloads", "art,mcf", "--trace", str(path)]
         )
         assert code == 0
+        capsys.readouterr()
+        assert main(["inspect", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "hot-path profile" in out
-        assert "remote-hit" in out and "dirty-miss" in out
-        assert "per-region sampled share:" in out
-
-    def test_simulate_profile_flag_parsing(self):
-        from repro.cli import build_parser
-
-        parser = build_parser()
-        assert parser.parse_args(["simulate"]).profile is None
-        assert parser.parse_args(["simulate", "--profile"]).profile == 512
-        assert parser.parse_args(
-            ["simulate", "--profile", "64"]
-        ).profile == 64
-
-    def test_simulate_profile_needs_molecular(self, capsys):
-        code = main(
-            ["simulate", "--cache", "setassoc", "--size", "1MB",
-             "--refs", "5000", "--workloads", "ammp", "--profile"]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "hot-path profile" not in captured.out
-        assert "not profiling" in captured.err
+        assert "Sampled access cost (1 in 512 references" in out
+        for outcome in ("hit", "remote-hit", "clean-miss", "dirty-miss"):
+            assert f"\n{outcome} " in out
 
     def test_sweep_trace_then_inspect(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SCALE", "0.02")

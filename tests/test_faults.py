@@ -392,7 +392,7 @@ class TestFaultTelemetry:
         molecule = region_molecule(cache, 0)
         apply_fault(cache, FaultSpec(kind="hard", at=0, target=molecule.molecule_id))
         cache.resizer.force_resize()
-        cache.telemetry.flush_epoch()
+        cache.telemetry.flush_epoch(cache.stats.total.accesses)
         kinds = [event.kind for event in sink]
         assert "fault_injected" in kinds
         assert "molecule_retired" in kinds

@@ -1,26 +1,38 @@
-"""Hot-path profiler: equivalence, outcome classes, attribution, report.
+"""The run schedule's access sampler: equivalence, outcome classes, report.
 
-The profiled access paths promise the engine's own equivalence contract:
-byte-identical stats, resize logs, occupancy and telemetry streams to an
-unprofiled run of the same references. Every sampled access must land in
-the outcome class the scalar ``AccessResult`` of the same reference
-names. On top of that the report must attribute the measured wall
-clock: outcome times sum to the wall by construction, resize fires are
-timed exactly, and per-region shares cover every sampled access.
+A driver given a bus samples every ``SAMPLE_EVERY``-th issued reference
+(:mod:`repro.sim.schedule`). Sampling must observe, never perturb: stats,
+resize logs, occupancy and every event other than the samples are
+byte-identical to an unsampled run, through ``run_trace`` and
+``CMPRunner``, for both cache families. Every sample must land in the
+class an independent reading of the same reference gives: the scalar
+``AccessResult`` for the molecular cache, the list model of
+``test_setassoc_model.py`` for the set-associative cache. ``repro
+inspect`` tabulates the samples per class.
 """
 
 import pytest
 
-from repro.common.errors import ConfigError
+import repro.sim.schedule as schedule_module
+from repro.audit.invariants import audit_and_emit
+from repro.caches.setassoc import SetAssociativeCache
 from repro.common.rng import XorShift64
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import FaultPlan
 from repro.molecular.cache import MolecularCache
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
-from repro.prof import PROFILE_STAGES, HotPathProfiler
+from repro.sim.cmp import CMPRunConfig, CMPRunner
+from repro.sim.driver import run_trace
+from repro.sim.schedule import SAMPLE_EVERY
+from repro.telemetry import AccessSampled, replay_events
 from repro.telemetry.bus import EventBus
+from repro.telemetry.events import SAMPLE_OUTCOMES
 from repro.telemetry.sinks import RingBufferSink
+from repro.trace.container import Trace
+from tests.test_setassoc_model import ListModel
 
 
-def build_cache(placement: str = "randy") -> MolecularCache:
+def build_cache() -> MolecularCache:
     config = MolecularCacheConfig(
         molecule_bytes=1024,
         molecules_per_tile=8,
@@ -31,12 +43,9 @@ def build_cache(placement: str = "randy") -> MolecularCache:
     cache = MolecularCache(
         config,
         resize_policy=ResizePolicy(
-            period=200,
-            trigger="global_adaptive",
-            min_window_refs=16,
+            period=200, trigger="global_adaptive", min_window_refs=16,
             period_floor=50,
         ),
-        placement=placement,
         rng=XorShift64(11),
     )
     cache.assign_application(0, goal=0.3, initial_molecules=3, tile_id=0)
@@ -44,257 +53,297 @@ def build_cache(placement: str = "randy") -> MolecularCache:
     return cache
 
 
-def make_stream(n: int = 600):
+def spilling_cache(trigger: str) -> MolecularCache:
+    """Four tiles, so growing regions spill past their home tile and
+    some hits are remote."""
+    config = MolecularCacheConfig(
+        molecule_bytes=1024, molecules_per_tile=8,
+        tiles_per_cluster=4, clusters=1, strict=False,
+    )
+    cache = MolecularCache(
+        config,
+        resize_policy=ResizePolicy(
+            period=100, trigger=trigger, min_window_refs=8, period_floor=20,
+        ),
+        rng=XorShift64(5),
+    )
+    cache.assign_application(0, goal=0.05, initial_molecules=2, tile_id=0)
+    cache.assign_application(1, goal=0.4, initial_molecules=2, tile_id=1)
+    return cache
+
+
+def make_stream(n: int = 600, blocks: int = 400):
     rng = XorShift64(7)
     return [
-        (rng.randrange(400), rng.randrange(2), rng.randrange(4) == 0)
+        (rng.randrange(blocks), rng.randrange(2), rng.randrange(4) == 0)
         for _ in range(n)
     ]
 
 
-def attach_bus(cache) -> RingBufferSink:
-    sink = RingBufferSink(capacity=1_000_000)
-    cache.attach_telemetry(
-        EventBus([sink], epoch_refs=100, sample_interval=7, remote_search_sample=2)
+def as_trace(stream) -> Trace:
+    return Trace(
+        [block * 64 for block, _a, _w in stream],
+        [asid for _b, asid, _w in stream],
+        [write for _b, _a, write in stream],
     )
-    return sink
 
 
-def assert_equivalent(reference, candidate, ref_sink=None, cand_sink=None):
+def recording_bus(epoch_refs: int = 100):
+    sink = RingBufferSink(capacity=1_000_000)
+    return EventBus([sink], epoch_refs=epoch_refs), sink
+
+
+def split(sink):
+    """(samples, every other event) of a recorded run."""
+    samples = [e for e in sink if isinstance(e, AccessSampled)]
+    others = [e for e in sink if not isinstance(e, AccessSampled)]
+    return samples, others
+
+
+def assert_equivalent(reference, candidate):
     assert reference.stats == candidate.stats
     assert reference.stats.as_dict() == candidate.stats.as_dict()
     assert reference.occupancy_report() == candidate.occupancy_report()
     assert reference.resizer.log == candidate.resizer.log
-    if ref_sink is not None:
-        assert ref_sink.events() == cand_sink.events()
+
+
+def scripted(cache, stream, bus, warmup=0, audit_every=0, plan=None):
+    """``run_trace``'s between-reference work written out by hand: per
+    issued count, the rollover, the audit, the warm-up reset, then the
+    due faults; at the end the tail epoch, then a last audit."""
+    cache.attach_telemetry(bus)
+    injector = FaultInjector(cache, plan) if plan else None
+    access = cache.access_session().access
+    for issued, (block, asid, write) in enumerate(stream):
+        if issued:
+            if bus.epoch_refs and issued % bus.epoch_refs == 0:
+                bus.rollover(issued)
+            if audit_every and issued % audit_every == 0:
+                audit_and_emit(cache)
+            if issued == warmup:
+                cache.stats.reset()
+        if injector is not None:
+            injector.fire_due(issued)
+        access(block, asid, write)
+    bus.flush_epoch(len(stream))
+    if audit_every:
+        audit_and_emit(cache)
 
 
 class TestProfiledEquivalence:
-    @pytest.mark.parametrize("sample_every", [1, 7, 512])
-    def test_profiled_stream_matches_plain(self, sample_every):
-        stream = make_stream()
-        blocks = [b for b, _a, _w in stream]
-        asids = [a for _b, a, _w in stream]
-        writes = [w for _b, _a, w in stream]
+    @pytest.mark.parametrize("audit_every", [1, 7, 512])
+    def test_profiled_stream_matches_plain(self, audit_every):
+        # Audits, the warm-up and faults split run_trace's access_many
+        # calls at their counts; the samples fall between them.
+        stream = make_stream(2_000)
+        plan = FaultPlan.parse("hard@300:m1,degraded@701:t1+4,transient@1024:m9")
 
         plain = build_cache()
-        plain_sink = attach_bus(plain)
-        plain.access_many(blocks, asids, writes)
+        plain_bus, plain_sink = recording_bus()
+        scripted(plain, stream, plain_bus, 250, audit_every, plan)
 
-        profiled = build_cache()
-        profiled_sink = attach_bus(profiled)
-        profiler = HotPathProfiler(sample_every=sample_every)
-        profiled.attach_profiler(profiler)
-        assert profiled.access_many(blocks, asids, writes) == len(stream)
+        sampled = build_cache()
+        bus, sink = recording_bus()
+        run_trace(sampled, as_trace(stream), warmup_refs=250, telemetry=bus,
+                  audit_every=audit_every, faults=plan)
 
-        assert_equivalent(plain, profiled, plain_sink, profiled_sink)
-        assert profiler.refs == len(stream)
-        # One reference in every sample_every is sampled, on the same
-        # countdown the per-access session uses.
-        assert profiler.samples == len(stream) // sample_every
-        assert profiler.streams == 1
-        assert profiler.wall_s > 0
+        assert_equivalent(plain, sampled)
+        samples, others = split(sink)
+        assert others == plain_sink.events()
+        assert [s.seq for s in samples] == list(
+            range(SAMPLE_EVERY, len(stream) + 1, SAMPLE_EVERY)
+        )
 
-    def test_profiled_session_matches_plain(self):
-        stream = make_stream()
-        plain = build_cache()
-        plain_sink = attach_bus(plain)
-        access = plain.access_session().access
-        for block, asid, write in stream:
-            access(block, asid, write)
+    def test_profiled_session_matches_plain(self, monkeypatch):
+        # CMPRunner drives a held session; a bus adds the samples and
+        # the epochs, and changes nothing else.
+        rng = XorShift64(9)
+        traces = {
+            asid: Trace([rng.randrange(1 << 16) * 64 for _ in range(3_000)],
+                        asids=asid, writes=asid == 1)
+            for asid in (0, 1)
+        }
+        config = CMPRunConfig(warmup_refs=500, faults=FaultPlan.parse("hard@900:m2"))
 
-        profiled = build_cache()
-        profiled_sink = attach_bus(profiled)
-        profiler = HotPathProfiler(sample_every=5)
-        profiled.attach_profiler(profiler)
-        access = profiled.access_session().access
-        for block, asid, write in stream:
-            access(block, asid, write)
+        unrecorded = build_cache()
+        expected = CMPRunner(unrecorded, config).run(traces)
 
-        assert_equivalent(plain, profiled, plain_sink, profiled_sink)
-        assert profiler.refs == len(stream)
-        assert profiler.samples == len(stream) // 5
+        runs = {}
+        for every in (SAMPLE_EVERY, 1 << 40):  # sampled, and never sampled
+            monkeypatch.setattr(schedule_module, "SAMPLE_EVERY", every)
+            cache = build_cache()
+            bus, sink = recording_bus()
+            result = CMPRunner(cache, config, telemetry=bus).run(traces)
+            assert result.per_asid == expected.per_asid
+            assert result.total_refs == expected.total_refs
+            assert_equivalent(unrecorded, cache)
+            runs[every] = split(sink)
 
-    def test_disabled_profiler_is_ignored(self):
-        stream = make_stream(200)
-        cache = build_cache()
-        profiler = HotPathProfiler()
-        profiler.enabled = False
-        cache.attach_profiler(profiler)
-        cache.access_many(*zip(*stream))
-        assert profiler.refs == 0
-        assert profiler.samples == 0
+        samples, others = runs[SAMPLE_EVERY]
+        assert not runs[1 << 40][0]
+        assert others == runs[1 << 40][1]
+        assert len(samples) == expected.total_refs // SAMPLE_EVERY
+        assert {s.asid for s in samples} == {0, 1}
 
-    def test_detach_profiler(self):
-        cache = build_cache()
-        profiler = HotPathProfiler()
-        cache.attach_profiler(profiler)
-        assert cache.profiler is profiler
-        cache.detach_profiler()
-        assert cache.profiler is None
+    @pytest.mark.parametrize("driver", ["run_trace", "cmp"])
+    def test_setassoc_samples_without_perturbing(self, driver):
+        def run(bus):
+            cache = SetAssociativeCache(1 << 13, 2, policy="random", rng=XorShift64(3))
+            stream = make_stream(3_000, blocks=600)
+            if driver == "run_trace":
+                run_trace(cache, as_trace(stream), warmup_refs=100, telemetry=bus)
+            else:
+                traces = {asid: Trace([b * 64 for b, a, _w in stream if a == asid],
+                                      asids=asid, writes=True)
+                          for asid in (0, 1)}
+                CMPRunner(cache, CMPRunConfig(warmup_refs=100), telemetry=bus).run(traces)
+            return cache
+
+        bus, sink = recording_bus()
+        sampled, plain = run(bus), run(None)
+        assert sampled.stats == plain.stats
+        assert sampled.resident_blocks() == plain.resident_blocks()
+        samples, others = split(sink)
+        assert samples and not others  # no epochs: the cache takes no bus
+        assert {s.outcome for s in samples} <= {"hit", "clean-miss", "dirty-miss"}
 
     def test_scalar_asid_and_write_args(self):
-        # The profiled stream path must handle scalar asids/writes the
-        # way the plain engine does.
-        blocks = [b for b, _a, _w in make_stream(300)]
+        # A trace with one ASID and one write flag stores them once
+        # (zero-stride columns); the sampled reference is sliced from
+        # them like any other chunk.
+        blocks = [block for block, _a, _w in make_stream(1_100)]
+        trace = Trace([block * 64 for block in blocks], asids=1, writes=True)
         plain = build_cache()
-        plain.access_many(blocks, 0, False)
-        profiled = build_cache()
-        profiled.attach_profiler(HotPathProfiler(sample_every=3))
-        profiled.access_many(blocks, 0, False)
-        assert_equivalent(plain, profiled)
+        run_trace(plain, trace)
+        sampled = build_cache()
+        bus, sink = recording_bus()
+        run_trace(sampled, trace, telemetry=bus)
+        assert_equivalent(plain, sampled)
+        samples, _ = split(sink)
+        assert [(s.asid, s.write, s.block) for s in samples] == [
+            (1, True, blocks[SAMPLE_EVERY - 1]), (1, True, blocks[2 * SAMPLE_EVERY - 1])
+        ]
+        for region in sampled.regions.values():
+            assert all(type(block) is int for block in region.presence)
 
 
-class TestReport:
-    def test_stages_sum_to_wall(self):
-        cache = build_cache()
-        profiler = HotPathProfiler(sample_every=4)
-        cache.attach_profiler(profiler)
-        stream = make_stream(2000)
-        cache.access_many(*zip(*stream))
+def scalar_class(cache, block, asid, write) -> str:
+    """A reference's class, read off ``access_block``'s result."""
+    rounds = cache.stats.resize_events
+    result = cache.access_block(block, asid, write)
+    if cache.stats.resize_events != rounds:
+        return "resize"
+    if result.hit:
+        return "remote-hit" if "remote_tiles_searched" in result.extra else "hit"
+    return "dirty-miss" if result.writeback else "clean-miss"
 
-        report = profiler.report()
-        assert report["refs"] == len(stream)
-        assert report["samples"] > 0
-        stage_total = sum(
-            info["time_s"] for info in report["stages"].values()
-        )
-        attributed = stage_total + report["resize"]["time_s"]
-        assert attributed == pytest.approx(report["wall_s"], rel=1e-9)
-        assert set(report["stages"]) == set(PROFILE_STAGES)
-        shares = [info["share"] for info in report["stages"].values()]
-        assert sum(shares) == pytest.approx(1.0)
-        assert all(share >= 0 for share in shares)
 
-    def test_resize_fires_timed_exactly(self):
-        cache = build_cache()
-        profiler = HotPathProfiler(sample_every=64)
-        cache.attach_profiler(profiler)
-        cache.access_many(*zip(*make_stream(2000)))
-        # The resizer logs one entry per *decision*; fires are rounds.
-        assert profiler.resize_fires > 0
-        assert len(cache.resizer.log) > 0
-        assert profiler.resize_s > 0
-
-    def test_region_attribution_covers_samples(self):
-        cache = build_cache()
-        profiler = HotPathProfiler(sample_every=3)
-        cache.attach_profiler(profiler)
-        cache.access_many(*zip(*make_stream(900)))
-        report = profiler.report()
-        assert set(report["regions"]) == {0, 1}
-        assert (
-            sum(info["samples"] for info in report["regions"].values())
-            == profiler.samples
-        )
-
-    def test_wall_override_for_sessions(self):
-        profiler = HotPathProfiler()
-        profiler.add_sample(0, "local_hit", 0.1)
-        profiler.add_sample(0, "dirty_miss", 0.3)
-        profiler.refs = 100
-        report = profiler.report(wall_s=2.0)
-        assert report["wall_s"] == 2.0
-        assert report["refs_per_sec"] == pytest.approx(50.0)
-        stage_total = sum(info["time_s"] for info in report["stages"].values())
-        assert stage_total == pytest.approx(2.0)
-
-    def test_format_report_renders(self):
-        cache = build_cache()
-        profiler = HotPathProfiler(sample_every=8)
-        cache.attach_profiler(profiler)
-        cache.access_many(*zip(*make_stream(800)))
-        text = profiler.format_report()
-        assert "hot-path profile" in text
-        for outcome in ("local-hit", "remote-hit", "clean-miss", "dirty-miss"):
-            assert outcome in text
-        assert "us/access" in text
-        assert "resize" in text
-        assert "per-region sampled share:" in text
-
-    def test_reset(self):
-        profiler = HotPathProfiler()
-        profiler.add_sample(0, "clean_miss", 1.0)
-        profiler.refs = 10
-        profiler.countdown = 1
-        profiler.add_stream(0.5)
-        profiler.add_resize(0.1)
-        profiler.reset()
-        assert profiler.samples == 0
-        assert profiler.countdown == profiler.sample_every
-        assert profiler.refs == 0
-        assert profiler.wall_s == 0.0
-        assert profiler.resize_fires == 0
-
-    def test_bad_sample_every(self):
-        with pytest.raises(ConfigError):
-            HotPathProfiler(sample_every=0)
-
-    def test_empty_report(self):
-        report = HotPathProfiler().report()
-        assert report["refs"] == 0
-        assert report["refs_per_sec"] == 0.0
-        assert all(
-            info["share"] == 0.0 for info in report["stages"].values()
-        )
+def model_class(model: ListModel, block, asid, write) -> str:
+    """A reference's class, read off the list model's counters."""
+    hits = model.counts.get(asid, [0, 0, 0, 0])[1]
+    writebacks = sum(counts[3] for counts in model.counts.values())
+    model.access(block, asid, write)
+    if model.counts[asid][1] != hits:
+        return "hit"
+    if sum(counts[3] for counts in model.counts.values()) != writebacks:
+        return "dirty-miss"
+    return "clean-miss"
 
 
 class TestOutcomeClasses:
-    """Every sampled access is classed as ``access_block``'s result reports it."""
+    """Every sampled access is classed as an independent reading of it is."""
 
     @pytest.mark.parametrize(
         "trigger", ["constant", "global_adaptive", "per_app_adaptive"]
     )
-    def test_every_sample_matches_the_scalar_result(self, trigger):
-        def build():
-            # Four tiles, so growing regions spill past their home tile
-            # and some hits are remote.
-            config = MolecularCacheConfig(
-                molecule_bytes=1024, molecules_per_tile=8,
-                tiles_per_cluster=4, clusters=1, strict=False,
-            )
-            cache = MolecularCache(
-                config,
-                resize_policy=ResizePolicy(
-                    period=100, trigger=trigger, min_window_refs=8,
-                    period_floor=20,
-                ),
-                rng=XorShift64(5),
-            )
-            cache.assign_application(0, goal=0.05, initial_molecules=2, tile_id=0)
-            cache.assign_application(1, goal=0.4, initial_molecules=2, tile_id=1)
-            attach_bus(cache)
-            return cache
-
+    def test_every_sample_matches_the_scalar_result(self, trigger, monkeypatch):
+        monkeypatch.setattr(schedule_module, "SAMPLE_EVERY", 1)
         stream = make_stream(6_000)
-        scalar = build()
-        expected = []
-        for block, asid, write in stream:
-            result = scalar.access_block(block, asid, write)
-            if result.hit:
-                remote = "remote_tiles_searched" in result.extra
-                expected.append("remote_hit" if remote else "local_hit")
-            else:
-                expected.append("dirty_miss" if result.writeback else "clean_miss")
+        scalar = spilling_cache(trigger)
+        expected = [scalar_class(scalar, *ref) for ref in stream]
 
-        seen = []
+        sampled = spilling_cache(trigger)
+        bus, sink = recording_bus(epoch_refs=0)
+        run_trace(sampled, as_trace(stream), telemetry=bus)
 
-        class Recording(HotPathProfiler):
-            def add_sample(self, asid, outcome, seconds):
-                seen.append(outcome)
-                super().add_sample(asid, outcome, seconds)
-
-        profiled = build()
-        profiler = Recording(sample_every=1)
-        profiled.attach_profiler(profiler)
-        profiled.access_many(*zip(*stream))
-
-        assert_equivalent(scalar, profiled)
-        assert profiler.resize_fires > 0
-        assert set(expected) == set(PROFILE_STAGES)  # every class occurs
+        assert_equivalent(scalar, sampled)
+        seen = [s.outcome for s in split(sink)[0]]
+        assert set(expected) == set(SAMPLE_OUTCOMES)  # every class occurs
         mismatches = [
             (i, want, got)
             for i, (want, got) in enumerate(zip(expected, seen))
             if want != got
         ]
         assert len(seen) == len(stream) and not mismatches, mismatches[:5]
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    def test_setassoc_samples_match_the_list_model(self, policy, monkeypatch):
+        monkeypatch.setattr(schedule_module, "SAMPLE_EVERY", 1)
+        stream = make_stream(3_000, blocks=96)
+        rng = XorShift64(3)
+        script = [rng.next_u64() for _ in range(len(stream))]
+        cache = SetAssociativeCache(1 << 11, 2, policy=policy, rng=XorShift64(3))
+        model = ListModel(cache.num_sets, 2, policy, script)
+        expected = [model_class(model, *ref) for ref in stream]
+
+        bus, sink = recording_bus(epoch_refs=0)
+        run_trace(cache, as_trace(stream), telemetry=bus)
+        seen = [s.outcome for s in split(sink)[0]]
+        assert set(expected) == {"hit", "clean-miss", "dirty-miss"}
+        assert seen == expected
+
+
+class TestReport:
+    def every_reference_sampled(self, monkeypatch):
+        monkeypatch.setattr(schedule_module, "SAMPLE_EVERY", 1)
+        cache = build_cache()
+        bus, sink = recording_bus(epoch_refs=0)
+        run_trace(cache, as_trace(make_stream(2_000)), telemetry=bus)
+        return cache, split(sink)[0]
+
+    def test_resize_fires_timed_exactly(self, monkeypatch):
+        # With every reference sampled, each resize round is timed once,
+        # inside the access that fired it.
+        cache, samples = self.every_reference_sampled(monkeypatch)
+        fires = [s for s in samples if s.outcome == "resize"]
+        assert len(fires) == cache.stats.resize_events > 0
+        rounds = {entry[0] for entry in cache.resizer.log}
+        assert {s.seq for s in fires} == rounds
+
+    def test_region_attribution_covers_samples(self, monkeypatch):
+        cache, samples = self.every_reference_sampled(monkeypatch)
+        per_region = {asid: sum(s.asid == asid for s in samples)
+                      for asid in cache.regions}
+        assert sum(per_region.values()) == len(samples) == 2_000
+        assert per_region == {
+            asid: counters.accesses
+            for asid, counters in cache.stats.lifetime.items()
+        }
+
+    def samples(self):
+        return [
+            AccessSampled(seq=512 * (i + 1), asid=i % 2, block=i, write=False,
+                          outcome=outcome, duration_us=us)
+            for i, (outcome, us) in enumerate([
+                ("hit", 1.0), ("hit", 3.0), ("remote-hit", 2.0),
+                ("clean-miss", 4.0), ("dirty-miss", 6.0), ("resize", 50.0),
+            ])
+        ]
+
+    def test_format_report_renders(self):
+        text = replay_events(self.samples()).format()
+        assert "6 access samples)" in text
+        table = text[text.index("Sampled access cost (1 in 512"):].splitlines()
+        rows = {line.split()[0]: line.split()[1:] for line in table[4:]}
+        assert list(rows) == [*SAMPLE_OUTCOMES, "total"]
+        # samples, mean µs, and the time 512 references of the class take
+        assert rows["hit"] == ["2", "2.00", f"{4.0 * 512 / 1e6:.3f}"]
+        assert rows["resize"] == ["1", "50.00", f"{50.0 * 512 / 1e6:.3f}"]
+        assert rows["total"] == ["6", "11.00", f"{66.0 * 512 / 1e6:.3f}"]
+        # A sample-only stream (a set-associative run) is not an error.
+        assert "no epoch rollovers" not in text
+
+    def test_empty_report(self):
+        text = replay_events([]).format()
+        assert "0 access samples)" in text
+        assert "Sampled access cost" not in text

@@ -1,43 +1,50 @@
-"""Zero-overhead contract: profiling off costs nothing per reference.
+"""Zero-overhead contract: a run with nothing to observe pays nothing per
+reference.
 
-Mirrors the audit subsystem's structural guard: instead of racing the
-clock, count the ``cache.profiler`` attribute lookups the access paths
-make. The contract is one lookup per ``access_many``/``access_session``
-*call* — never one per reference — so the lookup count must not grow
-with the trace length. With no profiler attached (or a disabled one),
-the dispatched engine must be the ordinary ``AccessEngine``, not the
-instrumented twin.
+Instead of racing the clock, count how often the drivers consult their
+run schedule (:meth:`repro.sim.schedule.RunSchedule.reach`). With no bus,
+no audit and no faults it is consulted at the start and at the warm-up,
+whatever the trace length, and ``run_trace`` makes exactly two
+``access_many`` calls: the warm-up, then the measured part. Everything
+else a driver does per reference is the access itself (and, in
+``CMPRunner``, one comparison with the next mark). The access rule
+itself never reads the cache's telemetry bus.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.common.rng import XorShift64
 from repro.molecular.cache import MolecularCache
 from repro.molecular.config import MolecularCacheConfig, ResizePolicy
-from repro.molecular.engine import AccessEngine
-from repro.prof import HotPathProfiler
-from repro.prof.engine import ProfiledAccessEngine
+from repro.sim.cmp import CMPRunConfig, CMPRunner
+from repro.sim.driver import run_trace
+from repro.sim.schedule import RunSchedule
+from repro.telemetry.bus import EventBus
+from repro.telemetry.sinks import RingBufferSink
+from repro.trace.container import Trace
 
 
 class CountingCache(MolecularCache):
-    """A MolecularCache that counts reads of its ``profiler`` attribute."""
+    """A MolecularCache that counts reads of its ``telemetry`` attribute."""
 
     def __init__(self, *args, **kwargs):
-        self.profiler_lookups = 0
-        self._profiler = None
+        self.telemetry_reads = 0
+        self._telemetry = None
         super().__init__(*args, **kwargs)
 
     @property
-    def profiler(self):
-        self.profiler_lookups += 1
-        return self._profiler
+    def telemetry(self):
+        self.telemetry_reads += 1
+        return self._telemetry
 
-    @profiler.setter
-    def profiler(self, value):
-        self._profiler = value
+    @telemetry.setter
+    def telemetry(self, value):
+        self._telemetry = value
 
 
-def build_cache() -> CountingCache:
+def build_cache() -> MolecularCache:
     config = MolecularCacheConfig(
         molecule_bytes=1024,
         molecules_per_tile=8,
@@ -45,92 +52,79 @@ def build_cache() -> CountingCache:
         clusters=1,
         strict=False,
     )
-    cache = CountingCache(
+    cache = MolecularCache(
         config,
         resize_policy=ResizePolicy(period=200, min_window_refs=16),
         rng=XorShift64(3),
     )
     cache.assign_application(0, goal=0.3, initial_molecules=3, tile_id=0)
+    cache.assign_application(1, goal=0.3, initial_molecules=3, tile_id=1)
     return cache
 
 
-def make_blocks(n: int) -> list[int]:
-    rng = XorShift64(9)
-    return [rng.randrange(400) for _ in range(n)]
+def make_trace(n: int, asid: int = 0) -> Trace:
+    rng = XorShift64(9 + asid)
+    return Trace([rng.randrange(400) * 64 for _ in range(n)], asids=asid)
 
 
-def count_resize_fires(monkeypatch) -> list[int]:
-    """Patch the resizer so every round appends to the returned list."""
-    from repro.molecular import resize as resize_mod
+@pytest.fixture
+def consults(monkeypatch) -> list[int]:
+    """Every issued count at which a driver consults its schedule."""
+    counts: list[int] = []
+    reach = RunSchedule.reach
 
-    fires: list[int] = []
-    real_all = resize_mod.Resizer._resize_all
-    real_one = resize_mod.Resizer._resize_one
+    def counting(self, issued):
+        counts.append(issued)
+        return reach(self, issued)
 
-    def counting_all(self, total_accesses):
-        fires.append(1)
-        return real_all(self, total_accesses)
-
-    def counting_one(self, region, total_accesses):
-        fires.append(1)
-        return real_one(self, region, total_accesses)
-
-    monkeypatch.setattr(resize_mod.Resizer, "_resize_all", counting_all)
-    monkeypatch.setattr(resize_mod.Resizer, "_resize_one", counting_one)
-    return fires
+    monkeypatch.setattr(RunSchedule, "reach", counting)
+    return counts
 
 
-def run_counted(n: int, session: bool, monkeypatch) -> tuple[int, int]:
-    """(profiler lookups, resize fires) for an n-reference run."""
-    cache = build_cache()
-    fires = count_resize_fires(monkeypatch)
-    before = cache.profiler_lookups
-    if session:
+def test_stream_lookups_independent_of_trace_length(consults, monkeypatch):
+    for n in (100, 5_000):
+        cache = build_cache()
+        calls: list[int] = []
+        access_many = cache.access_many
+
+        def counting(blocks, asids, writes):
+            calls.append(len(blocks))
+            return access_many(blocks, asids, writes)
+
+        monkeypatch.setattr(cache, "access_many", counting)
+        consults.clear()
+        run_trace(cache, make_trace(n), warmup_refs=n // 4)
+        assert consults == [0, n // 4]
+        assert calls == [n // 4, n - n // 4]
+
+
+def test_session_lookups_independent_of_access_count(consults):
+    for n in (100, 5_000):
+        consults.clear()
+        traces = {asid: make_trace(n, asid) for asid in (0, 1)}
+        CMPRunner(build_cache(), CMPRunConfig(warmup_refs=n // 4)).run(traces)
+        assert consults == [0, n // 4]
+
+
+def test_access_rule_never_reads_the_bus():
+    # Unmanaged regions: no resize decision, so nothing that may emit
+    # (rounds, faults, audits) runs, and every read would be per access.
+    config = MolecularCacheConfig(
+        molecule_bytes=1024, molecules_per_tile=8, tiles_per_cluster=2,
+        clusters=1, strict=False,
+    )
+    for n in (100, 5_000):
+        cache = CountingCache(config, resize_policy=ResizePolicy(period=200),
+                              rng=XorShift64(3))
+        cache.assign_application(0, goal=None, initial_molecules=3, tile_id=0)
+        cache.attach_telemetry(EventBus([RingBufferSink()]))
+        before = cache.telemetry_reads
+        rng = XorShift64(9)
+        blocks = [rng.randrange(400) for _ in range(n)]
+        for block in blocks:
+            cache.access_block(block, 0)
+        cache.access_many(blocks, 0)
         access = cache.access_session().access
-        for block in make_blocks(n):
+        for block in blocks:
             access(block, 0)
-    else:
-        cache.access_many(make_blocks(n), 0)
-    return cache.profiler_lookups - before, len(fires)
-
-
-def test_stream_lookups_independent_of_trace_length(monkeypatch):
-    # One lookup per access_many call for dispatch plus one per resize
-    # fire (epochs, not references) — never one per reference.
-    for n in (100, 5_000):
-        lookups, fires = run_counted(n, session=False, monkeypatch=monkeypatch)
-        assert lookups <= 1 + fires, (
-            f"{lookups} profiler lookups for {n} refs with {fires} resize "
-            "fires — the disabled check leaked into the per-reference path"
-        )
-
-
-def test_session_lookups_independent_of_access_count(monkeypatch):
-    for n in (100, 5_000):
-        lookups, fires = run_counted(n, session=True, monkeypatch=monkeypatch)
-        assert lookups <= 1 + fires
-
-
-def test_scalar_path_never_checks_the_profiler(monkeypatch):
-    cache = build_cache()
-    fires = count_resize_fires(monkeypatch)
-    before = cache.profiler_lookups
-    for block in make_blocks(500):
-        cache.access_block(block, 0)
-    # access_block predates the profiler and must stay untouched; only
-    # the resizer may peek (once per fire, not per reference).
-    assert cache.profiler_lookups - before <= len(fires)
-
-
-def test_disabled_profiler_dispatches_plain_engine():
-    cache = build_cache()
-    session = cache.access_session()
-    assert type(session) is AccessEngine
-
-    profiler = HotPathProfiler()
-    profiler.enabled = False
-    cache.attach_profiler(profiler)
-    assert type(cache.access_session()) is AccessEngine
-
-    profiler.enabled = True
-    assert type(cache.access_session()) is ProfiledAccessEngine
+        assert cache.telemetry_reads == before

@@ -30,6 +30,9 @@ from repro.common.errors import ConfigError, SimulationError, UnknownASIDError
 from repro.common.refs import SLICE_REFS
 from repro.common.rng import XorShift64
 from repro.sim.driver import run_trace
+from repro.sim.schedule import SAMPLE_EVERY
+from repro.telemetry.bus import EventBus
+from repro.telemetry.sinks import RingBufferSink
 from repro.trace.container import Trace
 from tests.test_setassoc_model import ListModel
 
@@ -199,6 +202,14 @@ class TestRunTraceBatched:
         driven, _ = scenario().build()
         run_trace(driven, trace, warmup_refs=warmup)
         assert diff_results(end_state(looped), end_state(driven)) == []
+
+
+def as_trace(stream) -> Trace:
+    return Trace(
+        [b * 64 for b, _a, _w in stream],
+        [a for _b, a, _w in stream],
+        [w for _b, _a, w in stream],
+    )
 
 
 def columns(stream, as_arrays: bool = False):
@@ -395,52 +406,31 @@ class TestBulkAccessEdges:
 
 
 class TestProfiledBulkAccess:
-    """``access_many`` with an enabled profiler runs the same session loop."""
+    """``run_trace`` with a bus runs the same access_many chunks, plus one
+    sampled reference in ``SAMPLE_EVERY`` through a session."""
 
     def test_profiled_run_matches_unprofiled(self):
-        from repro.prof import HotPathProfiler
-
-        arrays = columns(random_stream(19, 2000, 400), as_arrays=True)
+        trace = as_trace(random_stream(19, 2000, 400))
         reference, _ = scenario().build()
-        assert reference.access_many(*arrays) == 2000
+        run_trace(reference, trace)
 
-        profiled, _ = scenario().build()
-        profiler = HotPathProfiler(sample_every=5)
-        profiled.attach_profiler(profiler)
-        assert profiled.access_many(*arrays) == 2000
+        sampled, _ = scenario().build()
+        bus = EventBus([RingBufferSink(capacity=10_000)], epoch_refs=0)
+        run_trace(sampled, trace, telemetry=bus)
 
-        assert diff_results(end_state(reference), end_state(profiled)) == []
-        assert profiler.refs == 2000
-        assert profiler.samples == 2000 // 5
-        for region in profiled.regions.values():
+        assert diff_results(end_state(reference), end_state(sampled)) == []
+        samples = [e for e in bus.sinks[0] if e.kind == "access_sampled"]
+        assert [s.seq for s in samples] == [SAMPLE_EVERY * k for k in (1, 2, 3)]
+        for region in sampled.regions.values():
             assert all(type(block) is int for block in region.presence)
 
-    def test_stages_sum_to_wall_on_ndarray_columns(self):
-        from repro.prof import PROFILE_STAGES, HotPathProfiler
-
-        cache, _ = scenario().build()
-        profiler = HotPathProfiler(sample_every=4)
-        cache.attach_profiler(profiler)
-        cache.access_many(*columns(random_stream(19, 2000, 400), as_arrays=True))
-
-        report = profiler.report()
-        assert report["refs"] == 2000
-        assert report["samples"] > 0
-        assert set(report["stages"]) == set(PROFILE_STAGES)
-        stage_total = sum(info["time_s"] for info in report["stages"].values())
-        attributed = stage_total + report["resize"]["time_s"]
-        assert attributed == pytest.approx(report["wall_s"], rel=1e-9)
-
     def test_sampling_spans_short_streams(self):
-        # The countdown lives on the profiler, so a driver issuing many
-        # streams shorter than sample_every still gets sampled.
-        from repro.prof import HotPathProfiler
-
+        # The schedule counts issued references across the whole run, so
+        # a run split into chunks shorter than SAMPLE_EVERY (an audit
+        # every 16) is still sampled at every SAMPLE_EVERY-th.
         cache, _ = scenario().build()
-        profiler = HotPathProfiler(sample_every=64)
-        cache.attach_profiler(profiler)
-        stream = random_stream(31, 640, 200)
-        for lo in range(0, len(stream), 16):
-            cache.access_many(*columns(stream[lo : lo + 16]))
-        assert profiler.streams == 40
-        assert profiler.samples == 10
+        bus = EventBus([RingBufferSink(capacity=10_000)], epoch_refs=0)
+        run_trace(cache, as_trace(random_stream(31, 2100, 200)),
+                  telemetry=bus, audit_every=16)
+        samples = [e for e in bus.sinks[0] if e.kind == "access_sampled"]
+        assert [s.seq for s in samples] == [SAMPLE_EVERY * k for k in (1, 2, 3, 4)]

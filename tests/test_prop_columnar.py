@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.audit.oracle import AppSpec, Lockstep, Scenario
 from repro.common.rng import XorShift64
-from repro.molecular.engine import AccessEngine
 
 TRIGGERS = ["constant", "global_adaptive", "per_app_adaptive"]
 PLACEMENTS = ["random", "randy", "lru_direct"]
@@ -118,24 +117,3 @@ class TestFallbacksAndRouting:
         stream += [(rng.randrange(90), rng.randrange(2), rng.randrange(3) == 0) for _ in range(3000)]
         lockstep = replay_columns(scenario(), stream)
         assert lockstep.cache.stats.resize_events > 10
-
-
-class TestProfilerContract:
-    def test_disabled_profiler_restores_columnar_routing(self):
-        # A disabled profiler leaves access_many on the plain session:
-        # nothing is sampled and every call follows the spec.
-        from repro.prof import HotPathProfiler
-
-        rng = XorShift64(19)
-        stream = [
-            (rng.randrange(400), (i // 250) % 2, rng.randrange(4) == 0)
-            for i in range(500)
-        ]
-        lockstep = Lockstep(scenario(), "access_many", columns=ndarray_columns)
-        profiler = HotPathProfiler(sample_every=5)
-        profiler.enabled = False
-        lockstep.cache.attach_profiler(profiler)
-        assert type(lockstep.cache.access_session()) is AccessEngine
-        lockstep.run([("access", a, b, w) for b, a, w in stream])
-        assert profiler.refs == 0
-        assert profiler.samples == 0

@@ -190,6 +190,21 @@ def test_stack_advisor_sizes_from_the_same_accesses(entry):
 
 
 @pytest.mark.parametrize("entry", ENTRIES)
+def test_shared_regions_keep_their_own_lru_direct_stamps(entry):
+    # Every shared region has the shared ASID, yet LRU-Direct keeps one
+    # recency map per region: asid 1's misses on tile 1 must not drop the
+    # stamp asid 0's hit left on tile 0's copy of block 5.
+    scenario = Scenario(
+        apps=(AppSpec(asid=0, goal=None, tile_id=0, shared=True),
+              AppSpec(asid=1, goal=None, tile_id=1, shared=True)),
+        shared_tiles=((0, 4), (1, 4)),
+        placement="lru_direct",
+    )
+    run(scenario, [("access", asid, block, False) for asid, block in
+                   ((0, 5), (1, 5), (0, 5), (1, 21), (1, 37), (1, 53))], entry)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
 def test_unknown_asid_is_refused_untouched(entry):
     scenario = spanning_scenario()
     ops = hot_ops(0, 150, 60) + [("access", 9, 3, False)]

@@ -11,6 +11,7 @@ from repro.molecular import MolecularCache, MolecularCacheConfig, ResizePolicy
 from repro.prof.spans import SpanRecorder, load_trace
 from repro.sim.cmp import CMPRunConfig, CMPRunner
 from repro.sim.driver import run_trace
+from repro.sim.schedule import SAMPLE_EVERY
 from repro.telemetry import (
     AccessSampled,
     EpochRollover,
@@ -18,7 +19,6 @@ from repro.telemetry import (
     MetricsTimeline,
     MoleculeGranted,
     MoleculeWithdrawn,
-    RemoteSearch,
     ResizeDecision,
     RingBufferSink,
     RunMeta,
@@ -50,6 +50,15 @@ def drive(cache, n_refs, span=1 << 12, seed=3):
         cache.access_block(rng.randrange(span), 0)
 
 
+def blocks_trace(blocks) -> Trace:
+    return Trace([block * 64 for block in blocks])
+
+
+def random_trace(n_refs, span=1 << 12, seed=3) -> Trace:
+    rng = XorShift64(seed)
+    return blocks_trace([rng.randrange(span) for _ in range(n_refs)])
+
+
 class TestDisabledPath:
     def test_telemetry_off_by_default(self):
         assert make_cache().telemetry is None
@@ -71,12 +80,12 @@ class TestDisabledPath:
     def test_detach_stops_emission(self):
         cache = make_cache()
         sink = RingBufferSink()
-        bus = cache.attach_telemetry(EventBus([sink], epoch_refs=100))
-        drive(cache, 150)
+        bus = EventBus([sink], epoch_refs=100)
+        run_trace(cache, random_trace(150), telemetry=bus)
         emitted = bus.events_emitted
         assert emitted > 0
         assert cache.detach_telemetry() is bus
-        drive(cache, 500)
+        run_trace(cache, random_trace(600, seed=4))
         assert bus.events_emitted == emitted
         assert cache.telemetry is None
 
@@ -93,8 +102,8 @@ class TestRingBuffer:
     def test_eviction_order(self):
         sink = RingBufferSink(capacity=3)
         events = [
-            AccessSampled(seq=i, asid=0, block=i, hit=False, write=False,
-                          local_probes=1, remote_probes=0)
+            AccessSampled(seq=i, asid=0, block=i, write=False,
+                          outcome="clean-miss", duration_us=1.0)
             for i in range(5)
         ]
         for event in events:
@@ -105,8 +114,8 @@ class TestRingBuffer:
 
     def test_clear(self):
         sink = RingBufferSink(capacity=2)
-        sink.emit(RemoteSearch(seq=1, asid=0, tiles_searched=1,
-                               molecules_probed=2, found=True))
+        sink.emit(AccessSampled(seq=1, asid=0, block=7, write=True,
+                                outcome="remote-hit", duration_us=1.5))
         sink.clear()
         assert len(sink) == 0 and sink.dropped == 0
 
@@ -121,10 +130,8 @@ class TestEventSerialisation:
                 molecules_per_tile=32, lines_per_molecule=128,
                 regions={0: {"goal": 0.1, "home_tile": 0,
                              "molecules": 16, "line_multiplier": 1}}),
-        AccessSampled(seq=10, asid=0, block=99, hit=True, write=False,
-                      local_probes=4, remote_probes=0),
-        RemoteSearch(seq=11, asid=2, tiles_searched=3, molecules_probed=40,
-                     found=False),
+        AccessSampled(seq=512, asid=0, block=99, write=False,
+                      outcome="remote-hit", duration_us=1.25),
         ResizeDecision(accesses=25_000, asid=1, action="grow", amount=8,
                        window_miss_rate=0.42, molecules=24, period=25_000),
         MoleculeGranted(accesses=25_000, asid=1, count=8, tiles=[0, 1],
@@ -153,24 +160,25 @@ class TestEventSerialisation:
 
 
 class TestEpochBoundaries:
+    """The driver's run schedule owns the epoch clock."""
+
     def test_rollover_every_epoch_refs(self):
         cache = make_cache()
         timeline = MetricsTimeline()
-        bus = cache.attach_telemetry(EventBus([timeline], epoch_refs=100))
-        drive(cache, 250)
-        assert [e.seq for e in timeline.epochs] == [100, 200]
-        bus.flush_epoch()
+        bus = EventBus([timeline], epoch_refs=100)
+        run_trace(cache, random_trace(250), telemetry=bus)
+        # Two full epochs, then the tail the driver flushed.
         assert [e.seq for e in timeline.epochs] == [100, 200, 250]
-        bus.flush_epoch()  # nothing new to flush
+        bus.flush_epoch(250)  # nothing new to flush
         assert len(timeline) == 3
         assert [e.epoch for e in timeline.epochs] == [1, 2, 3]
 
     def test_epoch_metrics_are_epoch_local(self):
         cache = make_cache()
         timeline = MetricsTimeline()
-        cache.attach_telemetry(EventBus([timeline], epoch_refs=100))
-        for _ in range(200):  # one distinct block: 1 cold miss, then hits
-            cache.access_block(0, 0)
+        # One distinct block: 1 cold miss, then hits.
+        run_trace(cache, blocks_trace([0] * 200),
+                  telemetry=EventBus([timeline], epoch_refs=100))
         first, second = timeline.epochs
         assert first.regions[0]["accesses"] == 100
         assert first.regions[0]["miss_rate"] == pytest.approx(0.01)
@@ -184,20 +192,20 @@ class TestEpochBoundaries:
     def test_epoch_refs_zero_disables_rollover(self):
         cache = make_cache()
         timeline = MetricsTimeline()
-        cache.attach_telemetry(EventBus([timeline], epoch_refs=0))
-        drive(cache, 500)
+        run_trace(cache, random_trace(500),
+                  telemetry=EventBus([timeline], epoch_refs=0))
         assert len(timeline) == 0
 
     def test_access_sampling_interval(self):
         cache = make_cache()
         sink = RingBufferSink(capacity=10_000)
-        cache.attach_telemetry(
-            EventBus([sink], epoch_refs=0, sample_interval=50)
-        )
-        drive(cache, 500)
+        run_trace(cache, random_trace(4 * SAMPLE_EVERY + 100), warmup_refs=300,
+                  telemetry=EventBus([sink], epoch_refs=0))
         samples = [e for e in sink if isinstance(e, AccessSampled)]
-        assert len(samples) == 10
-        assert [s.seq for s in samples] == list(range(50, 501, 50))
+        # Every SAMPLE_EVERY-th issued reference, warm-up included.
+        assert [s.seq for s in samples] == [SAMPLE_EVERY * k for k in range(1, 5)]
+        assert {s.outcome for s in samples} <= {"hit", "clean-miss"}
+        assert all(s.duration_us > 0 for s in samples)
 
 
 class TestResizeEvents:
@@ -228,31 +236,35 @@ class TestResizeEvents:
         assert withdrawals
         assert sum(w.count for w in withdrawals) == cache.stats.molecules_withdrawn
 
-    def test_remote_search_events(self):
+    def test_remote_search_events(self, monkeypatch):
+        # A region grown across tiles finds lines through Ulmo's remote
+        # search; with every reference sampled, those accesses show up
+        # as remote-hit samples (or as resize when they fired a round).
+        import repro.sim.schedule as schedule
+
+        monkeypatch.setattr(schedule, "SAMPLE_EVERY", 1)
         cache = make_cache(goal=0.05, period=1_000)
         sink = RingBufferSink(capacity=200_000)
-        cache.attach_telemetry(EventBus([sink], epoch_refs=0))
-        drive(cache, 20_000, span=1 << 14)  # forces growth across tiles
-        remotes = [e for e in sink if isinstance(e, RemoteSearch)]
-        assert remotes, "a multi-tile region must search remotely"
-        assert all(e.tiles_searched >= 1 for e in remotes)
+        run_trace(cache, random_trace(20_000, span=1 << 14),
+                  telemetry=EventBus([sink], epoch_refs=0))
+        remote = [e for e in sink
+                  if isinstance(e, AccessSampled) and e.outcome == "remote-hit"]
+        assert remote, "a multi-tile region must search remotely"
+        found = sum(c.ulmo.stats.remote_hits for c in cache.clusters)
+        resized = sum(isinstance(e, AccessSampled) and e.outcome == "resize"
+                      for e in sink)
+        assert found - resized <= len(remote) <= found
 
 
 class TestJsonlRoundTrip:
     """A recording's round trip: bus -> Chrome trace file -> replay."""
 
-    def run_recorded(self, path, sample_interval=500):
+    def run_recorded(self, path):
         cache = make_cache(goal=0.05, period=1_000)
         timeline = MetricsTimeline()
         trace = SpanRecorder()
-        bus = EventBus(
-            [trace, timeline],
-            epoch_refs=1_000,
-            sample_interval=sample_interval,
-        )
-        cache.attach_telemetry(bus)
-        drive(cache, 10_000, span=1 << 14)
-        bus.close()
+        bus = EventBus([trace, timeline], epoch_refs=1_000)
+        run_trace(cache, random_trace(10_000, span=1 << 14), telemetry=bus)
         trace.export(path)
         return cache, timeline
 
@@ -462,16 +474,25 @@ class TestDriverAndRunnerWiring:
         assert "Per-region miss rate by epoch" in out
         assert "span trace" not in out  # a simulate trace has no spans
 
-    def test_simulate_record_warns_on_setassoc(self, tmp_path, capsys):
+    def test_simulate_records_setassoc(self, tmp_path, capsys):
         path = tmp_path / "run.json"
         code = main([
             "simulate", "--cache", "setassoc", "--size", "1MB",
-            "--refs", "5000", "--workloads", "ammp",
+            "--refs", "20000", "--workloads", "art,ammp,parser,mcf",
             "--trace", str(path),
         ])
         assert code == 0
-        assert "not recording" in capsys.readouterr().err
-        assert not path.exists()
+        assert "trace:" in capsys.readouterr().err
+        events = load_trace(path)
+        assert_chrome_trace(events)
+        samples = [e for e in events if e.get("name") == "access_sampled"]
+        assert samples and all(e["ph"] == "i" for e in samples)
+        assert main(["inspect", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Sampled access cost" in out
+        for outcome in ("hit", "clean-miss", "dirty-miss"):
+            assert f"\n{outcome} " in out
+        assert "no epoch rollovers" not in out
 
 
 class TestMolecularStatsDict:
