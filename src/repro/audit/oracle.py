@@ -55,6 +55,12 @@ PATHS = ("spec", "engine", "brute")
 #: How :class:`Lockstep` reaches the cache.
 ENTRIES = ("access_block", "access_many", "session")
 
+#: Accesses per telemetry epoch on every arm's bus. The arms keep the
+#: epoch clock a driver's run schedule keeps (:mod:`repro.sim.schedule`):
+#: an epoch closes after its last access, outside any ``access_many``
+#: call, so every arm emits the same rollovers.
+EPOCH_REFS = 100
+
 #: Ring-buffer capacity for the recorded telemetry streams. Large enough
 #: that the fuzzer's streams never wrap (drops would still be identical
 #: across arms, but a full buffer makes divergences exact).
@@ -97,9 +103,9 @@ class Scenario:
     period_floor: int = 50
     min_window_refs: int = 16
     seed: int = 11
-    #: Attach a telemetry bus, whose events (resize rounds, faults) the
-    #: arms must emit alike. Kept in the scenario so the fuzzer can run
-    #: some cells without one.
+    #: Attach a telemetry bus, whose events (epoch rollovers, resize
+    #: rounds, faults) the arms must emit alike. Kept in the scenario so
+    #: the fuzzer can run some cells without one.
     telemetry: bool = True
     #: Resize mechanism (``flush`` / ``chash``) — the fuzzer's mechanism
     #: axis replays one op stream through both backends.
@@ -140,7 +146,7 @@ class Scenario:
             telemetry = self.telemetry
         if telemetry:
             sink = RingBufferSink(capacity=_EVENT_CAPACITY)
-            cache.attach_telemetry(EventBus([sink]))
+            cache.attach_telemetry(EventBus([sink], epoch_refs=EPOCH_REFS))
         for tile_id, molecules in self.shared_tiles:
             cache.create_shared_region(tile_id, molecules)
         for app in self.apps:
@@ -304,6 +310,12 @@ def observe_triggers(cache: MolecularCache) -> dict:
     }
 
 
+def _epoch_due(cache, accesses: int) -> bool:
+    """Whether ``accesses`` accesses close an epoch of ``cache``'s bus."""
+    bus = cache.telemetry
+    return bus is not None and bus.epoch_refs > 0 and accesses % bus.epoch_refs == 0
+
+
 def _expect(what: str, got, want) -> None:
     if got == want:
         return
@@ -324,7 +336,9 @@ class Lockstep:
     error is re-raised once the partial state is checked against the
     spec's state before the failing access. ``columns`` maps the block,
     ASID and write lists of one ``access_many`` call to the columns it is
-    given (ndarrays, say); by default the lists themselves.
+    given (ndarrays, say); by default the lists themselves. Every
+    :data:`EPOCH_REFS` accesses the bus's epoch rolls over, after the
+    buffered accesses are flushed.
     """
 
     def __init__(self, scenario: Scenario, entry: str = "access_block",
@@ -390,6 +404,12 @@ class Lockstep:
 
     def access(self, asid: int, block: int, write: bool) -> None:
         self.accesses += 1
+        self._step(asid, block, write)
+        if _epoch_due(self.cache, self.accesses):
+            self.flush()
+            self.cache.telemetry.rollover(self.accesses)
+
+    def _step(self, asid: int, block: int, write: bool) -> None:
         where = f"access {self.accesses} {(asid, block, write)}"
         if self.entry == "access_many":
             if not self.pending:
@@ -512,6 +532,7 @@ def end_state(path: str, cache, sink=None, error: str | None = None) -> PathResu
 def _drive(cache, ops, path: str, audit_every: int) -> None:
     """The engine and brute arms' loop over ``ops``."""
     pending: list[tuple[int, int, bool]] = []  # buffered accesses (engine arm)
+    accesses = 0
 
     def flush() -> None:
         if pending:
@@ -522,10 +543,15 @@ def _drive(cache, ops, path: str, audit_every: int) -> None:
         if op[0] != "access":
             flush()
             _apply_structural(cache, op)
-        elif path == "engine":
-            pending.append((op[2], op[1], op[3]))
         else:
-            cache.access_block(op[2], op[1], op[3])
+            if path == "engine":
+                pending.append((op[2], op[1], op[3]))
+            else:
+                cache.access_block(op[2], op[1], op[3])
+            accesses += 1
+            if _epoch_due(cache, accesses):
+                flush()
+                cache.telemetry.rollover(accesses)
         if path == "brute" or (audit_every and index % audit_every == 0):
             flush()
             assert_invariants(cache)

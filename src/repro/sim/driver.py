@@ -69,23 +69,18 @@ def run_trace(
     asids = trace.asids
     writes = trace.writes
     access_many = getattr(cache, "access_many", None)
-    if access_many is None:
-        access_block = cache.access_block
-
-        def access_many(blocks, asids, writes) -> None:
-            for block, asid, write in iter_refs(blocks, asids, writes)[1]:
-                access_block(block, asid, write)
-
     issued, mark = 0, schedule.reach(0)
     while issued < n:
         stop = min(mark, n)
-        if stop - issued == 1:
-            # One reference (the sampled one, say) takes the schedule's
-            # access, which times it when it is sampled.
+        if stop - issued == 1 or access_many is None:
+            # One reference (the sampled one, say), or a cache without
+            # access_many: the schedule's access, which times a sampled
+            # reference (always a chunk of its own).
+            access = schedule.access
             for block, asid, write in iter_refs(
                 blocks[issued:stop], asids[issued:stop], writes[issued:stop]
             )[1]:
-                schedule.access(block, asid, write)
+                access(block, asid, write)
         else:
             access_many(blocks[issued:stop], asids[issued:stop], writes[issued:stop])
         issued = stop

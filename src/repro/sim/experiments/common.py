@@ -116,7 +116,8 @@ def run_molecular_workload(
     ``tile_assignment`` maps ASID to home tile; defaults to one tile per
     application in ASID order (the paper's static processor-tile mapping).
     ``telemetry`` records the run through an event bus (see
-    :mod:`repro.telemetry`); the caller closes the bus. ``faults``
+    :mod:`repro.telemetry`); the runner flushes the tail epoch, so the
+    bus needs no closing. ``faults``
     schedules a fault plan against the run (``at`` counts globally issued
     references of the interleaved stream).
     """

@@ -20,8 +20,9 @@ Given a bus, the schedule also samples every :data:`SAMPLE_EVERY`-th
 issued reference (:meth:`RunSchedule.sample`): the same access the
 driver would make, timed whole and classed from counter deltas, recorded
 as an :class:`~repro.telemetry.events.AccessSampled` instant. It reads
-only counters that every cache family keeps, so it works the same for
-set-associative and molecular caches, and the access rule itself makes
+counters that every cache family keeps, plus the molecular cache's
+unsettled remote-hit counts, so it works the same for set-associative
+and molecular caches, settles nothing, and the access rule itself makes
 no telemetry call. With no bus, no audit and no faults the schedule is
 consulted at 0 and at the warm-up, whatever the run's length.
 """
@@ -49,7 +50,8 @@ class RunSchedule:
     """
 
     __slots__ = ("cache", "access", "_plain", "_bus", "_epoch_refs",
-                 "_cadence", "_warmup", "_on_warmup", "_injector", "_seq")
+                 "_cadence", "_warmup", "_on_warmup", "_injector", "_seq",
+                 "_contexts")
 
     def __init__(self, cache, bus=None, audit_every: int | None = None,
                  faults=None, warmup: int = 0, on_warmup=None) -> None:
@@ -80,6 +82,8 @@ class RunSchedule:
 
         self._plain = self.access = plain
         self._seq = 0
+        # The molecular cache's per-ASID access contexts (none elsewhere).
+        self._contexts = getattr(cache.stats, "contexts", {})
 
     def reach(self, issued: int) -> int:
         """Do what is due once ``issued`` references have been issued;
@@ -116,17 +120,16 @@ class RunSchedule:
         return mark
 
     # What a sample is classed by. A cache family without resize rounds
-    # or Ulmo (the set-associative cache) reads 0 for them.
+    # or access contexts (the set-associative cache) reads 0 for them.
 
     def _rounds(self) -> int:
         return getattr(self.cache.stats, "resize_events", 0)
 
-    def _remote_hits(self) -> int:
-        """The settled Ulmo remote hits (settling charges every access
-        context, so a context replaced inside the access cannot hide
-        one)."""
-        clusters = getattr(self.cache, "clusters", ())
-        return sum(cluster.ulmo.stats.remote_hits for cluster in clusters)
+    def _unsettled_remote_hits(self, asid: int):
+        """The ASID's access context and the remote hits it has counted
+        since it last settled, read without settling."""
+        ctx = self._contexts.get(asid)
+        return ctx, sum(ctx.remote_hits.values()) if ctx is not None else 0
 
     def _writebacks(self) -> int:
         return sum(c.writebacks for c in self.cache.stats.lifetime.values())
@@ -135,17 +138,26 @@ class RunSchedule:
         """The next reference through the plain access, timed whole and
         classed: ``resize`` when it fired a resize round, else ``hit``,
         ``remote-hit`` (the Ulmo remote hits grew), ``clean-miss`` or
-        ``dirty-miss`` (the lifetime writebacks grew)."""
-        rounds, remote, writebacks = (
-            self._rounds(), self._remote_hits(), self._writebacks()
-        )
+        ``dirty-miss`` (the lifetime writebacks grew).
+
+        A remote hit is counted on the context that served it, the
+        ASID's (rebuilt inside the access when it was stale), and
+        charged to Ulmo when that context settles; only a resize round
+        settles it inside the access. So the sample reads the context's
+        count before and after, and settles nothing.
+        """
+        rounds, writebacks = self._rounds(), self._writebacks()
+        before, remote = self._unsettled_remote_hits(asid)
         started = tick()
         hit = self._plain(block, asid, write)
         elapsed = tick() - started
         if self._rounds() != rounds:
             outcome = "resize"
         elif hit:
-            outcome = "remote-hit" if self._remote_hits() != remote else "hit"
+            ctx, now = self._unsettled_remote_hits(asid)
+            if ctx is not before:
+                remote = 0
+            outcome = "remote-hit" if now != remote else "hit"
         else:
             outcome = "dirty-miss" if self._writebacks() != writebacks else "clean-miss"
         self._bus.emit(AccessSampled(

@@ -22,6 +22,7 @@ from repro.audit.fuzz import (
     shrink_ops,
 )
 from repro.audit.oracle import (
+    EPOCH_REFS,
     PATHS,
     AppSpec,
     PathResult,
@@ -74,6 +75,12 @@ class TestOracle:
         # Every arm saw identical stats down to the last counter.
         stats = [r.stats for r in report.results.values()]
         assert all(s == stats[0] for s in stats)
+        # The arms keep a driver's epoch clock, so the event diff covers
+        # the epoch metrics too, not only resize and fault events.
+        for result in report.results.values():
+            assert [
+                e["seq"] for e in result.events if e["kind"] == "epoch_rollover"
+            ] == list(range(EPOCH_REFS, 1_201, EPOCH_REFS))
 
     def test_replay_scalar_matches_brute(self):
         # access_block in lockstep with the spec, against access_block

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.audit.oracle import (
     ENTRIES,
+    EPOCH_REFS,
     AppSpec,
     Lockstep,
     Scenario,
@@ -324,10 +325,16 @@ class TestBulkAccessEdges:
         assert_same_end(reference, candidate)
 
     def test_telemetry_stream_matches_on_ndarray_columns(self):
+        # One access_many call per epoch, each epoch closed after its
+        # call, as the spec-checked arm closes them.
         stream = random_stream(43, 800, 200)
         reference = lockstep(scenario(telemetry=True), as_ops(stream))
         candidate, sink = scenario(telemetry=True).build()
-        candidate.access_many(*columns(stream, as_arrays=True))
+        for start in range(0, len(stream), EPOCH_REFS):
+            chunk = stream[start:start + EPOCH_REFS]
+            candidate.access_many(*columns(chunk, as_arrays=True))
+            candidate.telemetry.rollover(start + len(chunk))
+        assert sum(e.kind == "epoch_rollover" for e in sink) == 8
         assert_same_end(reference, candidate, sink)
 
     def test_ndarray_columns_leave_int_keys(self):

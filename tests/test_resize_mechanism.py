@@ -207,9 +207,13 @@ def _identity_ops(count: int, seed: int, faults: bool):
 
 
 def _drive_identity(cache, ops):
+    bus, accesses = cache.telemetry, 0
     for op in ops:
         if op[0] == "access":
             cache.access_block(op[2], op[1], op[3])
+            accesses += 1
+            if accesses % bus.epoch_refs == 0:
+                bus.rollover(accesses)  # the epoch clock a driver keeps
         elif op[0] == "fault":
             apply_fault(cache, FaultSpec(kind="hard", at=0, target=op[1]))
         elif op[0] == "force_withdraw":
@@ -253,6 +257,7 @@ def test_flush_backend_is_byte_identical_to_legacy(placement, trigger, faults):
     assert [e.as_dict() for e in current_sink] == [
         e.as_dict() for e in legacy_sink
     ]
+    assert sum(e.kind == "epoch_rollover" for e in current_sink) == 2
     assert_invariants(current)
     assert_invariants(legacy)
 

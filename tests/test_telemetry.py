@@ -66,16 +66,17 @@ class TestDisabledPath:
     def test_disabled_run_matches_recorded_run(self):
         """Telemetry must observe, never perturb, the simulation."""
         plain = make_cache()
-        drive(plain, 5_000)
+        run_trace(plain, random_trace(5_000))
 
         recorded = make_cache()
         sink = RingBufferSink(capacity=100_000)
-        recorded.attach_telemetry(EventBus([sink], epoch_refs=500))
-        drive(recorded, 5_000)
+        run_trace(recorded, random_trace(5_000),
+                  telemetry=EventBus([sink], epoch_refs=500))
 
         assert plain.stats.as_dict() == recorded.stats.as_dict()
         assert plain.partition_sizes() == recorded.partition_sizes()
-        assert len(sink) > 0
+        assert sum(isinstance(e, EpochRollover) for e in sink) == 10
+        assert sum(isinstance(e, AccessSampled) for e in sink) == 5_000 // SAMPLE_EVERY
 
     def test_detach_stops_emission(self):
         cache = make_cache()
